@@ -29,6 +29,16 @@ Generalized
     {X_i, P_j} = delta_ij + theta_bar^k_ij X_k + theta_tilde^k_ij P_k.
     The tensors are evaluated exactly as given.
 
+Evaluation
+----------
+Every variant is a special case of the Generalized form.  ``as_generalized``
+writes a named variant's exact tensor encoding, ``lower`` stacks the
+encodings of one spec per particle into a time coefficient (N, 6, 6) and a
+slope dJ/dz (N, 6, 6, 6), and one block evaluator (``LoweredAlgebra``)
+serves ``structure_matrix``, ``bracket``, the equations of motion and
+``jacobi_residual``.  Brackets between particles vanish, so J is a stack
+of per-particle 6x6 blocks, each affine in its own particle's phase point.
+
 A note on tensor encodings: the X-X deformation tensors (theta0, theta)
 must be antisymmetric in the lower index pair, since {X_i, X_j} is an
 antisymmetric bracket.  The X-P tensors (theta_bar, theta_tilde) carry no
@@ -41,7 +51,8 @@ theta_bar/theta_tilde slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +69,11 @@ __all__ = [
     "MiaoTypeII",
     "PhaseState",
     "StructureMatrix",
+    "LoweredAlgebra",
     "structure_matrix",
     "as_generalized",
+    "lower",
+    "rescale",
     "bracket",
     "jacobi_residual",
 ]
@@ -293,108 +307,6 @@ class StructureMatrix:
         return self.matrix[idx]
 
 
-# --- single-particle 6x6 blocks ------------------------------------------
-
-def _canonical_block() -> np.ndarray:
-    j = np.zeros((6, 6))
-    for i in range(3):
-        j[i, 3 + i] = 1.0
-        j[3 + i, i] = -1.0
-    return j
-
-
-def _set_antisym(j: np.ndarray, a: int, b: int, value: float) -> None:
-    j[a, b] = value
-    j[b, a] = -value
-
-
-def _add_antisym(j: np.ndarray, a: int, b: int, value: float) -> None:
-    j[a, b] += value
-    j[b, a] -= value
-
-
-def _block(spec: AlgebraSpec, x: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-    """6x6 bracket block of one particle; x, p are its 3-vectors.
-
-    Deformation parameters enter through their reciprocals, formed here and
-    never stored, so the entries match the tensor encodings of
-    ``as_generalized`` bit for bit.
-    """
-    j = _canonical_block()
-    if isinstance(spec, Canonical):
-        return j
-    if isinstance(spec, SpaceTime):
-        _set_antisym(j, spec.rho - 1, spec.tau - 1, (1.0 / spec.kappa) * t)
-        return j
-    if isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
-        k, l, g = spec.k - 1, spec.l - 1, spec.gamma - 1
-        inv_kt = 1.0 / spec.kappa_tilde
-        _add_antisym(j, k, g, inv_kt * x[l])
-        _add_antisym(j, l, g, -inv_kt * x[k])
-        # {X_gamma, P_k} = -P_l/kt, {X_gamma, P_l} = +P_k/kt; the mirrored
-        # {X_k, P_gamma}, {X_l, P_gamma} stay canonical (zero).
-        _add_antisym(j, g, 3 + k, -inv_kt * p[l])
-        _add_antisym(j, g, 3 + l, inv_kt * p[k])
-        if isinstance(spec, (MiaoTypeI, MiaoTypeII)):
-            inv_k = 1.0 / spec.kappa
-            _add_antisym(j, k, g, -inv_k * t)
-            _add_antisym(j, l, g, inv_k * t)
-        if isinstance(spec, MiaoTypeI):
-            _add_antisym(j, k, l, (1.0 / spec.kappa) * t)
-        if isinstance(spec, MiaoTypeII):
-            inv_kb = 1.0 / spec.kappa_bar
-            _add_antisym(j, g, 3 + k, -inv_kb * x[l])
-            _add_antisym(j, g, 3 + l, -inv_kb * x[k])
-        return j
-    if isinstance(spec, Generalized):
-        # X-X corner: antisymmetric by tensor invariants; fill upper triangle.
-        for i in range(3):
-            for jj in range(i + 1, 3):
-                val = spec.theta0[i, jj] * t + float(spec.theta[:, i, jj] @ x)
-                _set_antisym(j, i, jj, val)
-        # X-P corner, evaluated exactly as given (no symmetrization).
-        for i in range(3):
-            for jj in range(3):
-                val = (
-                    (1.0 if i == jj else 0.0)
-                    + float(spec.theta_bar[:, i, jj] @ x)
-                    + float(spec.theta_tilde[:, i, jj] @ p)
-                )
-                j[i, 3 + jj] = val
-                j[3 + jj, i] = -val
-        return j
-    raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
-
-
-def structure_matrix(specs: Sequence[AlgebraSpec], state: PhaseState) -> StructureMatrix:
-    """Assemble the full 6N x 6N structure matrix for N particles.
-
-    One spec per particle.  Brackets between different particles vanish, so
-    the matrix is block-diagonal with one 6x6 block per particle.
-    """
-    specs = list(specs)
-    if len(specs) != state.n_particles:
-        raise ValueError(
-            f"got {len(specs)} algebra specs for {state.n_particles} particles"
-        )
-    n = 6 * len(specs)
-    j = np.zeros((n, n))
-    for a, spec in enumerate(specs):
-        sl = slice(6 * a, 6 * a + 6)
-        j[sl, sl] = _block(spec, state.x[a], state.p[a], state.t)
-    return StructureMatrix(j)
-
-
-def _structure_matrix_flat(specs: Sequence[AlgebraSpec], z: np.ndarray, t: float) -> np.ndarray:
-    blocks = z.reshape(-1, 6)
-    n = z.size
-    j = np.zeros((n, n))
-    for a, spec in enumerate(specs):
-        sl = slice(6 * a, 6 * a + 6)
-        j[sl, sl] = _block(spec, blocks[a, :3], blocks[a, 3:], t)
-    return j
-
-
 # --- generalized-tensor encodings ----------------------------------------
 
 def as_generalized(spec: AlgebraSpec) -> Generalized:
@@ -444,45 +356,130 @@ def as_generalized(spec: AlgebraSpec) -> Generalized:
     return Generalized(theta0=theta0, theta=theta, theta_bar=theta_bar, theta_tilde=theta_tilde)
 
 
+# --- mass scaling -------------------------------------------------------------
+
+# How each deformation parameter follows the particle's mass under the
+# mass-scaling rule; the others (kappa_bar, theta_bar, axes) are shared.
+_MASS_SCALING = {
+    "kappa": operator.mul,
+    "kappa_tilde": operator.mul,
+    "theta0": operator.truediv,
+    "theta": operator.truediv,
+    "theta_tilde": operator.truediv,
+}
+
+
+def rescale(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:
+    """Parameters of a particle ``mass_ratio`` times as heavy, under the scaling rule:
+    kappa -> kappa * ratio, theta -> theta / ratio, shared parameters kept."""
+    changes = {
+        name: scale(getattr(spec, name), mass_ratio)
+        for name, scale in _MASS_SCALING.items()
+        if hasattr(spec, name)
+    }
+    return replace(spec, **changes)
+
+
+# --- the tensor core -------------------------------------------------------------
+
+# built by subtraction so its zeros are +0.0; a -0.0 would survive C + t*T for t < 0
+_CANONICAL = np.eye(6, k=3) - np.eye(6, k=-3)
+_CANONICAL.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class LoweredAlgebra:
+    """The brackets of N particles in tensor form, lowered once from their specs.
+
+    Particle a's 6x6 block at its phase point z_a = (X, P) and time t is
+    C + t time[a] + sum_d z_a[d] slope[a, d], with C the canonical block.
+    ``time`` (N, 6, 6) carries theta0; ``slope`` (N, 6, 6, 6) is dJ_a/dz_d
+    and carries theta, theta_bar and theta_tilde.  ``slope`` is None when no
+    bracket depends on the phase point, which spares evaluation the
+    contraction.
+    """
+
+    time: np.ndarray
+    slope: np.ndarray | None
+
+    def __len__(self) -> int:
+        """Number of particles."""
+        return self.time.shape[0]
+
+    def blocks(self, z: np.ndarray, t: float) -> np.ndarray:
+        """(N, 6, 6) bracket blocks at per-particle phase points z of shape (N, 6)."""
+        j = _CANONICAL + t * self.time
+        if self.slope is not None:
+            j += np.einsum("ad,adij->aij", z, self.slope)
+        return j
+
+    def apply(self, z: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
+        """J(z, t) v for flat phase vectors z and v of length 6N."""
+        return (self.blocks(z.reshape(-1, 6), t) @ v.reshape(-1, 6, 1)).ravel()
+
+
+def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra) -> LoweredAlgebra:
+    """Stack the exact tensor encodings of one spec per particle.
+
+    Already lowered input is returned as is, so callers that evaluate many
+    states lower once and pass the result on.
+    """
+    if isinstance(specs, LoweredAlgebra):
+        return specs
+    gens = [as_generalized(s) for s in specs]
+    time = np.zeros((len(gens), 6, 6))
+    slope = np.zeros((len(gens), 6, 6, 6))
+    for a, g in enumerate(gens):
+        time[a, :3, :3] = g.theta0
+        slope[a, :3, :3, :3] = g.theta
+        slope[a, :3, :3, 3:] = g.theta_bar
+        slope[a, 3:, :3, 3:] = g.theta_tilde
+    slope[..., 3:, :3] = -np.swapaxes(slope[..., :3, 3:], -1, -2)
+    time.flags.writeable = slope.flags.writeable = False
+    return LoweredAlgebra(time=time, slope=slope if slope.any() else None)
+
+
+def _phase_points(state: PhaseState) -> np.ndarray:
+    return state.flatten().reshape(-1, 6)
+
+
+def structure_matrix(
+    specs: Sequence[AlgebraSpec] | LoweredAlgebra, state: PhaseState
+) -> StructureMatrix:
+    """Assemble the full 6N x 6N structure matrix for N particles.
+
+    One spec per particle, or their lowered form.  Brackets between
+    different particles vanish, so the matrix is block-diagonal with one
+    6x6 block per particle.
+    """
+    lowered = lower(specs)
+    n = len(lowered)
+    if n != state.n_particles:
+        raise ValueError(f"got {n} algebra specs for {state.n_particles} particles")
+    j = np.zeros((n, 6, n, 6))
+    diag = np.arange(n)
+    j[diag, :, diag, :] = lowered.blocks(_phase_points(state), state.t)
+    return StructureMatrix(j.reshape(6 * n, 6 * n))
+
+
 # --- bracket evaluation ----------------------------------------------------
 
 def bracket(
     f: Observable,
     g: Observable,
-    specs: Sequence[AlgebraSpec],
+    specs: Sequence[AlgebraSpec] | LoweredAlgebra,
     state: PhaseState,
 ) -> float:
     """{f, g} = grad(f) . J . grad(g) at the given state."""
     z = state.flatten()
-    j = _structure_matrix_flat(list(specs), z, state.t)
-    return float(f.gradient(z, state.t) @ j @ g.gradient(z, state.t))
+    jg = lower(specs).apply(z, state.t, g.gradient(z, state.t))
+    return float(f.gradient(z, state.t) @ jg)
 
 
 # --- Jacobi identity --------------------------------------------------------
 
-def _structure_derivatives(
-    specs: Sequence[AlgebraSpec], z: np.ndarray, t: float, step: float
-) -> np.ndarray:
-    """dJ[d, a, b] = d J_ab / d z_d by central differences of the given step.
-
-    Every built-in variant is affine in z, so with step 1.0 the central
-    difference is the exact derivative up to rounding.
-    """
-    n = z.size
-    dj = np.zeros((n, n, n))
-    for d in range(n):
-        zp = z.copy()
-        zp[d] += step
-        zm = z.copy()
-        zm[d] -= step
-        dj[d] = (_structure_matrix_flat(specs, zp, t) - _structure_matrix_flat(specs, zm, t)) / (
-            2.0 * step
-        )
-    return dj
-
-
 def jacobi_residual(
-    specs: Sequence[AlgebraSpec] | AlgebraSpec,
+    specs: Sequence[AlgebraSpec] | AlgebraSpec | LoweredAlgebra,
     state: PhaseState,
     fd_step: float = 1e-5,
     use_fd: bool = False,
@@ -492,18 +489,33 @@ def jacobi_residual(
     Returns max over (a, b, c) of
     | sum_d ( J_ad dJ_bc/dz_d + J_bd dJ_ca/dz_d + J_cd dJ_ab/dz_d ) |.
 
-    All built-in variants have structure matrices affine in z, so their
-    derivatives are computed exactly (unit-step central differences); pass
-    ``use_fd=True`` to force genuine finite differencing with ``fd_step``.
+    Each block depends only on its own particle's phase point, so triples
+    that mix particles vanish and the maximum runs over per-particle 6x6x6
+    residuals.  The derivatives dJ/dz are the lowered slope tensors, exact
+    because every bracket is affine in z.  ``use_fd=True`` instead takes
+    central differences of the blocks with step ``fd_step``, an independent
+    oracle for the slopes.
     """
     if isinstance(specs, AlgebraSpec):
         specs = [specs]
-    specs = list(specs)
     if fd_step <= 0:
         raise ValueError(f"fd_step must be positive, got {fd_step!r}")
-    z = state.flatten()
-    j = _structure_matrix_flat(specs, z, state.t)
-    dj = _structure_derivatives(specs, z, state.t, fd_step if use_fd else 1.0)
-    r = np.einsum("ad,dbc->abc", j, dj)
-    total = r + np.transpose(r, (1, 2, 0)) + np.transpose(r, (2, 0, 1))
+    lowered = lower(specs)
+    z = _phase_points(state)
+    j = lowered.blocks(z, state.t)
+    if use_fd:
+        steps = fd_step * np.eye(6)
+        dj = np.stack(
+            [
+                (lowered.blocks(z + h, state.t) - lowered.blocks(z - h, state.t)) / (2.0 * fd_step)
+                for h in steps
+            ],
+            axis=1,
+        )
+    elif lowered.slope is None:
+        return 0.0
+    else:
+        dj = lowered.slope
+    r = np.einsum("nad,ndbc->nabc", j, dj)
+    total = r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2))
     return float(np.max(np.abs(total)))

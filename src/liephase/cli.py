@@ -32,12 +32,13 @@ from .algebra import (
     PhaseState,
     SpaceSpace,
     SpaceTime,
-    as_generalized,
     jacobi_residual,
     structure_matrix,
 )
 from .composition import (
     ParticleSystem,
+    _table_xp_deform,
+    _table_xx,
     com_bracket_report,
     com_relative_coupling,
     com_transform,
@@ -88,6 +89,15 @@ def _number(mapping: dict, key: str, path: str) -> float:
     return float(value)
 
 
+def _flag(mapping: dict, key: str, path: str = "") -> bool:
+    """An optional JSON boolean (false when absent); strings and numbers are refused."""
+    value = mapping.get(key, False)
+    if not isinstance(value, bool):
+        name = f"{path}.{key}" if path else key
+        raise ScenarioError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
 def _axis(mapping: dict, key: str, path: str) -> int:
     value = _expect(mapping, key, path)
     if not isinstance(value, int) or value not in (1, 2, 3):
@@ -101,6 +111,7 @@ _SCALAR_PARAMS = {
     "space_space": ("kappa_tilde",),
     "miao_type_i": ("kappa", "kappa_tilde"),
     "miao_type_ii": ("kappa", "kappa_tilde", "kappa_bar"),
+    "generalized": (),
 }
 _TENSOR_PARAMS = ("theta0", "theta", "theta_bar", "theta_tilde")
 
@@ -256,6 +267,7 @@ _OPTION_KEYS = {
         "expect_deviation_tol",
     },
 }
+_FLAG_OPTIONS = ("expect_closes", "reduced_momentum", "order_check")
 
 
 @dataclass
@@ -387,9 +399,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     unknown = set(options) - _OPTION_KEYS[task]
     if unknown:
         raise ScenarioError(f"options.{sorted(unknown)[0]}: unknown option for task {task}")
+    for key in _FLAG_OPTIONS:
+        _flag(options, key, "options")
 
-    body_mode = bool(data.get("body_mode", False))
-    neglect = bool(data.get("neglect_relative_motion", False))
+    body_mode = _flag(data, "body_mode")
+    neglect = _flag(data, "neglect_relative_motion")
 
     return Scenario(
         task=task,
@@ -527,24 +541,34 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
     samples = int(scenario.options.get("samples", 20))
     states = _sample_states(scenario, samples)
     specs = scenario.system.specs
-    gen_specs = [as_generalized(s) for s in specs]
+    lowered = scenario.system.lowered
 
     def antisymmetry():
-        return max(
-            float(np.max(np.abs(structure_matrix(specs, st).matrix
-                                + structure_matrix(specs, st).matrix.T)))
-            for st in states
-        )
+        worst = 0.0
+        for st in states:
+            j = structure_matrix(lowered, st).matrix
+            worst = max(worst, float(np.max(np.abs(j + j.T))))
+        return worst
 
     def jacobi():
-        return max(jacobi_residual(specs, st) for st in states)
+        return max(jacobi_residual(lowered, st) for st in states)
 
     def roundtrip():
-        return max(
-            float(np.max(np.abs(structure_matrix(specs, st).matrix
-                                - structure_matrix(gen_specs, st).matrix)))
-            for st in states
-        )
+        # the evaluator's X-X and X-P corners against the named variant's
+        # closed-form tables, relative where entries exceed one
+        worst = 0.0
+        for st in states:
+            j = structure_matrix(lowered, st).matrix
+            for a, spec in enumerate(specs):
+                block = j[6 * a : 6 * a + 6, 6 * a : 6 * a + 6]
+                args = (spec, st.x[a], st.p[a], st.t)
+                for got, table in (
+                    (block[:3, :3], _table_xx(*args)),
+                    (block[:3, 3:], np.eye(3) + _table_xp_deform(*args)),
+                ):
+                    scaled = np.abs(got - table) / np.maximum(1.0, np.abs(table))
+                    worst = max(worst, float(np.max(scaled)))
+        return worst
 
     runner.timed("antisymmetry", antisymmetry, tolerance=0.0)
     runner.timed("jacobi-residual", jacobi, tolerance=tol_flag or 1e-10)
@@ -621,7 +645,7 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
         results["effective_algebra_error"] = str(exc)
 
     if "expect_closes" in scenario.options:
-        expected = 1.0 if bool(scenario.options["expect_closes"]) else 0.0
+        expected = 1.0 if scenario.options["expect_closes"] else 0.0
         runner.add("closure-verdict", 1.0 if repro.closes else 0.0, tolerance=0.0,
                    reference=expected)
     if "expect_kappa_eff" in scenario.options:
@@ -645,54 +669,12 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
     return results
 
 
-def _spec_from_rule(system: ParticleSystem, mass: float) -> AlgebraSpec:
-    """AlgebraSpec of a pseudo-particle of the given mass, built from the
-    system's scaling rule."""
-    check = satisfies_mass_scaling(system)
-    if not check.holds:
-        raise ScalingRequiredError(
-            "partition comparison needs a mass-scaled system to define the rule"
-        )
-    rule = check.rule
-    template = system.particles[0].spec
-    if isinstance(template, SpaceTime):
-        return SpaceTime(kappa=rule.gamma_kappa * mass, rho=template.rho, tau=template.tau)
-    if isinstance(template, SpaceSpace):
-        return SpaceSpace(
-            kappa_tilde=rule.gamma_kappa_tilde * mass,
-            k=template.k, l=template.l, gamma=template.gamma,
-        )
-    if isinstance(template, MiaoTypeI):
-        return MiaoTypeI(
-            kappa=rule.gamma_kappa * mass,
-            kappa_tilde=rule.gamma_kappa_tilde * mass,
-            k=template.k, l=template.l, gamma=template.gamma,
-        )
-    if isinstance(template, MiaoTypeII):
-        return MiaoTypeII(
-            kappa=rule.gamma_kappa * mass,
-            kappa_tilde=rule.gamma_kappa_tilde * mass,
-            kappa_bar=rule.kappa_bar,
-            k=template.k, l=template.l, gamma=template.gamma,
-        )
-    if isinstance(template, Generalized):
-        return Generalized(
-            theta0=rule.gamma0 / mass,
-            theta=rule.gamma / mass,
-            theta_bar=rule.theta_bar,
-            theta_tilde=rule.gamma_tilde / mass,
-        )
-    if isinstance(template, Canonical):
-        return Canonical()
-    raise TypeError(f"unknown algebra variant: {type(template).__name__}")
-
-
 def _run_simulate(
     scenario: Scenario, runner: _CheckRunner, out_dir: Path, tol_flag: Optional[float]
 ) -> dict:
     g = scenario.gravity_scenario()
     trajectory = integrate(g)
-    include_reduced = bool(scenario.options.get("reduced_momentum", False))
+    include_reduced = scenario.options.get("reduced_momentum", False)
     csv_path = out_dir / "trajectory.csv"
     trajectory.write_csv(str(csv_path), include_reduced_momentum=include_reduced)
 
@@ -755,7 +737,13 @@ def _run_simulate(
             raise ScenarioError(
                 "options.compare_partition: partition must preserve the total mass"
             )
-        alt_specs = [_spec_from_rule(scenario.system, m) for m in alt_masses]
+        check = satisfies_mass_scaling(scenario.system)
+        if not check.holds:
+            raise ScalingRequiredError(
+                "partition comparison needs a mass-scaled system to define the rule"
+            )
+        template = scenario.system.particles[0].spec
+        alt_specs = [check.rule.spec_for_mass(template, m) for m in alt_masses]
         alt_system = ParticleSystem.from_pairs(alt_masses, alt_specs)
         com = com_transform(scenario.system, scenario.initial)
         n_alt = len(alt_masses)

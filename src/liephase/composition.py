@@ -12,7 +12,8 @@ mu_a = m_a / M, and dP^(a) = P^(a) - mu_a Pcom, dX^(a) = X^(a) - Xcom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,9 @@ from .algebra import (
     PhaseState,
     SpaceSpace,
     SpaceTime,
+    LoweredAlgebra,
+    lower,
+    rescale,
     structure_matrix,
 )
 from .errors import ScalingRequiredError
@@ -123,6 +127,11 @@ class ParticleSystem:
     @property
     def variant(self) -> type:
         return type(self.particles[0].spec)
+
+    @cached_property
+    def lowered(self) -> LoweredAlgebra:
+        """The particles' brackets in tensor form, lowered once per system."""
+        return lower(self.specs)
 
 
 @dataclass(frozen=True)
@@ -274,7 +283,7 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
         + [("dP", a, i, dp_obs[a][i - 1]) for a in range(n) for i in (1, 2, 3)]
     )
     w = np.stack([o.gradient(z, t) for (_, _, _, o) in labeled])
-    j = structure_matrix(system.specs, state).matrix
+    j = structure_matrix(system.lowered, state).matrix
     table = w @ j @ w.T
 
     index = {}
@@ -370,6 +379,18 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
 # --- mass scaling ------------------------------------------------------------
 
 
+# rule constant -> the spec parameter it equals for a particle of unit mass
+_UNIT_MASS_PARAMS = {
+    "gamma_kappa": "kappa",
+    "gamma_kappa_tilde": "kappa_tilde",
+    "kappa_bar": "kappa_bar",
+    "gamma0": "theta0",
+    "gamma": "theta",
+    "gamma_tilde": "theta_tilde",
+    "theta_bar": "theta_bar",
+}
+
+
 @dataclass(frozen=True)
 class MassScalingRule:
     """Consensus constants of the mass-scaling condition.
@@ -388,6 +409,15 @@ class MassScalingRule:
     gamma: Optional[np.ndarray] = None
     gamma_tilde: Optional[np.ndarray] = None
     theta_bar: Optional[np.ndarray] = None
+
+    def spec_for_mass(self, template: AlgebraSpec, mass: float) -> AlgebraSpec:
+        """The template variant's spec for a particle of the given mass."""
+        unit_mass = {
+            param: getattr(self, name)
+            for name, param in _UNIT_MASS_PARAMS.items()
+            if getattr(self, name) is not None
+        }
+        return rescale(replace(template, **unit_mass), mass)
 
 
 @dataclass(frozen=True)
@@ -480,18 +510,16 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
 
 
 def _needs_scaling(system: ParticleSystem) -> bool:
-    variant = system.variant
-    if variant in (Canonical, SpaceTime):
+    """The t-valued part always closes; coordinate- or momentum-valued
+    brackets (theta, theta_tilde) and unequal theta_bar need the scaling
+    condition."""
+    slope = system.lowered.slope
+    if slope is None:
         return False
-    if variant in (SpaceSpace, MiaoTypeI, MiaoTypeII):
-        return True
-    # Generalized: the t-valued part always closes; coordinate/momentum
-    # valued parts and unequal theta_bar need the scaling condition.
-    specs = system.specs
-    if any(np.any(s.theta != 0.0) or np.any(s.theta_tilde != 0.0) for s in specs):
-        return True
-    first = specs[0].theta_bar
-    return any(not np.array_equal(s.theta_bar, first) for s in specs[1:])
+    # theta fills the X-X corner, theta_tilde the P slices; without either,
+    # the slopes differ between particles only through theta_bar
+    theta, theta_tilde = slope[:, :3, :3, :3], slope[:, 3:]
+    return bool(np.any(theta) or np.any(theta_tilde) or np.any(slope != slope[0]))
 
 
 def _candidate_effective(system: ParticleSystem) -> AlgebraSpec:
@@ -589,7 +617,7 @@ def reproduction_check(
     x_com_obs, p_com_obs, _, _ = _com_observables(system)
     z = state.flatten()
     w = np.stack([o.gradient(z, state.t) for o in x_com_obs + p_com_obs])
-    j = structure_matrix(system.specs, state).matrix
+    j = structure_matrix(system.lowered, state).matrix
     com_brackets = w @ j @ w.T  # 6x6 in (X1..X3, P1..P3) order
 
     max_abs_diff = float(np.max(np.abs(com_brackets - j_single)))
@@ -607,7 +635,7 @@ def com_relative_coupling(system: ParticleSystem, state: PhaseState) -> float:
     x_com_obs, p_com_obs, dx_obs, dp_obs = _com_observables(system)
     z = state.flatten()
     t = state.t
-    j = structure_matrix(system.specs, state).matrix
+    j = structure_matrix(system.lowered, state).matrix
 
     com_rows = np.stack([o.gradient(z, t) for o in x_com_obs + p_com_obs])
     rel_rows = np.stack(

@@ -29,8 +29,10 @@ from .algebra import (
     PhaseState,
     SpaceSpace,
     SpaceTime,
-    _structure_matrix_flat,
+    LoweredAlgebra,
     as_generalized,
+    lower,
+    rescale,
     structure_matrix,
 )
 from .composition import (
@@ -186,7 +188,8 @@ class GravityScenario:
 
     ``body_mode`` evolves only the center of mass of the system, as a single
     pseudo-particle of total mass M with the effective algebra parameters.
-    For every case except a mass-scaled SpaceTime (or Canonical) system the
+    Unless the brackets are purely time-valued (Canonical, SpaceTime, or
+    Generalized with theta0 alone) and the system is mass-scaled, the
     center of mass does not decouple exactly from the relative motion;
     ``neglect_relative_motion`` acknowledges that approximation and must be
     set for body runs of such systems.
@@ -322,13 +325,12 @@ def _hamiltonian_gradient(
 
 def _rhs_flat(
     masses: np.ndarray,
-    specs: Sequence[AlgebraSpec],
+    lowered: LoweredAlgebra,
     potential: Potential,
     z: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    j = _structure_matrix_flat(specs, z, t)
-    return j @ _hamiltonian_gradient(masses, potential, z)
+    return lowered.apply(z, t, _hamiltonian_gradient(masses, potential, z))
 
 
 def eom_rhs(scenario: GravityScenario, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +338,8 @@ def eom_rhs(scenario: GravityScenario, state: PhaseState) -> tuple[np.ndarray, n
     if state.n_particles != scenario.system.n_particles:
         raise ValueError("state size does not match the scenario's system")
     z = state.flatten()
-    zdot = _rhs_flat(scenario.system.masses, scenario.system.specs, scenario.potential, z, state.t)
+    system = scenario.system
+    zdot = _rhs_flat(system.masses, system.lowered, scenario.potential, z, state.t)
     blocks = zdot.reshape(-1, 6)
     return blocks[:, :3].copy(), blocks[:, 3:].copy()
 
@@ -415,7 +418,7 @@ def closed_form_rhs(
 
 def _integrate_flat(
     masses: np.ndarray,
-    specs: Sequence[AlgebraSpec],
+    lowered: LoweredAlgebra,
     potential: Potential,
     z0: np.ndarray,
     t0: float,
@@ -433,10 +436,10 @@ def _integrate_flat(
         for step in range(n_steps):
             t = times[step]
             try:
-                k1 = _rhs_flat(masses, specs, potential, z, t)
-                k2 = _rhs_flat(masses, specs, potential, z + half * k1, t + half)
-                k3 = _rhs_flat(masses, specs, potential, z + half * k2, t + half)
-                k4 = _rhs_flat(masses, specs, potential, z + dt * k3, t + dt)
+                k1 = _rhs_flat(masses, lowered, potential, z, t)
+                k2 = _rhs_flat(masses, lowered, potential, z + half * k1, t + half)
+                k3 = _rhs_flat(masses, lowered, potential, z + half * k2, t + half)
+                k4 = _rhs_flat(masses, lowered, potential, z + dt * k3, t + dt)
             except PotentialSingularityError as exc:
                 raise PotentialSingularityError(
                     f"singularity encountered at step {step} (t = {t:.6g}): {exc}"
@@ -456,10 +459,8 @@ def _body_setup(scenario: GravityScenario) -> tuple[float, AlgebraSpec, np.ndarr
     """Total mass, effective spec, and initial COM phase vector of a body run."""
     system = scenario.system
     effective = effective_parameters(system)
-    exact = isinstance(system.particles[0].spec, Canonical) or (
-        isinstance(system.particles[0].spec, SpaceTime)
-        and satisfies_mass_scaling(system).holds
-    )
+    # exact for purely time-valued brackets under the scaling rule
+    exact = system.lowered.slope is None and satisfies_mass_scaling(system).holds
     if not exact and not scenario.neglect_relative_motion:
         raise ValueError(
             "center-of-mass motion does not decouple exactly for this system; "
@@ -481,13 +482,13 @@ def integrate(scenario: GravityScenario) -> Trajectory:
     if scenario.body_mode:
         total_mass, effective, z0 = _body_setup(scenario)
         masses = np.array([total_mass])
-        specs = [effective]
+        lowered = lower([effective])
     else:
         masses = scenario.system.masses
-        specs = scenario.system.specs
+        lowered = scenario.system.lowered
         z0 = scenario.initial.flatten()
     times, states = _integrate_flat(
-        masses, specs, scenario.potential, z0, scenario.t0, scenario.dt, n_steps
+        masses, lowered, scenario.potential, z0, scenario.t0, scenario.dt, n_steps
     )
     metadata = {
         "scenario": _scenario_fingerprint(scenario),
@@ -509,7 +510,9 @@ def body_com_rhs(scenario: GravityScenario, com_state: PhaseState) -> tuple[np.n
         raise ValueError("com_state must hold exactly the COM coordinates and momenta")
     total_mass, effective, _ = _body_setup(scenario)
     z = com_state.flatten()
-    zdot = _rhs_flat(np.array([total_mass]), [effective], scenario.potential, z, com_state.t)
+    zdot = _rhs_flat(
+        np.array([total_mass]), lower([effective]), scenario.potential, z, com_state.t
+    )
     return zdot[:3].copy(), zdot[3:].copy()
 
 
@@ -539,44 +542,6 @@ class WepReport:
         return max((p.reduced_momentum for p in self.pairs), default=0.0)
 
 
-def _rescale_spec(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:
-    """Deformation parameters of a particle of mass (mass_ratio * m0).
-
-    Mass-like parameters grow with the mass (kappa -> kappa * ratio);
-    tensor parameters shrink (theta -> theta / ratio); shared parameters
-    (kappa_bar, theta_bar) stay put.
-    """
-    if isinstance(spec, Canonical):
-        return spec
-    if isinstance(spec, SpaceTime):
-        return SpaceTime(kappa=spec.kappa * mass_ratio, rho=spec.rho, tau=spec.tau)
-    if isinstance(spec, SpaceSpace):
-        return SpaceSpace(
-            kappa_tilde=spec.kappa_tilde * mass_ratio, k=spec.k, l=spec.l, gamma=spec.gamma
-        )
-    if isinstance(spec, MiaoTypeI):
-        return MiaoTypeI(
-            kappa=spec.kappa * mass_ratio,
-            kappa_tilde=spec.kappa_tilde * mass_ratio,
-            k=spec.k, l=spec.l, gamma=spec.gamma,
-        )
-    if isinstance(spec, MiaoTypeII):
-        return MiaoTypeII(
-            kappa=spec.kappa * mass_ratio,
-            kappa_tilde=spec.kappa_tilde * mass_ratio,
-            kappa_bar=spec.kappa_bar,
-            k=spec.k, l=spec.l, gamma=spec.gamma,
-        )
-    if isinstance(spec, Generalized):
-        return Generalized(
-            theta0=spec.theta0 / mass_ratio,
-            theta=spec.theta / mass_ratio,
-            theta_bar=spec.theta_bar,
-            theta_tilde=spec.theta_tilde / mass_ratio,
-        )
-    raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
-
-
 def wep_deviation(
     template: GravityScenario,
     masses: Sequence[float],
@@ -604,7 +569,7 @@ def wep_deviation(
     for m in masses:
         spec = base.spec
         if scaling_mode == "mass_scaled":
-            spec = _rescale_spec(base.spec, m / base.mass)
+            spec = rescale(base.spec, m / base.mass)
         system = ParticleSystem.from_pairs([m], [spec])
         initial = PhaseState(x=x0[None, :], p=(m * p_reduced0)[None, :], t=template.t0)
         scenario = GravityScenario(
@@ -699,7 +664,7 @@ def decoupling_check(
     h_com = obs.Observable(h_com_value, h_com_gradient, label="Hcom")
     h_rel = obs.Observable(h_rel_value, h_rel_gradient, label="Hrel")
     z = state.flatten()
-    j = structure_matrix(system.specs, state).matrix
+    j = structure_matrix(system.lowered, state).matrix
     return float(abs(h_com.gradient(z, state.t) @ j @ h_rel.gradient(z, state.t)))
 
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import liephase as lp
 from liephase import observables as obs
+from liephase.algebra import rescale
+from liephase.composition import _table_xp_deform, _table_xx
 
-from helpers import VARIANT_NAMES, antisym, random_spec, random_state
+from helpers import DEFORMED_NAMED_VARIANTS, VARIANT_NAMES, antisym, random_spec, random_state
 
 
 def single_state(x, p, t=0.0):
@@ -176,15 +178,21 @@ class TestAsGeneralized:
         "variant", ["space_time", "space_space", "miao_type_i", "miao_type_ii"]
     )
     def test_roundtrip_matches_table_exactly(self, variant):
+        # the evaluator (through the tensor encoding) against the independent
+        # closed-form tables; the tables divide by kappa where the encoding
+        # multiplies by its reciprocal, so compare relative beyond one
         rng = np.random.default_rng(12)
         for _ in range(10):
             spec = random_spec(rng, variant)
-            g = lp.as_generalized(spec)
             for _ in range(10):
                 state = random_state(rng, 1)
-                direct = lp.structure_matrix([spec], state).matrix
-                encoded = lp.structure_matrix([g], state).matrix
-                assert np.max(np.abs(direct - encoded)) <= 1e-15
+                j = lp.structure_matrix([spec], state).matrix
+                args = (spec, state.x[0], state.p[0], state.t)
+                for got, table in (
+                    (j[:3, :3], _table_xx(*args)),
+                    (j[:3, 3:], np.eye(3) + _table_xp_deform(*args)),
+                ):
+                    assert np.max(np.abs(got - table) / np.maximum(1.0, np.abs(table))) <= 1e-15
 
     def test_generalized_passes_through(self):
         g = lp.Generalized(theta0=antisym(np.random.default_rng(0), (3, 3)))
@@ -268,6 +276,15 @@ class TestBracket:
         )
 
 
+# per-particle spec factories: the named deformed variants, a
+# Jacobi-consistent tensor encoding and unconstrained (non-Jacobi) tensors
+FD_CASES = {
+    **{v: (lambda rng, v=v: random_spec(rng, v)) for v in DEFORMED_NAMED_VARIANTS},
+    "encoded_miao_type_ii": lambda rng: lp.as_generalized(random_spec(rng, "miao_type_ii")),
+    "generalized": lambda rng: random_spec(rng, "generalized"),
+}
+
+
 class TestJacobi:
     def test_canonical_residual_is_zero(self):
         state = random_state(np.random.default_rng(5), 1)
@@ -294,13 +311,29 @@ class TestJacobi:
         state = single_state([1, 1, 1], [1, 1, 1], t=1.0)
         assert lp.jacobi_residual([spec], state) > 0.1
 
-    def test_finite_difference_path_agrees(self):
+    @pytest.mark.parametrize("n_particles", [1, 3])
+    @pytest.mark.parametrize("variant", list(FD_CASES))
+    def test_finite_difference_path_agrees(self, variant, n_particles):
         rng = np.random.default_rng(7)
-        spec = lp.MiaoTypeII(kappa=1.0, kappa_tilde=2.0, kappa_bar=1.5)
-        state = random_state(rng, 1, box=3.0)
-        exact = lp.jacobi_residual([spec], state)
-        fd = lp.jacobi_residual([spec], state, fd_step=1e-5, use_fd=True)
+        specs = [FD_CASES[variant](rng) for _ in range(n_particles)]
+        state = random_state(rng, n_particles, box=3.0)
+        exact = lp.jacobi_residual(specs, state)
+        fd = lp.jacobi_residual(specs, state, fd_step=1e-5, use_fd=True)
         assert abs(exact - fd) <= 1e-6
+
+    def test_residual_is_worst_single_particle_residual(self):
+        rng = np.random.default_rng(13)
+        kinds = ["generalized", "miao_type_ii", "space_space"]
+        specs = [random_spec(rng, kinds[a % 3]) for a in range(200)]
+        state = random_state(rng, 200, box=3.0)
+        singles = [
+            lp.jacobi_residual(
+                [spec], lp.PhaseState(x=state.x[a : a + 1], p=state.p[a : a + 1], t=state.t)
+            )
+            for a, spec in enumerate(specs)
+        ]
+        assert max(singles) > 0.1
+        assert lp.jacobi_residual(specs, state) == max(singles)
 
     def test_fd_step_must_be_positive(self):
         state = random_state(np.random.default_rng(8), 1)
@@ -312,3 +345,20 @@ class TestJacobi:
         spec = lp.MiaoTypeI(kappa=1.0, kappa_tilde=2.0)
         state = random_state(rng, 2)
         assert lp.jacobi_residual([spec, spec], state) <= 1e-10
+
+
+class TestRescale:
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_parameter_roles(self, variant):
+        spec = random_spec(np.random.default_rng(14), variant)
+        heavier = rescale(spec, 2.5)
+        assert type(heavier) is type(spec)
+        for name in ("kappa", "kappa_tilde"):
+            if hasattr(spec, name):
+                assert getattr(heavier, name) == getattr(spec, name) * 2.5
+        for name in ("theta0", "theta", "theta_tilde"):
+            if hasattr(spec, name):
+                assert np.array_equal(getattr(heavier, name), getattr(spec, name) / 2.5)
+        for name in ("kappa_bar", "theta_bar", "rho", "tau", "k", "l", "gamma"):
+            if hasattr(spec, name):
+                assert np.array_equal(getattr(heavier, name), getattr(spec, name))

@@ -25,6 +25,48 @@ MINIMAL = {
 }
 
 
+SIMULATE = {
+    "schema_version": 1,
+    "task": "simulate",
+    "algebra": {"variant": "canonical"},
+    "particles": [{"mass": 1.0}],
+    "initial": {"x": [[0, 0, 0]], "p": [[1, 0, 0]]},
+    "grid": {"t0": 0.0, "t_end": 0.1, "dt": 0.01},
+    "potential": {"variant": "uniform", "g": [0, 1, 0]},
+}
+
+
+def _encoded_body(spec, mass):
+    """Generalized algebra block of ``spec`` and the override for ``mass``."""
+    g = lp.as_generalized(spec)
+    base = cli.algebra_to_dict(g)
+    heavier = {name: (getattr(g, name) / mass).tolist()
+               for name in ("theta0", "theta", "theta_tilde")}
+    return base, heavier
+
+
+# mass-scaled (1, 3) bodies per variant: the base algebra and the override
+# of the mass-3 particle
+SCALED_BODIES = {
+    "space_space": (
+        {"variant": "space_space", "kappa_tilde": 1.5, "k": 1, "l": 2, "gamma": 3},
+        {"kappa_tilde": 4.5},
+    ),
+    "miao_type_i": (
+        {"variant": "miao_type_i", "kappa": 2.0, "kappa_tilde": 1.5, "k": 2, "l": 3, "gamma": 1},
+        {"kappa": 6.0, "kappa_tilde": 4.5},
+    ),
+    "miao_type_ii": (
+        {"variant": "miao_type_ii", "kappa": 2.0, "kappa_tilde": -1.5, "kappa_bar": 5.0,
+         "k": 1, "l": 2, "gamma": 3},
+        {"kappa": 6.0, "kappa_tilde": -4.5},
+    ),
+    "generalized": _encoded_body(
+        lp.MiaoTypeII(kappa=2.0, kappa_tilde=1.5, kappa_bar=5.0, k=3, l=1, gamma=2), 3.0
+    ),
+}
+
+
 class TestScenarioParsing:
     def test_roundtrip_through_dict(self):
         scenario = cli.scenario_from_dict(MINIMAL)
@@ -72,6 +114,22 @@ class TestScenarioParsing:
         payload = dict(MINIMAL, options={"tolerance_typo": 1.0})
         with pytest.raises(cli.ScenarioError, match="tolerance_typo"):
             cli.scenario_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("body_mode", dict(MINIMAL, body_mode="false")),
+            ("neglect_relative_motion", dict(MINIMAL, neglect_relative_motion=1)),
+            ("options.expect_closes",
+             dict(MINIMAL, task="com-brackets", options={"expect_closes": "true"})),
+            ("options.reduced_momentum", dict(SIMULATE, options={"reduced_momentum": "no"})),
+            ("options.order_check", dict(SIMULATE, options={"order_check": None})),
+        ],
+    )
+    def test_flags_must_be_json_booleans(self, field, payload, tmp_path, capsys):
+        path = write_scenario(tmp_path, "flag.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
+        assert f"scenario error: {field}: expected true or false" in capsys.readouterr().err
 
     def test_potential_roundtrip(self):
         for pot in (
@@ -170,6 +228,27 @@ class TestRun:
         assert cli.run(path, out_dir=str(tmp_path / "out"), dt=0.05) == 0
         csv_lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 3  # header + floor(0.1/0.05) + 1 samples
+
+    @pytest.mark.parametrize("variant", list(SCALED_BODIES))
+    def test_partition_independence_of_scaled_bodies(self, variant, tmp_path):
+        algebra, heavier = SCALED_BODIES[variant]
+        payload = dict(
+            SIMULATE,
+            algebra=algebra,
+            particles=[{"mass": 1.0}, dict(heavier, mass=3.0)],
+            initial={"x": [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5]],
+                     "p": [[0.2, 0.0, 0.1], [0.0, -0.1, 0.3]]},
+            grid={"t0": 0.0, "t_end": 0.5, "dt": 0.01},
+            body_mode=True,
+            neglect_relative_motion=True,
+            options={"compare_partition": [2.0, 2.0]},
+        )
+        path = write_scenario(tmp_path, "body.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (check,) = [c for c in report["checks"] if c["name"] == "partition-independence"]
+        assert check["tolerance"] == 1e-10
+        assert check["passed"] is True
 
     def test_wall_time_kept_out_of_report(self, tmp_path):
         assert cli.run("miao1_jacobi", out_dir=str(tmp_path / "out")) == 0

@@ -1,5 +1,6 @@
 """Equations of motion, integration, WEP sweeps and composite bodies."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -330,6 +331,18 @@ class TestBodyDynamics:
         scen = body_scenario([1.0, 2.0], [1.0, 1.0], [0, 0, 0], [0, 0, 0])
         with pytest.raises(ValueError, match="neglect_relative_motion"):
             lp.integrate(scen)
+
+    def test_time_valued_generalized_body_is_exact_under_scaling(self):
+        # tensors with theta0 alone decouple like SpaceTime: no flag needed
+        x0, p0 = [0.75, 0.375, 0.0], [0.2, -0.1, 0.0]
+        spacetime = body_scenario([1, 3], [2, 6], x0, p0)
+        system = lp.ParticleSystem.from_pairs(
+            [1.0, 3.0], [lp.as_generalized(s) for s in spacetime.system.specs]
+        )
+        state = random_state(np.random.default_rng(21), 2, box=3.0)
+        assert lp.decoupling_check(system, state, G_FIELD) <= 1e-12
+        encoded = lp.integrate(dataclasses.replace(spacetime, system=system))
+        assert np.max(np.abs(encoded.states - lp.integrate(spacetime).states)) <= 1e-12
 
     def test_spacespace_body_requires_scaling(self):
         system = lp.ParticleSystem.from_pairs(
