@@ -56,6 +56,7 @@ from .dynamics import (
     wep_deviation,
 )
 from .errors import (
+    GridError,
     NonFiniteStateError,
     PotentialSingularityError,
     ScalingRequiredError,
@@ -109,6 +110,7 @@ __all__ = [
     "observables",
     "ScalingRequiredError",
     "PotentialSingularityError",
+    "GridError",
     "NonFiniteStateError",
     "__version__",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -52,14 +53,20 @@ from .dynamics import (
     Polynomial,
     Potential,
     Uniform,
+    _energies,
+    _grid_steps,
     closed_form_rhs,
     decoupling_check,
     eom_rhs,
-    hamiltonian,
     integrate,
     wep_deviation,
 )
-from .errors import NonFiniteStateError, PotentialSingularityError, ScalingRequiredError
+from .errors import (
+    GridError,
+    NonFiniteStateError,
+    PotentialSingularityError,
+    ScalingRequiredError,
+)
 
 SCHEMA_VERSION = 1
 
@@ -82,10 +89,16 @@ def _expect(mapping: dict, key: str, path: str, kind=None):
     return value
 
 
+def _is_finite_number(value) -> bool:
+    return (
+        not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    )
+
+
 def _number(mapping: dict, key: str, path: str) -> float:
     value = _expect(mapping, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number")
+    if not _is_finite_number(value):
+        raise ScenarioError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -371,10 +384,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     t0 = _number(grid, "t0", "grid")
     t_end = _number(grid, "t_end", "grid")
     dt = _number(grid, "dt", "grid")
-    if dt <= 0:
-        raise ScenarioError("grid.dt: must be positive")
-    if t_end <= t0:
-        raise ScenarioError("grid.t_end: must exceed grid.t0")
+    try:
+        _grid_steps(t0, t_end, dt)
+    except GridError as exc:
+        raise ScenarioError(f"grid.{exc.field}: {exc}") from exc
 
     initial_dict = _expect(data, "initial", "", dict)
     x = np.array(_expect(initial_dict, "x", "initial", list), dtype=float)
@@ -669,9 +682,25 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
     return results
 
 
+def _order_bounds(options: dict) -> tuple[float, float]:
+    bounds = options.get("order_bounds", [12.0, 20.0])
+    if not (
+        isinstance(bounds, list)
+        and len(bounds) == 2
+        and all(_is_finite_number(b) for b in bounds)
+        and bounds[0] < bounds[1]
+    ):
+        raise ScenarioError(
+            f"options.order_bounds: expected two finite numbers [lo, hi] with lo < hi, "
+            f"got {bounds!r}"
+        )
+    return float(bounds[0]), float(bounds[1])
+
+
 def _run_simulate(
     scenario: Scenario, runner: _CheckRunner, out_dir: Path, tol_flag: Optional[float]
 ) -> dict:
+    lo, hi = _order_bounds(scenario.options)
     g = scenario.gravity_scenario()
     trajectory = integrate(g)
     include_reduced = scenario.options.get("reduced_momentum", False)
@@ -685,17 +714,10 @@ def _run_simulate(
     }
 
     # energy drift along the trajectory (informative for time-dependent
-    # structure matrices, a check when a tolerance is configured)
-    if scenario.body_mode:
-        eff_system = ParticleSystem.from_pairs(
-            [scenario.system.total_mass], [effective_parameters(scenario.system)]
-        )
-    else:
-        eff_system = scenario.system
-    energies = [
-        hamiltonian(eff_system, scenario.potential, st) for _, st in trajectory.samples
-    ]
-    drift = float(np.max(np.abs(np.array(energies) - energies[0])))
+    # structure matrices, a check when a tolerance is configured); a body
+    # run's trajectory holds its center of mass with the total mass
+    energies = _energies(trajectory.masses, scenario.potential, trajectory.states)
+    drift = float(np.max(np.abs(energies - energies[0])))
     results["energy_drift"] = drift
     if "energy_drift_tol" in scenario.options:
         runner.add("energy-drift", drift, tolerance=float(scenario.options["energy_drift_tol"]))
@@ -720,8 +742,6 @@ def _run_simulate(
             fine = float(np.linalg.norm(runs[1] - runs[2]))
             return coarse / fine
 
-        bounds = scenario.options.get("order_bounds", [12.0, 20.0])
-        lo, hi = float(bounds[0]), float(bounds[1])
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         ratio = runner.timed("integrator-order-ratio", halving_ratio,
                              tolerance=half, reference=mid)
@@ -773,9 +793,17 @@ def _run_simulate(
 
 def _run_wep_test(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
     options = scenario.options
-    if "masses" not in options:
-        raise ScenarioError("options.masses: required for wep-test")
-    masses = [float(m) for m in options["masses"]]
+    if scenario.system.n_particles != 1:
+        raise ScenarioError("particles: wep-test needs exactly one particle")
+    masses = options.get("masses")
+    if not isinstance(masses, list) or not masses:
+        raise ScenarioError("options.masses: expected a non-empty list of masses")
+    for i, m in enumerate(masses):
+        if not (_is_finite_number(m) and m > 0):
+            raise ScenarioError(
+                f"options.masses[{i}]: expected a finite positive mass, got {m!r}"
+            )
+    masses = [float(m) for m in masses]
     mode = options.get("scaling_mode", "both")
     if mode not in ("fixed", "mass_scaled", "both"):
         raise ScenarioError("options.scaling_mode: expected fixed, mass_scaled or both")
@@ -868,8 +896,10 @@ def run(
     try:
         scenario = load_scenario(scenario_path)
         if dt is not None:
-            if dt <= 0:
-                raise ScenarioError("--dt: must be positive")
+            try:
+                _grid_steps(scenario.t0, scenario.t_end, dt)
+            except GridError as exc:
+                raise ScenarioError(f"--dt: {exc}") from exc
             scenario.dt = float(dt)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

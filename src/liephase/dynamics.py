@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, TextIO
 
@@ -41,7 +42,7 @@ from .composition import (
     effective_parameters,
     satisfies_mass_scaling,
 )
-from .errors import NonFiniteStateError, PotentialSingularityError
+from .errors import GridError, NonFiniteStateError, PotentialSingularityError
 
 __all__ = [
     "Potential",
@@ -66,13 +67,32 @@ __all__ = [
 
 
 class Potential:
-    """Gravitational field V(X1, X2, X3) with an analytic gradient."""
+    """Gravitational field V(X1, X2, X3) with an analytic gradient.
 
-    def value(self, x: np.ndarray) -> float:
+    Both methods take points ``x`` of shape (..., 3): ``value`` returns
+    shape (...), a float for a single point, and ``gradient`` returns
+    shape (..., 3).  Every point is evaluated on its own, so a row's result
+    does not depend on the other rows.
+    """
+
+    def value(self, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (..., 3) arrays, one BLAS dot per row.
+
+    The same sum as ``a_row @ b_row``, so a row's result is independent of
+    how many rows are evaluated together.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _scalar_or_array(v: np.ndarray) -> float | np.ndarray:
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -89,10 +109,13 @@ class Uniform(Potential):
         object.__setattr__(self, "g", g)
 
     def value(self, x):
-        return float(self.g @ np.asarray(x, dtype=float))
+        return _scalar_or_array(_dot_rows(np.asarray(x, dtype=float), self.g))
 
     def gradient(self, x):
-        return self.g.copy()
+        # filling an empty array is cheaper than copying a broadcast view
+        grad = np.empty(np.shape(x))
+        grad[...] = self.g
+        return grad
 
 
 @dataclass(frozen=True)
@@ -116,22 +139,48 @@ class Newtonian(Potential):
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
 
-    def _radius(self, x) -> tuple[np.ndarray, float]:
+    def _radius(self, x) -> tuple[np.ndarray, np.ndarray | float]:
+        """Offsets from the center and their lengths, guarded by r_min.
+
+        A single point, as in a one-particle integration, gets a float
+        radius: the same value at a fraction of the array overhead.
+        """
         d = np.asarray(x, dtype=float) - self.center
-        r = float(np.linalg.norm(d))
-        if r < self.r_min:
-            raise PotentialSingularityError(
-                f"field evaluated at r = {r:.3e} < r_min = {self.r_min:.3e}"
-            )
+        if d.size == 3:
+            flat = d.reshape(3)
+            r = math.sqrt(flat @ flat)
+            if r < self.r_min:
+                self._singular(r, None if d.ndim == 1 else (0,) * (d.ndim - 1))
+            return d, r
+        r = np.sqrt(_dot_rows(d, d))
+        # fmin skips NaN radii: a non-finite point is the integrator's to report
+        if np.fmin.reduce(r, axis=None, initial=np.inf) < self.r_min:
+            where = np.unravel_index(np.nanargmin(r), r.shape)
+            self._singular(r[where], tuple(int(i) for i in where))
         return d, r
 
+    def _singular(self, r: float, where: tuple | None):
+        index = where[0] if where is not None and len(where) == 1 else where
+        at = "" if where is None else f" for point {index}"
+        raise PotentialSingularityError(
+            f"field evaluated at r = {r:.3e} < r_min = {self.r_min:.3e}{at}", index=index
+        )
+
     def value(self, x):
-        _, r = self._radius(x)
-        return -self.strength / r
+        d, r = self._radius(x)
+        return _scalar_or_array(np.reshape(-self.strength / r, d.shape[:-1]))
 
     def gradient(self, x):
         d, r = self._radius(x)
-        return self.strength * d / r**3
+        r3 = r**3 if isinstance(r, float) else np.float_power(r, 3)[..., None]
+        return self.strength * d / r3
+
+
+# the factors of d/dX_a of a monomial, per axis a: X_a first, then the
+# other axes ascending, as the derivative is written out
+_DERIVATIVE_AXES = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
+# every exponent a monomial of degree <= 4 can put on one coordinate
+_POWERS = np.arange(5.0)
 
 
 @dataclass(frozen=True)
@@ -139,10 +188,26 @@ class Polynomial(Potential):
     """Polynomial potential: coefficients map exponent triples to weights.
 
     Keys are (e1, e2, e3) monomial exponents with total degree at most 4;
-    V = sum_c coeff * X1^e1 X2^e2 X3^e3.
+    V = sum_c coeff * X1^e1 X2^e2 X3^e3.  The coefficients are stored
+    sorted by exponent, so equal polynomials have equal reprs.
+
+    Each term is multiplied out left to right, weight first, from a table
+    of X_k^e for e = 0..4, and the terms are added in order to a running
+    total from 0.0: every point gets exactly the sum a loop over monomials
+    would.
     """
 
     coefficients: dict
+    # a zero term, then one row per monomial: (M+1,) weights and (M+1, 3)
+    # indices into a point's flattened (3, 5) power table, one per factor;
+    # the zero term starts the running total at 0.0
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _factors: np.ndarray = field(init=False, repr=False, compare=False)
+    # the same per axis a for dV/dX_a: (3, M+1) weights coeff * e_a and
+    # (3, M+1, 3) factor indices in _DERIVATIVE_AXES order; terms without
+    # X_a become zero terms
+    _grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {}
@@ -153,30 +218,46 @@ class Polynomial(Potential):
             if not np.isfinite(value):
                 raise ValueError(f"coefficient for {key!r} must be finite")
             coeffs[exps] = float(value)
+        coeffs = dict(sorted(coeffs.items()))
         object.__setattr__(self, "coefficients", coeffs)
 
-    def value(self, x):
+        exps = np.array([(0, 0, 0), *coeffs])
+        weights = np.array([0.0, *coeffs.values()])
+        grad_exps = np.zeros((3,) + exps.shape, dtype=int)
+        grad_weights = np.zeros((3, len(exps)))
+        for axis, order in enumerate(_DERIVATIVE_AXES):
+            has = exps[:, axis] > 0
+            grad_exps[axis, has] = exps[has][:, order] - [1, 0, 0]
+            grad_weights[axis, has] = weights[has] * exps[has, axis]
+        arrays = {
+            "_weights": weights,
+            "_factors": np.arange(3) * len(_POWERS) + exps,
+            "_grad_weights": grad_weights,
+            "_grad_factors": _DERIVATIVE_AXES[:, None, :] * len(_POWERS) + grad_exps,
+        }
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @staticmethod
+    def _sum(x, weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """sum_m w_m f_m0 f_m1 f_m2 at points x of shape (..., 3).
+
+        The factors f are looked up in each point's power table; the result
+        has shape (..., *weights.shape[:-1]).
+        """
         x = np.asarray(x, dtype=float)
-        return float(
-            sum(c * x[0] ** e1 * x[1] ** e2 * x[2] ** e3
-                for (e1, e2, e3), c in self.coefficients.items())
-        )
+        # float_power is libm's pow, as the scalar x ** e; numpy's power may
+        # take a vectorised pow that differs in the last bit
+        table = np.float_power(x[..., None], _POWERS).reshape(x.shape[:-1] + (-1,))
+        f = table[..., factors]
+        return np.add.accumulate(weights * f[..., 0] * f[..., 1] * f[..., 2], axis=-1)[..., -1]
+
+    def value(self, x):
+        return _scalar_or_array(self._sum(x, self._weights, self._factors))
 
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(3)
-        for (e1, e2, e3), c in self.coefficients.items():
-            exps = (e1, e2, e3)
-            for axis in range(3):
-                e = exps[axis]
-                if e == 0:
-                    continue
-                term = c * e * x[axis] ** (e - 1)
-                for other in range(3):
-                    if other != axis:
-                        term *= x[other] ** exps[other]
-                g[axis] += term
-        return g
+        return self._sum(x, self._grad_weights, self._grad_factors)
 
 
 # --- scenario and trajectory --------------------------------------------------
@@ -205,10 +286,7 @@ class GravityScenario:
     neglect_relative_motion: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if self.t_end <= self.t0:
-            raise ValueError("t_end must exceed t0")
+        _grid_steps(self.t0, self.t_end, self.dt)
         if self.initial.t != self.t0:
             raise ValueError(
                 f"initial state time {self.initial.t!r} must equal t0 = {self.t0!r}"
@@ -217,7 +295,31 @@ class GravityScenario:
             raise ValueError("initial state size does not match the system")
 
     def n_steps(self) -> int:
-        return int(np.floor((self.t_end - self.t0) / self.dt + 1e-9))
+        return _grid_steps(self.t0, self.t_end, self.dt)
+
+
+def _grid_steps(t0: float, t_end: float, dt: float) -> int:
+    """Number of steps of size dt from t0 to t_end.
+
+    The grid must end at t_end: dt has to divide t_end - t0 to within 1e-9
+    of a step.  Raises GridError naming the offending field.
+    """
+    for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise GridError(name, f"{name} must be finite, got {value!r}")
+    if dt <= 0:
+        raise GridError("dt", f"dt must be positive, got {dt!r}")
+    if t_end <= t0:
+        raise GridError("t_end", "t_end must exceed t0")
+    steps = (t_end - t0) / dt
+    n = int(np.floor(steps + 1e-9))
+    if n < 1 or abs(steps - n) > 1e-9:
+        raise GridError(
+            "dt",
+            f"dt = {dt!r} does not divide t_end - t0 = {t_end - t0!r} ({steps:.6g} steps); "
+            "the grid would stop short of t_end",
+        )
+    return n
 
 
 def _scenario_fingerprint(scenario: GravityScenario) -> str:
@@ -314,13 +416,23 @@ def _hamiltonian_gradient(
     masses: np.ndarray, potential: Potential, z: np.ndarray
 ) -> np.ndarray:
     """grad(H) for H = sum_a |P^a|^2 / 2 m_a + m_a V(X^a)."""
-    grad = np.empty_like(z)
-    for a, m in enumerate(masses):
-        x = z[6 * a : 6 * a + 3]
-        p = z[6 * a + 3 : 6 * a + 6]
-        grad[6 * a : 6 * a + 3] = m * potential.gradient(x)
-        grad[6 * a + 3 : 6 * a + 6] = p / m
-    return grad
+    blocks = z.reshape(-1, 6)
+    m = masses[:, None]
+    grad = np.empty_like(blocks)
+    # out passed positionally: the keyword costs about 0.5 us a call at N=1
+    np.multiply(m, potential.gradient(blocks[:, :3]), grad[:, :3])
+    np.divide(blocks[:, 3:], m, grad[:, 3:])
+    return grad.reshape(-1)
+
+
+def _energies(masses: np.ndarray, potential: Potential, states: np.ndarray) -> np.ndarray:
+    """H = sum_a |P^a|^2 / 2 m_a + m_a V(X^a) of each row of (T, 6N) states: shape (T,)."""
+    blocks = states.reshape(len(states), -1, 6)
+    terms = np.empty(blocks.shape[:2] + (2,))
+    terms[..., 0] = _dot_rows(blocks[..., 3:], blocks[..., 3:]) / (2 * masses)
+    terms[..., 1] = masses * potential.value(blocks[..., :3])
+    # a running total, particle by particle, kinetic term first
+    return np.cumsum(terms.reshape(len(states), -1), axis=1)[:, -1]
 
 
 def _rhs_flat(
@@ -441,15 +553,20 @@ def _integrate_flat(
                 k3 = _rhs_flat(masses, lowered, potential, z + half * k2, t + half)
                 k4 = _rhs_flat(masses, lowered, potential, z + dt * k3, t + dt)
             except PotentialSingularityError as exc:
+                where = "" if exc.index is None else f" for particle {exc.index}"
                 raise PotentialSingularityError(
-                    f"singularity encountered at step {step} (t = {t:.6g}): {exc}"
+                    f"singularity encountered at step {step} (t = {t:.6g}){where}: {exc}",
+                    index=exc.index,
                 ) from exc
             z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(z)):
+                particle = int(np.argmin(np.isfinite(z.reshape(-1, 6)).all(axis=1)))
                 raise NonFiniteStateError(
-                    f"non-finite state after step {step} (t = {t + dt:.6g})",
+                    f"non-finite state of particle {particle} after step {step} "
+                    f"(t = {t + dt:.6g})",
                     step=step,
                     time=float(t + dt),
+                    particle=particle,
                 )
             states[step + 1] = z
     return times, states
@@ -554,48 +671,64 @@ def wep_deviation(
     then bounded by integrator roundoff.  In ``fixed`` mode the parameters
     are held identical across masses and the deviations expose the
     mass-dependent deformation terms in the equations of motion.
+
+    All runs are integrated together, as one particle each of a single
+    system; a singularity or non-finite state names the run and its mass.
     """
     if scaling_mode not in ("fixed", "mass_scaled"):
         raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {scaling_mode!r}")
     if template.system.n_particles != 1:
         raise ValueError("WEP comparisons are defined for single-particle scenarios")
+    masses = [float(m) for m in masses]
     if not masses:
         raise ValueError("need at least one mass")
+    for run, m in enumerate(masses):
+        if not (math.isfinite(m) and m > 0):
+            raise ValueError(f"masses must be finite and positive, got {m!r} for run {run}")
     base = template.system.particles[0]
-    x0 = template.initial.x[0]
-    p_reduced0 = template.initial.p[0] / base.mass
-
-    runs = []
-    for m in masses:
-        spec = base.spec
-        if scaling_mode == "mass_scaled":
-            spec = rescale(base.spec, m / base.mass)
-        system = ParticleSystem.from_pairs([m], [spec])
-        initial = PhaseState(x=x0[None, :], p=(m * p_reduced0)[None, :], t=template.t0)
-        scenario = GravityScenario(
-            system=system,
-            potential=template.potential,
-            initial=initial,
-            t0=template.t0,
-            t_end=template.t_end,
-            dt=template.dt,
+    if scaling_mode == "mass_scaled":
+        specs = [rescale(base.spec, m / base.mass) for m in masses]
+    else:
+        specs = [base.spec] * len(masses)
+    # runs sharing a grid and a field are independent (J is block-diagonal
+    # and H a sum of per-particle terms): particle a of this system is run a
+    system = ParticleSystem.from_pairs(masses, specs)
+    m = system.masses[:, None]
+    z0 = np.empty((len(masses), 6))
+    z0[:, :3] = template.initial.x[0]
+    z0[:, 3:] = m * (template.initial.p[0] / base.mass)
+    try:
+        _, states = _integrate_flat(
+            system.masses, system.lowered, template.potential, z0.reshape(-1),
+            template.t0, template.dt, template.n_steps(),
         )
-        runs.append((float(m), integrate(scenario)))
+    except PotentialSingularityError as exc:
+        raise PotentialSingularityError(
+            f"{_run_label(masses, exc.index)}: {exc}", index=exc.index
+        ) from exc
+    except NonFiniteStateError as exc:
+        raise NonFiniteStateError(
+            f"{_run_label(masses, exc.particle)}: {exc}",
+            step=exc.step, time=exc.time, particle=exc.particle,
+        ) from exc
 
+    blocks = states.reshape(len(states), len(masses), 6)
+    x = blocks[..., :3]
+    p_reduced = blocks[..., 3:] / m
     pairs = []
-    for i in range(len(runs)):
-        for j in range(i + 1, len(runs)):
-            (m_i, traj_i), (m_j, traj_j) = runs[i], runs[j]
-            dx = traj_i.positions() - traj_j.positions()
-            dpr = traj_i.reduced_momenta() - traj_j.reduced_momenta()
-            pairs.append(
-                PairDeviation(
-                    masses=(m_i, m_j),
-                    position=float(np.max(np.linalg.norm(dx, axis=1))),
-                    reduced_momentum=float(np.max(np.linalg.norm(dpr, axis=1))),
-                )
-            )
+    for i, m_i in enumerate(masses[:-1]):
+        # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, 3)
+        dx = np.linalg.norm(x[:, i : i + 1] - x[:, i + 1 :], axis=-1).max(axis=0)
+        dpr = np.linalg.norm(p_reduced[:, i : i + 1] - p_reduced[:, i + 1 :], axis=-1).max(axis=0)
+        pairs += [
+            PairDeviation(masses=(m_i, m_j), position=float(a), reduced_momentum=float(b))
+            for m_j, a, b in zip(masses[i + 1 :], dx, dpr)
+        ]
     return WepReport(scaling_mode=scaling_mode, pairs=tuple(pairs))
+
+
+def _run_label(masses: list[float], run: int | None) -> str:
+    return "WEP run" if run is None else f"WEP run {run} (mass {masses[run]!r})"
 
 
 # --- decoupling of COM and relative motion ------------------------------------
@@ -670,8 +803,4 @@ def decoupling_check(
 
 def hamiltonian(system: ParticleSystem, potential: Potential, state: PhaseState) -> float:
     """Total energy sum_a |P^a|^2 / 2 m_a + m_a V(X^a)."""
-    total = 0.0
-    for a, particle in enumerate(system.particles):
-        total += state.p[a] @ state.p[a] / (2 * particle.mass)
-        total += particle.mass * potential.value(state.x[a])
-    return float(total)
+    return float(_energies(system.masses, potential, state.flatten()[None])[0])

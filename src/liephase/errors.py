@@ -8,13 +8,37 @@ class ScalingRequiredError(RuntimeError):
 
 
 class PotentialSingularityError(RuntimeError):
-    """A potential was evaluated inside its guarded singular region."""
+    """A potential was evaluated inside its guarded singular region.
+
+    ``index`` is the offending point's index in a batch of points (the
+    particle, for an integration), or None for a single point.
+    """
+
+    def __init__(self, message: str, index: int | tuple | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NonFiniteStateError(RuntimeError):
     """Integration produced a non-finite phase-space state."""
 
-    def __init__(self, message: str, step: int | None = None, time: float | None = None):
+    def __init__(
+        self,
+        message: str,
+        step: int | None = None,
+        time: float | None = None,
+        particle: int | None = None,
+    ):
         super().__init__(message)
         self.step = step
         self.time = time
+        self.particle = particle
+
+
+class GridError(ValueError):
+    """A time grid that is not finite, not increasing, or that dt does not
+    divide; ``field`` names the offending value ("t0", "t_end" or "dt")."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field

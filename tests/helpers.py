@@ -166,3 +166,40 @@ def scaled_system(rng: np.random.Generator, variant: str, n_particles: int) -> l
         ]
         return lp.ParticleSystem.from_pairs(masses.tolist(), specs)
     raise ValueError(variant)
+
+
+def polynomial_value_loop(coefficients: dict, x) -> float:
+    """V(x) of a Polynomial, one monomial at a time: the reference for the
+    vectorised evaluation."""
+    x = np.asarray(x, dtype=float)
+    return float(
+        sum(c * x[0] ** e1 * x[1] ** e2 * x[2] ** e3
+            for (e1, e2, e3), c in coefficients.items())
+    )
+
+
+def polynomial_gradient_loop(coefficients: dict, x) -> np.ndarray:
+    """grad V(x) of a Polynomial, one monomial and axis at a time."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros(3)
+    for exps, c in coefficients.items():
+        for axis in range(3):
+            e = exps[axis]
+            if e == 0:
+                continue
+            term = c * e * x[axis] ** (e - 1)
+            for other in range(3):
+                if other != axis:
+                    term *= x[other] ** exps[other]
+            g[axis] += term
+    return g
+
+
+def random_polynomial(rng: np.random.Generator, n_terms: int) -> dict:
+    """Coefficients of n_terms random monomials of degree at most 4."""
+    coefficients = {}
+    while len(coefficients) < n_terms:
+        exps = tuple(int(e) for e in rng.integers(0, 5, 3))
+        if sum(exps) <= 4:
+            coefficients[exps] = float(rng.uniform(-2.0, 2.0))
+    return coefficients

@@ -36,6 +36,18 @@ SIMULATE = {
 }
 
 
+WEP = {
+    "schema_version": 1,
+    "task": "wep-test",
+    "algebra": {"variant": "space_time", "kappa": 1.0, "rho": 1, "tau": 2},
+    "particles": [{"mass": 1.0}],
+    "initial": {"x": [[0, 0, 0]], "p": [[0, 0, 0]]},
+    "grid": {"t0": 0.0, "t_end": 0.1, "dt": 0.01},
+    "potential": {"variant": "uniform", "g": [0, 1, 0]},
+    "options": {"masses": [1.0, 2.0]},
+}
+
+
 def _encoded_body(spec, mass):
     """Generalized algebra block of ``spec`` and the override for ``mass``."""
     g = lp.as_generalized(spec)
@@ -130,6 +142,33 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, "flag.scn", payload)
         assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
         assert f"scenario error: {field}: expected true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("options.masses", dict(WEP, options={"masses": [1, -2]})),
+            ("options.masses", dict(WEP, options={"masses": "abc"})),
+            ("options.masses", dict(WEP, options={"masses": []})),
+            ("options.masses", dict(WEP, options={"masses": [1.0, True]})),
+            ("options.masses", dict(WEP, options={})),
+            ("particles", dict(WEP, particles=[{"mass": 1.0}, {"mass": 2.0}],
+                               initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2})),
+            ("options.order_bounds", dict(SIMULATE, options={"order_bounds": [12]})),
+            ("options.order_bounds", dict(SIMULATE, options={"order_bounds": [20, 12]})),
+            ("options.order_bounds",
+             dict(SIMULATE, options={"order_check": True, "order_bounds": [12, "x"]})),
+            ("grid.dt", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1.0, "dt": 0.3})),
+            ("grid.dt", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1.0, "dt": float("nan")})),
+            ("grid.t_end", dict(SIMULATE, grid={"t0": 0.0, "t_end": float("inf"), "dt": 0.1})),
+            ("grid.t_end", dict(SIMULATE, grid={"t0": 1.0, "t_end": 1.0, "dt": 0.1})),
+        ],
+    )
+    def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
+        path = write_scenario(tmp_path, "bad.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {field}")
+        assert "Traceback" not in err
 
     def test_potential_roundtrip(self):
         for pot in (
@@ -228,6 +267,12 @@ class TestRun:
         assert cli.run(path, out_dir=str(tmp_path / "out"), dt=0.05) == 0
         csv_lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 3  # header + floor(0.1/0.05) + 1 samples
+
+    @pytest.mark.parametrize("dt", [0.03, float("nan"), -0.05])
+    def test_dt_flag_must_divide_grid(self, dt, tmp_path, capsys):
+        path = write_scenario(tmp_path, "sim.scn", SIMULATE)
+        assert cli.run(path, out_dir=str(tmp_path / "out"), dt=dt) == 2
+        assert capsys.readouterr().err.startswith("scenario error: --dt: dt")
 
     @pytest.mark.parametrize("variant", list(SCALED_BODIES))
     def test_partition_independence_of_scaled_bodies(self, variant, tmp_path):

@@ -7,19 +7,29 @@ import numpy as np
 import pytest
 
 import liephase as lp
+from liephase import dynamics
+from liephase.algebra import rescale
 
-from helpers import VARIANT_NAMES, random_spec, random_state
+from helpers import (
+    VARIANT_NAMES,
+    polynomial_gradient_loop,
+    polynomial_value_loop,
+    random_polynomial,
+    random_spec,
+    random_state,
+)
 
 G_FIELD = lp.Uniform(g=[0.0, 1.0, 0.0])
 
 
 def one_particle(spec, mass=1.0, x=(0, 0, 0), p=(0, 0, 0), t_end=1.0, dt=1e-3,
-                 potential=G_FIELD, **kw):
+                 potential=G_FIELD, t0=0.0, **kw):
     system = lp.ParticleSystem.from_pairs([mass], [spec])
-    initial = lp.PhaseState(x=[list(x)], p=[list(p)], t=0.0)
+    # a non-finite t0 is refused before the initial time is compared with it
+    initial = lp.PhaseState(x=[list(x)], p=[list(p)], t=t0 if np.isfinite(t0) else 0.0)
     return lp.GravityScenario(
         system=system, potential=potential, initial=initial,
-        t0=0.0, t_end=t_end, dt=dt, **kw
+        t0=t0, t_end=t_end, dt=dt, **kw
     )
 
 
@@ -54,6 +64,112 @@ class TestPotentials:
     def test_polynomial_degree_capped(self):
         with pytest.raises(ValueError, match="degree"):
             lp.Polynomial(coefficients={(3, 2, 0): 1.0})
+
+    def test_polynomial_stored_in_canonical_order(self):
+        terms = [((2, 0, 0), 0.5), ((0, 1, 1), -1.0), ((0, 0, 4), 0.25)]
+        a = lp.Polynomial(coefficients=dict(terms))
+        b = lp.Polynomial(coefficients=dict(reversed(terms)))
+        assert a == b
+        assert repr(a) == repr(b)
+        assert list(a.coefficients) == sorted(a.coefficients)
+        fingerprints = {
+            lp.integrate(one_particle(lp.Canonical(), x=(1, 0, 0), t_end=0.01, dt=0.005,
+                                      potential=pot)).metadata["scenario"]
+            for pot in (a, b)
+        }
+        assert len(fingerprints) == 1
+
+
+# one of each potential, off-centre and with mixed monomials, so that every
+# axis and factor order is exercised
+POTENTIALS = {
+    "uniform": lp.Uniform(g=[0.3, -1.2, 0.7]),
+    "newtonian": lp.Newtonian(strength=1.7, center=[0.5, -0.25, 1.0]),
+    "polynomial": lp.Polynomial(coefficients=random_polynomial(np.random.default_rng(31), 9)),
+    "empty-polynomial": lp.Polynomial(coefficients={}),
+}
+
+
+class TestVectorisedPotentials:
+    """Batched evaluation against point-by-point evaluation and independent oracles."""
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_batched_gradient_equals_rows(self, name):
+        pot = POTENTIALS[name]
+        x = np.random.default_rng(32).uniform(-3.0, 3.0, (17, 3))
+        rows = np.array([pot.gradient(row) for row in x])
+        assert pot.gradient(x).shape == (17, 3)
+        assert np.array_equal(pot.gradient(x), rows)
+        # a single row, the one-particle integration's input
+        assert np.array_equal(pot.gradient(x[:1]), rows[:1])
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_gradient_matches_central_differences(self, name):
+        pot = POTENTIALS[name]
+        eps = 1e-6
+        for x in np.random.default_rng(33).uniform(-2.0, 2.0, (10, 3)):
+            grad = pot.gradient(x)
+            for axis in range(3):
+                dx = np.zeros(3)
+                dx[axis] = eps
+                fd = (pot.value(x + dx) - pot.value(x - dx)) / (2 * eps)
+                assert abs(grad[axis] - fd) <= 1e-6 * max(1.0, abs(fd)), (name, x, axis)
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_value_on_trajectory_stack_equals_points(self, name):
+        pot = POTENTIALS[name]
+        x = np.random.default_rng(34).uniform(-3.0, 3.0, (5, 4, 3))
+        values = pot.value(x)
+        assert values.shape == (5, 4)
+        assert all(values[t, a] == pot.value(x[t, a]) for t in range(5) for a in range(4))
+        assert isinstance(pot.value(x[0, 0]), float)
+        assert pot.gradient(x).shape == (5, 4, 3)
+
+    def test_polynomial_matches_monomial_loop(self):
+        rng = np.random.default_rng(35)
+        for n_terms in (1, 3, 7, 20):
+            pot = lp.Polynomial(coefficients=random_polynomial(rng, n_terms))
+            x = rng.uniform(-3.0, 3.0, (25, 3))
+            loop_grad = [polynomial_gradient_loop(pot.coefficients, row) for row in x]
+            loop_value = [polynomial_value_loop(pot.coefficients, row) for row in x]
+            # same products in the same order: bit-equal to the loop
+            assert np.array_equal(pot.gradient(x), loop_grad)
+            assert np.array_equal(pot.value(x), loop_value)
+
+    def test_newtonian_batch_singularity_names_point(self):
+        pot = lp.Newtonian(strength=1.0)
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        with pytest.raises(lp.PotentialSingularityError, match="point 1") as info:
+            pot.gradient(x)
+        assert info.value.index == 1
+        with pytest.raises(lp.PotentialSingularityError) as info:
+            pot.value(x[1])
+        assert info.value.index is None
+
+    def test_newtonian_nan_point_is_not_a_singularity(self):
+        # a non-finite point is for the integrator's finiteness guard to report
+        pot = lp.Newtonian(strength=1.0)
+        grad = pot.gradient(np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        assert np.isnan(grad[0]).all() and np.isfinite(grad[1]).all()
+
+    @pytest.mark.parametrize("name", ["uniform", "newtonian", "polynomial"])
+    def test_trajectory_energies_match_per_state_sum(self, name):
+        pot = POTENTIALS[name]
+        rng = np.random.default_rng(36)
+        masses = rng.uniform(0.5, 3.0, 3)
+        system = lp.ParticleSystem.from_pairs(masses.tolist(), [lp.Canonical()] * 3)
+        states = rng.uniform(1.0, 2.0, (6, 18))
+        energies = dynamics._energies(system.masses, pot, states)
+        expected = []
+        for z in states:
+            total = 0.0
+            for a, m in enumerate(masses):
+                x, p = z[6 * a : 6 * a + 3], z[6 * a + 3 : 6 * a + 6]
+                total += p @ p / (2 * m)
+                total += m * pot.value(x)
+            expected.append(total)
+        assert np.array_equal(energies, expected)
+        assert lp.hamiltonian(system, pot, lp.PhaseState.from_flat(states[2], 0.0)) == expected[2]
 
 
 class TestEomRhs:
@@ -150,6 +266,27 @@ class TestIntegrate:
         with pytest.raises(lp.PotentialSingularityError, match="step 0"):
             lp.integrate(scen)
 
+    def test_singularity_names_step_and_particle(self):
+        pot = lp.Newtonian(strength=1.0)
+        system = lp.ParticleSystem.from_pairs([1.0, 2.0], [lp.Canonical(), lp.Canonical()])
+        initial = lp.PhaseState(x=[[1.0, 0, 0], [0, 0, 0]], p=np.zeros((2, 3)), t=0.0)
+        scen = lp.GravityScenario(system=system, potential=pot, initial=initial,
+                                  t0=0.0, t_end=1.0, dt=1e-3)
+        with pytest.raises(lp.PotentialSingularityError) as info:
+            lp.integrate(scen)
+        assert "step 0" in str(info.value) and "particle 1" in str(info.value)
+        assert info.value.index == 1
+
+    def test_nonfinite_state_names_particle(self):
+        pot = lp.Polynomial(coefficients={(4, 0, 0): -1.0})
+        system = lp.ParticleSystem.from_pairs([1.0, 1.0], [lp.Canonical(), lp.Canonical()])
+        initial = lp.PhaseState(x=[[0.1, 0, 0], [2, 0, 0]], p=[[0, 0, 0], [5, 0, 0]], t=0.0)
+        scen = lp.GravityScenario(system=system, potential=pot, initial=initial,
+                                  t0=0.0, t_end=5.0, dt=0.01)
+        with pytest.raises(lp.NonFiniteStateError, match="particle 1") as info:
+            lp.integrate(scen)
+        assert info.value.particle == 1 and info.value.step is not None
+
     def test_blowup_detected_as_nonfinite(self):
         pot = lp.Polynomial(coefficients={(4, 0, 0): -1.0})
         scen = one_particle(lp.Canonical(), x=(2, 0, 0), p=(5, 0, 0),
@@ -196,6 +333,33 @@ class TestIntegrate:
         assert np.all(np.isfinite(energies))
 
 
+class TestGrid:
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            ((0.0, 1.0, 0.3), "dt"),
+            ((0.0, 1.0, 2.0), "dt"),
+            ((0.0, 1.0, float("nan")), "dt"),
+            ((0.0, float("inf"), 0.1), "t_end"),
+            ((float("nan"), 1.0, 0.1), "t0"),
+            ((0.0, 1.0, -0.1), "dt"),
+            ((1.0, 1.0, 0.1), "t_end"),
+        ],
+    )
+    def test_grid_must_end_at_t_end(self, grid, field):
+        t0, t_end, dt = grid
+        with pytest.raises(lp.GridError) as info:
+            one_particle(lp.Canonical(), t_end=t_end, dt=dt, t0=t0)
+        assert info.value.field == field
+
+    def test_rounded_spans_accepted(self):
+        # spans whose quotient by dt rounds to either side of the step count
+        assert (1.0 - 0.3) / 0.1 < 7 and (1.0 - 0.7) / 0.1 > 3
+        assert one_particle(lp.Canonical(), t0=0.3, t_end=1.0, dt=0.1).n_steps() == 7
+        assert one_particle(lp.Canonical(), t0=0.7, t_end=1.0, dt=0.1).n_steps() == 3
+        assert one_particle(lp.Canonical(), t_end=24 * 0.01, dt=0.01).n_steps() == 24
+
+
 class TestTrajectoryCsv:
     def test_header_and_significant_digits(self):
         scen = one_particle(lp.Canonical(), p=(1 / 3, 0, 0), t_end=0.01, dt=0.005)
@@ -237,6 +401,22 @@ class TestTrajectoryCsv:
             lp.integrate(scen).write_csv(buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+# the benchmark's WEP sweep cases: variant and field pairs
+WEP_CASES = {
+    "spacetime-uniform": (lp.SpaceTime(kappa=1.7, rho=2, tau=3), lp.Uniform(g=[0.4, -1.1, 0.3])),
+    "miao2-quartic": (
+        lp.MiaoTypeII(kappa=3.0, kappa_tilde=4.5, kappa_bar=2.5, k=3, l=1, gamma=2),
+        lp.Polynomial(coefficients={(2, 0, 0): 0.3, (0, 2, 0): 0.5, (0, 0, 2): 0.4,
+                                    (1, 1, 1): 0.02, (4, 0, 0): 0.01, (0, 4, 0): 0.015,
+                                    (2, 0, 2): 0.01}),
+    ),
+    "generalized-newtonian": (
+        lp.as_generalized(lp.MiaoTypeI(kappa=2.5, kappa_tilde=3.5, k=2, l=3, gamma=1)),
+        lp.Newtonian(strength=1.2),
+    ),
+}
 
 
 class TestWepDeviation:
@@ -284,6 +464,52 @@ class TestWepDeviation:
         scen = one_particle(lp.Canonical())
         with pytest.raises(ValueError, match="scaling_mode"):
             lp.wep_deviation(scen, [1.0], "adaptive")
+
+    @pytest.mark.parametrize(
+        "masses", [[1.0, -2.0], [0.0], [1.0, float("nan")], [float("inf")], []]
+    )
+    def test_bad_masses_rejected(self, masses):
+        with pytest.raises(ValueError, match="mass"):
+            lp.wep_deviation(one_particle(lp.Canonical()), masses, "fixed")
+
+    def test_failure_names_run_and_mass(self):
+        # the nearly canonical light run escapes the quartic hill first
+        pot = lp.Polynomial(coefficients={(4, 0, 0): -1.0, (0, 4, 0): -1.0})
+        scen = one_particle(lp.SpaceTime(kappa=1.0, rho=2, tau=1), x=(2, 0, 0), p=(1, 0, 0),
+                            dt=0.01, potential=pot)
+        with pytest.raises(lp.NonFiniteStateError, match=r"run 1 \(mass 0\.01\)") as info:
+            lp.wep_deviation(scen, [1.0, 0.01], "fixed")
+        assert info.value.particle == 1
+
+    @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
+    @pytest.mark.parametrize("case", list(WEP_CASES))
+    def test_stacked_sweep_equals_sequential_runs(self, case, mode):
+        spec, potential = WEP_CASES[case]
+        template = one_particle(spec, mass=1.3, x=(1.2, -1.1, 1.4), p=(0.2, -0.3, 0.1),
+                                t_end=24 * 0.01, dt=0.01, potential=potential)
+        masses = [float(m) for m in np.random.default_rng(41).uniform(0.5, 5.0, 6)]
+        report = lp.wep_deviation(template, masses, mode)
+
+        # each mass integrated as its own single-particle scenario
+        x0, p_reduced0 = template.initial.x[0], template.initial.p[0] / 1.3
+        runs = []
+        for m in masses:
+            run_spec = rescale(spec, m / 1.3) if mode == "mass_scaled" else spec
+            runs.append(lp.integrate(dataclasses.replace(
+                template,
+                system=lp.ParticleSystem.from_pairs([m], [run_spec]),
+                initial=lp.PhaseState(x=[x0], p=[m * p_reduced0], t=0.0),
+            )))
+        pairs = [
+            ((masses[i], masses[j]),
+             np.max(np.linalg.norm(runs[i].positions() - runs[j].positions(), axis=1)),
+             np.max(np.linalg.norm(runs[i].reduced_momenta() - runs[j].reduced_momenta(), axis=1)))
+            for i in range(len(runs)) for j in range(i + 1, len(runs))
+        ]
+        assert [p.masses for p in report.pairs] == [masses for masses, _, _ in pairs]
+        for got, (_, position, reduced_momentum) in zip(report.pairs, pairs):
+            assert abs(got.position - position) <= 1e-14
+            assert abs(got.reduced_momentum - reduced_momentum) <= 1e-14
 
 
 def body_scenario(masses, kappas, x_com, p_com, neglect=False, dt=1e-3):
