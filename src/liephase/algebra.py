@@ -52,8 +52,8 @@ theta_bar/theta_tilde slices.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,6 +73,9 @@ __all__ = [
     "structure_matrix",
     "as_generalized",
     "lower",
+    "PARAMETER_ROLES",
+    "ParameterRole",
+    "parameter_roles",
     "rescale",
     "bracket",
     "jacobi_residual",
@@ -356,26 +359,61 @@ def as_generalized(spec: AlgebraSpec) -> Generalized:
     return Generalized(theta0=theta0, theta=theta, theta_bar=theta_bar, theta_tilde=theta_tilde)
 
 
-# --- mass scaling -------------------------------------------------------------
+# --- parameter roles ----------------------------------------------------------
 
-# How each deformation parameter follows the particle's mass under the
-# mass-scaling rule; the others (kappa_bar, theta_bar, axes) are shared.
-_MASS_SCALING = {
-    "kappa": operator.mul,
-    "kappa_tilde": operator.mul,
-    "theta0": operator.truediv,
-    "theta": operator.truediv,
-    "theta_tilde": operator.truediv,
+SCALED, SHARED, AXIS = "scaled", "shared", "axis"
+
+
+class ParameterRole(NamedTuple):
+    """What one variant parameter does under the mass-scaling condition.
+
+    ``kind`` is SCALED (the parameter follows the particle's mass), SHARED
+    (one value for all particles) or AXIS (a fixed coordinate index).
+    ``tensor`` marks the theta-like parameters; the scalars are kappa-like,
+    inverse deformation strengths.  ``constant`` names the MassScalingRule
+    field holding the parameter's value at unit mass (or its shared value).
+    ``scale(value, ratio)`` gives the value for a particle ``ratio`` times
+    as heavy and ``unscale(value, mass)`` the value at unit mass.
+    """
+
+    kind: str
+    tensor: bool = False
+    constant: Optional[str] = None
+    scale: Optional[Callable] = None
+    unscale: Optional[Callable] = None
+
+
+# The one place that says how each parameter of every variant relates to the
+# particle's mass: kappa and kappa_tilde grow with m, theta0, theta and
+# theta_tilde shrink as 1/m, kappa_bar and theta_bar are shared, the rest are
+# axes.  Scaling, effective parameters, axis checks and serialization all
+# read their fields' roles from here.
+PARAMETER_ROLES = {
+    "kappa": ParameterRole(SCALED, False, "gamma_kappa", operator.mul, operator.truediv),
+    "kappa_tilde": ParameterRole(
+        SCALED, False, "gamma_kappa_tilde", operator.mul, operator.truediv
+    ),
+    "kappa_bar": ParameterRole(SHARED, False, "kappa_bar"),
+    "theta0": ParameterRole(SCALED, True, "gamma0", operator.truediv, operator.mul),
+    "theta": ParameterRole(SCALED, True, "gamma", operator.truediv, operator.mul),
+    "theta_tilde": ParameterRole(SCALED, True, "gamma_tilde", operator.truediv, operator.mul),
+    "theta_bar": ParameterRole(SHARED, True, "theta_bar"),
+    **{name: ParameterRole(AXIS) for name in ("rho", "tau", "k", "l", "gamma")},
 }
+
+
+def parameter_roles(spec: AlgebraSpec | type) -> list[tuple[str, ParameterRole]]:
+    """(name, role) of each parameter of a spec or variant class, in field order."""
+    return [(f.name, PARAMETER_ROLES[f.name]) for f in fields(spec)]
 
 
 def rescale(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:
     """Parameters of a particle ``mass_ratio`` times as heavy, under the scaling rule:
     kappa -> kappa * ratio, theta -> theta / ratio, shared parameters kept."""
     changes = {
-        name: scale(getattr(spec, name), mass_ratio)
-        for name, scale in _MASS_SCALING.items()
-        if hasattr(spec, name)
+        name: role.scale(getattr(spec, name), mass_ratio)
+        for name, role in parameter_roles(spec)
+        if role.kind == SCALED
     }
     return replace(spec, **changes)
 

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -25,6 +25,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .algebra import (
+    AXIS,
     AlgebraSpec,
     Canonical,
     Generalized,
@@ -34,9 +35,11 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     jacobi_residual,
+    parameter_roles,
     structure_matrix,
 )
 from .composition import (
+    MassScalingRule,
     ParticleSystem,
     _table_xp_deform,
     _table_xx,
@@ -118,97 +121,49 @@ def _axis(mapping: dict, key: str, path: str) -> int:
     return value
 
 
-_SCALAR_PARAMS = {
-    "canonical": (),
-    "space_time": ("kappa",),
-    "space_space": ("kappa_tilde",),
-    "miao_type_i": ("kappa", "kappa_tilde"),
-    "miao_type_ii": ("kappa", "kappa_tilde", "kappa_bar"),
-    "generalized": (),
+# scenario name of each algebra variant; its fields, read through their
+# parameter roles, are the keys of its algebra block
+_ALGEBRA_VARIANTS = {
+    "canonical": Canonical,
+    "space_time": SpaceTime,
+    "space_space": SpaceSpace,
+    "miao_type_i": MiaoTypeI,
+    "miao_type_ii": MiaoTypeII,
+    "generalized": Generalized,
 }
-_TENSOR_PARAMS = ("theta0", "theta", "theta_bar", "theta_tilde")
+_VARIANT_NAMES = {cls: name for name, cls in _ALGEBRA_VARIANTS.items()}
 
 
 def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
+    """Scalars and axes are required; tensors default to zero when absent."""
     variant = _expect(data, "variant", path, str)
+    if variant not in _ALGEBRA_VARIANTS:
+        raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
+    cls = _ALGEBRA_VARIANTS[variant]
+    params = {}
     try:
-        if variant == "canonical":
-            return Canonical()
-        if variant == "space_time":
-            return SpaceTime(
-                kappa=_number(data, "kappa", path),
-                rho=_axis(data, "rho", path),
-                tau=_axis(data, "tau", path),
-            )
-        if variant == "space_space":
-            return SpaceSpace(
-                kappa_tilde=_number(data, "kappa_tilde", path),
-                k=_axis(data, "k", path),
-                l=_axis(data, "l", path),
-                gamma=_axis(data, "gamma", path),
-            )
-        if variant == "miao_type_i":
-            return MiaoTypeI(
-                kappa=_number(data, "kappa", path),
-                kappa_tilde=_number(data, "kappa_tilde", path),
-                k=_axis(data, "k", path),
-                l=_axis(data, "l", path),
-                gamma=_axis(data, "gamma", path),
-            )
-        if variant == "miao_type_ii":
-            return MiaoTypeII(
-                kappa=_number(data, "kappa", path),
-                kappa_tilde=_number(data, "kappa_tilde", path),
-                kappa_bar=_number(data, "kappa_bar", path),
-                k=_axis(data, "k", path),
-                l=_axis(data, "l", path),
-                gamma=_axis(data, "gamma", path),
-            )
-        if variant == "generalized":
-            tensors = {}
-            for name in _TENSOR_PARAMS:
-                if name in data:
-                    tensors[name] = np.array(data[name], dtype=float)
-            return Generalized(**tensors)
+        for name, role in parameter_roles(cls):
+            if role.kind == AXIS:
+                params[name] = _axis(data, name, path)
+            elif not role.tensor:
+                params[name] = _number(data, name, path)
+            elif name in data:
+                params[name] = np.array(data[name], dtype=float)
+        return cls(**params)
     except ScenarioError:
         raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
 
 
 def algebra_to_dict(spec: AlgebraSpec) -> dict:
-    if isinstance(spec, Canonical):
-        return {"variant": "canonical"}
-    if isinstance(spec, SpaceTime):
-        return {"variant": "space_time", "kappa": spec.kappa, "rho": spec.rho, "tau": spec.tau}
-    if isinstance(spec, SpaceSpace):
-        return {
-            "variant": "space_space",
-            "kappa_tilde": spec.kappa_tilde,
-            "k": spec.k, "l": spec.l, "gamma": spec.gamma,
-        }
-    if isinstance(spec, MiaoTypeI):
-        return {
-            "variant": "miao_type_i",
-            "kappa": spec.kappa, "kappa_tilde": spec.kappa_tilde,
-            "k": spec.k, "l": spec.l, "gamma": spec.gamma,
-        }
-    if isinstance(spec, MiaoTypeII):
-        return {
-            "variant": "miao_type_ii",
-            "kappa": spec.kappa, "kappa_tilde": spec.kappa_tilde, "kappa_bar": spec.kappa_bar,
-            "k": spec.k, "l": spec.l, "gamma": spec.gamma,
-        }
-    if isinstance(spec, Generalized):
-        return {
-            "variant": "generalized",
-            "theta0": spec.theta0.tolist(),
-            "theta": spec.theta.tolist(),
-            "theta_bar": spec.theta_bar.tolist(),
-            "theta_tilde": spec.theta_tilde.tolist(),
-        }
-    raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
+    if type(spec) not in _VARIANT_NAMES:
+        raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
+    out: dict[str, Any] = {"variant": _VARIANT_NAMES[type(spec)]}
+    for name, role in parameter_roles(spec):
+        value = getattr(spec, name)
+        out[name] = value.tolist() if role.tensor else value
+    return out
 
 
 def potential_from_dict(data: dict, path: str = "potential") -> Potential:
@@ -261,26 +216,80 @@ def potential_to_dict(potential: Potential) -> dict:
     raise TypeError(f"unknown potential variant: {type(potential).__name__}")
 
 
-_OPTION_KEYS = {
-    "check-algebra": {"samples"},
-    "com-brackets": {"expect_closes", "expect_kappa_eff", "expect_decoupling_max"},
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_masses(value) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(_is_finite_number(m) and m > 0 for m in value)
+    )
+
+
+def _is_bounds(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(_is_finite_number(b) for b in value)
+        and value[0] < value[1]
+    )
+
+
+# option kind -> (what a value must be, its test, its conversion)
+_OPTION_KINDS = {
+    "flag": ("true or false", lambda v: isinstance(v, bool), bool),
+    "number": ("a finite number", _is_finite_number, float),
+    "tolerance": ("a finite number >= 0", lambda v: _is_finite_number(v) and v >= 0, float),
+    "count": ("an integer >= 0", _is_count, int),
+    "masses": ("a non-empty list of positive finite masses", _is_masses,
+               lambda v: [float(m) for m in v]),
+    "bounds": ("two finite numbers [lo, hi] with lo < hi", _is_bounds,
+               lambda v: (float(v[0]), float(v[1]))),
+    "scaling_mode": ("fixed, mass_scaled or both",
+                     lambda v: v in ("fixed", "mass_scaled", "both"), str),
+}
+
+# the options of each task and their kinds
+_OPTIONS = {
+    "check-algebra": {"samples": "count"},
+    "com-brackets": {
+        "expect_closes": "flag",
+        "expect_kappa_eff": "number",
+        "expect_decoupling_max": "tolerance",
+    },
     "simulate": {
-        "reduced_momentum",
-        "energy_drift_tol",
-        "order_check",
-        "order_bounds",
-        "compare_partition",
-        "partition_tol",
+        "reduced_momentum": "flag",
+        "energy_drift_tol": "tolerance",
+        "order_check": "flag",
+        "order_bounds": "bounds",
+        "compare_partition": "masses",
+        "partition_tol": "tolerance",
     },
     "wep-test": {
-        "masses",
-        "scaling_mode",
-        "max_deviation",
-        "expect_position_deviation",
-        "expect_deviation_tol",
+        "masses": "masses",
+        "scaling_mode": "scaling_mode",
+        "max_deviation": "tolerance",
+        "expect_position_deviation": "number",
+        "expect_deviation_tol": "tolerance",
     },
 }
-_FLAG_OPTIONS = ("expect_closes", "reduced_momentum", "order_check")
+
+
+def _option(task: str, options: dict, key: str, default=None):
+    """The checked value of option ``key`` of ``task``; ``default`` when absent.
+
+    A value not of the option's kind raises ScenarioError naming
+    ``options.<key>``.
+    """
+    if key not in options:
+        return default
+    expected, test, convert = _OPTION_KINDS[_OPTIONS[task][key]]
+    value = options[key]
+    if not test(value):
+        raise ScenarioError(f"options.{key}: expected {expected}, got {value!r}")
+    return convert(value)
 
 
 @dataclass
@@ -297,6 +306,10 @@ class Scenario:
     body_mode: bool
     neglect_relative_motion: bool
     options: dict
+
+    def option(self, key: str, default=None):
+        """The checked value of one of this task's options (see ``_option``)."""
+        return _option(self.task, self.options, key, default)
 
     def to_dict(self) -> dict:
         base = algebra_to_dict(self.system.particles[0].spec)
@@ -353,9 +366,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not raw_particles:
         raise ScenarioError("particles: need at least one particle")
     masses, specs = [], []
-    allowed = set(_SCALAR_PARAMS[algebra_dict["variant"]]) | (
-        set(_TENSOR_PARAMS) if algebra_dict["variant"] == "generalized" else set()
-    )
+    # axes are shared by all particles; every other parameter may differ
+    allowed = {name for name, role in parameter_roles(base_spec) if role.kind != AXIS}
     for idx, entry in enumerate(raw_particles):
         path = f"particles[{idx}]"
         if not isinstance(entry, dict):
@@ -409,11 +421,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ScenarioError("options: expected an object")
-    unknown = set(options) - _OPTION_KEYS[task]
+    unknown = set(options) - set(_OPTIONS[task])
     if unknown:
         raise ScenarioError(f"options.{sorted(unknown)[0]}: unknown option for task {task}")
-    for key in _FLAG_OPTIONS:
-        _flag(options, key, "options")
+    for key in sorted(options):
+        _option(task, options, key)
 
     body_mode = _flag(data, "body_mode")
     neglect = _flag(data, "neglect_relative_motion")
@@ -481,38 +493,30 @@ class Check:
 
 
 class _CheckRunner:
+    """The checks of one task, in the order they were made.
+
+    A check's wall time runs from the previous check (or from the runner's
+    creation) to its own, so it covers the work that produced its value.
+    """
+
     def __init__(self):
         self.checks: list[Check] = []
+        self._lap = time.perf_counter()
 
-    def add(self, name: str, computed: float, tolerance: float, reference: float = 0.0) -> None:
-        start = time.perf_counter()
-        passed = abs(computed - reference) <= tolerance
-        self.checks.append(
-            Check(
-                name=name,
-                computed=float(computed),
-                reference=float(reference),
-                tolerance=float(tolerance),
-                passed=bool(passed),
-                wall_time=time.perf_counter() - start,
-            )
-        )
-
-    def timed(self, name: str, fn, tolerance: float, reference: float = 0.0) -> float:
-        start = time.perf_counter()
-        computed = float(fn())
-        elapsed = time.perf_counter() - start
-        passed = abs(computed - reference) <= tolerance
+    def add(self, name: str, computed: float, tolerance: float, reference: float = 0.0) -> float:
+        now = time.perf_counter()
+        computed = float(computed)
         self.checks.append(
             Check(
                 name=name,
                 computed=computed,
                 reference=float(reference),
                 tolerance=float(tolerance),
-                passed=bool(passed),
-                wall_time=elapsed,
+                passed=bool(abs(computed - reference) <= tolerance),
+                wall_time=now - self._lap,
             )
         )
+        self._lap = now
         return computed
 
     @property
@@ -551,7 +555,7 @@ def _sample_states(scenario: Scenario, count: int) -> list[PhaseState]:
 
 
 def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
-    samples = int(scenario.options.get("samples", 20))
+    samples = scenario.option("samples", 20)
     states = _sample_states(scenario, samples)
     specs = scenario.system.specs
     lowered = scenario.system.lowered
@@ -583,9 +587,9 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
                     worst = max(worst, float(np.max(scaled)))
         return worst
 
-    runner.timed("antisymmetry", antisymmetry, tolerance=0.0)
-    runner.timed("jacobi-residual", jacobi, tolerance=tol_flag or 1e-10)
-    runner.timed("generalized-encoding-roundtrip", roundtrip, tolerance=1e-15)
+    runner.add("antisymmetry", antisymmetry(), tolerance=0.0)
+    runner.add("jacobi-residual", jacobi(), tolerance=tol_flag or 1e-10)
+    runner.add("generalized-encoding-roundtrip", roundtrip(), tolerance=1e-15)
 
     results: dict[str, Any] = {"sampled_states": len(states)}
     if scenario.potential is not None:
@@ -603,28 +607,33 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
                                 float(np.max(np.abs(pdot[a] - cp))))
             return worst
 
-        runner.timed("eom-closed-form", eom_agreement, tolerance=tol_flag or 1e-12)
+        runner.add("eom-closed-form", eom_agreement(), tolerance=tol_flag or 1e-12)
     return results
 
 
-def _rule_to_dict(rule) -> Optional[dict]:
+def _rule_to_dict(rule: Optional[MassScalingRule]) -> Optional[dict]:
     if rule is None:
         return None
     out = {}
-    for name in ("gamma_kappa", "gamma_kappa_tilde", "kappa_bar"):
-        value = getattr(rule, name)
+    for f in fields(rule):
+        value = getattr(rule, f.name)
         if value is not None:
-            out[name] = value
-    for name in ("gamma0", "gamma", "gamma_tilde", "theta_bar"):
-        value = getattr(rule, name)
-        if value is not None:
-            out[name] = np.asarray(value).tolist()
+            out[f.name] = np.asarray(value).tolist()
     return out
 
 
 def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
     system = scenario.system
     state = scenario.initial
+    expected_kappa = scenario.option("expect_kappa_eff")
+    if expected_kappa is not None:
+        scalars = [name for name, role in parameter_roles(system.variant)
+                   if role.kind != AXIS and not role.tensor]
+        if len(scalars) != 1:
+            raise ScenarioError(
+                f"options.expect_kappa_eff: needs an algebra with exactly one scalar "
+                f"deformation parameter, {_VARIANT_NAMES[system.variant]} has {len(scalars)}"
+            )
     report = com_bracket_report(system, state)
     runner.add("com-bracket-oracle", report.max_abs_diff, tolerance=tol_flag or 1e-12)
 
@@ -657,53 +666,33 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
         results["effective_algebra"] = None
         results["effective_algebra_error"] = str(exc)
 
-    if "expect_closes" in scenario.options:
-        expected = 1.0 if scenario.options["expect_closes"] else 0.0
+    expect_closes = scenario.option("expect_closes")
+    if expect_closes is not None:
         runner.add("closure-verdict", 1.0 if repro.closes else 0.0, tolerance=0.0,
-                   reference=expected)
-    if "expect_kappa_eff" in scenario.options:
+                   reference=1.0 if expect_closes else 0.0)
+    if expected_kappa is not None:
         eff = results.get("effective_algebra") or {}
-        computed = eff.get("kappa", eff.get("kappa_tilde", float("nan")))
         runner.add(
             "effective-kappa",
-            computed,
+            eff.get(scalars[0], float("nan")),
             tolerance=tol_flag or 1e-12,
-            reference=float(scenario.options["expect_kappa_eff"]),
+            reference=expected_kappa,
         )
     if scenario.potential is not None:
         value = decoupling_check(system, state, scenario.potential)
         results["decoupling"] = value
-        if "expect_decoupling_max" in scenario.options:
-            runner.add(
-                "decoupling",
-                value,
-                tolerance=float(scenario.options["expect_decoupling_max"]),
-            )
+        decoupling_max = scenario.option("expect_decoupling_max")
+        if decoupling_max is not None:
+            runner.add("decoupling", value, tolerance=decoupling_max)
     return results
-
-
-def _order_bounds(options: dict) -> tuple[float, float]:
-    bounds = options.get("order_bounds", [12.0, 20.0])
-    if not (
-        isinstance(bounds, list)
-        and len(bounds) == 2
-        and all(_is_finite_number(b) for b in bounds)
-        and bounds[0] < bounds[1]
-    ):
-        raise ScenarioError(
-            f"options.order_bounds: expected two finite numbers [lo, hi] with lo < hi, "
-            f"got {bounds!r}"
-        )
-    return float(bounds[0]), float(bounds[1])
 
 
 def _run_simulate(
     scenario: Scenario, runner: _CheckRunner, out_dir: Path, tol_flag: Optional[float]
 ) -> dict:
-    lo, hi = _order_bounds(scenario.options)
     g = scenario.gravity_scenario()
     trajectory = integrate(g)
-    include_reduced = scenario.options.get("reduced_momentum", False)
+    include_reduced = scenario.option("reduced_momentum", False)
     csv_path = out_dir / "trajectory.csv"
     trajectory.write_csv(str(csv_path), include_reduced_momentum=include_reduced)
 
@@ -719,15 +708,16 @@ def _run_simulate(
     energies = _energies(trajectory.masses, scenario.potential, trajectory.states)
     drift = float(np.max(np.abs(energies - energies[0])))
     results["energy_drift"] = drift
-    if "energy_drift_tol" in scenario.options:
-        runner.add("energy-drift", drift, tolerance=float(scenario.options["energy_drift_tol"]))
+    drift_tol = scenario.option("energy_drift_tol")
+    if drift_tol is not None:
+        runner.add("energy-drift", drift, tolerance=drift_tol)
     runner.add(
         "finite-states",
         0.0 if np.all(np.isfinite(trajectory.states)) else 1.0,
         tolerance=0.0,
     )
 
-    if scenario.options.get("order_check", False):
+    if scenario.option("order_check", False):
         def halving_ratio():
             runs = []
             for factor in (1, 2, 4):
@@ -742,17 +732,18 @@ def _run_simulate(
             fine = float(np.linalg.norm(runs[1] - runs[2]))
             return coarse / fine
 
+        lo, hi = scenario.option("order_bounds", (12.0, 20.0))
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        ratio = runner.timed("integrator-order-ratio", halving_ratio,
-                             tolerance=half, reference=mid)
+        ratio = runner.add("integrator-order-ratio", halving_ratio(),
+                           tolerance=half, reference=mid)
         results["dt_halving_ratio"] = ratio
 
-    if "compare_partition" in scenario.options:
+    alt_masses = scenario.option("compare_partition")
+    if alt_masses is not None:
         if not scenario.body_mode:
             raise ScenarioError(
                 "options.compare_partition: only meaningful with body_mode"
             )
-        alt_masses = [float(m) for m in scenario.options["compare_partition"]]
         if abs(sum(alt_masses) - scenario.system.total_mass) > 1e-12:
             raise ScenarioError(
                 "options.compare_partition: partition must preserve the total mass"
@@ -786,28 +777,20 @@ def _run_simulate(
         runner.add(
             "partition-independence",
             deviation,
-            tolerance=float(scenario.options.get("partition_tol", tol_flag or 1e-10)),
+            tolerance=scenario.option("partition_tol", tol_flag or 1e-10),
         )
     return results
 
 
 def _run_wep_test(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
-    options = scenario.options
     if scenario.system.n_particles != 1:
         raise ScenarioError("particles: wep-test needs exactly one particle")
-    masses = options.get("masses")
-    if not isinstance(masses, list) or not masses:
-        raise ScenarioError("options.masses: expected a non-empty list of masses")
-    for i, m in enumerate(masses):
-        if not (_is_finite_number(m) and m > 0):
-            raise ScenarioError(
-                f"options.masses[{i}]: expected a finite positive mass, got {m!r}"
-            )
-    masses = [float(m) for m in masses]
-    mode = options.get("scaling_mode", "both")
-    if mode not in ("fixed", "mass_scaled", "both"):
-        raise ScenarioError("options.scaling_mode: expected fixed, mass_scaled or both")
+    masses = scenario.option("masses")
+    if masses is None:
+        raise ScenarioError("options.masses: missing required option")
+    mode = scenario.option("scaling_mode", "both")
     modes = ("fixed", "mass_scaled") if mode == "both" else (mode,)
+    expected = scenario.option("expect_position_deviation")
 
     g = scenario.gravity_scenario()
     results: dict[str, Any] = {"masses": masses, "modes": {}}
@@ -826,16 +809,14 @@ def _run_wep_test(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[f
             "max_reduced_momentum_deviation": report.max_reduced_momentum_deviation,
         }
         if m == "mass_scaled":
-            tolerance = float(options.get("max_deviation", tol_flag or 1e-8))
             runner.add("wep-recovery-deviation", report.max_position_deviation,
-                       tolerance=tolerance)
-        if m == "fixed" and "expect_position_deviation" in options:
-            expected = options["expect_position_deviation"]
+                       tolerance=scenario.option("max_deviation", tol_flag or 1e-8))
+        if m == "fixed" and expected is not None:
             runner.add(
                 "wep-violation-magnitude",
                 report.max_position_deviation,
-                tolerance=float(options.get("expect_deviation_tol", 1e-8)),
-                reference=float(expected),
+                tolerance=scenario.option("expect_deviation_tol", 1e-8),
+                reference=expected,
             )
     return results
 

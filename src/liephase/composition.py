@@ -20,6 +20,8 @@ import numpy as np
 
 from . import observables as obs
 from .algebra import (
+    AXIS,
+    SCALED,
     AlgebraSpec,
     Canonical,
     Generalized,
@@ -30,6 +32,7 @@ from .algebra import (
     SpaceTime,
     LoweredAlgebra,
     lower,
+    parameter_roles,
     rescale,
     structure_matrix,
 )
@@ -63,11 +66,7 @@ class Particle:
 
 
 def _structural_axes(spec: AlgebraSpec) -> tuple:
-    if isinstance(spec, SpaceTime):
-        return (spec.rho, spec.tau)
-    if isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
-        return (spec.k, spec.l, spec.gamma)
-    return ()
+    return tuple(getattr(spec, name) for name, role in parameter_roles(spec) if role.kind == AXIS)
 
 
 @dataclass(frozen=True)
@@ -379,18 +378,6 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
 # --- mass scaling ------------------------------------------------------------
 
 
-# rule constant -> the spec parameter it equals for a particle of unit mass
-_UNIT_MASS_PARAMS = {
-    "gamma_kappa": "kappa",
-    "gamma_kappa_tilde": "kappa_tilde",
-    "kappa_bar": "kappa_bar",
-    "gamma0": "theta0",
-    "gamma": "theta",
-    "gamma_tilde": "theta_tilde",
-    "theta_bar": "theta_bar",
-}
-
-
 @dataclass(frozen=True)
 class MassScalingRule:
     """Consensus constants of the mass-scaling condition.
@@ -399,7 +386,8 @@ class MassScalingRule:
     gamma_kappa = kappa_a / m_a and gamma_kappa_tilde = kappa_tilde_a / m_a;
     kappa_bar is shared (not scaled).  For Generalized specs the tensor
     constants are gamma0 = theta0 * m, gamma = theta * m,
-    gamma_tilde = theta_tilde * m, and theta_bar is shared.
+    gamma_tilde = theta_tilde * m, and theta_bar is shared.  Each field is
+    the ``constant`` of one entry of ``algebra.PARAMETER_ROLES``.
     """
 
     gamma_kappa: Optional[float] = None
@@ -413,9 +401,9 @@ class MassScalingRule:
     def spec_for_mass(self, template: AlgebraSpec, mass: float) -> AlgebraSpec:
         """The template variant's spec for a particle of the given mass."""
         unit_mass = {
-            param: getattr(self, name)
-            for name, param in _UNIT_MASS_PARAMS.items()
-            if getattr(self, name) is not None
+            name: getattr(self, role.constant)
+            for name, role in parameter_roles(template)
+            if role.constant is not None and getattr(self, role.constant) is not None
         }
         return rescale(replace(template, **unit_mass), mass)
 
@@ -430,45 +418,26 @@ class ScalingCheck:
 def _scaled_values(system: ParticleSystem) -> dict[str, np.ndarray]:
     """Per-particle values that the scaling condition requires to be constant.
 
-    Returns a mapping name -> array of shape (N, ...): entry a is particle
-    a's candidate constant (parameter times mass for scaled parameters, the
-    bare parameter for shared ones).
+    Returns a mapping rule constant -> array of shape (N, ...): entry a is
+    particle a's value at unit mass (kappa / m, theta * m) for scaled
+    parameters, the bare parameter for shared ones.
     """
     m = system.masses
-    specs = system.specs
-    variant = system.variant
     out: dict[str, np.ndarray] = {}
-    if variant is Canonical:
-        return out
-    if variant is SpaceTime:
-        out["gamma_kappa"] = np.array([s.kappa for s in specs]) / m
-        return out
-    if variant is SpaceSpace:
-        out["gamma_kappa_tilde"] = np.array([s.kappa_tilde for s in specs]) / m
-        return out
-    if variant in (MiaoTypeI, MiaoTypeII):
-        out["gamma_kappa"] = np.array([s.kappa for s in specs]) / m
-        out["gamma_kappa_tilde"] = np.array([s.kappa_tilde for s in specs]) / m
-        if variant is MiaoTypeII:
-            out["kappa_bar"] = np.array([s.kappa_bar for s in specs])
-        return out
-    if variant is Generalized:
-        out["gamma0"] = np.stack([s.theta0 * ma for s, ma in zip(specs, m)])
-        out["gamma"] = np.stack([s.theta * ma for s, ma in zip(specs, m)])
-        out["gamma_tilde"] = np.stack([s.theta_tilde * ma for s, ma in zip(specs, m)])
-        out["theta_bar"] = np.stack([s.theta_bar for s in specs])
-        return out
-    raise TypeError(f"unknown algebra variant: {variant.__name__}")
+    for name, role in parameter_roles(system.variant):
+        if role.kind == AXIS:
+            continue
+        values = np.array([getattr(s, name) for s in system.specs])
+        if role.kind == SCALED:
+            values = role.unscale(values, m.reshape(-1, *(1,) * (values.ndim - 1)))
+        out[role.constant] = values
+    return out
 
 
-def _deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Entrywise disagreement |a - b| / |b|, absolute where b is zero."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    diff = np.abs(a - b)
-    denom = np.abs(b)
-    rel = np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
-    return float(rel.max()) if rel.size else 0.0
+def _relative(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Entrywise diff / |ref|, absolute (diff itself) where ref is zero."""
+    denom = np.abs(ref)
+    return np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
 
 
 def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> ScalingCheck:
@@ -484,7 +453,6 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     values = _scaled_values(system)
     mu = system.mu
-    n = system.n_particles
 
     holds = True
     worst_pairwise = 0.0
@@ -492,13 +460,13 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
     for name, vals in values.items():
         mean = np.einsum("a,a...->...", mu, vals)
         consensus[name] = mean
-        for a in range(n):
-            if _deviation(vals[a], mean) > tol:
-                holds = False
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    worst_pairwise = max(worst_pairwise, _deviation(vals[a], vals[b]))
+        if np.any(_relative(np.abs(vals - mean), mean) > tol):
+            holds = False
+        # max over a of |v_a - v_b| is reached at the largest or the smallest
+        # v_a, entry by entry; rounding is monotone, so this equals the
+        # largest rounded pairwise difference without forming the N x N pairs
+        spread = np.maximum(vals.max(axis=0) - vals, vals - vals.min(axis=0))
+        worst_pairwise = max(worst_pairwise, float(_relative(spread, vals).max()))
 
     rule = None
     if holds:
@@ -531,44 +499,22 @@ def _candidate_effective(system: ParticleSystem) -> AlgebraSpec:
     """
     mu = system.mu
     specs = system.specs
-    variant = system.variant
-    if variant is Canonical:
-        return Canonical()
-    if variant is SpaceTime:
-        inv = sum(mu_a**2 / s.kappa for mu_a, s in zip(mu, specs))
-        first = specs[0]
-        return SpaceTime(kappa=1.0 / inv, rho=first.rho, tau=first.tau)
-    if variant is SpaceSpace:
-        inv = sum(mu_a**2 / s.kappa_tilde for mu_a, s in zip(mu, specs))
-        first = specs[0]
-        return SpaceSpace(kappa_tilde=1.0 / inv, k=first.k, l=first.l, gamma=first.gamma)
-    if variant in (MiaoTypeI, MiaoTypeII):
-        inv_k = sum(mu_a**2 / s.kappa for mu_a, s in zip(mu, specs))
-        inv_kt = sum(mu_a**2 / s.kappa_tilde for mu_a, s in zip(mu, specs))
-        first = specs[0]
-        if variant is MiaoTypeI:
-            return MiaoTypeI(
-                kappa=1.0 / inv_k,
-                kappa_tilde=1.0 / inv_kt,
-                k=first.k, l=first.l, gamma=first.gamma,
-            )
-        inv_kb = sum(mu_a / s.kappa_bar for mu_a, s in zip(mu, specs))
-        return MiaoTypeII(
-            kappa=1.0 / inv_k,
-            kappa_tilde=1.0 / inv_kt,
-            kappa_bar=1.0 / inv_kb,
-            k=first.k, l=first.l, gamma=first.gamma,
-        )
-    if variant is Generalized:
-        mu2 = mu**2
-        theta0 = np.einsum("a,aij->ij", mu2, np.stack([s.theta0 for s in specs]))
-        theta = np.einsum("a,akij->kij", mu2, np.stack([s.theta for s in specs]))
-        theta_tilde = np.einsum("a,akij->kij", mu2, np.stack([s.theta_tilde for s in specs]))
-        theta_bar = np.einsum("a,akij->kij", mu, np.stack([s.theta_bar for s in specs]))
-        return Generalized(
-            theta0=theta0, theta=theta, theta_bar=theta_bar, theta_tilde=theta_tilde
-        )
-    raise TypeError(f"unknown algebra variant: {variant.__name__}")
+    first = specs[0]
+    params = {}
+    for name, role in parameter_roles(first):
+        if role.kind == AXIS:
+            params[name] = getattr(first, name)
+            continue
+        # weights mu_a^2 for scaled parameters, mu_a for shared ones; the
+        # scalars are inverse strengths, so their law is harmonic
+        power = 2 if role.kind == SCALED else 1
+        if role.tensor:
+            idx = "kij"[3 - np.ndim(getattr(first, name)):]
+            stack = np.stack([getattr(s, name) for s in specs])
+            params[name] = np.einsum(f"a,a{idx}->{idx}", mu**power, stack)
+        else:
+            params[name] = 1.0 / sum(mu_a**power / getattr(s, name) for mu_a, s in zip(mu, specs))
+    return type(first)(**params)
 
 
 def effective_parameters(system: ParticleSystem, tol: float = 1e-9) -> AlgebraSpec:

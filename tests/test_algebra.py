@@ -1,5 +1,7 @@
 """Structure matrices, bracket evaluation and the Jacobi identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import liephase as lp
 from liephase import observables as obs
-from liephase.algebra import rescale
+from liephase.algebra import AXIS, PARAMETER_ROLES, SCALED, SHARED, parameter_roles, rescale
 from liephase.composition import _table_xp_deform, _table_xx
 
 from helpers import DEFORMED_NAMED_VARIANTS, VARIANT_NAMES, antisym, random_spec, random_state
@@ -362,3 +364,37 @@ class TestRescale:
         for name in ("kappa_bar", "theta_bar", "rho", "tau", "k", "l", "gamma"):
             if hasattr(spec, name):
                 assert np.array_equal(getattr(heavier, name), getattr(spec, name))
+
+
+VARIANT_CLASSES = (lp.Canonical, lp.SpaceTime, lp.SpaceSpace, lp.MiaoTypeI, lp.MiaoTypeII,
+                   lp.Generalized)
+
+
+class TestParameterRoles:
+    @pytest.mark.parametrize("cls", VARIANT_CLASSES, ids=lambda c: c.__name__)
+    def test_every_field_has_one_role(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert [name for name, _ in parameter_roles(cls)] == names
+        for name in names:
+            role = PARAMETER_ROLES[name]
+            assert role.kind in (SCALED, SHARED, AXIS)
+            # a scaled parameter carries both directions, nothing else does
+            assert (role.scale is not None) == (role.unscale is not None) == (role.kind == SCALED)
+            assert (role.constant is None) == (role.kind == AXIS)
+
+    def test_table_has_no_unused_entries(self):
+        used = {f.name for cls in VARIANT_CLASSES for f in dataclasses.fields(cls)}
+        assert set(PARAMETER_ROLES) == used
+
+    def test_rule_constants_are_the_rule_fields(self):
+        constants = [r.constant for r in PARAMETER_ROLES.values() if r.constant is not None]
+        assert sorted(constants) == sorted(f.name for f in dataclasses.fields(lp.MassScalingRule))
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, r in PARAMETER_ROLES.items() if r.kind == SCALED)
+    )
+    def test_unscale_inverts_scale(self, name):
+        role = PARAMETER_ROLES[name]
+        assert role.unscale(role.scale(3.0, 2.0), 2.0) == 3.0
+        # kappa-like scalars grow with the mass, theta-like tensors shrink
+        assert (role.scale(3.0, 2.0) > 3.0) == (not role.tensor)

@@ -1,6 +1,7 @@
 """Scenario loading, task dispatch, exit codes and report determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +47,9 @@ WEP = {
     "potential": {"variant": "uniform", "g": [0, 1, 0]},
     "options": {"masses": [1.0, 2.0]},
 }
+
+
+COM = dict(MINIMAL, task="com-brackets")
 
 
 def _encoded_body(spec, mass):
@@ -161,6 +165,36 @@ class TestScenarioParsing:
             ("grid.dt", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1.0, "dt": float("nan")})),
             ("grid.t_end", dict(SIMULATE, grid={"t0": 0.0, "t_end": float("inf"), "dt": 0.1})),
             ("grid.t_end", dict(SIMULATE, grid={"t0": 1.0, "t_end": 1.0, "dt": 0.1})),
+            *[(f"options.{key}", dict(base, options={key: value})) for key, value, base in (
+                ("samples", "x", MINIMAL),
+                ("samples", -5, MINIMAL),
+                ("samples", 2.7, MINIMAL),
+                ("samples", True, MINIMAL),
+                ("compare_partition", "x", SIMULATE),
+                ("compare_partition", "abc", SIMULATE),
+                ("compare_partition", [2.0, -1.0], SIMULATE),
+                ("compare_partition", [], SIMULATE),
+                ("energy_drift_tol", "x", SIMULATE),
+                ("energy_drift_tol", -1e-9, SIMULATE),
+                ("partition_tol", "x", SIMULATE),
+                ("max_deviation", "x", WEP),
+                ("expect_position_deviation", "x", WEP),
+                ("expect_deviation_tol", "x", WEP),
+                ("scaling_mode", "sometimes", WEP),
+                ("expect_kappa_eff", "x", COM),
+                ("expect_decoupling_max", "x", COM),
+                ("expect_decoupling_max", float("inf"), COM),
+            )],
+            # the effective algebra must have exactly one scalar parameter
+            *[("options.expect_kappa_eff",
+               dict(COM, algebra=algebra, options={"expect_kappa_eff": 1.0})) for algebra in (
+                {"variant": "miao_type_i", "kappa": 1.0, "kappa_tilde": 2.0,
+                 "k": 1, "l": 2, "gamma": 3},
+                {"variant": "miao_type_ii", "kappa": 1.0, "kappa_tilde": 2.0, "kappa_bar": 3.0,
+                 "k": 1, "l": 2, "gamma": 3},
+                {"variant": "canonical"},
+                {"variant": "generalized"},
+            )],
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -294,6 +328,28 @@ class TestRun:
         (check,) = [c for c in report["checks"] if c["name"] == "partition-independence"]
         assert check["tolerance"] == 1e-10
         assert check["passed"] is True
+
+    def test_expect_kappa_eff_reads_the_one_scalar_parameter(self, tmp_path):
+        payload = dict(
+            COM,
+            algebra={"variant": "space_space", "kappa_tilde": 1.5, "k": 1, "l": 2, "gamma": 3},
+            particles=[{"mass": 1.0}, {"mass": 2.0, "kappa_tilde": 3.0}],
+            initial={"x": [[0, 0, 0], [1, 0, 0]], "p": [[0, 0, 0], [0, 0, 0]]},
+            options={"expect_kappa_eff": 4.5},
+        )
+        path = write_scenario(tmp_path, "kt.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        (check,) = [c for c in report["checks"] if c["name"] == "effective-kappa"]
+        assert check["computed"] == pytest.approx(4.5, rel=1e-14)
+
+    def test_check_wall_time_covers_the_work_before_it(self):
+        runner = cli._CheckRunner()
+        time.sleep(0.02)
+        runner.add("slow", 0.0, tolerance=0.0)
+        runner.add("fast", 0.0, tolerance=0.0)
+        assert runner.checks[0].wall_time >= 0.02
+        assert runner.checks[1].wall_time < runner.checks[0].wall_time
 
     def test_wall_time_kept_out_of_report(self, tmp_path):
         assert cli.run("miao1_jacobi", out_dir=str(tmp_path / "out")) == 0

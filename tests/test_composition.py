@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
+from liephase.composition import _candidate_effective, _scaled_values
 
 from helpers import VARIANT_NAMES, random_state, random_system, scaled_system
 
@@ -266,6 +267,49 @@ class TestMassScaling:
         with pytest.raises(ValueError, match="tol"):
             lp.satisfies_mass_scaling(system, tol=-1.0)
 
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_matches_pairwise_loop_bit_for_bit(self, variant):
+        rng = np.random.default_rng(15)
+        for trial in range(12):
+            n = int(rng.integers(1, 9))
+            if trial % 3 == 0:
+                system = random_system(rng, variant, n)
+            else:
+                system = scaled_system(rng, variant, n)
+            if trial % 3 == 2:  # detune the last particle slightly
+                specs = system.specs
+                specs[-1] = lp.algebra.rescale(specs[-1], 1.0 + 1e-7 * rng.uniform())
+                system = lp.ParticleSystem.from_pairs(system.masses.tolist(), specs)
+            tol = float(rng.choice([0.0, 1e-9, 1e-6]))
+            check = lp.satisfies_mass_scaling(system, tol=tol)
+            holds, worst = _scaling_loop(system, tol)
+            assert check.holds == holds
+            assert check.worst_relative_deviation == worst
+
+
+def _deviation_loop(a, b) -> float:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    diff = np.abs(a - b)
+    denom = np.abs(b)
+    rel = np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
+    return float(rel.max()) if rel.size else 0.0
+
+
+def _scaling_loop(system, tol):
+    """The scaling verdict and worst pairwise deviation one particle pair at a
+    time: the reference for the vectorised ``satisfies_mass_scaling``."""
+    holds, worst = True, 0.0
+    for vals in _scaled_values(system).values():
+        mean = np.einsum("a,a...->...", system.mu, vals)
+        n = len(vals)
+        holds = holds and all(_deviation_loop(vals[a], mean) <= tol for a in range(n))
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    worst = max(worst, _deviation_loop(vals[a], vals[b]))
+    return holds, worst
+
 
 class TestEffectiveParameters:
     def test_identical_particles_reduce_by_count(self):
@@ -318,6 +362,56 @@ class TestEffectiveParameters:
         eff = lp.effective_parameters(system)
         mu = system.mu
         assert np.allclose(eff.theta0, mu[0] ** 2 * theta0 + mu[1] ** 2 * 2.0 * theta0, atol=0)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_scaled_laws_all_variants(self, variant):
+        # kappa_a = gamma m_a gives 1 / sum mu_a^2 / kappa_a = gamma M, theta_a =
+        # gamma / m_a gives sum mu_a^2 theta_a = gamma / M; shared values come
+        # through up to rounding, axes exactly
+        rng = np.random.default_rng(16)
+        system = scaled_system(rng, variant, 4)
+        eff = lp.effective_parameters(system)
+        first, m0, total = system.particles[0].spec, system.particles[0].mass, system.total_mass
+        assert type(eff) is type(first)
+        for name in ("kappa", "kappa_tilde"):
+            if hasattr(first, name):
+                gamma = getattr(first, name) / m0
+                assert getattr(eff, name) == pytest.approx(gamma * total, rel=1e-14)
+        for name in ("theta0", "theta", "theta_tilde"):
+            if hasattr(first, name):
+                gamma = getattr(first, name) * m0
+                assert np.max(np.abs(getattr(eff, name) - gamma / total)) <= 1e-14
+        if hasattr(first, "kappa_bar"):
+            assert eff.kappa_bar == pytest.approx(first.kappa_bar, rel=1e-14)
+        if hasattr(first, "theta_bar"):
+            assert np.max(np.abs(eff.theta_bar - first.theta_bar)) <= 1e-14
+        for name in ("rho", "tau", "k", "l", "gamma"):
+            if hasattr(first, name):
+                assert getattr(eff, name) == getattr(first, name)
+
+    def test_unequal_kappa_bar_law(self):
+        masses, kappa_bars = [1.0, 2.0, 5.0], [3.0, -4.0, 7.0]
+        specs = [lp.MiaoTypeII(kappa=2.0 * m, kappa_tilde=1.5 * m, kappa_bar=kb)
+                 for m, kb in zip(masses, kappa_bars)]
+        system = lp.ParticleSystem.from_pairs(masses, specs)
+        mu = np.array(masses) / sum(masses)
+        expected = 1.0 / sum(mu_a / kb for mu_a, kb in zip(mu, kappa_bars))
+        eff = _candidate_effective(system)
+        assert eff.kappa_bar == pytest.approx(expected, rel=1e-14)
+        assert eff.kappa == pytest.approx(2.0 * sum(masses), rel=1e-14)
+        with pytest.raises(lp.ScalingRequiredError):
+            lp.effective_parameters(system)
+
+    def test_unequal_theta_bar_law(self):
+        rng = np.random.default_rng(17)
+        masses = [1.0, 3.0]
+        bars = [rng.uniform(-1, 1, (3, 3, 3)) for _ in masses]
+        system = lp.ParticleSystem.from_pairs(
+            masses, [lp.Generalized(theta_bar=b) for b in bars]
+        )
+        mu = np.array(masses) / sum(masses)
+        expected = mu[0] * bars[0] + mu[1] * bars[1]
+        assert np.max(np.abs(_candidate_effective(system).theta_bar - expected)) <= 1e-14
 
     def test_merging_preserves_effective_parameters(self):
         # under the scaling rule, replacing a subset by one pseudo-particle
