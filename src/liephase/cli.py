@@ -34,9 +34,9 @@ from .algebra import (
     PhaseState,
     SpaceSpace,
     SpaceTime,
+    _phase_points,
     jacobi_residual,
     parameter_roles,
-    structure_matrix,
 )
 from .composition import (
     MassScalingRule,
@@ -148,7 +148,11 @@ def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
             elif not role.tensor:
                 params[name] = _number(data, name, path)
             elif name in data:
-                params[name] = np.array(data[name], dtype=float)
+                # each tensor is validated on its own, so an error names its field
+                try:
+                    params[name] = getattr(cls(**{name: data[name]}), name)
+                except (ValueError, TypeError) as exc:
+                    raise ScenarioError(f"{path}.{name}: {exc}") from exc
         return cls(**params)
     except ScenarioError:
         raise
@@ -554,17 +558,23 @@ def _sample_states(scenario: Scenario, count: int) -> list[PhaseState]:
 # --- task implementations ---------------------------------------------------------
 
 
+def _tolerance(tol_flag: Optional[float], default: float) -> float:
+    """The ``--tol`` value when given (0 demands an exact result), else the check's default."""
+    return default if tol_flag is None else tol_flag
+
+
 def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
     samples = scenario.option("samples", 20)
     states = _sample_states(scenario, samples)
     specs = scenario.system.specs
     lowered = scenario.system.lowered
+    # J is block-diagonal: its per-particle 6x6 blocks at each sampled state
+    blocks = [lowered.blocks(_phase_points(st), st.t) for st in states]
 
     def antisymmetry():
         worst = 0.0
-        for st in states:
-            j = structure_matrix(lowered, st).matrix
-            worst = max(worst, float(np.max(np.abs(j + j.T))))
+        for j in blocks:
+            worst = max(worst, float(np.max(np.abs(j + np.swapaxes(j, -1, -2)))))
         return worst
 
     def jacobi():
@@ -574,10 +584,9 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
         # the evaluator's X-X and X-P corners against the named variant's
         # closed-form tables, relative where entries exceed one
         worst = 0.0
-        for st in states:
-            j = structure_matrix(lowered, st).matrix
+        for st, j in zip(states, blocks):
             for a, spec in enumerate(specs):
-                block = j[6 * a : 6 * a + 6, 6 * a : 6 * a + 6]
+                block = j[a]
                 args = (spec, st.x[a], st.p[a], st.t)
                 for got, table in (
                     (block[:3, :3], _table_xx(*args)),
@@ -588,7 +597,7 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
         return worst
 
     runner.add("antisymmetry", antisymmetry(), tolerance=0.0)
-    runner.add("jacobi-residual", jacobi(), tolerance=tol_flag or 1e-10)
+    runner.add("jacobi-residual", jacobi(), tolerance=_tolerance(tol_flag, 1e-10))
     runner.add("generalized-encoding-roundtrip", roundtrip(), tolerance=1e-15)
 
     results: dict[str, Any] = {"sampled_states": len(states)}
@@ -607,7 +616,7 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
                                 float(np.max(np.abs(pdot[a] - cp))))
             return worst
 
-        runner.add("eom-closed-form", eom_agreement(), tolerance=tol_flag or 1e-12)
+        runner.add("eom-closed-form", eom_agreement(), tolerance=_tolerance(tol_flag, 1e-12))
     return results
 
 
@@ -635,7 +644,7 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
                 f"deformation parameter, {_VARIANT_NAMES[system.variant]} has {len(scalars)}"
             )
     report = com_bracket_report(system, state)
-    runner.add("com-bracket-oracle", report.max_abs_diff, tolerance=tol_flag or 1e-12)
+    runner.add("com-bracket-oracle", report.max_abs_diff, tolerance=_tolerance(tol_flag, 1e-12))
 
     com = com_transform(system, state)
     identity = max(
@@ -675,7 +684,7 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
         runner.add(
             "effective-kappa",
             eff.get(scalars[0], float("nan")),
-            tolerance=tol_flag or 1e-12,
+            tolerance=_tolerance(tol_flag, 1e-12),
             reference=expected_kappa,
         )
     if scenario.potential is not None:
@@ -777,7 +786,7 @@ def _run_simulate(
         runner.add(
             "partition-independence",
             deviation,
-            tolerance=scenario.option("partition_tol", tol_flag or 1e-10),
+            tolerance=scenario.option("partition_tol", _tolerance(tol_flag, 1e-10)),
         )
     return results
 
@@ -810,7 +819,7 @@ def _run_wep_test(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[f
         }
         if m == "mass_scaled":
             runner.add("wep-recovery-deviation", report.max_position_deviation,
-                       tolerance=scenario.option("max_deviation", tol_flag or 1e-8))
+                       tolerance=scenario.option("max_deviation", _tolerance(tol_flag, 1e-8)))
         if m == "fixed" and expected is not None:
             runner.add(
                 "wep-violation-magnitude",
@@ -882,6 +891,9 @@ def run(
             except GridError as exc:
                 raise ScenarioError(f"--dt: {exc}") from exc
             scenario.dt = float(dt)
+        expected, is_tolerance, _ = _OPTION_KINDS["tolerance"]
+        if tol is not None and not is_tolerance(tol):
+            raise ScenarioError(f"--tol: expected {expected}, got {tol!r}")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Center-of-mass reduction of N-particle systems.
 
 Builds center-of-mass and relative variables, evaluates their brackets both
-through the chain rule (via the structure matrix) and through hand-derived
-closed forms, computes the effective deformation parameters of the
+through the chain rule (one product W J W^T of the change of variables W
+with the block-wise structure matrix J) and through hand-derived closed
+forms, computes the effective deformation parameters of the
 center-of-mass algebra, and tests the mass-scaling condition under which
 that algebra closes into the single-particle form.
 
@@ -31,10 +32,10 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     LoweredAlgebra,
+    _phase_points,
     lower,
     parameter_roles,
     rescale,
-    structure_matrix,
 )
 from .errors import ScalingRequiredError
 
@@ -143,15 +144,19 @@ class ComVariables:
     dp: np.ndarray  # (N, 3)
 
 
+def _check_particle_count(system: ParticleSystem, state: PhaseState) -> None:
+    if state.n_particles != system.n_particles:
+        raise ValueError(
+            f"state has {state.n_particles} particles, system has {system.n_particles}"
+        )
+
+
 def com_transform(system: ParticleSystem, state: PhaseState) -> ComVariables:
     """Split a phase point into center-of-mass and relative variables.
 
     Satisfies sum_a dP^(a) = 0 and sum_a mu_a dX^(a) = 0 identically.
     """
-    if state.n_particles != system.n_particles:
-        raise ValueError(
-            f"state has {state.n_particles} particles, system has {system.n_particles}"
-        )
+    _check_particle_count(system, state)
     mu = system.mu
     x_com = mu @ state.x
     p_com = state.p.sum(axis=0)
@@ -249,15 +254,39 @@ class ComBracketReport:
         }
 
 
-def _com_observables(system: ParticleSystem):
-    """The labeled observables entering the bracket report."""
+def _com_frame(system: ParticleSystem) -> np.ndarray:
+    """The COM change of variables W, shape (6 + 6N, 6N).
+
+    Rows are the gradients of Xcom_1..3, Pcom_1..3, then dX_i^(a) and
+    dP_i^(a), particle-major: the bracket report's row order.  The
+    observables are linear, so their gradients do not depend on the state.
+    """
     mu = system.mu
     n = system.n_particles
-    x_com = [obs.com_coordinate(mu, i) for i in (1, 2, 3)]
-    p_com = [obs.com_momentum(n, i) for i in (1, 2, 3)]
-    dx = [[obs.relative_coordinate(mu, a, i) for i in (1, 2, 3)] for a in range(n)]
-    dp = [[obs.relative_momentum(mu, a, i) for i in (1, 2, 3)] for a in range(n)]
-    return x_com, p_com, dx, dp
+    axes = (1, 2, 3)
+    rows = (
+        [obs.com_coordinate(mu, i) for i in axes]
+        + [obs.com_momentum(n, i) for i in axes]
+        + [obs.relative_coordinate(mu, a, i) for a in range(n) for i in axes]
+        + [obs.relative_momentum(mu, a, i) for a in range(n) for i in axes]
+    )
+    z = np.zeros(6 * n)
+    return np.stack([o.gradient(z) for o in rows])
+
+
+def _com_brackets(system: ParticleSystem, state: PhaseState) -> np.ndarray:
+    """B = W J W^T: the brackets among all COM and relative variables.
+
+    Entry (r, s) is the bracket of the variables of rows r and s of
+    ``_com_frame``.  J is block-diagonal, so W J is taken block by block;
+    each row of W has one nonzero weight per particle, which makes W J equal
+    to the dense product entry for entry.
+    """
+    _check_particle_count(system, state)
+    w = _com_frame(system)
+    blocks = system.lowered.blocks(_phase_points(state), state.t)
+    wj = (w.reshape(len(w), -1, 1, 6) @ blocks).reshape(w.shape)
+    return wj @ w.T
 
 
 def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketReport:
@@ -270,106 +299,74 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
     """
     n = system.n_particles
     mu = system.mu
-    x_com, p_com, dx_obs, dp_obs = _com_observables(system)
+    brackets = _com_brackets(system, state)
+    x, p = slice(0, 3), slice(3, 6)
+    dx, dp = slice(6, 6 + 3 * n), slice(6 + 3 * n, None)
 
-    # chain-rule side: one stacked gradient matrix, one structure matrix
-    z = state.flatten()
-    t = state.t
-    labeled = (
-        [("Xcom", None, i, o) for i, o in zip((1, 2, 3), x_com)]
-        + [("Pcom", None, i, o) for i, o in zip((1, 2, 3), p_com)]
-        + [("dX", a, i, dx_obs[a][i - 1]) for a in range(n) for i in (1, 2, 3)]
-        + [("dP", a, i, dp_obs[a][i - 1]) for a in range(n) for i in (1, 2, 3)]
-    )
-    w = np.stack([o.gradient(z, t) for (_, _, _, o) in labeled])
-    j = structure_matrix(system.lowered, state).matrix
-    table = w @ j @ w.T
+    def per_particle(rows, cols):
+        """B[rows, cols] for relative rows and COM columns, indexed [a, i, j]."""
+        return brackets[rows, cols].reshape(n, 3, 3)
 
-    index = {}
-    for row, (kind, a, i, o) in enumerate(labeled):
-        index[(kind, a, i)] = row
+    def per_pair(rows, cols):
+        """B[rows, cols] for relative rows and columns, indexed [a, b, i, j]."""
+        return brackets[rows, cols].reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
 
-    def computed_of(kind_a, kind_b) -> float:
-        return float(table[index[kind_a], index[kind_b]])
-
-    # closed-form side
+    # closed-form side: sums over the single-particle tables only
     a_tab, b_tab = _closed_form_tables(system, state)
-    mu2 = mu**2
-    sum_mu2_a = np.einsum("a,aij->ij", mu2, a_tab)
+    sum_mu2_a = np.einsum("a,aij->ij", mu**2, a_tab)
     sum_mu_b = np.einsum("a,aij->ij", mu, b_tab)
     eye = np.eye(3)
+    pcom_dx = sum_mu_b.T - b_tab.transpose(0, 2, 1)
+    # pair families broadcast particle a over axis 0 and b over axis 1
+    delta = np.eye(n)[:, :, None, None]
+    mu_a, mu_b = mu[:, None, None, None], mu[None, :, None, None]
+    a_a, a_b = a_tab[:, None], a_tab[None, :]
+    b_a, b_b = b_tab[:, None], b_tab[None, :]
+
+    x_names = np.array([f"Xcom_{i}" for i in (1, 2, 3)])
+    p_names = np.array([f"Pcom_{i}" for i in (1, 2, 3)])
+    dx_names = np.array([[f"dX_{i}[{a}]" for i in (1, 2, 3)] for a in range(n)])
+    dp_names = np.array([[f"dP_{i}[{a}]" for i in (1, 2, 3)] for a in range(n)])
+    # left and right labels of the pair families, indexed [a, b, i, j]
+    dx_left, dx_right = dx_names[:, None, :, None], dx_names[None, :, None, :]
+    dp_left, dp_right = dp_names[:, None, :, None], dp_names[None, :, None, :]
+
+    # (left labels, right labels, chain-rule view of B, closed form), in
+    # groups of one index shape: [i, j], then [a, i, j], then [a, b, i, j]
+    groups = (
+        (
+            (x_names[:, None], x_names, brackets[x, x], sum_mu2_a),
+            (x_names[:, None], p_names, brackets[x, p], eye + sum_mu_b),
+            (p_names[:, None], p_names, brackets[p, p], np.zeros((3, 3))),
+        ),
+        (
+            (dx_names[:, :, None], x_names, per_particle(dx, x),
+             mu[:, None, None] * a_tab - sum_mu2_a),
+            (p_names[:, None], dx_names[:, None, :],
+             brackets[p, dx].reshape(3, n, 3).transpose(1, 0, 2), pcom_dx),
+            (dp_names[:, :, None], x_names, per_particle(dp, x), mu[:, None, None] * pcom_dx),
+        ),
+        (
+            (dx_left, dx_right, per_pair(dx, dx), (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a),
+            (dx_left, dp_right, per_pair(dx, dp),
+             eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)),
+            (dp_left, dp_right, per_pair(dp, dp), np.zeros((n, n, 3, 3))),
+        ),
+    )
 
     computed: dict[str, float] = {}
     closed: dict[str, float] = {}
-
-    def put(fl: str, gl: str, value_computed: float, value_closed: float) -> None:
-        key = _pair_key(fl, gl)
-        computed[key] = value_computed
-        closed[key] = float(value_closed)
-
-    axes = (1, 2, 3)
-    for i in axes:
-        for j_ in axes:
-            ii, jj = i - 1, j_ - 1
-            put(
-                f"Xcom_{i}", f"Xcom_{j_}",
-                computed_of(("Xcom", None, i), ("Xcom", None, j_)),
-                sum_mu2_a[ii, jj],
-            )
-            put(
-                f"Xcom_{i}", f"Pcom_{j_}",
-                computed_of(("Xcom", None, i), ("Pcom", None, j_)),
-                eye[ii, jj] + sum_mu_b[ii, jj],
-            )
-            put(
-                f"Pcom_{i}", f"Pcom_{j_}",
-                computed_of(("Pcom", None, i), ("Pcom", None, j_)),
-                0.0,
-            )
-    for a in range(n):
-        for i in axes:
-            for j_ in axes:
-                ii, jj = i - 1, j_ - 1
-                put(
-                    f"dX_{i}[{a}]", f"Xcom_{j_}",
-                    computed_of(("dX", a, i), ("Xcom", None, j_)),
-                    mu[a] * a_tab[a, ii, jj] - sum_mu2_a[ii, jj],
-                )
-                put(
-                    f"Pcom_{i}", f"dX_{j_}[{a}]",
-                    computed_of(("Pcom", None, i), ("dX", a, j_)),
-                    sum_mu_b[jj, ii] - b_tab[a, jj, ii],
-                )
-                put(
-                    f"dP_{i}[{a}]", f"Xcom_{j_}",
-                    computed_of(("dP", a, i), ("Xcom", None, j_)),
-                    mu[a] * (sum_mu_b[jj, ii] - b_tab[a, jj, ii]),
-                )
-    for a in range(n):
-        for b in range(n):
-            for i in axes:
-                for j_ in axes:
-                    ii, jj = i - 1, j_ - 1
-                    delta_ab = 1.0 if a == b else 0.0
-                    put(
-                        f"dX_{i}[{a}]", f"dX_{j_}[{b}]",
-                        computed_of(("dX", a, i), ("dX", b, j_)),
-                        (delta_ab - mu[a]) * a_tab[a, ii, jj]
-                        - mu[b] * a_tab[b, ii, jj]
-                        + sum_mu2_a[ii, jj],
-                    )
-                    put(
-                        f"dX_{i}[{a}]", f"dP_{j_}[{b}]",
-                        computed_of(("dX", a, i), ("dP", b, j_)),
-                        eye[ii, jj] * (delta_ab - mu[b])
-                        + delta_ab * b_tab[a, ii, jj]
-                        - mu[b] * (b_tab[a, ii, jj] + b_tab[b, ii, jj] - sum_mu_b[ii, jj]),
-                    )
-                    put(
-                        f"dP_{i}[{a}]", f"dP_{j_}[{b}]",
-                        computed_of(("dP", a, i), ("dP", b, j_)),
-                        0.0,
-                    )
+    for group in groups:
+        shape = group[0][3].shape
+        # stacked on a last axis, each index emits its group's families in turn
+        lefts, rights, gots, wants = (
+            np.stack([np.broadcast_to(v, shape) for v in column], axis=-1).ravel().tolist()
+            for column in zip(*group)
+        )
+        for left, right, got, want in zip(lefts, rights, gots, wants):
+            key = _pair_key(left, right)
+            computed[key] = got
+            closed[key] = want
 
     max_abs_diff = max(abs(computed[k] - closed[k]) for k in computed)
     return ComBracketReport(computed=computed, closed_form=closed, max_abs_diff=max_abs_diff)
@@ -557,16 +554,11 @@ def reproduction_check(
     """
     com = com_transform(system, state)
     candidate = _candidate_effective(system)
-    com_state = PhaseState(x=com.x_com[None, :], p=com.p_com[None, :], t=state.t)
-    j_single = structure_matrix([candidate], com_state).matrix
+    com_point = np.concatenate([com.x_com, com.p_com])[None, :]
+    single = lower([candidate]).blocks(com_point, state.t)[0]
+    com_brackets = _com_brackets(system, state)[:6, :6]  # (X1..X3, P1..P3) order
 
-    x_com_obs, p_com_obs, _, _ = _com_observables(system)
-    z = state.flatten()
-    w = np.stack([o.gradient(z, state.t) for o in x_com_obs + p_com_obs])
-    j = structure_matrix(system.lowered, state).matrix
-    com_brackets = w @ j @ w.T  # 6x6 in (X1..X3, P1..P3) order
-
-    max_abs_diff = float(np.max(np.abs(com_brackets - j_single)))
+    max_abs_diff = float(np.max(np.abs(com_brackets - single)))
     return ReproductionCheck(closes=max_abs_diff <= tol, max_abs_diff=max_abs_diff)
 
 
@@ -578,21 +570,8 @@ def com_relative_coupling(system: ParticleSystem, state: PhaseState) -> float:
     systems under the mass-scaling rule; stays finite for SpaceSpace, where
     the scaled couplings reduce to dX_l^(a) / kappa_tilde_eff and friends.
     """
-    x_com_obs, p_com_obs, dx_obs, dp_obs = _com_observables(system)
-    z = state.flatten()
-    t = state.t
-    j = structure_matrix(system.lowered, state).matrix
-
-    com_rows = np.stack([o.gradient(z, t) for o in x_com_obs + p_com_obs])
-    rel_rows = np.stack(
-        [o.gradient(z, t) for row in dx_obs for o in row]
-        + [o.gradient(z, t) for row in dp_obs for o in row]
-    )
     n = system.n_particles
-    coupling = rel_rows @ j @ com_rows.T  # (6N, 6)
-    dx_part = coupling[: 3 * n, :3]  # {dX, Xcom}
-    pcom_dx = coupling[: 3 * n, 3:]  # {dX, Pcom} = -{Pcom, dX}
+    coupling = _com_brackets(system, state)[6:, :6]  # relative rows, COM columns
+    dx_com = coupling[: 3 * n]  # {dX, Xcom} and {dX, Pcom} = -{Pcom, dX}
     dp_xcom = coupling[3 * n :, :3]  # {dP, Xcom}
-    return float(
-        max(np.max(np.abs(dx_part)), np.max(np.abs(pcom_dx)), np.max(np.abs(dp_xcom)))
-    )
+    return float(max(np.max(np.abs(dx_com)), np.max(np.abs(dp_xcom))))

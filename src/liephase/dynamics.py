@@ -20,7 +20,6 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from . import observables as obs
 from .algebra import (
     AlgebraSpec,
     Canonical,
@@ -34,10 +33,10 @@ from .algebra import (
     as_generalized,
     lower,
     rescale,
-    structure_matrix,
 )
 from .composition import (
     ParticleSystem,
+    _com_brackets,
     com_transform,
     effective_parameters,
     satisfies_mass_scaling,
@@ -743,62 +742,18 @@ def decoupling_check(
     Hrel = sum_a |dP^(a)|^2 / (2 mu_a m_a) + sum_a |dX^(a)|^2.
     Vanishes (to rounding) for SpaceTime systems under the mass-scaling
     rule, where the COM brackets with all relative variables are zero.
+
+    Hcom depends on (Xcom, Pcom) and Hrel on (dX, dP), so the bracket is
+    g_com . {COM, relative} . g_rel with the partial derivatives
+    g_com = (M grad V(Xcom), Pcom / M) and g_rel = (2 dX^(a), dP^(a) / (mu_a m_a)).
     """
-    masses = system.masses
-    mu = system.mu
+    com = com_transform(system, state)
     total_mass = system.total_mass
-    n = system.n_particles
-
-    def split(z):
-        blocks = z.reshape(-1, 6)
-        return blocks[:, :3], blocks[:, 3:]
-
-    def h_com_value(z, t):
-        x, p = split(z)
-        x_com = mu @ x
-        p_com = p.sum(axis=0)
-        return float(p_com @ p_com / (2 * total_mass) + total_mass * potential.value(x_com))
-
-    def h_com_gradient(z, t):
-        x, p = split(z)
-        x_com = mu @ x
-        p_com = p.sum(axis=0)
-        v = potential.gradient(x_com)
-        grad = np.zeros_like(z)
-        for a in range(n):
-            grad[6 * a : 6 * a + 3] = total_mass * mu[a] * v
-            grad[6 * a + 3 : 6 * a + 6] = p_com / total_mass
-        return grad
-
-    def h_rel_value(z, t):
-        x, p = split(z)
-        x_com = mu @ x
-        p_com = p.sum(axis=0)
-        dx = x - x_com
-        dp = p - np.outer(mu, p_com)
-        kinetic = sum(dp[a] @ dp[a] / (2 * mu[a] * masses[a]) for a in range(n))
-        return float(kinetic + np.sum(dx * dx))
-
-    def h_rel_gradient(z, t):
-        x, p = split(z)
-        x_com = mu @ x
-        p_com = p.sum(axis=0)
-        dx = x - x_com
-        dp = p - np.outer(mu, p_com)
-        grad = np.zeros_like(z)
-        c = dp / (mu * masses)[:, None]  # dHrel/d(dP^a)
-        sum_c_mu = np.einsum("a,ai->i", mu, c)
-        sum_dx = dx.sum(axis=0)
-        for a in range(n):
-            grad[6 * a : 6 * a + 3] = 2.0 * dx[a] - 2.0 * mu[a] * sum_dx
-            grad[6 * a + 3 : 6 * a + 6] = c[a] - sum_c_mu
-        return grad
-
-    h_com = obs.Observable(h_com_value, h_com_gradient, label="Hcom")
-    h_rel = obs.Observable(h_rel_value, h_rel_gradient, label="Hrel")
-    z = state.flatten()
-    j = structure_matrix(system.lowered, state).matrix
-    return float(abs(h_com.gradient(z, state.t) @ j @ h_rel.gradient(z, state.t)))
+    g_com = np.concatenate([total_mass * potential.gradient(com.x_com), com.p_com / total_mass])
+    g_rel = np.concatenate(
+        [2.0 * com.dx.ravel(), (com.dp / (system.mu * system.masses)[:, None]).ravel()]
+    )
+    return float(abs(g_com @ _com_brackets(system, state)[:6, 6:] @ g_rel))
 
 
 def hamiltonian(system: ParticleSystem, potential: Potential, state: PhaseState) -> float:

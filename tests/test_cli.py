@@ -195,6 +195,24 @@ class TestScenarioParsing:
                 {"variant": "canonical"},
                 {"variant": "generalized"},
             )],
+            # a malformed Generalized tensor names its field
+            *[(f"algebra.{key}", dict(MINIMAL, algebra={"variant": "generalized", key: value}))
+              for key, value in (
+                ("theta0", "abc"),
+                ("theta0", [[0.0, 1.0], [-1.0, 0.0]]),
+                ("theta0", [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                ("theta", [[[float("nan")] * 3] * 3] * 3),
+                ("theta", [[[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]] * 3),
+                ("theta_bar", {"k": 1}),
+                ("theta_tilde", [[[0.0] * 3] * 3] * 2),
+            )],
+            ("particles[1].theta_tilde",
+             dict(MINIMAL, algebra={"variant": "generalized"},
+                  particles=[{"mass": 1.0}, {"mass": 2.0, "theta_tilde": "x"}],
+                  initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2})),
+            ("particles[0].theta0",
+             dict(MINIMAL, algebra={"variant": "generalized"},
+                  particles=[{"mass": 1.0, "theta0": [[1.0, 0.0, 0.0]] * 3}])),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -307,6 +325,20 @@ class TestRun:
         path = write_scenario(tmp_path, "sim.scn", SIMULATE)
         assert cli.run(path, out_dir=str(tmp_path / "out"), dt=dt) == 2
         assert capsys.readouterr().err.startswith("scenario error: --dt: dt")
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_flag_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):
+        assert cli.run("effective_kappa", out_dir=str(tmp_path / "out"), tol=tol) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: --tol: expected a finite number >= 0")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_tol_flag_zero_means_exact(self, tmp_path):
+        assert cli.run("effective_kappa", out_dir=str(tmp_path / "out"), tol=0.0) in (0, 1)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        tolerances = {c["name"]: c["tolerance"] for c in report["checks"]}
+        assert tolerances["com-bracket-oracle"] == 0.0
+        assert tolerances["effective-kappa"] == 0.0
 
     @pytest.mark.parametrize("variant", list(SCALED_BODIES))
     def test_partition_independence_of_scaled_bodies(self, variant, tmp_path):

@@ -12,11 +12,14 @@ from liephase.algebra import rescale
 
 from helpers import (
     VARIANT_NAMES,
+    decoupling_check_closures,
     polynomial_gradient_loop,
     polynomial_value_loop,
     random_polynomial,
     random_spec,
     random_state,
+    random_system,
+    scaled_system,
 )
 
 G_FIELD = lp.Uniform(g=[0.0, 1.0, 0.0])
@@ -611,3 +614,21 @@ class TestDecouplingCheck:
         )
         state = random_state(np.random.default_rng(20), 2, box=3.0)
         assert lp.decoupling_check(system, state, pot) <= 1e-12
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_closure_reference(self, variant, scaled, n):
+        rng = np.random.default_rng([VARIANT_NAMES.index(variant), int(scaled), n])
+        make = scaled_system if scaled else random_system
+        for _ in range(4):
+            system = make(rng, variant, n)
+            state = random_state(rng, n)
+            for pot in (lp.Uniform(g=rng.uniform(-1.0, 1.0, 3)),
+                        lp.Newtonian(strength=2.0, center=[0.0, 0.0, 30.0])):
+                value, scale = decoupling_check_closures(system, state, pot)
+                # where the bracket cancels to zero both sides are rounding of
+                # terms of size ``scale``, so the absolute bound scales with it
+                assert lp.decoupling_check(system, state, pot) == pytest.approx(
+                    value, rel=1e-12, abs=1e-15 * max(1.0, scale)
+                )
