@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -41,6 +41,7 @@ from .algebra import (
 from .composition import (
     MassScalingRule,
     ParticleSystem,
+    _decouples_exactly,
     _table_xp_deform,
     _table_xx,
     com_bracket_report,
@@ -355,6 +356,22 @@ class Scenario:
         )
 
 
+def _points(initial: dict, key: str, n: int) -> np.ndarray:
+    """``initial.<key>`` as an (n, 3) array: one row of three finite numbers
+    per particle."""
+    path = f"initial.{key}"
+    rows = _expect(initial, key, "initial", list)
+    if len(rows) != n:
+        raise ScenarioError(f"{path}: expected one row per particle ({n}), got {len(rows)}")
+    for a, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 3:
+            raise ScenarioError(f"{path}[{a}]: expected a list of 3 numbers, got {row!r}")
+        for i, value in enumerate(row):
+            if not _is_finite_number(value):
+                raise ScenarioError(f"{path}[{a}][{i}]: expected a finite number, got {value!r}")
+    return np.array(rows, dtype=float)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     version = _expect(data, "schema_version", "", int)
     if version != SCHEMA_VERSION:
@@ -406,21 +423,20 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"grid.{exc.field}: {exc}") from exc
 
     initial_dict = _expect(data, "initial", "", dict)
-    x = np.array(_expect(initial_dict, "x", "initial", list), dtype=float)
+    n = system.n_particles
+    x = _points(initial_dict, "x", n)
     if "p" in initial_dict and "p_reduced" in initial_dict:
         raise ScenarioError("initial: give either p or p_reduced, not both")
     if "p" in initial_dict:
-        p = np.array(initial_dict["p"], dtype=float)
+        p = _points(initial_dict, "p", n)
     elif "p_reduced" in initial_dict:
-        p = np.array(initial_dict["p_reduced"], dtype=float) * np.array(masses)[:, None]
+        with np.errstate(over="ignore"):
+            p = _points(initial_dict, "p_reduced", n) * np.array(masses)[:, None]
+        if not np.all(np.isfinite(p)):
+            raise ScenarioError("initial.p_reduced: a momentum (p_reduced times mass) overflows")
     else:
         raise ScenarioError("initial.p: missing required field (or initial.p_reduced)")
-    try:
-        initial = PhaseState(x=x, p=p, t=t0)
-    except ValueError as exc:
-        raise ScenarioError(f"initial: {exc}") from exc
-    if initial.n_particles != system.n_particles:
-        raise ScenarioError("initial.x: particle count does not match particles")
+    initial = PhaseState(x=x, p=p, t=t0)
 
     options = data.get("options", {})
     if not isinstance(options, dict):
@@ -433,6 +449,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     body_mode = _flag(data, "body_mode")
     neglect = _flag(data, "neglect_relative_motion")
+    if body_mode and not neglect and not _decouples_exactly(system):
+        raise ScenarioError(
+            "neglect_relative_motion: the center of mass of these particles does not "
+            "decouple exactly from their relative motion; set it to true to accept "
+            "the body run as an approximation"
+        )
 
     return Scenario(
         task=task,
@@ -730,13 +752,7 @@ def _run_simulate(
         def halving_ratio():
             runs = []
             for factor in (1, 2, 4):
-                gi = GravityScenario(
-                    system=g.system, potential=g.potential, initial=g.initial,
-                    t0=g.t0, t_end=g.t_end, dt=g.dt / factor,
-                    body_mode=g.body_mode,
-                    neglect_relative_motion=g.neglect_relative_motion,
-                )
-                runs.append(integrate(gi).states[-1])
+                runs.append(integrate(replace(g, dt=g.dt / factor)).states[-1])
             coarse = float(np.linalg.norm(runs[0] - runs[1]))
             fine = float(np.linalg.norm(runs[1] - runs[2]))
             return coarse / fine
@@ -772,12 +788,7 @@ def _run_simulate(
             p=np.outer(alt_system.mu, com.p_com),
             t=scenario.t0,
         )
-        alt = GravityScenario(
-            system=alt_system, potential=scenario.potential, initial=alt_initial,
-            t0=scenario.t0, t_end=scenario.t_end, dt=scenario.dt,
-            body_mode=True, neglect_relative_motion=scenario.neglect_relative_motion,
-        )
-        alt_traj = integrate(alt)
+        alt_traj = integrate(replace(g, system=alt_system, initial=alt_initial, body_mode=True))
         alt_csv = out_dir / "trajectory_partition.csv"
         alt_traj.write_csv(str(alt_csv))
         results["partition_csv"] = alt_csv.name

@@ -133,6 +133,13 @@ class ParticleSystem:
         """The particles' brackets in tensor form, lowered once per system."""
         return lower(self.specs)
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The COM change of variables W (``observables.com_frame``), read-only."""
+        w = obs.com_frame(self.mu)
+        w.flags.writeable = False
+        return w
+
 
 @dataclass(frozen=True)
 class ComVariables:
@@ -254,36 +261,16 @@ class ComBracketReport:
         }
 
 
-def _com_frame(system: ParticleSystem) -> np.ndarray:
-    """The COM change of variables W, shape (6 + 6N, 6N).
-
-    Rows are the gradients of Xcom_1..3, Pcom_1..3, then dX_i^(a) and
-    dP_i^(a), particle-major: the bracket report's row order.  The
-    observables are linear, so their gradients do not depend on the state.
-    """
-    mu = system.mu
-    n = system.n_particles
-    axes = (1, 2, 3)
-    rows = (
-        [obs.com_coordinate(mu, i) for i in axes]
-        + [obs.com_momentum(n, i) for i in axes]
-        + [obs.relative_coordinate(mu, a, i) for a in range(n) for i in axes]
-        + [obs.relative_momentum(mu, a, i) for a in range(n) for i in axes]
-    )
-    z = np.zeros(6 * n)
-    return np.stack([o.gradient(z) for o in rows])
-
-
 def _com_brackets(system: ParticleSystem, state: PhaseState) -> np.ndarray:
     """B = W J W^T: the brackets among all COM and relative variables.
 
     Entry (r, s) is the bracket of the variables of rows r and s of
-    ``_com_frame``.  J is block-diagonal, so W J is taken block by block;
+    ``system.frame``.  J is block-diagonal, so W J is taken block by block;
     each row of W has one nonzero weight per particle, which makes W J equal
     to the dense product entry for entry.
     """
     _check_particle_count(system, state)
-    w = _com_frame(system)
+    w = system.frame
     blocks = system.lowered.blocks(_phase_points(state), state.t)
     wj = (w.reshape(len(w), -1, 1, 6) @ blocks).reshape(w.shape)
     return wj @ w.T
@@ -472,6 +459,12 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
             kwargs[name] = float(mean) if np.ndim(mean) == 0 else mean
         rule = MassScalingRule(**kwargs)
     return ScalingCheck(holds=holds, rule=rule, worst_relative_deviation=worst_pairwise)
+
+
+def _decouples_exactly(system: ParticleSystem) -> bool:
+    """Does the COM motion decouple exactly from the relative motion?  Yes for
+    purely time-valued brackets under the mass-scaling rule."""
+    return system.lowered.slope is None and satisfies_mass_scaling(system).holds
 
 
 def _needs_scaling(system: ParticleSystem) -> bool:

@@ -37,9 +37,9 @@ from .algebra import (
 from .composition import (
     ParticleSystem,
     _com_brackets,
+    _decouples_exactly,
     com_transform,
     effective_parameters,
-    satisfies_mass_scaling,
 )
 from .errors import GridError, NonFiniteStateError, PotentialSingularityError
 
@@ -311,6 +311,10 @@ def _grid_steps(t0: float, t_end: float, dt: float) -> int:
     if t_end <= t0:
         raise GridError("t_end", "t_end must exceed t0")
     steps = (t_end - t0) / dt
+    if not math.isfinite(steps):
+        raise GridError(
+            "t_end", f"t_end - t0 = {t_end - t0!r} takes infinitely many steps of dt = {dt!r}"
+        )
     n = int(np.floor(steps + 1e-9))
     if n < 1 or abs(steps - n) > 1e-9:
         raise GridError(
@@ -575,9 +579,7 @@ def _body_setup(scenario: GravityScenario) -> tuple[float, AlgebraSpec, np.ndarr
     """Total mass, effective spec, and initial COM phase vector of a body run."""
     system = scenario.system
     effective = effective_parameters(system)
-    # exact for purely time-valued brackets under the scaling rule
-    exact = system.lowered.slope is None and satisfies_mass_scaling(system).holds
-    if not exact and not scenario.neglect_relative_motion:
+    if not scenario.neglect_relative_motion and not _decouples_exactly(system):
         raise ValueError(
             "center-of-mass motion does not decouple exactly for this system; "
             "set neglect_relative_motion=True to accept the approximation"

@@ -19,6 +19,7 @@ __all__ = [
     "Observable",
     "coordinate",
     "momentum",
+    "com_frame",
     "com_coordinate",
     "com_momentum",
     "relative_coordinate",
@@ -137,55 +138,57 @@ def momentum(particle: int, axis: int) -> Observable:
     return _linear(weights, f"P_{axis}[{particle}]")
 
 
-def com_coordinate(mu: np.ndarray, axis: int) -> Observable:
-    """Center-of-mass coordinate: sum_a mu_a X_axis^(a)."""
+def com_frame(mu: np.ndarray) -> np.ndarray:
+    """The COM change of variables W for mass fractions mu, shape (6 + 6N, 6N).
+
+    Rows Xcom_i, Pcom_i, dX_i[a], dP_i[a] (particle-major) are, in the X or P
+    slots, mu (x) I3, 1 (x) I3, (I - 1 mu^T) (x) I3 and (I - mu 1^T) (x) I3.
+    Only the nonzero pattern is written, so every other entry is +0.0 (a
+    Kronecker product with a 0/1 selector would leave -0.0 behind).
+    """
     mu = np.asarray(mu, dtype=float)
+    n = len(mu)
+    w = np.zeros((6 + 6 * n, n, 6))
+    ax = np.arange(3)
+    w[ax, :, ax] = mu
+    w[3 + ax, :, 3 + ax] = 1.0
+    # relative rows, indexed [a, i, b, slot]
+    dx = w[6 : 6 + 3 * n].reshape(n, 3, n, 6)
+    dp = w[6 + 3 * n :].reshape(n, 3, n, 6)
+    dx[:, ax, :, ax] = np.eye(n) - mu[None, :]
+    dp[:, ax, :, 3 + ax] = np.eye(n) - mu[:, None]
+    return w.reshape(6 + 6 * n, 6 * n)
+
+
+def _frame_row(mu: np.ndarray, row: int, label: str) -> Observable:
+    """Observable whose weights are one row of ``com_frame(mu)``."""
+    w = com_frame(mu)[row].copy()
 
     def weights(n):
-        w = np.zeros(n)
-        for a, mu_a in enumerate(mu):
-            w[coordinate_slot(a, axis)] = mu_a
-        return w
+        if n != len(w):
+            raise ValueError(f"{label} takes a phase vector of length {len(w)}, got {n}")
+        return w.copy()
 
-    return _linear(weights, f"Xcom_{axis}")
+    return _linear(weights, label)
+
+
+def com_coordinate(mu: np.ndarray, axis: int) -> Observable:
+    """Center-of-mass coordinate: sum_a mu_a X_axis^(a)."""
+    return _frame_row(mu, axis - 1, f"Xcom_{axis}")
 
 
 def com_momentum(n_particles: int, axis: int) -> Observable:
     """Total momentum: sum_a P_axis^(a)."""
-
-    def weights(n):
-        w = np.zeros(n)
-        for a in range(n_particles):
-            w[momentum_slot(a, axis)] = 1.0
-        return w
-
-    return _linear(weights, f"Pcom_{axis}")
+    # the Pcom rows do not depend on the mass fractions
+    return _frame_row(np.full(n_particles, 1.0 / n_particles), 2 + axis, f"Pcom_{axis}")
 
 
 def relative_coordinate(mu: np.ndarray, particle: int, axis: int) -> Observable:
     """Relative coordinate X^(a) - Xcom of one particle."""
-    mu = np.asarray(mu, dtype=float)
-
-    def weights(n):
-        w = np.zeros(n)
-        for b, mu_b in enumerate(mu):
-            w[coordinate_slot(b, axis)] = -mu_b
-        w[coordinate_slot(particle, axis)] += 1.0
-        return w
-
-    return _linear(weights, f"dX_{axis}[{particle}]")
+    return _frame_row(mu, 6 + 3 * particle + axis - 1, f"dX_{axis}[{particle}]")
 
 
 def relative_momentum(mu: np.ndarray, particle: int, axis: int) -> Observable:
     """Relative momentum P^(a) - mu_a Pcom of one particle."""
-    mu = np.asarray(mu, dtype=float)
-    mu_a = float(mu[particle])
-
-    def weights(n):
-        w = np.zeros(n)
-        for b in range(len(mu)):
-            w[momentum_slot(b, axis)] = -mu_a
-        w[momentum_slot(particle, axis)] += 1.0
-        return w
-
-    return _linear(weights, f"dP_{axis}[{particle}]")
+    row = 6 + 3 * (len(mu) + particle) + axis - 1
+    return _frame_row(mu, row, f"dP_{axis}[{particle}]")

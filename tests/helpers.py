@@ -275,3 +275,39 @@ def decoupling_check_closures(system, state, potential) -> float:
     j = lp.structure_matrix(system.lowered, state).matrix
     g_com, g_rel = h_com.gradient(z, state.t), h_rel.gradient(z, state.t)
     return float(abs(g_com @ j @ g_rel)), float(np.abs(g_com) @ np.abs(j) @ np.abs(g_rel))
+
+
+def com_frame_loops(mu) -> np.ndarray:
+    """The COM frame W from per-particle weight loops, one row per observable
+    in the order Xcom_i, Pcom_i, dX_i[a], dP_i[a]: the reference for
+    ``observables.com_frame``."""
+    mu = np.asarray(mu, dtype=float)
+    n = len(mu)
+    axes = (1, 2, 3)
+    rows = []
+    for axis in axes:
+        w = np.zeros(6 * n)
+        for a, mu_a in enumerate(mu):
+            w[obs.coordinate_slot(a, axis)] = mu_a
+        rows.append(w)
+    for axis in axes:
+        w = np.zeros(6 * n)
+        for a in range(n):
+            w[obs.momentum_slot(a, axis)] = 1.0
+        rows.append(w)
+    for particle in range(n):
+        for axis in axes:
+            w = np.zeros(6 * n)
+            for b, mu_b in enumerate(mu):
+                w[obs.coordinate_slot(b, axis)] = -mu_b
+            w[obs.coordinate_slot(particle, axis)] += 1.0
+            rows.append(w)
+    for particle in range(n):
+        mu_a = float(mu[particle])
+        for axis in axes:
+            w = np.zeros(6 * n)
+            for b in range(n):
+                w[obs.momentum_slot(b, axis)] = -mu_a
+            w[obs.momentum_slot(particle, axis)] += 1.0
+            rows.append(w)
+    return np.stack(rows)

@@ -52,6 +52,20 @@ WEP = {
 COM = dict(MINIMAL, task="com-brackets")
 
 
+BODY_X = [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]]
+BODY_P = [[0.2, 0.0, 0.0], [0.0, -0.1, 0.0]]
+BODY = {
+    "schema_version": 1,
+    "task": "simulate",
+    "algebra": {"variant": "space_time", "kappa": 2.0, "rho": 1, "tau": 2},
+    "particles": [{"mass": 1.0}, {"mass": 3.0, "kappa": 6.0}],
+    "initial": {"x": BODY_X, "p": BODY_P},
+    "grid": {"t0": 0.0, "t_end": 1.0, "dt": 0.001},
+    "potential": {"variant": "uniform", "g": [0.0, 1.0, 0.0]},
+    "body_mode": True,
+}
+
+
 def _encoded_body(spec, mass):
     """Generalized algebra block of ``spec`` and the override for ``mass``."""
     g = lp.as_generalized(spec)
@@ -103,6 +117,12 @@ class TestScenarioParsing:
         payload["initial"] = {"x": [[0, 0, 0]], "p_reduced": [[0.5, 0, 0]]}
         scenario = cli.scenario_from_dict(payload)
         assert np.array_equal(scenario.initial.p, [[2.0, 0.0, 0.0]])
+
+    def test_body_approximation_loads_with_flag(self):
+        payload = dict(BODY, particles=[{"mass": 1.0}, {"mass": 3.0, "kappa": 5.0}],
+                       neglect_relative_motion=True)
+        assert cli.scenario_from_dict(payload).neglect_relative_motion is True
+        assert cli.scenario_from_dict(BODY).neglect_relative_motion is False
 
     def test_bad_schema_version(self):
         payload = dict(MINIMAL, schema_version=2)
@@ -213,6 +233,29 @@ class TestScenarioParsing:
             ("particles[0].theta0",
              dict(MINIMAL, algebra={"variant": "generalized"},
                   particles=[{"mass": 1.0, "theta0": [[1.0, 0.0, 0.0]] * 3}])),
+            # the initial state is read row by row, entry by entry
+            *[(field, dict(BODY, initial=initial)) for field, initial in (
+                ("initial.x[0]", {"x": [[0.0, 0.0], [1.0, 0.5, 0.0]], "p": BODY_P}),
+                ("initial.x[1]", {"x": [[0.0, 0.0, 0.0], 1.0], "p": BODY_P}),
+                ("initial.x[0][1]", {"x": [[0.0, "a", 0.0], [1.0, 0.5, 0.0]], "p": BODY_P}),
+                ("initial.x[1][2]", {"x": [[0.0, 0.0, 0.0], [1.0, 0.5, {"k": 1}]], "p": BODY_P}),
+                ("initial.x[0][0]", {"x": [[None, 0.0, 0.0], [1.0, 0.5, 0.0]], "p": BODY_P}),
+                ("initial.x", {"x": [[0.0, 0.0, 0.0]], "p": BODY_P}),
+                ("initial.p[1]", {"x": BODY_X, "p": [[0.2, 0.0, 0.0], [0.0, -0.1, 0.0, 1.0]]}),
+                ("initial.p[0][2]", {"x": BODY_X, "p": [[0.2, 0.0, "x"], [0.0, -0.1, 0.0]]}),
+                ("initial.p_reduced[0]", {"x": BODY_X, "p_reduced": [[0.2], [0.0, -0.1, 0.0]]}),
+                ("initial.p_reduced[1][0]",
+                 {"x": BODY_X, "p_reduced": [[0.2, 0.0, 0.0], [[0.0], -0.1, 0.0]]}),
+                ("initial.p_reduced", {"x": BODY_X, "p_reduced": [[1e308, 0.0, 0.0]] * 2}),
+            )],
+            ("grid.t_end", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1e308, "dt": 0.1})),
+            # a body whose center of mass does not decouple exactly
+            ("neglect_relative_motion",
+             dict(BODY, particles=[{"mass": 1.0}, {"mass": 3.0, "kappa": 5.0}])),
+            ("neglect_relative_motion",
+             dict(BODY, algebra={"variant": "space_space", "kappa_tilde": 1.5,
+                                 "k": 1, "l": 2, "gamma": 3},
+                  particles=[{"mass": 1.0}, {"mass": 3.0, "kappa_tilde": 4.5}])),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
+from liephase import observables as obs
 from liephase.composition import _candidate_effective, _scaled_values
 
 from helpers import VARIANT_NAMES, random_state, random_system, scaled_system
@@ -213,6 +214,25 @@ class TestComBracketReport:
             assert got == pytest.approx(com.dp[a][1] / kt_a, rel=1e-12)
             got = report.computed[f"{{dP_1[{a}],Xcom_3}}"]
             assert got == pytest.approx(com.dp[a][1] / kt_eff, rel=1e-12)
+
+
+class TestComFrameCache:
+    def test_four_com_checks_build_one_frame(self, monkeypatch):
+        calls = []
+        build = obs.com_frame
+
+        def counted(mu):
+            calls.append(len(mu))
+            return build(mu)
+
+        monkeypatch.setattr(obs, "com_frame", counted)
+        system = scaled_system(np.random.default_rng(4), "space_time", 5)
+        state = random_state(np.random.default_rng(5), 5)
+        lp.com_bracket_report(system, state)
+        lp.reproduction_check(system, state)
+        lp.com_relative_coupling(system, state)
+        lp.decoupling_check(system, state, lp.Uniform(g=[0.0, 1.0, 0.0]))
+        assert calls == [5]
 
 
 class TestMassScaling:

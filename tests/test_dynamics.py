@@ -23,6 +23,7 @@ from helpers import (
 )
 
 G_FIELD = lp.Uniform(g=[0.0, 1.0, 0.0])
+HARMONIC = lp.Polynomial(coefficients={(2, 0, 0): 0.5, (0, 2, 0): 0.5, (0, 0, 2): 0.5})
 
 
 def one_particle(spec, mass=1.0, x=(0, 0, 0), p=(0, 0, 0), t_end=1.0, dt=1e-3,
@@ -347,6 +348,9 @@ class TestGrid:
             ((float("nan"), 1.0, 0.1), "t0"),
             ((0.0, 1.0, -0.1), "dt"),
             ((1.0, 1.0, 0.1), "t_end"),
+            # (t_end - t0) / dt overflows to an infinite step count
+            ((0.0, 1e308, 0.1), "t_end"),
+            ((-1e308, 1e308, 1.0), "t_end"),
         ],
     )
     def test_grid_must_end_at_t_end(self, grid, field):
@@ -583,6 +587,39 @@ class TestBodyDynamics:
                                   body_mode=True, neglect_relative_motion=True)
         with pytest.raises(lp.ScalingRequiredError):
             lp.integrate(scen)
+
+    @pytest.mark.parametrize(
+        "variant, potential, neglect, exact",
+        [
+            ("space_time", G_FIELD, False, True),
+            ("space_time", HARMONIC, False, True),
+            # exact too, although the body run calls it an approximation
+            ("space_space", G_FIELD, True, True),
+            ("miao_type_ii", HARMONIC, True, False),
+        ],
+    )
+    def test_body_run_against_projected_full_run(self, variant, potential, neglect, exact):
+        """The full N-body run projected onto (Xcom, Pcom) by the first rows of
+        W, against the body-mode run on the same grid."""
+        masses = [1.0, 2.0, 3.5]
+        make = {
+            "space_time": lambda m: lp.SpaceTime(kappa=2.0 * m, rho=1, tau=2),
+            "space_space": lambda m: lp.SpaceSpace(kappa_tilde=1.5 * m, k=1, l=2, gamma=3),
+            "miao_type_ii": lambda m: lp.MiaoTypeII(
+                kappa=2.0 * m, kappa_tilde=1.5 * m, kappa_bar=5.0, k=1, l=2, gamma=3),
+        }[variant]
+        system = lp.ParticleSystem.from_pairs(masses, [make(m) for m in masses])
+        rng = np.random.default_rng(3)
+        initial = lp.PhaseState(x=rng.uniform(-1, 1, (3, 3)), p=rng.uniform(-1, 1, (3, 3)))
+        full = lp.GravityScenario(system=system, potential=potential, initial=initial,
+                                  t0=0.0, t_end=1.0, dt=1e-3)
+        body = dataclasses.replace(full, body_mode=True, neglect_relative_motion=neglect)
+        projected = lp.integrate(full).states @ system.frame[:6].T
+        deviation = np.max(np.abs(projected - lp.integrate(body).states))
+        if exact:
+            assert deviation <= 1e-10
+        else:
+            assert deviation > 1e-3  # a real approximation error
 
     def test_body_rhs_needs_body_mode(self):
         scen = one_particle(lp.Canonical())

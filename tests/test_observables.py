@@ -6,6 +6,8 @@ import pytest
 import liephase as lp
 from liephase import observables as obs
 
+from helpers import com_frame_loops, random_state
+
 
 def grad_fd(observable, z, t, eps=1e-6):
     g = np.zeros_like(z)
@@ -55,6 +57,58 @@ class TestProjections:
         z[3], z[9] = 2.0, 2.0  # P1 of both particles
         # dP^(0) = P^(0) - mu_0 (P^(0) + P^(1)) = 2 - 0.25 * 4
         assert f.value(z) == pytest.approx(1.0, abs=0)
+
+
+def seeded_mu(seed, n):
+    masses = np.random.default_rng(seed).uniform(0.1, 10.0, n)
+    return masses / masses.sum()
+
+
+class TestComFrame:
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bytes_equal_weight_loops(self, n):
+        for seed in range(3):
+            mu = seeded_mu(seed, n)
+            assert obs.com_frame(mu).tobytes() == com_frame_loops(mu).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_applied_to_state_matches_com_transform(self, n):
+        rng = np.random.default_rng(n)
+        system = lp.ParticleSystem.from_pairs(rng.uniform(0.5, 4.0, n), [lp.Canonical()] * n)
+        state = random_state(rng, n)
+        com = lp.com_transform(system, state)
+        want = np.concatenate([com.x_com, com.p_com, com.dx.ravel(), com.dp.ravel()])
+        got = system.frame @ state.flatten()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_observables_read_rows(self):
+        n = 4
+        mu = seeded_mu(7, n)
+        z = np.random.default_rng(8).uniform(-3.0, 3.0, 6 * n)
+        w = obs.com_frame(mu)
+        rows = (
+            [obs.com_coordinate(mu, i) for i in (1, 2, 3)]
+            + [obs.com_momentum(n, i) for i in (1, 2, 3)]
+            + [obs.relative_coordinate(mu, a, i) for a in range(n) for i in (1, 2, 3)]
+            + [obs.relative_momentum(mu, a, i) for a in range(n) for i in (1, 2, 3)]
+        )
+        for row, o in zip(w, rows):
+            assert o.gradient(z).tobytes() == row.tobytes()
+            assert o.value(z) == float(row @ z)
+
+    @pytest.mark.parametrize("size", [6, 18])
+    def test_wrong_phase_vector_length_rejected(self, size):
+        mu = seeded_mu(1, 2)
+        for o in (obs.com_coordinate(mu, 1), obs.com_momentum(2, 2),
+                  obs.relative_coordinate(mu, 0, 3), obs.relative_momentum(mu, 1, 1)):
+            with pytest.raises(ValueError, match="length 12"):
+                o.gradient(np.zeros(size))
+
+    def test_system_frame_is_cached_and_read_only(self):
+        system = lp.ParticleSystem.from_pairs([1.0, 3.0], [lp.Canonical()] * 2)
+        assert system.frame is system.frame
+        with pytest.raises(ValueError):
+            system.frame[0, 0] = 1.0
 
 
 class TestArithmetic:
