@@ -31,11 +31,11 @@ Generalized
 
 Evaluation
 ----------
-Every variant is a special case of the Generalized form.  ``as_generalized``
-writes a named variant's exact tensor encoding, ``lower`` stacks the
-encodings of one spec per particle into a time coefficient (N, 6, 6) and a
-slope dJ/dz (N, 6, 6, 6), and one block evaluator (``LoweredAlgebra``)
-serves ``structure_matrix``, ``bracket``, the equations of motion and
+Every variant is a special case of the Generalized form.  ``_encoding``
+writes a named variant's exact tensor encoding (``as_generalized`` wraps it
+in a validated Generalized spec), ``lower`` stacks the raw encodings of one
+spec per particle into a time coefficient (N, 6, 6) and a slope dJ/dz
+(N, 6, 6, 6), and one block evaluator (``LoweredAlgebra``) serves ``structure_matrix``, ``bracket``, the equations of motion and
 ``jacobi_residual``.  Brackets between particles vanish, so J is a stack
 of per-particle 6x6 blocks, each affine in its own particle's phase point.
 
@@ -45,12 +45,13 @@ antisymmetric bracket.  The X-P tensors (theta_bar, theta_tilde) carry no
 such constraint here: the exact tensor encodings of the SpaceSpace and
 Miao tables confine the X-P deformation to the gamma row ({X_gamma, P_k}
 deformed, {X_k, P_gamma} canonical), which is what the Jacobi identity
-requires of those tables.  ``as_generalized`` therefore emits one-sided
+requires of those tables.  The encodings therefore hold one-sided
 theta_bar/theta_tilde slices.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -92,6 +93,9 @@ def _check_axis(name: str, value: int) -> None:
 def _check_nonzero(name: str, value: float, positive: bool = False) -> None:
     if not np.isfinite(value) or value == 0.0:
         raise ValueError(f"{name} must be nonzero and finite, got {value!r}")
+    # the tensor encoding holds 1 / value, which overflows for a subnormal value
+    if not math.isfinite(1.0 / float(value)):
+        raise ValueError(f"{name} must have a finite inverse, got {value!r}")
     if positive and value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
@@ -312,20 +316,22 @@ class StructureMatrix:
 
 # --- generalized-tensor encodings ----------------------------------------
 
-def as_generalized(spec: AlgebraSpec) -> Generalized:
-    """Tensor encoding whose structure matrix equals the variant's exactly.
+def _encoding(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tensors (theta0, theta, theta_bar, theta_tilde) whose structure
+    matrix equals the variant's exactly, unvalidated.
 
     For SpaceSpace and the Miao types the X-P deformation lives only in the
     gamma row of the bracket table, so the emitted theta_bar/theta_tilde
     slices are one-sided rather than antisymmetric; symmetrizing them would
     change the bracket of X_k with P_gamma and break the Jacobi identity.
+    A Generalized spec gives its own (validated, read-only) tensors.
     """
+    if isinstance(spec, Generalized):
+        return spec.theta0, spec.theta, spec.theta_bar, spec.theta_tilde
     theta0 = np.zeros((3, 3))
     theta = np.zeros((3, 3, 3))
     theta_bar = np.zeros((3, 3, 3))
     theta_tilde = np.zeros((3, 3, 3))
-    if isinstance(spec, Generalized):
-        return spec
     if isinstance(spec, Canonical):
         pass
     elif isinstance(spec, SpaceTime):
@@ -356,7 +362,15 @@ def as_generalized(spec: AlgebraSpec) -> Generalized:
             theta_bar[k, g, l] = -inv_kb
     else:
         raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
-    return Generalized(theta0=theta0, theta=theta, theta_bar=theta_bar, theta_tilde=theta_tilde)
+    return theta0, theta, theta_bar, theta_tilde
+
+
+def as_generalized(spec: AlgebraSpec) -> Generalized:
+    """The variant's exact tensor encoding (see ``_encoding``) as a validated,
+    read-only Generalized spec; a Generalized spec is returned as is."""
+    if isinstance(spec, Generalized):
+        return spec
+    return Generalized(*_encoding(spec))
 
 
 # --- parameter roles ----------------------------------------------------------
@@ -464,14 +478,14 @@ def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra) -> LoweredAlgebra:
     """
     if isinstance(specs, LoweredAlgebra):
         return specs
-    gens = [as_generalized(s) for s in specs]
-    time = np.zeros((len(gens), 6, 6))
-    slope = np.zeros((len(gens), 6, 6, 6))
-    for a, g in enumerate(gens):
-        time[a, :3, :3] = g.theta0
-        slope[a, :3, :3, :3] = g.theta
-        slope[a, :3, :3, 3:] = g.theta_bar
-        slope[a, 3:, :3, 3:] = g.theta_tilde
+    encodings = [_encoding(s) for s in specs]
+    time = np.zeros((len(encodings), 6, 6))
+    slope = np.zeros((len(encodings), 6, 6, 6))
+    for a, (theta0, theta, theta_bar, theta_tilde) in enumerate(encodings):
+        time[a, :3, :3] = theta0
+        slope[a, :3, :3, :3] = theta
+        slope[a, :3, :3, 3:] = theta_bar
+        slope[a, 3:, :3, 3:] = theta_tilde
     slope[..., 3:, :3] = -np.swapaxes(slope[..., :3, 3:], -1, -2)
     time.flags.writeable = slope.flags.writeable = False
     return LoweredAlgebra(time=time, slope=slope if slope.any() else None)

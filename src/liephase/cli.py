@@ -37,10 +37,12 @@ from .algebra import (
     _phase_points,
     jacobi_residual,
     parameter_roles,
+    rescale,
 )
 from .composition import (
     MassScalingRule,
     ParticleSystem,
+    _candidate_effective,
     _decouples_exactly,
     _table_xp_deform,
     _table_xx,
@@ -372,6 +374,33 @@ def _points(initial: dict, key: str, n: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _check_rescalings(task: str, options: dict, system: ParticleSystem, body_mode: bool) -> None:
+    """Build every rescaled spec the task will build, so that a parameter that
+    rescaling sends out of range (kappa to inf, say) exits 2 when the scenario
+    loads, naming the option or field that asks for the rescaling."""
+    base = system.particles[0]
+    rescalings = []  # (field, mass, builder of the spec for that mass)
+    if task == "wep-test" and _option(task, options, "scaling_mode", "both") != "fixed":
+        rescalings += [(f"options.masses[{i}]", m, lambda m: rescale(base.spec, m / base.mass))
+                       for i, m in enumerate(_option(task, options, "masses", []))]
+    partition = _option(task, options, "compare_partition")
+    rule = satisfies_mass_scaling(system).rule if partition is not None else None
+    if rule is not None:
+        rescalings += [(f"options.compare_partition[{i}]", m,
+                        lambda m: rule.spec_for_mass(base.spec, m))
+                       for i, m in enumerate(partition)]
+    if task == "com-brackets" or (task == "simulate" and body_mode):
+        # the effective parameters: the system rescaled to its total mass
+        rescalings.append(("particles", system.total_mass, lambda m: _candidate_effective(system)))
+    for name, mass, build in rescalings:
+        try:
+            # an overflow is refused by the spec it produces
+            with np.errstate(over="ignore"):
+                build(mass)
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: the parameters rescaled to mass {mass!r}: {exc}") from exc
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     version = _expect(data, "schema_version", "", int)
     if version != SCHEMA_VERSION:
@@ -455,6 +484,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             "decouple exactly from their relative motion; set it to true to accept "
             "the body run as an approximation"
         )
+    _check_rescalings(task, options, system, body_mode)
 
     return Scenario(
         task=task,
@@ -501,21 +531,25 @@ def load_scenario(path_or_name: str) -> Scenario:
 @dataclass
 class Check:
     name: str
-    computed: float
+    computed: Optional[float]  # None when the value is undefined
     reference: float
     tolerance: float
     passed: bool
     wall_time: float
+    undefined: str = ""  # why the value is undefined
 
     def to_dict(self) -> dict:
         # wall time is console-only: reports must be byte-identical across runs
-        return {
+        out = {
             "name": self.name,
             "computed": self.computed,
             "reference": self.reference,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
+        if self.computed is None:
+            out["undefined"] = self.undefined
+        return out
 
 
 class _CheckRunner:
@@ -529,17 +563,27 @@ class _CheckRunner:
         self.checks: list[Check] = []
         self._lap = time.perf_counter()
 
-    def add(self, name: str, computed: float, tolerance: float, reference: float = 0.0) -> float:
+    def add(
+        self,
+        name: str,
+        computed: Optional[float],
+        tolerance: float,
+        reference: float = 0.0,
+        undefined: str = "",
+    ) -> Optional[float]:
+        """Record one check.  A ``computed`` of None is an undefined value,
+        ``undefined`` says why, and the check fails."""
         now = time.perf_counter()
-        computed = float(computed)
+        computed = None if computed is None else float(computed)
         self.checks.append(
             Check(
                 name=name,
                 computed=computed,
                 reference=float(reference),
                 tolerance=float(tolerance),
-                passed=bool(abs(computed - reference) <= tolerance),
+                passed=computed is not None and bool(abs(computed - reference) <= tolerance),
                 wall_time=now - self._lap,
+                undefined=undefined if computed is None else "",
             )
         )
         self._lap = now
@@ -705,9 +749,10 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
         eff = results.get("effective_algebra") or {}
         runner.add(
             "effective-kappa",
-            eff.get(scalars[0], float("nan")),
+            eff.get(scalars[0]),
             tolerance=_tolerance(tol_flag, 1e-12),
             reference=expected_kappa,
+            undefined="the system has no effective algebra (see effective_algebra_error)",
         )
     if scenario.potential is not None:
         value = decoupling_check(system, state, scenario.potential)
@@ -755,12 +800,15 @@ def _run_simulate(
                 runs.append(integrate(replace(g, dt=g.dt / factor)).states[-1])
             coarse = float(np.linalg.norm(runs[0] - runs[1]))
             fine = float(np.linalg.norm(runs[1] - runs[2]))
-            return coarse / fine
+            return coarse / fine if fine else None
 
         lo, hi = scenario.option("order_bounds", (12.0, 20.0))
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        ratio = runner.add("integrator-order-ratio", halving_ratio(),
-                           tolerance=half, reference=mid)
+        ratio = runner.add(
+            "integrator-order-ratio", halving_ratio(), tolerance=half, reference=mid,
+            undefined="the fine-grid error is 0 (the integrator is exact on this field), "
+            "so the dt-halving ratio is undefined",
+        )
         results["dt_halving_ratio"] = ratio
 
     alt_masses = scenario.option("compare_partition")
@@ -947,8 +995,12 @@ def run(
 
     for check in runner.checks:
         status = "PASS" if check.passed else "FAIL"
+        computed = (
+            f"undefined, {check.undefined}" if check.computed is None
+            else f"{check.computed:.6g}"
+        )
         print(
-            f"{status} {check.name}: computed={check.computed:.6g} "
+            f"{status} {check.name}: computed={computed} "
             f"reference={check.reference:.6g} tol={check.tolerance:.3g} "
             f"({check.wall_time:.3f}s)"
         )

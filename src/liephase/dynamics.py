@@ -30,7 +30,7 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     LoweredAlgebra,
-    as_generalized,
+    _encoding,
     lower,
     rescale,
 )
@@ -328,15 +328,15 @@ def _grid_steps(t0: float, t_end: float, dt: float) -> int:
 def _scenario_fingerprint(scenario: GravityScenario) -> str:
     spec_dump = []
     for p in scenario.system.particles:
-        g = as_generalized(p.spec)
+        theta0, theta, theta_bar, theta_tilde = _encoding(p.spec)
         spec_dump.append(
             {
                 "variant": type(p.spec).__name__,
                 "mass": p.mass,
-                "theta0": g.theta0.tolist(),
-                "theta": g.theta.tolist(),
-                "theta_bar": g.theta_bar.tolist(),
-                "theta_tilde": g.theta_tilde.tolist(),
+                "theta0": theta0.tolist(),
+                "theta": theta.tolist(),
+                "theta_bar": theta_bar.tolist(),
+                "theta_tilde": theta_tilde.tolist(),
             }
         )
     payload = {
@@ -385,28 +385,29 @@ class Trajectory:
 
         Columns: t, then X1..X3, P1..P3 per particle (suffixed "[a]" when
         there is more than one particle); reduced-momentum columns Pr1..Pr3
-        appended per particle when requested.
+        appended per particle when requested.  The table is built once; each
+        row is written with one ``%.17g`` format call.
         """
+        n = self.n_particles
+        suffix = (lambda a: f"[{a}]") if n > 1 else (lambda a: "")
+        header = ["t"]
+        for a in range(n):
+            header += [f"{c}{suffix(a)}" for c in ("X1", "X2", "X3", "P1", "P2", "P3")]
+        columns = [self.times[:, None], self.states]
+        if include_reduced_momentum:
+            for a in range(n):
+                header += [f"Pr{i}{suffix(a)}" for i in (1, 2, 3)]
+            momenta = self.states.reshape(-1, n, 6)[:, :, 3:]
+            columns.append((momenta / self.masses[:, None]).reshape(-1, 3 * n))
+        table = np.hstack(columns)
+        row_format = ",".join(["%.17g"] * len(header)) + "\n"
+
         own = isinstance(target, str)
         fh = open(target, "w", newline="") if own else target
         try:
-            n = self.n_particles
-            suffix = (lambda a: f"[{a}]") if n > 1 else (lambda a: "")
-            header = ["t"]
-            for a in range(n):
-                header += [f"{c}{suffix(a)}" for c in ("X1", "X2", "X3", "P1", "P2", "P3")]
-            if include_reduced_momentum:
-                for a in range(n):
-                    header += [f"Pr{i}{suffix(a)}" for i in (1, 2, 3)]
             fh.write(",".join(header) + "\n")
-            for row_idx in range(len(self.times)):
-                cells = [f"{self.times[row_idx]:.17g}"]
-                cells += [f"{v:.17g}" for v in self.states[row_idx]]
-                if include_reduced_momentum:
-                    for a in range(n):
-                        pr = self.states[row_idx, 6 * a + 3 : 6 * a + 6] / self.masses[a]
-                        cells += [f"{v:.17g}" for v in pr]
-                fh.write(",".join(cells) + "\n")
+            for row in table:
+                fh.write(row_format % tuple(row.tolist()))
         finally:
             if own:
                 fh.close()

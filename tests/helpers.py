@@ -311,3 +311,40 @@ def com_frame_loops(mu) -> np.ndarray:
             w[obs.momentum_slot(particle, axis)] += 1.0
             rows.append(w)
     return np.stack(rows)
+
+
+def write_csv_cells(trajectory, fh, include_reduced_momentum: bool = False) -> None:
+    """Trajectory CSV written one f-string per cell, with a slice and a
+    division per particle per row: the reference for ``Trajectory.write_csv``."""
+    n = trajectory.n_particles
+    suffix = (lambda a: f"[{a}]") if n > 1 else (lambda a: "")
+    header = ["t"]
+    for a in range(n):
+        header += [f"{c}{suffix(a)}" for c in ("X1", "X2", "X3", "P1", "P2", "P3")]
+    if include_reduced_momentum:
+        for a in range(n):
+            header += [f"Pr{i}{suffix(a)}" for i in (1, 2, 3)]
+    fh.write(",".join(header) + "\n")
+    for row_idx in range(len(trajectory.times)):
+        cells = [f"{trajectory.times[row_idx]:.17g}"]
+        cells += [f"{v:.17g}" for v in trajectory.states[row_idx]]
+        if include_reduced_momentum:
+            for a in range(n):
+                pr = trajectory.states[row_idx, 6 * a + 3 : 6 * a + 6] / trajectory.masses[a]
+                cells += [f"{v:.17g}" for v in pr]
+        fh.write(",".join(cells) + "\n")
+
+
+def lower_via_generalized(specs) -> tuple[np.ndarray, np.ndarray]:
+    """The time and slope stacks built from each spec's validated
+    ``as_generalized`` encoding: the reference for ``algebra.lower``."""
+    gens = [lp.as_generalized(s) for s in specs]
+    time = np.zeros((len(gens), 6, 6))
+    slope = np.zeros((len(gens), 6, 6, 6))
+    for a, g in enumerate(gens):
+        time[a, :3, :3] = g.theta0
+        slope[a, :3, :3, :3] = g.theta
+        slope[a, :3, :3, 3:] = g.theta_bar
+        slope[a, 3:, :3, 3:] = g.theta_tilde
+    slope[..., 3:, :3] = -np.swapaxes(slope[..., :3, 3:], -1, -2)
+    return time, slope

@@ -9,10 +9,17 @@ from hypothesis import strategies as st
 
 import liephase as lp
 from liephase import observables as obs
-from liephase.algebra import AXIS, PARAMETER_ROLES, SCALED, SHARED, parameter_roles, rescale
+from liephase.algebra import AXIS, PARAMETER_ROLES, SCALED, SHARED, lower, parameter_roles, rescale
 from liephase.composition import _table_xp_deform, _table_xx
 
-from helpers import DEFORMED_NAMED_VARIANTS, VARIANT_NAMES, antisym, random_spec, random_state
+from helpers import (
+    DEFORMED_NAMED_VARIANTS,
+    VARIANT_NAMES,
+    antisym,
+    lower_via_generalized,
+    random_spec,
+    random_state,
+)
 
 
 def single_state(x, p, t=0.0):
@@ -199,6 +206,59 @@ class TestAsGeneralized:
     def test_generalized_passes_through(self):
         g = lp.Generalized(theta0=antisym(np.random.default_rng(0), (3, 3)))
         assert lp.as_generalized(g) is g
+
+
+class TestLowering:
+    @staticmethod
+    def signed_zero_generalized() -> lp.Generalized:
+        theta0 = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, -0.0, 0.0]])
+        theta = np.full((3, 3, 3), -0.0)
+        theta[1, 0, 2], theta[1, 2, 0] = 0.25, -0.25
+        theta_bar = np.full((3, 3, 3), -0.0)
+        theta_bar[2, 0, 1] = 0.75
+        theta_tilde = np.zeros((3, 3, 3))
+        theta_tilde[0, 2, 1] = -0.0
+        return lp.Generalized(theta0=theta0, theta=theta, theta_bar=theta_bar,
+                              theta_tilde=theta_tilde)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_bytes_equal_validated_encoding(self, variant):
+        rng = np.random.default_rng(21)
+        for n in (1, 4):
+            specs = [random_spec(rng, variant) for _ in range(n)]
+            lowered = lower(specs)
+            time, slope = lower_via_generalized(specs)
+            assert lowered.time.tobytes() == time.tobytes()
+            if lowered.slope is None:
+                assert not slope.any()
+            else:
+                assert lowered.slope.tobytes() == slope.tobytes()
+
+    def test_signed_zeros_kept(self):
+        specs = [self.signed_zero_generalized(), lp.SpaceTime(kappa=2.0)]
+        lowered = lower(specs)
+        time, slope = lower_via_generalized(specs)
+        assert lowered.time.tobytes() == time.tobytes()
+        assert lowered.slope.tobytes() == slope.tobytes()
+        assert np.signbit(lowered.time[0, 0, 1])
+
+    def test_as_generalized_still_validates(self):
+        g = lp.as_generalized(lp.MiaoTypeII(kappa=1.0, kappa_tilde=2.0, kappa_bar=3.0))
+        assert isinstance(g, lp.Generalized)
+        for tensor in (g.theta0, g.theta, g.theta_bar, g.theta_tilde):
+            assert not tensor.flags.writeable
+        bad = np.zeros((3, 3))
+        bad[0, 1] = 1.0
+        with pytest.raises(ValueError, match="theta0"):
+            lp.Generalized(theta0=bad)
+
+    def test_parameter_with_overflowing_inverse_rejected(self):
+        # the encoding holds 1 / kappa, which a subnormal kappa overflows
+        with pytest.raises(ValueError, match="kappa must have a finite inverse"):
+            lp.SpaceTime(kappa=1e-310)
+        with pytest.raises(ValueError, match="kappa_bar must have a finite inverse"):
+            lp.MiaoTypeII(kappa=1.0, kappa_tilde=1.0, kappa_bar=-2e-309)
+        assert lower([lp.SpaceSpace(kappa_tilde=1e-300)]).slope.max() == 1.0 / 1e-300
 
 
 class TestBracket:

@@ -16,6 +16,13 @@ def write_scenario(tmp_path, name, payload):
     return str(path)
 
 
+def strict_json(path):
+    """A report parsed as strict JSON: NaN and Infinity tokens raise."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 MINIMAL = {
     "schema_version": 1,
     "task": "check-algebra",
@@ -256,6 +263,27 @@ class TestScenarioParsing:
              dict(BODY, algebra={"variant": "space_space", "kappa_tilde": 1.5,
                                  "k": 1, "l": 2, "gamma": 3},
                   particles=[{"mass": 1.0}, {"mass": 3.0, "kappa_tilde": 4.5}])),
+            # a parameter that a rescaling of the task sends out of range
+            ("options.masses[1]: the parameters rescaled to mass 10.0: kappa",
+             dict(WEP, algebra=dict(WEP["algebra"], kappa=1e308), options={"masses": [1, 10]})),
+            ("options.masses[2]: the parameters rescaled to mass 1e-10: kappa",
+             dict(WEP, algebra=dict(WEP["algebra"], kappa=1e-300),
+                  options={"masses": [1, 2, 1e-10], "scaling_mode": "mass_scaled"})),
+            ("options.masses[0]: the parameters rescaled to mass 1e-10: theta0",
+             dict(WEP, algebra={"variant": "generalized",
+                                "theta0": [[0, 1e300, 0], [-1e300, 0, 0], [0, 0, 0]]},
+                  options={"masses": [1e-10, 1]})),
+            ("options.compare_partition[1]: the parameters rescaled to mass 1e-310: kappa",
+             dict(BODY, options={"compare_partition": [4.0, 1e-310]})),
+            ("particles: the parameters rescaled to mass 2.0: kappa",
+             dict(BODY, algebra=dict(BODY["algebra"], kappa=1e308),
+                  particles=[{"mass": 1.0}, {"mass": 1.0}])),
+            ("particles: the parameters rescaled to mass 2.0: kappa",
+             dict(COM, algebra=dict(COM["algebra"], kappa=1e308),
+                  particles=[{"mass": 1.0}, {"mass": 1.0}],
+                  initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2})),
+            ("algebra: kappa must have a finite inverse", dict(MINIMAL, algebra=dict(
+                MINIMAL["algebra"], kappa=1e-310))),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -375,6 +403,37 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("scenario error: --tol: expected a finite number >= 0")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_undefined_order_ratio_fails(self, tmp_path, capsys):
+        # a field-free particle is integrated exactly at every step size, so
+        # the fine-grid error is 0 and the ratio 0/0
+        payload = cli.load_scenario("integrator_order").to_dict()
+        payload["potential"]["coefficients"] = {}
+        path = write_scenario(tmp_path, "free.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 1
+        out = capsys.readouterr()
+        assert "FAIL integrator-order-ratio: computed=undefined" in out.out
+        assert "dt-halving ratio is undefined" in out.out
+        assert "Traceback" not in out.err
+        report = strict_json(tmp_path / "out" / "report.json")
+        check = report["checks"][-1]
+        assert check["name"] == "integrator-order-ratio"
+        assert check["computed"] is None and check["passed"] is False
+        assert "undefined" in check["undefined"]
+        assert report["results"]["dt_halving_ratio"] is None
+
+    def test_undefined_effective_kappa_fails(self, tmp_path, capsys):
+        # unscaled SpaceSpace has no effective algebra to read kappa_tilde from
+        payload = dict(COM, algebra={"variant": "space_space", "kappa_tilde": 2.0,
+                                     "k": 1, "l": 2, "gamma": 3},
+                       particles=[{"mass": 1.0}, {"mass": 3.0, "kappa_tilde": 5.0}],
+                       initial={"x": [[0, 0, 0], [1, 0, 0]], "p": [[0, 0, 0]] * 2},
+                       options={"expect_kappa_eff": 7.5})
+        path = write_scenario(tmp_path, "ss.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 1
+        assert "FAIL effective-kappa: computed=undefined" in capsys.readouterr().out
+        check = strict_json(tmp_path / "out" / "report.json")["checks"][-1]
+        assert check["name"] == "effective-kappa" and check["computed"] is None
 
     def test_tol_flag_zero_means_exact(self, tmp_path):
         assert cli.run("effective_kappa", out_dir=str(tmp_path / "out"), tol=0.0) in (0, 1)

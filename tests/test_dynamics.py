@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import liephase as lp
-from liephase import dynamics
+from liephase import cli, dynamics
 from liephase.algebra import rescale
 
 from helpers import (
@@ -20,6 +20,7 @@ from helpers import (
     random_state,
     random_system,
     scaled_system,
+    write_csv_cells,
 )
 
 G_FIELD = lp.Uniform(g=[0.0, 1.0, 0.0])
@@ -408,6 +409,82 @@ class TestTrajectoryCsv:
             lp.integrate(scen).write_csv(buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+class TestCsvMatchesCellWriter:
+    # values whose formatting is easy to get wrong: signed zeros, subnormals,
+    # huge magnitudes and fractions without a short decimal form
+    SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1 / 3, -2 / 3, 0.1, 1e-300])
+
+    def trajectory(self, n: int) -> lp.Trajectory:
+        rng = np.random.default_rng(n)
+        rows = 7
+        states = rng.normal(size=(rows, 6 * n)) * 10.0 ** rng.integers(-8, 8, (rows, 6 * n))
+        cells = rng.choice(states.size, self.SPECIAL.size, replace=False)
+        states.ravel()[cells] = self.SPECIAL
+        # P = -0.0, subnormal and 1/3 give reduced momenta of the same kinds
+        states[0, 3:6] = [-0.0, 5e-324, 1 / 3]
+        masses = rng.uniform(0.1, 10.0, n)
+        masses[0] = 3.0
+        times = np.arange(rows) / 3.0
+        times[0] = -0.0
+        return lp.Trajectory(times=times, states=states, masses=masses, metadata={})
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_bytes_equal_cell_writer(self, n, reduced):
+        traj = self.trajectory(n)
+        got, want = io.StringIO(), io.StringIO()
+        traj.write_csv(got, include_reduced_momentum=reduced)
+        write_csv_cells(traj, want, include_reduced_momentum=reduced)
+        assert got.getvalue() == want.getvalue()
+        assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+
+class TestScenarioFingerprint:
+    # recorded before lowering and fingerprinting read the raw encoding
+    # instead of building a validated Generalized per particle
+    BUNDLED = {
+        "spacetime_decoupling": "ad02bddc1528f10f",
+        "spacetime_eom": "ee76f98b9b83b4fd",
+        "spacetime_wep": "485bfbd123c89018",
+        "spacetime_wep_violation": "485bfbd123c89018",
+        "body_composition": "ba0cbc02158425df",
+        "integrator_order": "1fe9620ec8120169",
+    }
+
+    def test_bundled_unchanged(self):
+        with_field = [name for name in cli.BUILTIN_SCENARIOS
+                      if cli.load_scenario(name).potential is not None]
+        assert sorted(with_field) == sorted(self.BUNDLED)
+        for name, digest in self.BUNDLED.items():
+            gravity = cli.load_scenario(name).gravity_scenario()
+            assert dynamics._scenario_fingerprint(gravity) == digest, name
+
+    def test_signed_zero_tensors_and_miao_unchanged(self):
+        theta0 = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, -0.0, 0.0]])
+        theta_bar = np.full((3, 3, 3), -0.0)
+        theta_bar[2, 0, 1] = 0.25
+        specs = [lp.Generalized(theta0=theta0, theta_bar=theta_bar),
+                 lp.Generalized(theta0=theta0 / 3.0, theta_bar=theta_bar)]
+        mixed = lp.GravityScenario(
+            system=lp.ParticleSystem.from_pairs([1.0, 3.0], specs),
+            potential=G_FIELD,
+            initial=lp.PhaseState(x=[[0.0, 1.0, 2.0], [1 / 3, -0.0, 1e-300]], p=np.zeros((2, 3))),
+            t0=0.0, t_end=1.0, dt=0.25,
+        )
+        masses = [1.0, 2.0, 0.5]
+        miao = lp.GravityScenario(
+            system=lp.ParticleSystem.from_pairs(masses, [
+                lp.MiaoTypeII(kappa=2.0 * m, kappa_tilde=-1.5 * m, kappa_bar=5.0, k=3, l=1, gamma=2)
+                for m in masses
+            ]),
+            potential=lp.Newtonian(strength=1.5, center=[5.0, 0.0, 0.0]),
+            initial=lp.PhaseState(x=np.eye(3), p=np.ones((3, 3)) / 3.0),
+            t0=0.0, t_end=1.0, dt=0.5,
+        )
+        assert dynamics._scenario_fingerprint(mixed) == "7224322d6cfa4e3f"
+        assert dynamics._scenario_fingerprint(miao) == "72ecf920873c9885"
 
 
 # the benchmark's WEP sweep cases: variant and field pairs
