@@ -2,11 +2,18 @@
 
 A scenario file is a JSON document (conventionally ``*.scn``) with an
 explicit ``schema_version``, one task name, an algebra block, the particle
-list, an optional potential, the initial state and the time grid.  The
-``run`` entry point validates everything before computing, writes a
+list, an optional potential, the initial state and the time grid.
+
+``_TASKS`` is the one table of the tasks: for each, its options with their
+kinds and defaults, the rules it needs of a scenario beyond those kinds, and
+the runner that computes it.  Every field is read through ``_read`` and one
+kind table, ``_KINDS``, so a bad value names its field.  ``load_scenario``
+applies all of it, and every rescaling the task will do, before anything is
+computed; the runners only compute.  The ``run`` entry point writes a
 deterministic ``report.json`` (plus CSVs for trajectory tasks) into the
 output directory, and exits 0 only when every check passed (2 on validation
-errors, 3 on numerical failure, 1 on failed checks).
+errors, always before the output directory is made, 3 on numerical failure,
+1 on failed checks).
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -76,8 +83,6 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
-TASKS = ("check-algebra", "com-brackets", "simulate", "wep-test")
-
 
 class ScenarioError(ValueError):
     """Scenario validation failure; the message names the offending field."""
@@ -86,41 +91,74 @@ class ScenarioError(ValueError):
 # --- serialization -------------------------------------------------------------
 
 
-def _expect(mapping: dict, key: str, path: str, kind=None):
-    if key not in mapping:
-        raise ScenarioError(f"{path}.{key}: missing required field")
-    value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ScenarioError(f"{path}.{key}: expected {kind}, got {type(value).__name__}")
-    return value
-
-
 def _is_finite_number(value) -> bool:
     return (
         not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
     )
 
 
-def _number(mapping: dict, key: str, path: str) -> float:
-    value = _expect(mapping, key, path)
-    if not _is_finite_number(value):
-        raise ScenarioError(f"{path}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _flag(mapping: dict, key: str, path: str = "") -> bool:
-    """An optional JSON boolean (false when absent); strings and numbers are refused."""
-    value = mapping.get(key, False)
-    if not isinstance(value, bool):
-        name = f"{path}.{key}" if path else key
-        raise ScenarioError(f"{name}: expected true or false, got {value!r}")
-    return value
+def _checked(expected: str, test, convert=lambda v: v):
+    """A kind whose values ``test`` accepts as a whole and ``convert`` makes usable."""
+    def read(value, name: str):
+        if not test(value):
+            raise ScenarioError(f"{name}: expected {expected}, got {value!r}")
+        return convert(value)
+    return read
 
 
-def _axis(mapping: dict, key: str, path: str) -> int:
-    value = _expect(mapping, key, path)
-    if not isinstance(value, int) or value not in (1, 2, 3):
-        raise ScenarioError(f"{path}.{key}: expected an axis index 1, 2 or 3")
+def _vector(value, name: str) -> np.ndarray:
+    """Three finite numbers; a bad entry is named by its index, ``<name>[i]``."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ScenarioError(f"{name}: expected a list of 3 numbers, got {value!r}")
+    for i, entry in enumerate(value):
+        if not _is_finite_number(entry):
+            raise ScenarioError(f"{name}[{i}]: expected a finite number, got {entry!r}")
+    return np.array(value, dtype=float)
+
+
+# kind -> reader(value, name): the value to use, or ScenarioError naming the field
+_KINDS = {
+    "flag": _checked("true or false", lambda v: isinstance(v, bool)),
+    "number": _checked("a finite number", _is_finite_number, float),
+    "tolerance": _checked("a finite number >= 0",
+                          lambda v: _is_finite_number(v) and v >= 0, float),
+    "count": _checked("an integer >= 0", _is_count),
+    "axis": _checked("an axis index 1, 2 or 3", lambda v: _is_count(v) and v in (1, 2, 3)),
+    "masses": _checked("a non-empty list of positive finite masses",
+                       lambda v: isinstance(v, list) and bool(v)
+                       and all(_is_finite_number(m) and m > 0 for m in v),
+                       lambda v: [float(m) for m in v]),
+    "bounds": _checked("two finite numbers [lo, hi] with lo < hi",
+                       lambda v: isinstance(v, list) and len(v) == 2
+                       and all(map(_is_finite_number, v)) and v[0] < v[1],
+                       lambda v: (float(v[0]), float(v[1]))),
+    "scaling_mode": _checked("fixed, mass_scaled or both",
+                             lambda v: v in ("fixed", "mass_scaled", "both")),
+    "vector": _vector,
+}
+
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _read(mapping: dict, key: str, path: str, kind, default=_REQUIRED):
+    """``mapping[key]`` read as ``kind``, a key of ``_KINDS`` or, for a JSON
+    container or string, its Python type; ``default`` when absent.  Errors
+    name the field ``<path>.<key>``."""
+    name = f"{path}.{key}" if path else key
+    if key not in mapping:
+        if default is _REQUIRED:
+            noun = "option" if path == "options" else "field"
+            raise ScenarioError(f"{name}: missing required {noun}")
+        return default
+    value = mapping[key]
+    if not isinstance(kind, type):
+        return _KINDS[kind](value, name)
+    if not isinstance(value, kind):
+        raise ScenarioError(f"{name}: expected {kind}, got {type(value).__name__}")
     return value
 
 
@@ -139,26 +177,24 @@ _VARIANT_NAMES = {cls: name for name, cls in _ALGEBRA_VARIANTS.items()}
 
 def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
     """Scalars and axes are required; tensors default to zero when absent."""
-    variant = _expect(data, "variant", path, str)
+    variant = _read(data, "variant", path, str)
     if variant not in _ALGEBRA_VARIANTS:
         raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
     cls = _ALGEBRA_VARIANTS[variant]
     params = {}
+    for name, role in parameter_roles(cls):
+        if role.kind == AXIS:
+            params[name] = _read(data, name, path, "axis")
+        elif not role.tensor:
+            params[name] = _read(data, name, path, "number")
+        elif name in data:
+            # each tensor is validated on its own, so an error names its field
+            try:
+                params[name] = getattr(cls(**{name: data[name]}), name)
+            except (ValueError, TypeError) as exc:
+                raise ScenarioError(f"{path}.{name}: {exc}") from exc
     try:
-        for name, role in parameter_roles(cls):
-            if role.kind == AXIS:
-                params[name] = _axis(data, name, path)
-            elif not role.tensor:
-                params[name] = _number(data, name, path)
-            elif name in data:
-                # each tensor is validated on its own, so an error names its field
-                try:
-                    params[name] = getattr(cls(**{name: data[name]}), name)
-                except (ValueError, TypeError) as exc:
-                    raise ScenarioError(f"{path}.{name}: {exc}") from exc
         return cls(**params)
-    except ScenarioError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -174,33 +210,32 @@ def algebra_to_dict(spec: AlgebraSpec) -> dict:
 
 
 def potential_from_dict(data: dict, path: str = "potential") -> Potential:
-    variant = _expect(data, "variant", path, str)
+    variant = _read(data, "variant", path, str)
+    if variant == "uniform":
+        cls, params = Uniform, {"g": _read(data, "g", path, "vector")}
+    elif variant == "newtonian":
+        cls, params = Newtonian, {
+            "strength": _read(data, "strength", path, "number"),
+            "center": _read(data, "center", path, "vector", np.zeros(3)),
+        }
+    elif variant == "polynomial":
+        raw = _read(data, "coefficients", path, dict)
+        coeffs = {}
+        for key in raw:
+            try:
+                exps = tuple(int(part) for part in key.split(","))
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"{path}.coefficients: bad exponent key {key!r} (use 'e1,e2,e3')"
+                ) from exc
+            coeffs[exps] = _read(raw, key, f"{path}.coefficients", "number")
+        cls, params = Polynomial, {"coefficients": coeffs}
+    else:
+        raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
     try:
-        if variant == "uniform":
-            return Uniform(g=np.array(_expect(data, "g", path, list), dtype=float))
-        if variant == "newtonian":
-            center = data.get("center", [0.0, 0.0, 0.0])
-            return Newtonian(
-                strength=_number(data, "strength", path),
-                center=np.array(center, dtype=float),
-            )
-        if variant == "polynomial":
-            raw = _expect(data, "coefficients", path, dict)
-            coeffs = {}
-            for key, value in raw.items():
-                try:
-                    exps = tuple(int(part) for part in key.split(","))
-                except ValueError as exc:
-                    raise ScenarioError(
-                        f"{path}.coefficients: bad exponent key {key!r} (use 'e1,e2,e3')"
-                    ) from exc
-                coeffs[exps] = value
-            return Polynomial(coefficients=coeffs)
-    except ScenarioError:
-        raise
+        return cls(**params)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
 
 
 def potential_to_dict(potential: Potential) -> dict:
@@ -223,85 +258,14 @@ def potential_to_dict(potential: Potential) -> dict:
     raise TypeError(f"unknown potential variant: {type(potential).__name__}")
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _is_masses(value) -> bool:
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(_is_finite_number(m) and m > 0 for m in value)
-    )
-
-
-def _is_bounds(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(_is_finite_number(b) for b in value)
-        and value[0] < value[1]
-    )
-
-
-# option kind -> (what a value must be, its test, its conversion)
-_OPTION_KINDS = {
-    "flag": ("true or false", lambda v: isinstance(v, bool), bool),
-    "number": ("a finite number", _is_finite_number, float),
-    "tolerance": ("a finite number >= 0", lambda v: _is_finite_number(v) and v >= 0, float),
-    "count": ("an integer >= 0", _is_count, int),
-    "masses": ("a non-empty list of positive finite masses", _is_masses,
-               lambda v: [float(m) for m in v]),
-    "bounds": ("two finite numbers [lo, hi] with lo < hi", _is_bounds,
-               lambda v: (float(v[0]), float(v[1]))),
-    "scaling_mode": ("fixed, mass_scaled or both",
-                     lambda v: v in ("fixed", "mass_scaled", "both"), str),
-}
-
-# the options of each task and their kinds
-_OPTIONS = {
-    "check-algebra": {"samples": "count"},
-    "com-brackets": {
-        "expect_closes": "flag",
-        "expect_kappa_eff": "number",
-        "expect_decoupling_max": "tolerance",
-    },
-    "simulate": {
-        "reduced_momentum": "flag",
-        "energy_drift_tol": "tolerance",
-        "order_check": "flag",
-        "order_bounds": "bounds",
-        "compare_partition": "masses",
-        "partition_tol": "tolerance",
-    },
-    "wep-test": {
-        "masses": "masses",
-        "scaling_mode": "scaling_mode",
-        "max_deviation": "tolerance",
-        "expect_position_deviation": "number",
-        "expect_deviation_tol": "tolerance",
-    },
-}
-
-
-def _option(task: str, options: dict, key: str, default=None):
-    """The checked value of option ``key`` of ``task``; ``default`` when absent.
-
-    A value not of the option's kind raises ScenarioError naming
-    ``options.<key>``.
-    """
-    if key not in options:
-        return default
-    expected, test, convert = _OPTION_KINDS[_OPTIONS[task][key]]
-    value = options[key]
-    if not test(value):
-        raise ScenarioError(f"options.{key}: expected {expected}, got {value!r}")
-    return convert(value)
-
-
 @dataclass
 class Scenario:
-    """A validated scenario file."""
+    """A validated scenario file.
+
+    ``options`` is the file's options object, which the report echoes;
+    ``settings`` holds the options read through their kinds, with the task's
+    defaults for those not given (an option with no default stays absent).
+    """
 
     task: str
     system: ParticleSystem
@@ -313,10 +277,7 @@ class Scenario:
     body_mode: bool
     neglect_relative_motion: bool
     options: dict
-
-    def option(self, key: str, default=None):
-        """The checked value of one of this task's options (see ``_option``)."""
-        return _option(self.task, self.options, key, default)
+    settings: dict
 
     def to_dict(self) -> dict:
         base = algebra_to_dict(self.system.particles[0].spec)
@@ -344,77 +305,31 @@ class Scenario:
         return out
 
     def gravity_scenario(self) -> GravityScenario:
-        if self.potential is None:
-            raise ScenarioError("potential: required for this task")
-        return GravityScenario(
-            system=self.system,
-            potential=self.potential,
-            initial=self.initial,
-            t0=self.t0,
-            t_end=self.t_end,
-            dt=self.dt,
-            body_mode=self.body_mode,
-            neglect_relative_motion=self.neglect_relative_motion,
-        )
+        # the fields of a GravityScenario are fields of this class too
+        return GravityScenario(**{f.name: getattr(self, f.name) for f in fields(GravityScenario)})
 
 
 def _points(initial: dict, key: str, n: int) -> np.ndarray:
     """``initial.<key>`` as an (n, 3) array: one row of three finite numbers
     per particle."""
-    path = f"initial.{key}"
-    rows = _expect(initial, key, "initial", list)
+    rows = _read(initial, key, "initial", list)
     if len(rows) != n:
-        raise ScenarioError(f"{path}: expected one row per particle ({n}), got {len(rows)}")
-    for a, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 3:
-            raise ScenarioError(f"{path}[{a}]: expected a list of 3 numbers, got {row!r}")
-        for i, value in enumerate(row):
-            if not _is_finite_number(value):
-                raise ScenarioError(f"{path}[{a}][{i}]: expected a finite number, got {value!r}")
-    return np.array(rows, dtype=float)
-
-
-def _check_rescalings(task: str, options: dict, system: ParticleSystem, body_mode: bool) -> None:
-    """Build every rescaled spec the task will build, so that a parameter that
-    rescaling sends out of range (kappa to inf, say) exits 2 when the scenario
-    loads, naming the option or field that asks for the rescaling."""
-    base = system.particles[0]
-    rescalings = []  # (field, mass, builder of the spec for that mass)
-    if task == "wep-test" and _option(task, options, "scaling_mode", "both") != "fixed":
-        rescalings += [(f"options.masses[{i}]", m, lambda m: rescale(base.spec, m / base.mass))
-                       for i, m in enumerate(_option(task, options, "masses", []))]
-    partition = _option(task, options, "compare_partition")
-    rule = satisfies_mass_scaling(system).rule if partition is not None else None
-    if rule is not None:
-        rescalings += [(f"options.compare_partition[{i}]", m,
-                        lambda m: rule.spec_for_mass(base.spec, m))
-                       for i, m in enumerate(partition)]
-    if task == "com-brackets" or (task == "simulate" and body_mode):
-        # the effective parameters: the system rescaled to its total mass
-        rescalings.append(("particles", system.total_mass, lambda m: _candidate_effective(system)))
-    for name, mass, build in rescalings:
-        try:
-            # an overflow is refused by the spec it produces
-            with np.errstate(over="ignore"):
-                build(mass)
-        except ValueError as exc:
-            raise ScenarioError(f"{name}: the parameters rescaled to mass {mass!r}: {exc}") from exc
+        raise ScenarioError(f"initial.{key}: expected one row per particle ({n}), got {len(rows)}")
+    return np.array([_vector(row, f"initial.{key}[{a}]") for a, row in enumerate(rows)])
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    version = _expect(data, "schema_version", "", int)
+    version = _read(data, "schema_version", "", int)
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-    task = _expect(data, "task", "", str)
-    if task not in TASKS:
-        raise ScenarioError(f"task: unknown task {task!r} (expected one of {', '.join(TASKS)})")
+    task = _read(data, "task", "", str)
+    if task not in _TASKS:
+        raise ScenarioError(f"task: unknown task {task!r} (expected one of {', '.join(_TASKS)})")
 
-    algebra_dict = _expect(data, "algebra", "", dict)
+    algebra_dict = _read(data, "algebra", "", dict)
     base_spec = algebra_from_dict(algebra_dict, "algebra")
 
-    raw_particles = _expect(data, "particles", "", list)
-    if not raw_particles:
-        raise ScenarioError("particles: need at least one particle")
+    raw_particles = _read(data, "particles", "", list)
     masses, specs = [], []
     # axes are shared by all particles; every other parameter may differ
     allowed = {name for name, role in parameter_roles(base_spec) if role.kind != AXIS}
@@ -422,7 +337,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         path = f"particles[{idx}]"
         if not isinstance(entry, dict):
             raise ScenarioError(f"{path}: expected an object")
-        masses.append(_number(entry, "mass", path))
+        masses.append(_read(entry, "mass", path, "number"))
         overrides = {k: v for k, v in entry.items() if k != "mass"}
         for key in overrides:
             if key not in allowed:
@@ -440,18 +355,16 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     potential = None
     if data.get("potential") is not None:
-        potential = potential_from_dict(_expect(data, "potential", "", dict), "potential")
+        potential = potential_from_dict(_read(data, "potential", "", dict), "potential")
 
-    grid = _expect(data, "grid", "", dict)
-    t0 = _number(grid, "t0", "grid")
-    t_end = _number(grid, "t_end", "grid")
-    dt = _number(grid, "dt", "grid")
+    grid = _read(data, "grid", "", dict)
+    t0, t_end, dt = (_read(grid, key, "grid", "number") for key in ("t0", "t_end", "dt"))
     try:
         _grid_steps(t0, t_end, dt)
     except GridError as exc:
         raise ScenarioError(f"grid.{exc.field}: {exc}") from exc
 
-    initial_dict = _expect(data, "initial", "", dict)
+    initial_dict = _read(data, "initial", "", dict)
     n = system.n_particles
     x = _points(initial_dict, "x", n)
     if "p" in initial_dict and "p_reduced" in initial_dict:
@@ -470,23 +383,24 @@ def scenario_from_dict(data: dict) -> Scenario:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise ScenarioError("options: expected an object")
-    unknown = set(options) - set(_OPTIONS[task])
+    declared = _TASKS[task].options
+    unknown = set(options) - set(declared)
     if unknown:
         raise ScenarioError(f"options.{sorted(unknown)[0]}: unknown option for task {task}")
-    for key in sorted(options):
-        _option(task, options, key)
+    # the given options first, in name order, then the defaults of the others
+    settings = {key: _read(options, key, "options", *declared[key])
+                for key in [*sorted(options), *(k for k in declared if k not in options)]}
+    settings = {key: value for key, value in settings.items() if value is not None}
 
-    body_mode = _flag(data, "body_mode")
-    neglect = _flag(data, "neglect_relative_motion")
+    body_mode = _read(data, "body_mode", "", "flag", False)
+    neglect = _read(data, "neglect_relative_motion", "", "flag", False)
     if body_mode and not neglect and not _decouples_exactly(system):
         raise ScenarioError(
             "neglect_relative_motion: the center of mass of these particles does not "
             "decouple exactly from their relative motion; set it to true to accept "
             "the body run as an approximation"
         )
-    _check_rescalings(task, options, system, body_mode)
-
-    return Scenario(
+    scenario = Scenario(
         task=task,
         system=system,
         potential=potential,
@@ -497,7 +411,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         body_mode=body_mode,
         neglect_relative_motion=neglect,
         options=options,
+        settings=settings,
     )
+    _TASKS[task].check(scenario)
+    return scenario
 
 
 def load_scenario(path_or_name: str) -> Scenario:
@@ -557,11 +474,17 @@ class _CheckRunner:
 
     A check's wall time runs from the previous check (or from the runner's
     creation) to its own, so it covers the work that produced its value.
+    ``tol_flag`` is the ``--tol`` value, None when not given.
     """
 
-    def __init__(self):
+    def __init__(self, tol_flag: Optional[float] = None):
         self.checks: list[Check] = []
+        self.tol_flag = tol_flag
         self._lap = time.perf_counter()
+
+    def tolerance(self, default: float) -> float:
+        """The ``--tol`` value when given (0 demands an exact result), else the check's default."""
+        return default if self.tol_flag is None else self.tol_flag
 
     def add(
         self,
@@ -624,14 +547,27 @@ def _sample_states(scenario: Scenario, count: int) -> list[PhaseState]:
 # --- task implementations ---------------------------------------------------------
 
 
-def _tolerance(tol_flag: Optional[float], default: float) -> float:
-    """The ``--tol`` value when given (0 demands an exact result), else the check's default."""
-    return default if tol_flag is None else tol_flag
+def _rescaled(name: str, mass: float, build) -> None:
+    """Build a spec the task will rescale to ``mass``, so that a parameter sent
+    out of range (kappa to inf, say), or a system with no effective
+    parameters, exits 2 at load naming ``name``, the field asking for it."""
+    try:
+        # an overflow is refused by the spec it produces
+        with np.errstate(over="ignore"):
+            build()
+    except ValueError as exc:
+        raise ScenarioError(f"{name}: the parameters rescaled to mass {mass!r}: {exc}") from exc
+    except ScalingRequiredError as exc:
+        raise ScenarioError(f"{name}: {exc}") from exc
 
 
-def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
-    samples = scenario.option("samples", 20)
-    states = _sample_states(scenario, samples)
+def _scalar_parameters(variant: type) -> list[str]:
+    return [name for name, role in parameter_roles(variant)
+            if role.kind != AXIS and not role.tensor]
+
+
+def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+    states = _sample_states(scenario, scenario.settings["samples"])
     specs = scenario.system.specs
     lowered = scenario.system.lowered
     # J is block-diagonal: its per-particle 6x6 blocks at each sampled state
@@ -663,7 +599,7 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
         return worst
 
     runner.add("antisymmetry", antisymmetry(), tolerance=0.0)
-    runner.add("jacobi-residual", jacobi(), tolerance=_tolerance(tol_flag, 1e-10))
+    runner.add("jacobi-residual", jacobi(), tolerance=runner.tolerance(1e-10))
     runner.add("generalized-encoding-roundtrip", roundtrip(), tolerance=1e-15)
 
     results: dict[str, Any] = {"sampled_states": len(states)}
@@ -682,7 +618,7 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, tol_flag: Optio
                                 float(np.max(np.abs(pdot[a] - cp))))
             return worst
 
-        runner.add("eom-closed-form", eom_agreement(), tolerance=_tolerance(tol_flag, 1e-12))
+        runner.add("eom-closed-form", eom_agreement(), tolerance=runner.tolerance(1e-12))
     return results
 
 
@@ -697,20 +633,25 @@ def _rule_to_dict(rule: Optional[MassScalingRule]) -> Optional[dict]:
     return out
 
 
-def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
+def _check_com_brackets(scenario: Scenario) -> None:
     system = scenario.system
-    state = scenario.initial
-    expected_kappa = scenario.option("expect_kappa_eff")
-    if expected_kappa is not None:
-        scalars = [name for name, role in parameter_roles(system.variant)
-                   if role.kind != AXIS and not role.tensor]
+    if "expect_kappa_eff" in scenario.settings:
+        scalars = _scalar_parameters(system.variant)
         if len(scalars) != 1:
             raise ScenarioError(
                 f"options.expect_kappa_eff: needs an algebra with exactly one scalar "
                 f"deformation parameter, {_VARIANT_NAMES[system.variant]} has {len(scalars)}"
             )
+    # the effective parameters, reported whether or not the system is mass-scaled
+    _rescaled("particles", system.total_mass, lambda: _candidate_effective(system))
+
+
+def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+    system = scenario.system
+    state = scenario.initial
+    settings = scenario.settings
     report = com_bracket_report(system, state)
-    runner.add("com-bracket-oracle", report.max_abs_diff, tolerance=_tolerance(tol_flag, 1e-12))
+    runner.add("com-bracket-oracle", report.max_abs_diff, tolerance=runner.tolerance(1e-12))
 
     com = com_transform(system, state)
     identity = max(
@@ -741,36 +682,60 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, tol_flag: Option
         results["effective_algebra"] = None
         results["effective_algebra_error"] = str(exc)
 
-    expect_closes = scenario.option("expect_closes")
+    expect_closes = settings.get("expect_closes")
     if expect_closes is not None:
         runner.add("closure-verdict", 1.0 if repro.closes else 0.0, tolerance=0.0,
                    reference=1.0 if expect_closes else 0.0)
-    if expected_kappa is not None:
+    if "expect_kappa_eff" in settings:
         eff = results.get("effective_algebra") or {}
         runner.add(
             "effective-kappa",
-            eff.get(scalars[0]),
-            tolerance=_tolerance(tol_flag, 1e-12),
-            reference=expected_kappa,
+            eff.get(_scalar_parameters(system.variant)[0]),
+            tolerance=runner.tolerance(1e-12),
+            reference=settings["expect_kappa_eff"],
             undefined="the system has no effective algebra (see effective_algebra_error)",
         )
     if scenario.potential is not None:
         value = decoupling_check(system, state, scenario.potential)
         results["decoupling"] = value
-        decoupling_max = scenario.option("expect_decoupling_max")
+        decoupling_max = settings.get("expect_decoupling_max")
         if decoupling_max is not None:
             runner.add("decoupling", value, tolerance=decoupling_max)
     return results
 
 
-def _run_simulate(
-    scenario: Scenario, runner: _CheckRunner, out_dir: Path, tol_flag: Optional[float]
-) -> dict:
+def _check_simulate(scenario: Scenario) -> None:
+    if scenario.potential is None:
+        raise ScenarioError("potential: required for this task")
+    system = scenario.system
+    if scenario.body_mode:
+        _rescaled("particles", system.total_mass, lambda: effective_parameters(system))
+    partition = scenario.settings.get("compare_partition")
+    if partition is not None:
+        if not scenario.body_mode:
+            raise ScenarioError("options.compare_partition: only meaningful with body_mode")
+        if abs(sum(partition) - system.total_mass) > 1e-12:
+            raise ScenarioError(
+                "options.compare_partition: partition must preserve the total mass"
+            )
+        rule = satisfies_mass_scaling(system).rule
+        if rule is None:
+            raise ScenarioError(
+                "options.compare_partition: partition comparison needs a mass-scaled "
+                "system to define the rule"
+            )
+        template = system.particles[0].spec
+        for i, m in enumerate(partition):
+            _rescaled(f"options.compare_partition[{i}]", m,
+                      lambda: rule.spec_for_mass(template, m))
+
+
+def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+    settings = scenario.settings
     g = scenario.gravity_scenario()
     trajectory = integrate(g)
-    include_reduced = scenario.option("reduced_momentum", False)
     csv_path = out_dir / "trajectory.csv"
-    trajectory.write_csv(str(csv_path), include_reduced_momentum=include_reduced)
+    trajectory.write_csv(str(csv_path), include_reduced_momentum=settings["reduced_momentum"])
 
     results: dict[str, Any] = {
         "trajectory_csv": csv_path.name,
@@ -784,7 +749,7 @@ def _run_simulate(
     energies = _energies(trajectory.masses, scenario.potential, trajectory.states)
     drift = float(np.max(np.abs(energies - energies[0])))
     results["energy_drift"] = drift
-    drift_tol = scenario.option("energy_drift_tol")
+    drift_tol = settings.get("energy_drift_tol")
     if drift_tol is not None:
         runner.add("energy-drift", drift, tolerance=drift_tol)
     runner.add(
@@ -793,7 +758,7 @@ def _run_simulate(
         tolerance=0.0,
     )
 
-    if scenario.option("order_check", False):
+    if settings["order_check"]:
         def halving_ratio():
             runs = []
             for factor in (1, 2, 4):
@@ -802,7 +767,7 @@ def _run_simulate(
             fine = float(np.linalg.norm(runs[1] - runs[2]))
             return coarse / fine if fine else None
 
-        lo, hi = scenario.option("order_bounds", (12.0, 20.0))
+        lo, hi = settings["order_bounds"]
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
         ratio = runner.add(
             "integrator-order-ratio", halving_ratio(), tolerance=half, reference=mid,
@@ -811,23 +776,11 @@ def _run_simulate(
         )
         results["dt_halving_ratio"] = ratio
 
-    alt_masses = scenario.option("compare_partition")
+    alt_masses = settings.get("compare_partition")
     if alt_masses is not None:
-        if not scenario.body_mode:
-            raise ScenarioError(
-                "options.compare_partition: only meaningful with body_mode"
-            )
-        if abs(sum(alt_masses) - scenario.system.total_mass) > 1e-12:
-            raise ScenarioError(
-                "options.compare_partition: partition must preserve the total mass"
-            )
-        check = satisfies_mass_scaling(scenario.system)
-        if not check.holds:
-            raise ScalingRequiredError(
-                "partition comparison needs a mass-scaled system to define the rule"
-            )
+        rule = satisfies_mass_scaling(scenario.system).rule
         template = scenario.system.particles[0].spec
-        alt_specs = [check.rule.spec_for_mass(template, m) for m in alt_masses]
+        alt_specs = [rule.spec_for_mass(template, m) for m in alt_masses]
         alt_system = ParticleSystem.from_pairs(alt_masses, alt_specs)
         com = com_transform(scenario.system, scenario.initial)
         n_alt = len(alt_masses)
@@ -845,20 +798,28 @@ def _run_simulate(
         runner.add(
             "partition-independence",
             deviation,
-            tolerance=scenario.option("partition_tol", _tolerance(tol_flag, 1e-10)),
+            tolerance=settings.get("partition_tol", runner.tolerance(1e-10)),
         )
     return results
 
 
-def _run_wep_test(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[float]) -> dict:
+def _check_wep_test(scenario: Scenario) -> None:
+    if scenario.potential is None:
+        raise ScenarioError("potential: required for this task")
     if scenario.system.n_particles != 1:
         raise ScenarioError("particles: wep-test needs exactly one particle")
-    masses = scenario.option("masses")
-    if masses is None:
-        raise ScenarioError("options.masses: missing required option")
-    mode = scenario.option("scaling_mode", "both")
+    if scenario.settings["scaling_mode"] != "fixed":
+        base = scenario.system.particles[0]
+        for i, m in enumerate(scenario.settings["masses"]):
+            _rescaled(f"options.masses[{i}]", m, lambda: rescale(base.spec, m / base.mass))
+
+
+def _run_wep_test(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+    settings = scenario.settings
+    masses = settings["masses"]
+    mode = settings["scaling_mode"]
     modes = ("fixed", "mass_scaled") if mode == "both" else (mode,)
-    expected = scenario.option("expect_position_deviation")
+    expected = settings.get("expect_position_deviation")
 
     g = scenario.gravity_scenario()
     results: dict[str, Any] = {"masses": masses, "modes": {}}
@@ -878,15 +839,52 @@ def _run_wep_test(scenario: Scenario, runner: _CheckRunner, tol_flag: Optional[f
         }
         if m == "mass_scaled":
             runner.add("wep-recovery-deviation", report.max_position_deviation,
-                       tolerance=scenario.option("max_deviation", _tolerance(tol_flag, 1e-8)))
+                       tolerance=settings.get("max_deviation", runner.tolerance(1e-8)))
         if m == "fixed" and expected is not None:
             runner.add(
                 "wep-violation-magnitude",
                 report.max_position_deviation,
-                tolerance=scenario.option("expect_deviation_tol", 1e-8),
+                tolerance=settings["expect_deviation_tol"],
                 reference=expected,
             )
     return results
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One task: ``options`` maps each option to ``(kind, default)``, where a
+    None default leaves it absent (off) and ``_REQUIRED`` makes it required;
+    ``check`` holds the rules beyond the options' kinds, applied at load;
+    ``run`` only computes."""
+
+    options: dict
+    check: Callable[[Scenario], None]
+    run: Callable[[Scenario, _CheckRunner, Path], dict]
+
+
+_TASKS = {
+    "check-algebra": _Task({"samples": ("count", 20)}, lambda scenario: None, _run_check_algebra),
+    "com-brackets": _Task({
+        "expect_closes": ("flag", None),
+        "expect_kappa_eff": ("number", None),
+        "expect_decoupling_max": ("tolerance", None),
+    }, _check_com_brackets, _run_com_brackets),
+    "simulate": _Task({
+        "reduced_momentum": ("flag", False),
+        "energy_drift_tol": ("tolerance", None),
+        "order_check": ("flag", False),
+        "order_bounds": ("bounds", (12.0, 20.0)),
+        "compare_partition": ("masses", None),
+        "partition_tol": ("tolerance", None),  # absent: --tol, else 1e-10
+    }, _check_simulate, _run_simulate),
+    "wep-test": _Task({
+        "masses": ("masses", _REQUIRED),
+        "scaling_mode": ("scaling_mode", "both"),
+        "max_deviation": ("tolerance", None),  # absent: --tol, else 1e-8
+        "expect_position_deviation": ("number", None),
+        "expect_deviation_tol": ("tolerance", 1e-8),
+    }, _check_wep_test, _run_wep_test),
+}
 
 
 # --- entry points ------------------------------------------------------------------
@@ -950,9 +948,8 @@ def run(
             except GridError as exc:
                 raise ScenarioError(f"--dt: {exc}") from exc
             scenario.dt = float(dt)
-        expected, is_tolerance, _ = _OPTION_KINDS["tolerance"]
-        if tol is not None and not is_tolerance(tol):
-            raise ScenarioError(f"--tol: expected {expected}, got {tol!r}")
+        if tol is not None:
+            tol = _KINDS["tolerance"](tol, "--tol")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -960,26 +957,13 @@ def run(
     out = Path(out_dir) if out_dir else Path(f"{Path(scenario_path).stem}_out")
     out.mkdir(parents=True, exist_ok=True)
 
-    runner = _CheckRunner()
+    runner = _CheckRunner(tol)
     start = time.perf_counter()
     try:
-        if scenario.task == "check-algebra":
-            results = _run_check_algebra(scenario, runner, tol)
-        elif scenario.task == "com-brackets":
-            results = _run_com_brackets(scenario, runner, tol)
-        elif scenario.task == "simulate":
-            results = _run_simulate(scenario, runner, out, tol)
-        else:
-            results = _run_wep_test(scenario, runner, tol)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
+        results = _TASKS[scenario.task].run(scenario, runner, out)
     except (PotentialSingularityError, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ScalingRequiredError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
     total_time = time.perf_counter() - start
 
     report = {

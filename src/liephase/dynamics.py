@@ -297,11 +297,17 @@ class GravityScenario:
         return _grid_steps(self.t0, self.t_end, self.dt)
 
 
+# a trajectory holds at least one particle's six float64 phase coordinates per
+# grid point, and numpy sizes no array of more bytes than an intp counts
+_MAX_GRID_STEPS = np.iinfo(np.intp).max // (6 * 8) - 1
+
+
 def _grid_steps(t0: float, t_end: float, dt: float) -> int:
     """Number of steps of size dt from t0 to t_end.
 
     The grid must end at t_end: dt has to divide t_end - t0 to within 1e-9
-    of a step.  Raises GridError naming the offending field.
+    of a step, and its trajectory must be an array numpy can size.  Raises
+    GridError naming the offending field.
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
@@ -311,9 +317,11 @@ def _grid_steps(t0: float, t_end: float, dt: float) -> int:
     if t_end <= t0:
         raise GridError("t_end", "t_end must exceed t0")
     steps = (t_end - t0) / dt
-    if not math.isfinite(steps):
+    if steps > _MAX_GRID_STEPS:  # an infinite count too
         raise GridError(
-            "t_end", f"t_end - t0 = {t_end - t0!r} takes infinitely many steps of dt = {dt!r}"
+            "t_end",
+            f"t_end - t0 = {t_end - t0!r} takes {steps:.6g} steps of dt = {dt!r}, "
+            "more than numpy can size a trajectory for",
         )
     n = int(np.floor(steps + 1e-9))
     if n < 1 or abs(steps - n) > 1e-9:

@@ -284,6 +284,34 @@ class TestScenarioParsing:
                   initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2})),
             ("algebra: kappa must have a finite inverse", dict(MINIMAL, algebra=dict(
                 MINIMAL["algebra"], kappa=1e-310))),
+            # rules a task needs of its scenario
+            ("options.compare_partition: only meaningful with body_mode",
+             dict(BODY, body_mode=False, options={"compare_partition": [2.0, 2.0]})),
+            ("options.compare_partition: partition must preserve the total mass",
+             dict(BODY, options={"compare_partition": [2.0, 2.5]})),
+            ("options.compare_partition: partition comparison needs a mass-scaled system",
+             dict(BODY, particles=[{"mass": 1.0}, {"mass": 3.0, "kappa": 5.0}],
+                  neglect_relative_motion=True, options={"compare_partition": [2.0, 2.0]})),
+            ("potential: required for this task", {k: v for k, v in SIMULATE.items()
+                                                   if k != "potential"}),
+            ("particles: center-of-mass brackets do not close",
+             dict(BODY, algebra={"variant": "space_space", "kappa_tilde": 1.5,
+                                 "k": 1, "l": 2, "gamma": 3},
+                  particles=[{"mass": 1.0}, {"mass": 3.0, "kappa_tilde": 2.0}],
+                  neglect_relative_motion=True)),
+            # potential fields name their bad element
+            ("potential.g[1]: expected a finite number, got 'x'",
+             dict(SIMULATE, potential={"variant": "uniform", "g": [0, "x", 0]})),
+            ("potential.g: expected a list of 3 numbers",
+             dict(SIMULATE, potential={"variant": "uniform", "g": [0, 1]})),
+            ("potential.center[2]: expected a finite number, got None",
+             dict(SIMULATE, potential={"variant": "newtonian", "strength": 1.0,
+                                       "center": [5, 0, None]})),
+            ("potential.coefficients.2,0,0: expected a finite number, got 'x'",
+             dict(SIMULATE, potential={"variant": "polynomial",
+                                       "coefficients": {"2,0,0": "x"}})),
+            # 1e20 steps: numpy refuses to size the trajectory
+            ("grid.t_end", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1e17, "dt": 1e-3})),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -292,6 +320,7 @@ class TestScenarioParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"scenario error: {field}")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_potential_roundtrip(self):
         for pot in (

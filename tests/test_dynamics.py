@@ -352,6 +352,8 @@ class TestGrid:
             # (t_end - t0) / dt overflows to an infinite step count
             ((0.0, 1e308, 0.1), "t_end"),
             ((-1e308, 1e308, 1.0), "t_end"),
+            # 1e18 steps: a trajectory numpy cannot size
+            ((0.0, 1e15, 1e-3), "t_end"),
         ],
     )
     def test_grid_must_end_at_t_end(self, grid, field):
