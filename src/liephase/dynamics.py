@@ -30,6 +30,7 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     LoweredAlgebra,
+    _CANONICAL,
     _encoding,
     lower,
     rescale,
@@ -549,30 +550,69 @@ def _integrate_flat(
     dt: float,
     n_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step fourth-order Runge-Kutta."""
+    """Classical fixed-step fourth-order Runge-Kutta.
+
+    Computes ``k = J(z, t) grad(H)`` at the four stages and
+    ``z + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` in the order those expressions are
+    written, so every step rounds as they would, but every ufunc writes
+    into a buffer made once: the stages, grad(H), the stage state and the
+    blocks.  Each step lands directly in its row of ``states``.  The block
+    ``C + t time`` is built once per stage time, so k2 and k3 share the one
+    at t + dt/2; the slope's contraction is added to a copy of it.
+    """
     times = t0 + dt * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, z0.size))
     states[0] = z0
-    z = z0.astype(float).copy()
+    rows = states.reshape(n_steps + 1, -1, 6)
+    m = masses[:, None]
+    time, slope = lowered.time, lowered.slope
     half = dt / 2.0
+    stage = np.empty(rows.shape[1:])
+    grad = np.empty(rows.shape[1:])
+    grad_x, grad_p, grad_column = grad[:, :3], grad[:, 3:], grad[..., None]
+    k = np.empty((4,) + rows.shape[1:])
+    k1, k2, k3, k4 = k
+    k_columns = k[..., None]
+    at_t, at_half, at_end = np.empty((3,) + time.shape)
+    j = np.empty(time.shape)
+
+    def rhs(z, base, out):
+        """``out = J(z, t) grad(H)(z)`` as a column, for the block ``base = C + t time``."""
+        # out passed positionally: the keyword costs about 0.5 us a call at N=1
+        np.multiply(m, potential.gradient(z[:, :3]), grad_x)
+        np.divide(z[:, 3:], m, grad_p)
+        if slope is not None:
+            np.einsum("ad,adij->aij", z, slope, out=j)
+            base = np.add(base, j, j)
+        np.matmul(base, grad_column, out)
+
     # blow-ups surface through the finiteness guard, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            t = times[step]
+        for step, t in enumerate(times[:-1].tolist()):
+            z, z_next = rows[step], rows[step + 1]
+            for block, at in ((at_t, t), (at_half, t + half), (at_end, t + dt)):
+                np.multiply(at, time, block)
+                np.add(_CANONICAL, block, block)
             try:
-                k1 = _rhs_flat(masses, lowered, potential, z, t)
-                k2 = _rhs_flat(masses, lowered, potential, z + half * k1, t + half)
-                k3 = _rhs_flat(masses, lowered, potential, z + half * k2, t + half)
-                k4 = _rhs_flat(masses, lowered, potential, z + dt * k3, t + dt)
+                rhs(z, at_t, k_columns[0])
+                np.add(z, np.multiply(half, k1, stage), stage)
+                rhs(stage, at_half, k_columns[1])
+                np.add(z, np.multiply(half, k2, stage), stage)
+                rhs(stage, at_half, k_columns[2])
+                np.add(z, np.multiply(dt, k3, stage), stage)
+                rhs(stage, at_end, k_columns[3])
             except PotentialSingularityError as exc:
                 where = "" if exc.index is None else f" for particle {exc.index}"
                 raise PotentialSingularityError(
                     f"singularity encountered at step {step} (t = {t:.6g}){where}: {exc}",
                     index=exc.index,
                 ) from exc
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(z)):
-                particle = int(np.argmin(np.isfinite(z.reshape(-1, 6)).all(axis=1)))
+            np.add(k1, np.multiply(2.0, k2, k2), k1)
+            np.add(k1, np.multiply(2.0, k3, k3), k1)
+            np.add(k1, k4, k1)
+            np.add(z, np.multiply(dt / 6.0, k1, k1), z_next)
+            if not np.isfinite(z_next).all():
+                particle = int(np.argmin(np.isfinite(z_next).all(axis=1)))
                 raise NonFiniteStateError(
                     f"non-finite state of particle {particle} after step {step} "
                     f"(t = {t + dt:.6g})",
@@ -580,7 +620,6 @@ def _integrate_flat(
                     time=float(t + dt),
                     particle=particle,
                 )
-            states[step + 1] = z
     return times, states
 
 
@@ -605,24 +644,74 @@ def integrate(scenario: GravityScenario) -> Trajectory:
     center of mass alone as a pseudo-particle of mass M with the system's
     effective algebra parameters.
     """
-    n_steps = scenario.n_steps()
+    return _integrate_together([scenario])[0]
+
+
+def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, LoweredAlgebra, np.ndarray]:
+    """Masses, lowered algebra and initial phase vector of the system the
+    scenario integrates: its particles, or its body's center of mass."""
     if scenario.body_mode:
         total_mass, effective, z0 = _body_setup(scenario)
-        masses = np.array([total_mass])
-        lowered = lower([effective])
-    else:
-        masses = scenario.system.masses
-        lowered = scenario.system.lowered
-        z0 = scenario.initial.flatten()
-    times, states = _integrate_flat(
-        masses, lowered, scenario.potential, z0, scenario.t0, scenario.dt, n_steps
+        return np.array([total_mass]), lower([effective]), z0
+    return scenario.system.masses, scenario.system.lowered, scenario.initial.flatten()
+
+
+def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
+    """Integrate scenarios sharing a potential, t0, dt and step count as one
+    stacked system, and return each its own Trajectory.
+
+    J of the stacked system is block-diagonal and H a sum of per-particle
+    terms, and the kernel evaluates every particle on its own, so each
+    scenario's states are exactly those of its own integration (as the runs
+    of a WEP sweep).  Scenarios whose brackets differ in depending on the
+    phase point are integrated apart: stacked, the runs without a slope
+    would get a contraction of zeros, work and an addition to J that their
+    own integration never makes.  On a singularity or non-finite state the
+    scenarios are rerun apart, in order, so the error names the failing
+    scenario's own step and particle.
+    """
+    first = scenarios[0]
+    grid = (first.t0, first.dt, first.n_steps())
+    for scenario in scenarios[1:]:
+        if scenario.potential is not first.potential or (
+            scenario.t0, scenario.dt, scenario.n_steps()
+        ) != grid:
+            raise ValueError("stacked scenarios must share a potential and a grid")
+    runs = [_flat_run(s) for s in scenarios]
+    if len({lowered.slope is None for _, lowered, _ in runs}) > 1:
+        return [integrate(s) for s in scenarios]
+
+    slopes = [lowered.slope for _, lowered, _ in runs]
+    stacked = LoweredAlgebra(
+        time=np.concatenate([lowered.time for _, lowered, _ in runs]),
+        slope=None if slopes[0] is None else np.concatenate(slopes),
     )
-    metadata = {
-        "scenario": _scenario_fingerprint(scenario),
-        "integrator": "rk4",
-        "dt": scenario.dt,
-    }
-    return Trajectory(times=times, states=states, masses=masses, metadata=metadata)
+    z0 = np.concatenate([z for _, _, z in runs])
+    try:
+        times, states = _integrate_flat(
+            np.concatenate([m for m, _, _ in runs]), stacked, first.potential, z0, *grid
+        )
+    except (PotentialSingularityError, NonFiniteStateError):
+        if len(runs) == 1:
+            raise
+        for scenario in scenarios:
+            integrate(scenario)
+        raise
+
+    bounds = np.cumsum([0] + [z.size for _, _, z in runs]).tolist()
+    return [
+        Trajectory(
+            times=times if i == 0 else times.copy(),
+            states=np.ascontiguousarray(states[:, bounds[i] : bounds[i + 1]]),
+            masses=masses,
+            metadata={
+                "scenario": _scenario_fingerprint(scenario),
+                "integrator": "rk4",
+                "dt": scenario.dt,
+            },
+        )
+        for i, (scenario, (masses, _, _)) in enumerate(zip(scenarios, runs))
+    ]
 
 
 def body_com_rhs(scenario: GravityScenario, com_state: PhaseState) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 import numpy as np
 
 import liephase as lp
+from liephase import dynamics
 from liephase import observables as obs
 
 VARIANT_NAMES = (
@@ -348,3 +349,54 @@ def lower_via_generalized(specs) -> tuple[np.ndarray, np.ndarray]:
         slope[a, 3:, :3, 3:] = g.theta_tilde
     slope[..., 3:, :3] = -np.swapaxes(slope[..., :3, 3:], -1, -2)
     return time, slope
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record each call of ``dynamics._integrate_flat`` in the returned list."""
+    calls = []
+    kernel = dynamics._integrate_flat
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "_integrate_flat", counted)
+    return calls
+
+
+def integrate_flat_reference(masses, lowered, potential, z0, t0, dt, n_steps):
+    """Classical fixed-step RK4 with fresh arrays for every stage and every
+    step, each expression written out: the reference for
+    ``dynamics._integrate_flat``."""
+    rhs = dynamics._rhs_flat
+    times = t0 + dt * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, z0.size))
+    states[0] = z0
+    z = z0.astype(float).copy()
+    half = dt / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            t = times[step]
+            try:
+                k1 = rhs(masses, lowered, potential, z, t)
+                k2 = rhs(masses, lowered, potential, z + half * k1, t + half)
+                k3 = rhs(masses, lowered, potential, z + half * k2, t + half)
+                k4 = rhs(masses, lowered, potential, z + dt * k3, t + dt)
+            except lp.PotentialSingularityError as exc:
+                where = "" if exc.index is None else f" for particle {exc.index}"
+                raise lp.PotentialSingularityError(
+                    f"singularity encountered at step {step} (t = {t:.6g}){where}: {exc}",
+                    index=exc.index,
+                ) from exc
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(z)):
+                particle = int(np.argmin(np.isfinite(z.reshape(-1, 6)).all(axis=1)))
+                raise lp.NonFiniteStateError(
+                    f"non-finite state of particle {particle} after step {step} "
+                    f"(t = {t + dt:.6g})",
+                    step=step,
+                    time=float(t + dt),
+                    particle=particle,
+                )
+            states[step + 1] = z
+    return times, states

@@ -2,12 +2,15 @@
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import liephase as lp
 from liephase import cli
+
+from helpers import count_kernel_calls
 
 
 def write_scenario(tmp_path, name, payload):
@@ -312,6 +315,10 @@ class TestScenarioParsing:
                                        "coefficients": {"2,0,0": "x"}})),
             # 1e20 steps: numpy refuses to size the trajectory
             ("grid.t_end", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1e17, "dt": 1e-3})),
+            # true is not the integer 1
+            ("schema_version: expected an integer >= 0, got True",
+             dict(MINIMAL, schema_version=True)),
+            ("task: expected str, got int", dict(MINIMAL, task=3)),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -450,6 +457,37 @@ class TestRun:
         assert check["computed"] is None and check["passed"] is False
         assert "undefined" in check["undefined"]
         assert report["results"]["dt_halving_ratio"] is None
+
+    def test_overflowing_energy_leaves_drift_null(self, tmp_path, capsys):
+        payload = cli.load_scenario("body_composition").to_dict()
+        payload["initial"]["p"][0][1] = 1e308
+        path = write_scenario(tmp_path, "huge.scn", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(path, out_dir=str(tmp_path / "out")) == 0
+        report = strict_json(tmp_path / "out" / "report.json")
+        assert report["results"]["energy_drift"] is None
+
+        # a configured drift check fails and names the first non-finite sample
+        payload["options"]["energy_drift_tol"] = 1.0
+        path = write_scenario(tmp_path, "huge_checked.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "checked")) == 1
+        assert "FAIL energy-drift: computed=undefined" in capsys.readouterr().out
+        report = strict_json(tmp_path / "checked" / "report.json")
+        (check,) = [c for c in report["checks"] if c["name"] == "energy-drift"]
+        assert check["computed"] is None and check["passed"] is False
+        assert check["undefined"] == "the energy is not finite at sample 0 (t = 0)"
+
+    @pytest.mark.parametrize("name, integrations", [
+        # the body and its partition run as one stacked system
+        ("body_composition", 1),
+        # the order check reuses the main run for its coarsest grid
+        ("integrator_order", 3),
+    ])
+    def test_integrations_per_run(self, name, integrations, tmp_path, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        assert cli.run(name, out_dir=str(tmp_path / "out")) == 0
+        assert len(calls) == integrations
 
     def test_undefined_effective_kappa_fails(self, tmp_path, capsys):
         # unscaled SpaceSpace has no effective algebra to read kappa_tilde from

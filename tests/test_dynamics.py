@@ -12,7 +12,9 @@ from liephase.algebra import rescale
 
 from helpers import (
     VARIANT_NAMES,
+    count_kernel_calls,
     decoupling_check_closures,
+    integrate_flat_reference,
     polynomial_gradient_loop,
     polynomial_value_loop,
     random_polynomial,
@@ -336,6 +338,141 @@ class TestIntegrate:
         traj = lp.integrate(scen)
         energies = [lp.hamiltonian(scen.system, pot, s) for _, s in traj.samples]
         assert np.all(np.isfinite(energies))
+
+
+KERNEL_FIELDS = {
+    "uniform": lp.Uniform(g=[0.1, -0.3, 0.2]),
+    "newtonian": lp.Newtonian(strength=1.5, center=[-5.0, -5.0, -5.0]),
+    "polynomial": lp.Polynomial(coefficients={
+        (2, 0, 0): 0.5, (0, 2, 0): 0.3, (0, 0, 2): 0.4, (1, 1, 1): -0.05, (0, 4, 0): 0.01,
+    }),
+}
+
+
+def kernel_outcome(kernel, *args):
+    """The bytes of a kernel's times and states, or its error's type,
+    message and fields."""
+    try:
+        times, states = kernel(*args)
+    except (lp.PotentialSingularityError, lp.NonFiniteStateError) as exc:
+        return type(exc), str(exc), vars(exc)
+    return times.tobytes(), states.tobytes()
+
+
+class TestKernelMatchesReference:
+    """``_integrate_flat`` reuses its buffers and shares the midpoint block;
+    every step must round exactly as the expression-per-stage reference."""
+
+    @pytest.mark.parametrize("field", list(KERNEL_FIELDS))
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_bytes_equal_reference(self, variant, n, field):
+        rng = np.random.default_rng([VARIANT_NAMES.index(variant), n])
+        system = random_system(rng, variant, n)
+        z0 = random_state(rng, n, box=1.0).flatten()
+        # a negative t0 puts -0.0 entries into t * time
+        args = (system.masses, system.lowered, KERNEL_FIELDS[field], z0, -0.37, 0.002, 40)
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert isinstance(got[0], bytes)  # the run completes
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_singularity_same_as_reference(self, variant):
+        rng = np.random.default_rng(5)
+        system = random_system(rng, variant, 3)
+        field = lp.Newtonian(strength=1.0, r_min=0.25)
+        z0 = np.zeros((3, 6))
+        z0[:, 0] = [2.0, 0.3, 1.5]
+        z0[1, 3] = -3.0  # particle 1 falls into the guarded region
+        args = (system.masses, system.lowered, field, z0.reshape(-1), -0.5, 0.01, 100)
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert got[0] is lp.PotentialSingularityError and got[2]["index"] == 1
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_nonfinite_state_same_as_reference(self, variant):
+        rng = np.random.default_rng(6)
+        system = random_system(rng, variant, 2)
+        field = lp.Polynomial(coefficients={(4, 0, 0): -1.0})
+        z0 = np.zeros((2, 6))
+        z0[:, 0] = [0.1, 2.0]
+        z0[1, 3] = 5.0  # particle 1 runs away to infinity
+        args = (system.masses, system.lowered, field, z0.reshape(-1), 0.0, 0.01, 500)
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert got[0] is lp.NonFiniteStateError and got[2]["particle"] == 1
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+
+def assert_same_trajectories(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.times.tobytes() == b.times.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.masses.tobytes() == b.masses.tobytes()
+        assert a.metadata == b.metadata
+
+
+def scenario_pair(rng, variants, n, body_mode=False, potential=HARMONIC):
+    """Two scenarios of the given variants on one field and grid."""
+    scenarios = []
+    for variant in variants:
+        system = (scaled_system if body_mode else random_system)(rng, variant, n)
+        state = random_state(rng, n, box=1.0)
+        scenarios.append(lp.GravityScenario(
+            system=system, potential=potential, initial=lp.PhaseState(state.x, state.p, 0.0),
+            t0=0.0, t_end=0.3, dt=0.01, body_mode=body_mode, neglect_relative_motion=body_mode,
+        ))
+    return scenarios
+
+
+class TestStackedIntegration:
+    """Scenarios sharing a field and a grid integrate as one stacked system,
+    each with exactly the states of its own integration."""
+
+    def test_body_and_partition_equal_separate_runs(self, monkeypatch):
+        body = body_scenario([1.0, 3.0], [2.0, 6.0], [0.3, -0.2, 0.1], [0.2, 0.1, -0.4])
+        partition = body_scenario([2.0, 2.0], [4.0, 4.0], [0.3, -0.2, 0.1], [0.2, 0.1, -0.4])
+        partition = dataclasses.replace(partition, potential=body.potential)
+        expected = [lp.integrate(body), lp.integrate(partition)]
+        calls = count_kernel_calls(monkeypatch)
+        assert_same_trajectories(dynamics._integrate_together([body, partition]), expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("body_mode", [False, True])
+    def test_spacespace_runs_with_slopes_equal_separate_runs(self, body_mode, monkeypatch):
+        runs = scenario_pair(np.random.default_rng(8), ["space_space"] * 2, 3, body_mode)
+        assert runs[0].system.lowered.slope is not None
+        expected = [lp.integrate(s) for s in runs]
+        calls = count_kernel_calls(monkeypatch)
+        assert_same_trajectories(dynamics._integrate_together(runs), expected)
+        assert len(calls) == 1
+
+    def test_unequal_slope_presence_integrates_apart(self, monkeypatch):
+        runs = scenario_pair(np.random.default_rng(9), ["space_time", "space_space"], 3)
+        assert [s.system.lowered.slope is None for s in runs] == [True, False]
+        expected = [lp.integrate(s) for s in runs]
+        calls = count_kernel_calls(monkeypatch)
+        assert_same_trajectories(dynamics._integrate_together(runs), expected)
+        assert len(calls) == 2
+
+    def test_failure_names_the_scenario_as_its_own_run(self):
+        field = lp.Polynomial(coefficients={(4, 0, 0): -1.0})
+        calm = one_particle(lp.Canonical(), x=(0.1, 0, 0), t_end=5.0, dt=0.01, potential=field)
+        runaway = one_particle(lp.Canonical(), x=(2, 0, 0), p=(5, 0, 0),
+                               t_end=5.0, dt=0.01, potential=field)
+        with pytest.raises(lp.NonFiniteStateError) as alone:
+            lp.integrate(runaway)
+        with pytest.raises(lp.NonFiniteStateError) as stacked:
+            dynamics._integrate_together([calm, runaway])
+        assert str(stacked.value) == str(alone.value)
+        assert vars(stacked.value) == vars(alone.value) and alone.value.particle == 0
+
+    def test_runs_must_share_field_and_grid(self):
+        a = one_particle(lp.Canonical())
+        for b in (dataclasses.replace(a, potential=lp.Uniform(g=[0.0, 1.0, 0.0])),
+                  dataclasses.replace(a, dt=2e-3)):
+            with pytest.raises(ValueError, match="share a potential and a grid"):
+                dynamics._integrate_together([a, b])
 
 
 class TestGrid:
