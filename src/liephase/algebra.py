@@ -51,6 +51,7 @@ theta_bar/theta_tilde slices.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
@@ -85,39 +86,22 @@ __all__ = [
 _AXES = (1, 2, 3)
 
 
-def _check_axis(name: str, value: int) -> None:
-    if value not in _AXES:
-        raise ValueError(f"{name} must be one of {_AXES}, got {value!r}")
-
-
-def _check_nonzero(name: str, value: float, positive: bool = False) -> None:
-    if not np.isfinite(value) or value == 0.0:
-        raise ValueError(f"{name} must be nonzero and finite, got {value!r}")
-    # the tensor encoding holds 1 / value, which overflows for a subnormal value
-    if not math.isfinite(1.0 / float(value)):
-        raise ValueError(f"{name} must have a finite inverse, got {value!r}")
-    if positive and value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def _frozen_tensor(value, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
-def _check_lower_antisymmetric(arr: np.ndarray, name: str) -> None:
-    """Antisymmetry in the last two (lower) indices."""
-    if not np.array_equal(arr, -np.swapaxes(arr, -1, -2)):
-        raise ValueError(f"{name} must be antisymmetric in its lower index pair")
-
-
 class AlgebraSpec:
-    """Base class for bracket-algebra variants."""
+    """Base class for bracket-algebra variants: a variant is its fields, each
+    checked by its role in ``PARAMETER_ROLES``, tensors stored read-only."""
+
+    def __post_init__(self):
+        axes = {}
+        for name, role in parameter_roles(self):
+            value = _checked_parameter(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+            if role.kind == AXIS:
+                axes[name] = value
+        if len(set(axes.values())) < len(axes):
+            raise ValueError(
+                f"({', '.join(axes)}) must be distinct axes, a permutation of "
+                f"{len(axes)} of {_AXES}, got {tuple(axes.values())}"
+            )
 
     @property
     def variant(self) -> str:
@@ -138,11 +122,9 @@ class SpaceTime(AlgebraSpec):
     tau: int = 2
 
     def __post_init__(self):
-        _check_nonzero("kappa", self.kappa, positive=True)
-        _check_axis("rho", self.rho)
-        _check_axis("tau", self.tau)
-        if self.rho == self.tau:
-            raise ValueError("rho must differ from tau")
+        super().__post_init__()
+        if self.kappa <= 0.0:
+            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
 
 
 @dataclass(frozen=True)
@@ -153,13 +135,6 @@ class SpaceSpace(AlgebraSpec):
     k: int = 1
     l: int = 2
     gamma: int = 3
-
-    def __post_init__(self):
-        _check_nonzero("kappa_tilde", self.kappa_tilde)
-        for name in ("k", "l", "gamma"):
-            _check_axis(name, getattr(self, name))
-        if {self.k, self.l, self.gamma} != {1, 2, 3}:
-            raise ValueError("(k, l, gamma) must be a permutation of (1, 2, 3)")
 
 
 @dataclass(frozen=True)
@@ -177,14 +152,6 @@ class MiaoTypeI(AlgebraSpec):
     l: int = 2
     gamma: int = 3
 
-    def __post_init__(self):
-        _check_nonzero("kappa", self.kappa)
-        _check_nonzero("kappa_tilde", self.kappa_tilde)
-        for name in ("k", "l", "gamma"):
-            _check_axis(name, getattr(self, name))
-        if {self.k, self.l, self.gamma} != {1, 2, 3}:
-            raise ValueError("(k, l, gamma) must be a permutation of (1, 2, 3)")
-
 
 @dataclass(frozen=True)
 class MiaoTypeII(AlgebraSpec):
@@ -201,15 +168,6 @@ class MiaoTypeII(AlgebraSpec):
     l: int = 2
     gamma: int = 3
 
-    def __post_init__(self):
-        _check_nonzero("kappa", self.kappa)
-        _check_nonzero("kappa_tilde", self.kappa_tilde)
-        _check_nonzero("kappa_bar", self.kappa_bar)
-        for name in ("k", "l", "gamma"):
-            _check_axis(name, getattr(self, name))
-        if {self.k, self.l, self.gamma} != {1, 2, 3}:
-            raise ValueError("(k, l, gamma) must be a permutation of (1, 2, 3)")
-
 
 @dataclass(frozen=True)
 class Generalized(AlgebraSpec):
@@ -225,18 +183,6 @@ class Generalized(AlgebraSpec):
     theta: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 3)))
     theta_bar: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 3)))
     theta_tilde: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 3)))
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta0", _frozen_tensor(self.theta0, (3, 3), "theta0"))
-        object.__setattr__(self, "theta", _frozen_tensor(self.theta, (3, 3, 3), "theta"))
-        object.__setattr__(
-            self, "theta_bar", _frozen_tensor(self.theta_bar, (3, 3, 3), "theta_bar")
-        )
-        object.__setattr__(
-            self, "theta_tilde", _frozen_tensor(self.theta_tilde, (3, 3, 3), "theta_tilde")
-        )
-        _check_lower_antisymmetric(self.theta0, "theta0")
-        _check_lower_antisymmetric(self.theta, "theta")
 
     def __eq__(self, other):
         if not isinstance(other, Generalized):
@@ -379,46 +325,99 @@ SCALED, SHARED, AXIS = "scaled", "shared", "axis"
 
 
 class ParameterRole(NamedTuple):
-    """What one variant parameter does under the mass-scaling condition.
+    """What one variant parameter is, and does under the mass-scaling condition.
 
     ``kind`` is SCALED (the parameter follows the particle's mass), SHARED
     (one value for all particles) or AXIS (a fixed coordinate index).
-    ``tensor`` marks the theta-like parameters; the scalars are kappa-like,
-    inverse deformation strengths.  ``constant`` names the MassScalingRule
-    field holding the parameter's value at unit mass (or its shared value).
-    ``scale(value, ratio)`` gives the value for a particle ``ratio`` times
-    as heavy and ``unscale(value, mass)`` the value at unit mass.
+    ``shape`` is a theta-like tensor's shape, and () for the kappa-like
+    scalars, inverse deformation strengths; ``antisymmetric`` marks the
+    tensors of {X_i, X_j}, antisymmetric in their lower index pair.
+    ``constant`` names the MassScalingRule field holding the parameter's
+    value at unit mass (or its shared value).  ``scale(value, ratio)`` gives
+    the value for a particle ``ratio`` times as heavy and
+    ``unscale(value, mass)`` the value at unit mass.
     """
 
     kind: str
-    tensor: bool = False
+    shape: tuple[int, ...] = ()
+    antisymmetric: bool = False
     constant: Optional[str] = None
     scale: Optional[Callable] = None
     unscale: Optional[Callable] = None
 
 
-# The one place that says how each parameter of every variant relates to the
-# particle's mass: kappa and kappa_tilde grow with m, theta0, theta and
-# theta_tilde shrink as 1/m, kappa_bar and theta_bar are shared, the rest are
-# axes.  Scaling, effective parameters, axis checks and serialization all
-# read their fields' roles from here.
+# The one place that says what each parameter of every variant is and how it
+# relates to the particle's mass: kappa and kappa_tilde grow with m, theta0,
+# theta and theta_tilde shrink as 1/m, kappa_bar and theta_bar are shared,
+# the rest are axes.  Validation, scaling, effective parameters, axis checks
+# and serialization all read their fields' roles from here.
+_GROWS, _SHRINKS = (operator.mul, operator.truediv), (operator.truediv, operator.mul)
 PARAMETER_ROLES = {
-    "kappa": ParameterRole(SCALED, False, "gamma_kappa", operator.mul, operator.truediv),
-    "kappa_tilde": ParameterRole(
-        SCALED, False, "gamma_kappa_tilde", operator.mul, operator.truediv
-    ),
-    "kappa_bar": ParameterRole(SHARED, False, "kappa_bar"),
-    "theta0": ParameterRole(SCALED, True, "gamma0", operator.truediv, operator.mul),
-    "theta": ParameterRole(SCALED, True, "gamma", operator.truediv, operator.mul),
-    "theta_tilde": ParameterRole(SCALED, True, "gamma_tilde", operator.truediv, operator.mul),
-    "theta_bar": ParameterRole(SHARED, True, "theta_bar"),
+    "kappa": ParameterRole(SCALED, (), False, "gamma_kappa", *_GROWS),
+    "kappa_tilde": ParameterRole(SCALED, (), False, "gamma_kappa_tilde", *_GROWS),
+    "kappa_bar": ParameterRole(SHARED, (), False, "kappa_bar"),
+    "theta0": ParameterRole(SCALED, (3, 3), True, "gamma0", *_SHRINKS),
+    "theta": ParameterRole(SCALED, (3, 3, 3), True, "gamma", *_SHRINKS),
+    "theta_tilde": ParameterRole(SCALED, (3, 3, 3), False, "gamma_tilde", *_SHRINKS),
+    "theta_bar": ParameterRole(SHARED, (3, 3, 3), False, "theta_bar"),
     **{name: ParameterRole(AXIS) for name in ("rho", "tau", "k", "l", "gamma")},
 }
 
 
-def parameter_roles(spec: AlgebraSpec | type) -> list[tuple[str, ParameterRole]]:
+def _refuse_entries(bad: np.ndarray, name: str, reason: str) -> None:
+    """Raise ValueError naming the first True entry of ``bad``, ``name[i][j]: reason``."""
+    if bad.any():
+        raise ValueError(name + "".join(f"[{i}]" for i in np.argwhere(bad)[0]) + f": {reason}")
+
+
+def _finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``value`` as a read-only float array of ``shape`` with finite entries.
+
+    A ValueError names the first non-finite entry, ``name[i][j]``, which is
+    searched for only after the check has failed.
+    """
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if arr.shape != shape:
+        raise ValueError(f"{name}: must have shape {shape}, got {arr.shape}")
+    _refuse_entries(~np.isfinite(arr), name, "must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
+def _checked_parameter(name: str, value):
+    """``value`` checked against the role of parameter ``name``, a tensor as a
+    read-only array.  A ValueError names the parameter, or a tensor's first
+    bad entry."""
+    role = PARAMETER_ROLES[name]
+    if role.kind == AXIS:
+        if value not in _AXES:
+            raise ValueError(f"{name} must be one of {_AXES}, got {value!r}")
+    elif not role.shape:
+        if not math.isfinite(value) or value == 0.0:
+            raise ValueError(f"{name} must be nonzero and finite, got {value!r}")
+        # the tensor encoding holds 1 / value, which overflows for a subnormal value
+        if not math.isfinite(1.0 / float(value)):
+            raise ValueError(f"{name} must have a finite inverse, got {value!r}")
+    else:
+        value = _finite_array(value, role.shape, name)
+        if role.antisymmetric:
+            _refuse_entries(value != -np.swapaxes(value, -1, -2), name,
+                            "must be antisymmetric in its lower index pair")
+    return value
+
+
+def parameter_roles(spec: AlgebraSpec | type) -> tuple[tuple[str, ParameterRole], ...]:
     """(name, role) of each parameter of a spec or variant class, in field order."""
-    return [(f.name, PARAMETER_ROLES[f.name]) for f in fields(spec)]
+    return _variant_roles(spec if isinstance(spec, type) else type(spec))
+
+
+# every spec made checks its fields through its roles, so they are read once per class
+@functools.cache
+def _variant_roles(variant: type) -> tuple[tuple[str, ParameterRole], ...]:
+    return tuple((f.name, PARAMETER_ROLES[f.name]) for f in fields(variant))
 
 
 def rescale(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:

@@ -41,6 +41,7 @@ from .algebra import (
     PhaseState,
     SpaceSpace,
     SpaceTime,
+    _checked_parameter,
     _phase_points,
     jacobi_residual,
     parameter_roles,
@@ -111,12 +112,16 @@ def _checked(expected: str, test, convert=lambda v: v):
     return read
 
 
-def _vector(value, name: str) -> np.ndarray:
-    """Three finite numbers; a bad entry is named by its index, ``<name>[i]``."""
-    if not isinstance(value, list) or len(value) != 3:
-        raise ScenarioError(f"{name}: expected a list of 3 numbers, got {value!r}")
+def _array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Finite numbers in lists nested as ``shape``; a bad entry is named by its
+    index, ``<name>[i][j]``."""
+    if not isinstance(value, list) or len(value) != shape[0]:
+        items = "numbers" if len(shape) == 1 else "lists"
+        raise ScenarioError(f"{name}: expected a list of {shape[0]} {items}, got {value!r}")
     for i, entry in enumerate(value):
-        if not _is_finite_number(entry):
+        if len(shape) > 1:
+            _array(entry, shape[1:], f"{name}[{i}]")
+        elif not _is_finite_number(entry):
             raise ScenarioError(f"{name}[{i}]: expected a finite number, got {entry!r}")
     return np.array(value, dtype=float)
 
@@ -139,7 +144,7 @@ _KINDS = {
                        lambda v: (float(v[0]), float(v[1]))),
     "scaling_mode": _checked("fixed, mass_scaled or both",
                              lambda v: v in ("fixed", "mass_scaled", "both")),
-    "vector": _vector,
+    "vector": lambda value, name: _array(value, (3,), name),
 }
 
 _REQUIRED = object()  # the default of a field that must be given
@@ -186,14 +191,14 @@ def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
     for name, role in parameter_roles(cls):
         if role.kind == AXIS:
             params[name] = _read(data, name, path, "axis")
-        elif not role.tensor:
+        elif not role.shape:
             params[name] = _read(data, name, path, "number")
         elif name in data:
-            # each tensor is validated on its own, so an error names its field
+            tensor = _array(data[name], role.shape, f"{path}.{name}")
             try:
-                params[name] = getattr(cls(**{name: data[name]}), name)
-            except (ValueError, TypeError) as exc:
-                raise ScenarioError(f"{path}.{name}: {exc}") from exc
+                params[name] = _checked_parameter(name, tensor)
+            except ValueError as exc:  # names its first bad entry, <name>[i][j]
+                raise ScenarioError(f"{path}.{exc}") from exc
     try:
         return cls(**params)
     except (ValueError, TypeError) as exc:
@@ -206,7 +211,7 @@ def algebra_to_dict(spec: AlgebraSpec) -> dict:
     out: dict[str, Any] = {"variant": _VARIANT_NAMES[type(spec)]}
     for name, role in parameter_roles(spec):
         value = getattr(spec, name)
-        out[name] = value.tolist() if role.tensor else value
+        out[name] = value.tolist() if role.shape else value
     return out
 
 
@@ -316,7 +321,7 @@ def _points(initial: dict, key: str, n: int) -> np.ndarray:
     rows = _read(initial, key, "initial", list)
     if len(rows) != n:
         raise ScenarioError(f"initial.{key}: expected one row per particle ({n}), got {len(rows)}")
-    return np.array([_vector(row, f"initial.{key}[{a}]") for a, row in enumerate(rows)])
+    return np.array([_array(row, (3,), f"initial.{key}[{a}]") for a, row in enumerate(rows)])
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -496,9 +501,12 @@ class _CheckRunner:
         undefined: str = "",
     ) -> Optional[float]:
         """Record one check.  A ``computed`` of None is an undefined value,
-        ``undefined`` says why, and the check fails."""
+        ``undefined`` says why, and the check fails; so is a value that is not
+        finite, which the report could not hold as strict JSON."""
         now = time.perf_counter()
         computed = None if computed is None else float(computed)
+        if computed is not None and not math.isfinite(computed):
+            computed, undefined = None, f"the computed value is {computed}, not a finite number"
         self.checks.append(
             Check(
                 name=name,
@@ -564,7 +572,7 @@ def _rescaled(name: str, mass: float, build) -> None:
 
 def _scalar_parameters(variant: type) -> list[str]:
     return [name for name, role in parameter_roles(variant)
-            if role.kind != AXIS and not role.tensor]
+            if role.kind != AXIS and not role.shape]
 
 
 def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
@@ -572,21 +580,12 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, out_dir: Path) 
     specs = scenario.system.specs
     lowered = scenario.system.lowered
     # J is block-diagonal: its per-particle 6x6 blocks at each sampled state
-    blocks = [lowered.blocks(_phase_points(st), st.t) for st in states]
-
-    def antisymmetry():
-        worst = 0.0
-        for j in blocks:
-            worst = max(worst, float(np.max(np.abs(j + np.swapaxes(j, -1, -2)))))
-        return worst
-
-    def jacobi():
-        return max(jacobi_residual(lowered, st) for st in states)
+    blocks = np.stack([lowered.blocks(_phase_points(st), st.t) for st in states])
 
     def roundtrip():
         # the evaluator's X-X and X-P corners against the named variant's
         # closed-form tables, relative where entries exceed one
-        worst = 0.0
+        deviations = []
         for st, j in zip(states, blocks):
             for a, spec in enumerate(specs):
                 block = j[a]
@@ -595,32 +594,34 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, out_dir: Path) 
                     (block[:3, :3], _table_xx(*args)),
                     (block[:3, 3:], np.eye(3) + _table_xp_deform(*args)),
                 ):
-                    scaled = np.abs(got - table) / np.maximum(1.0, np.abs(table))
-                    worst = max(worst, float(np.max(scaled)))
-        return worst
+                    deviations.append(np.abs(got - table) / np.maximum(1.0, np.abs(table)))
+        return np.max(deviations)
 
-    runner.add("antisymmetry", antisymmetry(), tolerance=0.0)
-    runner.add("jacobi-residual", jacobi(), tolerance=runner.tolerance(1e-10))
-    runner.add("generalized-encoding-roundtrip", roundtrip(), tolerance=1e-15)
+    def eom_agreement():
+        deviations = []
+        g = scenario.gravity_scenario()
+        for st in states:
+            xdot, pdot = eom_rhs(g, st)
+            for a, particle in enumerate(scenario.system.particles):
+                cx, cp = closed_form_rhs(
+                    particle.spec, particle.mass, scenario.potential,
+                    st.x[a], st.p[a], st.t,
+                )
+                deviations += [np.abs(xdot[a] - cx), np.abs(pdot[a] - cp)]
+        return np.max(deviations)
 
-    results: dict[str, Any] = {"sampled_states": len(states)}
-    if scenario.potential is not None:
-        def eom_agreement():
-            worst = 0.0
-            g = scenario.gravity_scenario()
-            for st in states:
-                xdot, pdot = eom_rhs(g, st)
-                for a, particle in enumerate(scenario.system.particles):
-                    cx, cp = closed_form_rhs(
-                        particle.spec, particle.mass, scenario.potential,
-                        st.x[a], st.p[a], st.t,
-                    )
-                    worst = max(worst, float(np.max(np.abs(xdot[a] - cx))),
-                                float(np.max(np.abs(pdot[a] - cp))))
-            return worst
-
-        runner.add("eom-closed-form", eom_agreement(), tolerance=runner.tolerance(1e-12))
-    return results
+    # each check is the np.max of its deviations, which keeps a NaN (inf - inf,
+    # say) where Python's max would drop it: an overflow surfaces as a
+    # non-finite value, which the runner records as undefined
+    with np.errstate(over="ignore", invalid="ignore"):
+        runner.add("antisymmetry", np.max(np.abs(blocks + np.swapaxes(blocks, -1, -2))),
+                   tolerance=0.0)
+        runner.add("jacobi-residual", np.max([jacobi_residual(lowered, st) for st in states]),
+                   tolerance=runner.tolerance(1e-10))
+        runner.add("generalized-encoding-roundtrip", roundtrip(), tolerance=1e-15)
+        if scenario.potential is not None:
+            runner.add("eom-closed-form", eom_agreement(), tolerance=runner.tolerance(1e-12))
+    return {"sampled_states": len(states)}
 
 
 def _rule_to_dict(rule: Optional[MassScalingRule]) -> Optional[dict]:
@@ -697,7 +698,9 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -
             undefined="the system has no effective algebra (see effective_algebra_error)",
         )
     if scenario.potential is not None:
-        value = decoupling_check(system, state, scenario.potential)
+        # an overflow leaves the value NaN or infinite: null in the report
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = decoupling_check(system, state, scenario.potential)
         results["decoupling"] = value
         decoupling_max = settings.get("expect_decoupling_max")
         if decoupling_max is not None:
@@ -981,6 +984,9 @@ def run(
     except (PotentialSingularityError, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except GridError as exc:
+        print(f"run failed: grid.{exc.field}: {exc}", file=sys.stderr)
+        return 3
     total_time = time.perf_counter() - start
 
     report = {
@@ -988,7 +994,7 @@ def run(
         "task": scenario.task,
         "scenario": scenario.to_dict(),
         "checks": [c.to_dict() for c in runner.checks],
-        "results": results,
+        "results": _finite_or_null(results),
         "passed": runner.all_passed,
     }
     report_path = out / "report.json"
@@ -1007,6 +1013,18 @@ def run(
         )
     print(f"report: {report_path} ({total_time:.3f}s total)")
     return 0 if runner.all_passed else 1
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None, so the
+    report is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def list_builtin() -> list[tuple[str, str]]:

@@ -498,8 +498,8 @@ def _candidate_effective(system: ParticleSystem) -> AlgebraSpec:
         # weights mu_a^2 for scaled parameters, mu_a for shared ones; the
         # scalars are inverse strengths, so their law is harmonic
         power = 2 if role.kind == SCALED else 1
-        if role.tensor:
-            idx = "kij"[3 - np.ndim(getattr(first, name)):]
+        if role.shape:
+            idx = "kij"[3 - len(role.shape):]
             stack = np.stack([getattr(s, name) for s in specs])
             params[name] = np.einsum(f"a,a{idx}->{idx}", mu**power, stack)
         else:

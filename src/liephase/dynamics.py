@@ -32,6 +32,7 @@ from .algebra import (
     LoweredAlgebra,
     _CANONICAL,
     _encoding,
+    _finite_array,
     lower,
     rescale,
 )
@@ -102,11 +103,7 @@ class Uniform(Potential):
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.g, dtype=float)
-        if g.shape != (3,) or not np.all(np.isfinite(g)):
-            raise ValueError("g must be a finite 3-vector")
-        g.flags.writeable = False
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _finite_array(self.g, (3,), "g"))
 
     def value(self, x):
         return _scalar_or_array(_dot_rows(np.asarray(x, dtype=float), self.g))
@@ -133,11 +130,7 @@ class Newtonian(Potential):
     def __post_init__(self):
         if not np.isfinite(self.strength) or self.strength <= 0:
             raise ValueError(f"strength must be positive, got {self.strength!r}")
-        center = np.array(self.center, dtype=float)
-        if center.shape != (3,) or not np.all(np.isfinite(center)):
-            raise ValueError("center must be a finite 3-vector")
-        center.flags.writeable = False
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", _finite_array(self.center, (3,), "center"))
 
     def _radius(self, x) -> tuple[np.ndarray, np.ndarray | float]:
         """Offsets from the center and their lengths, guarded by r_min.
@@ -215,8 +208,9 @@ class Polynomial(Potential):
             exps = tuple(int(e) for e in key)
             if len(exps) != 3 or any(e < 0 for e in exps) or sum(exps) > 4:
                 raise ValueError(f"bad monomial exponents {key!r} (degree must be <= 4)")
-            if not np.isfinite(value):
-                raise ValueError(f"coefficient for {key!r} must be finite")
+            # the gradient weighs it by an exponent, which must not overflow it
+            if not math.isfinite(float(value) * max(exps)):
+                raise ValueError(f"coefficient for {key!r} must be finite, as must its derivative")
             coeffs[exps] = float(value)
         coeffs = dict(sorted(coeffs.items()))
         object.__setattr__(self, "coefficients", coeffs)
@@ -560,8 +554,14 @@ def _integrate_flat(
     ``C + t time`` is built once per stage time, so k2 and k3 share the one
     at t + dt/2; the slope's contraction is added to a copy of it.
     """
-    times = t0 + dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, z0.size))
+    try:
+        times = t0 + dt * np.arange(n_steps + 1)
+        states = np.empty((n_steps + 1, z0.size))
+    except MemoryError as exc:
+        # a grid numpy can size (see _grid_steps) but this machine cannot hold
+        raise GridError(
+            "t_end", f"a trajectory of {n_steps + 1} grid points does not fit in memory: {exc}"
+        ) from None
     states[0] = z0
     rows = states.reshape(n_steps + 1, -1, 6)
     m = masses[:, None]

@@ -36,8 +36,9 @@ class NonFiniteStateError(RuntimeError):
 
 
 class GridError(ValueError):
-    """A time grid that is not finite, not increasing, or that dt does not
-    divide; ``field`` names the offending value ("t0", "t_end" or "dt")."""
+    """A time grid that is not finite, not increasing, that dt does not
+    divide, or whose trajectory cannot be allocated; ``field`` names the
+    offending value ("t0", "t_end" or "dt")."""
 
     def __init__(self, field: str, message: str):
         super().__init__(message)

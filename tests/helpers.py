@@ -1,5 +1,7 @@
 """Shared factories for randomized tests."""
 
+import json
+
 import numpy as np
 
 import liephase as lp
@@ -16,6 +18,23 @@ VARIANT_NAMES = (
 )
 
 DEFORMED_NAMED_VARIANTS = ("space_time", "space_space", "miao_type_i", "miao_type_ii")
+
+
+def strict_json(path):
+    """A report parsed as strict JSON: NaN and Infinity tokens raise."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def tensor_with(shape, index, value) -> list:
+    """Nested lists of zeros of ``shape`` with ``value`` at ``index``."""
+    tensor = np.zeros(shape).tolist()
+    row = tensor
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = value
+    return tensor
 
 
 def antisym(rng: np.random.Generator, shape) -> np.ndarray:

@@ -19,6 +19,7 @@ from helpers import (
     lower_via_generalized,
     random_spec,
     random_state,
+    tensor_with,
 )
 
 
@@ -137,6 +138,19 @@ class TestSpecValidation:
         bad[0, 1, 2] = 1.0
         with pytest.raises(ValueError, match="theta"):
             lp.Generalized(theta=bad)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: lp.Generalized(theta=tensor_with((3, 3, 3), (0, 1, 2), 1.0)),
+         r"^theta\[0\]\[1\]\[2\]: must be antisymmetric in its lower index pair$"),
+        (lambda: lp.Generalized(theta_bar=tensor_with((3, 3, 3), (2, 1, 0), np.nan)),
+         r"^theta_bar\[2\]\[1\]\[0\]: must be finite"),
+        (lambda: lp.Generalized(theta0=np.zeros((3, 2))), r"^theta0: must have shape \(3, 3\)"),
+        (lambda: lp.MiaoTypeI(kappa=1.0, kappa_tilde=1.0, k=2, l=2, gamma=1),
+         r"^\(k, l, gamma\) must be distinct axes"),
+    ])
+    def test_error_names_the_entry(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_phase_state_requires_finite_entries(self):
         with pytest.raises(ValueError, match="finite"):
@@ -442,6 +456,14 @@ class TestParameterRoles:
             assert (role.scale is not None) == (role.unscale is not None) == (role.kind == SCALED)
             assert (role.constant is None) == (role.kind == AXIS)
 
+    def test_tensor_shapes_and_antisymmetry(self):
+        # a named variant's encoding has the shapes the roles declare
+        encoded = lp.as_generalized(lp.MiaoTypeII(kappa=1.0, kappa_tilde=2.0, kappa_bar=3.0))
+        for name, role in parameter_roles(lp.Generalized):
+            assert getattr(encoded, name).shape == role.shape
+        # only the {X_i, X_j} tensors are antisymmetric; the X-P ones are one-sided
+        assert {n for n, r in PARAMETER_ROLES.items() if r.antisymmetric} == {"theta0", "theta"}
+
     def test_table_has_no_unused_entries(self):
         used = {f.name for cls in VARIANT_CLASSES for f in dataclasses.fields(cls)}
         assert set(PARAMETER_ROLES) == used
@@ -457,4 +479,4 @@ class TestParameterRoles:
         role = PARAMETER_ROLES[name]
         assert role.unscale(role.scale(3.0, 2.0), 2.0) == 3.0
         # kappa-like scalars grow with the mass, theta-like tensors shrink
-        assert (role.scale(3.0, 2.0) > 3.0) == (not role.tensor)
+        assert (role.scale(3.0, 2.0) > 3.0) == (not role.shape)

@@ -10,20 +10,13 @@ import pytest
 import liephase as lp
 from liephase import cli
 
-from helpers import count_kernel_calls
+from helpers import count_kernel_calls, strict_json, tensor_with
 
 
 def write_scenario(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def strict_json(path):
-    """A report parsed as strict JSON: NaN and Infinity tokens raise."""
-    def refuse(token):
-        raise ValueError(f"{path}: non-standard JSON token {token}")
-    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 MINIMAL = {
@@ -74,6 +67,16 @@ BODY = {
     "potential": {"variant": "uniform", "g": [0.0, 1.0, 0.0]},
     "body_mode": True,
 }
+
+
+def _mutated(name, path, value):
+    """The bundled scenario ``name`` as a dict, with the node at ``path`` set to ``value``."""
+    payload = cli.load_scenario(name).to_dict()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return payload
 
 
 def _encoded_body(spec, mass):
@@ -236,6 +239,26 @@ class TestScenarioParsing:
                 ("theta_bar", {"k": 1}),
                 ("theta_tilde", [[[0.0] * 3] * 3] * 2),
             )],
+            # ... and its first bad entry
+            *[(field, dict(MINIMAL, algebra={"variant": "generalized", key: value}))
+              for field, key, value in (
+                ("algebra.theta[0][1][2]: expected a finite number, got nan",
+                 "theta", tensor_with((3, 3, 3), (0, 1, 2), float("nan"))),
+                ("algebra.theta_bar[2][0][1]: expected a finite number, got 'x'",
+                 "theta_bar", tensor_with((3, 3, 3), (2, 0, 1), "x")),
+                ("algebra.theta0[1]: expected a list of 3 numbers, got [0.0, 0.0]",
+                 "theta0", [[0.0] * 3, [0.0] * 2, [0.0] * 3]),
+                ("algebra.theta0[2][2]: must be antisymmetric in its lower index pair",
+                 "theta0", tensor_with((3, 3), (2, 2), 5.0)),
+                ("algebra.theta[1][0][2]: must be antisymmetric in its lower index pair",
+                 "theta", tensor_with((3, 3, 3), (1, 2, 0), 1.0)),
+            )],
+            ("particles[1].theta_tilde[0][2][1]: expected a finite number, got inf",
+             dict(MINIMAL, algebra={"variant": "generalized"},
+                  particles=[{"mass": 1.0},
+                             {"mass": 2.0,
+                              "theta_tilde": tensor_with((3, 3, 3), (0, 2, 1), float("inf"))}],
+                  initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2})),
             ("particles[1].theta_tilde",
              dict(MINIMAL, algebra={"variant": "generalized"},
                   particles=[{"mass": 1.0}, {"mass": 2.0, "theta_tilde": "x"}],
@@ -457,6 +480,36 @@ class TestRun:
         assert check["computed"] is None and check["passed"] is False
         assert "undefined" in check["undefined"]
         assert report["results"]["dt_halving_ratio"] is None
+
+    @pytest.mark.parametrize("name, path, check", [
+        # inf - inf: the deviation is NaN, which Python's max would drop
+        ("spacetime_eom", ("potential", "strength"), "eom-closed-form"),
+        # an infinite deviation
+        ("spacetime_eom", ("particles", 0, "mass"), "eom-closed-form"),
+        ("spacetime_decoupling", ("initial", "p", 0, 0), "decoupling"),
+        ("spacetime_decoupling", ("potential", "g", 0), "decoupling"),
+    ])
+    def test_non_finite_check_fails_as_undefined(self, name, path, check, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, "huge.scn", _mutated(name, path, 1e308))
+        assert cli.run(scenario, out_dir=str(tmp_path / "out")) == 1
+        assert f"FAIL {check}: computed=undefined" in capsys.readouterr().out
+        report = strict_json(tmp_path / "out" / "report.json")
+        (entry,) = [c for c in report["checks"] if c["name"] == check]
+        assert entry["computed"] is None and entry["passed"] is False
+        assert "not a finite number" in entry["undefined"]
+        if check == "decoupling":
+            assert report["results"]["decoupling"] is None
+
+    def test_unallocatable_grid_exits_3(self, tmp_path, capsys):
+        # 1e16 steps: numpy can size the trajectory, but its 71 PiB exceed any
+        # address space, so the allocation fails at once and touches no memory
+        payload = _mutated("integrator_order", ("grid", "t_end"), 1e13)
+        payload["grid"]["dt"] = 1e-3
+        scenario = write_scenario(tmp_path, "long.scn", payload)
+        assert cli.run(scenario, out_dir=str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: grid.t_end: a trajectory of 10000000000000001 grid")
+        assert "Traceback" not in err
 
     def test_overflowing_energy_leaves_drift_null(self, tmp_path, capsys):
         payload = cli.load_scenario("body_composition").to_dict()

@@ -72,6 +72,18 @@ class TestPotentials:
         with pytest.raises(ValueError, match="degree"):
             lp.Polynomial(coefficients={(3, 2, 0): 1.0})
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: lp.Uniform(g=[0.0, np.inf, 0.0]), r"^g\[1\]: must be finite"),
+        (lambda: lp.Uniform(g=[0.0, "x", 0.0]), r"^g: could not convert"),
+        (lambda: lp.Newtonian(strength=1.0, center=[0.0, 0.0]),
+         r"^center: must have shape \(3,\)"),
+        # finite, but 2 * 1e308, its weight in the gradient, is not
+        (lambda: lp.Polynomial(coefficients={(2, 0, 0): 1e308}), "as must its derivative"),
+    ])
+    def test_bad_field_parameter_named(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_polynomial_stored_in_canonical_order(self):
         terms = [((2, 0, 0), 0.5), ((0, 1, 1), -1.0), ((0, 0, 4), 0.25)]
         a = lp.Polynomial(coefficients=dict(terms))

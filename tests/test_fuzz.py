@@ -3,8 +3,9 @@
 Every node of every bundled scenario (each object member and list element,
 containers included) is replaced by one of ``MUTATIONS`` or deleted.  Each
 mutated scenario must leave ``cli.run`` with an exit status in {0, 1, 2, 3},
-never with an exception, and an exit 2 must come before anything is
-computed or written: it leaves no output directory.
+never with an exception; an exit 2 must come before anything is computed or
+written: it leaves no output directory; and a report it writes must be
+strict JSON, with no NaN or Infinity.
 
 The tier-1 tests take one mutation per node, rotating through the list, plus
 a seeded hypothesis draw of arbitrary JSON values.  The full sweep, every
@@ -30,6 +31,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from liephase import cli
+
+from helpers import strict_json
 
 DELETE = object()
 MUTATIONS = ("x", math.nan, -1, 0, 1e308, [], {}, None, True, 2.5, DELETE)
@@ -70,23 +73,31 @@ def mutated(doc, path, value):
     return doc
 
 
-def run_mutant(doc, workdir: Path) -> tuple[int, bool]:
-    """Exit status of ``cli.run`` on ``doc``, and whether it made the output directory."""
+def run_mutant(doc, workdir: Path) -> tuple[int, bool, bool]:
+    """Exit status of ``cli.run`` on ``doc``, whether it made the output
+    directory, and whether the report it wrote, if any, is strict JSON."""
     scenario = workdir / "mutant.scn"
     scenario.write_text(json.dumps(doc))
     out = workdir / "out"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         status = cli.run(str(scenario), out_dir=str(out))
     wrote = out.exists()
+    strict = True
+    if (out / "report.json").exists():
+        try:
+            strict_json(out / "report.json")
+        except ValueError:
+            strict = False
     shutil.rmtree(out, ignore_errors=True)
-    return status, wrote
+    return status, wrote, strict
 
 
 def assert_contract(doc, workdir: Path, label: str) -> None:
-    status, wrote = run_mutant(doc, workdir)
+    status, wrote, strict = run_mutant(doc, workdir)
     assert status in EXIT_CODES, label
     if status == 2:
         assert not wrote, f"{label}: exit 2 after the output directory was made"
+    assert strict, f"{label}: report.json holds NaN or Infinity"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -124,7 +135,8 @@ def test_arbitrary_json_in_any_node(name, index, value):
 
 def full_sweep() -> Counter:
     """Every mutation of every node: counts of exit statuses, exits 2 that made
-    the output directory, and exceptions that escaped ``cli.run``."""
+    the output directory, reports that are not strict JSON, and exceptions
+    that escaped ``cli.run``."""
     counts = Counter()
     with tempfile.TemporaryDirectory() as workdir:
         for name, doc in SCENARIOS.items():
@@ -132,7 +144,9 @@ def full_sweep() -> Counter:
                 for value in MUTATIONS:
                     counts["runs"] += 1
                     try:
-                        status, wrote = run_mutant(mutated(doc, path, value), Path(workdir))
+                        status, wrote, strict = run_mutant(
+                            mutated(doc, path, value), Path(workdir)
+                        )
                     except Exception as exc:  # noqa: BLE001 - counted, the sweep goes on
                         counts["uncaught"] += 1
                         print(f"{name} {list(path)}: {type(exc).__name__}: {exc}",
@@ -141,6 +155,8 @@ def full_sweep() -> Counter:
                     counts[f"exit {status}"] += 1
                     if status == 2 and wrote:
                         counts["exit 2 after writing"] += 1
+                    if not strict:
+                        counts["non-strict report"] += 1
     return counts
 
 
