@@ -70,6 +70,7 @@ from .dynamics import (
     _energies,
     _grid_steps,
     _integrate_together,
+    _wep_momenta,
     closed_form_rhs,
     decoupling_check,
     eom_rhs,
@@ -126,6 +127,24 @@ def _array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def _monomials(value, name: str) -> dict:
+    """``{"e1,e2,e3": weight}`` as ``{(e1, e2, e3): weight}``; a second key for
+    one monomial ("02,0,0" after "2,0,0") is refused, not dropped."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name}: expected dict, got {type(value).__name__}")
+    coeffs, keys = {}, {}
+    for key in value:
+        try:
+            exps = tuple(int(part) for part in key.split(","))
+        except ValueError as exc:
+            raise ScenarioError(f"{name}: bad exponent key {key!r} (use 'e1,e2,e3')") from exc
+        if exps in keys:
+            raise ScenarioError(f"{name}.{key}: the same monomial as key {keys[exps]!r}")
+        keys[exps] = key
+        coeffs[exps] = _read(value, key, name, "number")
+    return coeffs
+
+
 # kind -> reader(value, name): the value to use, or ScenarioError naming the field
 _KINDS = {
     "flag": _checked("true or false", lambda v: isinstance(v, bool)),
@@ -145,6 +164,7 @@ _KINDS = {
     "scaling_mode": _checked("fixed, mass_scaled or both",
                              lambda v: v in ("fixed", "mass_scaled", "both")),
     "vector": lambda value, name: _array(value, (3,), name),
+    "monomials": _monomials,
 }
 
 _REQUIRED = object()  # the default of a field that must be given
@@ -215,52 +235,39 @@ def algebra_to_dict(spec: AlgebraSpec) -> dict:
     return out
 
 
+# scenario name of each potential variant: its class and its fields as
+# (kind, default), where a None default leaves the class's own
+_POTENTIAL_VARIANTS = {
+    "uniform": (Uniform, {"g": ("vector", _REQUIRED)}),
+    "newtonian": (Newtonian, {"strength": ("number", _REQUIRED), "center": ("vector", None)}),
+    "polynomial": (Polynomial, {"coefficients": ("monomials", _REQUIRED)}),
+}
+# kind -> the JSON value its reader reads back; other kinds write a field as it is
+_WRITERS = {
+    "vector": lambda value: value.tolist(),
+    "monomials": lambda value: {",".join(map(str, exps)): c for exps, c in value.items()},
+}
+
+
 def potential_from_dict(data: dict, path: str = "potential") -> Potential:
     variant = _read(data, "variant", path, str)
-    if variant == "uniform":
-        cls, params = Uniform, {"g": _read(data, "g", path, "vector")}
-    elif variant == "newtonian":
-        cls, params = Newtonian, {
-            "strength": _read(data, "strength", path, "number"),
-            "center": _read(data, "center", path, "vector", np.zeros(3)),
-        }
-    elif variant == "polynomial":
-        raw = _read(data, "coefficients", path, dict)
-        coeffs = {}
-        for key in raw:
-            try:
-                exps = tuple(int(part) for part in key.split(","))
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{path}.coefficients: bad exponent key {key!r} (use 'e1,e2,e3')"
-                ) from exc
-            coeffs[exps] = _read(raw, key, f"{path}.coefficients", "number")
-        cls, params = Polynomial, {"coefficients": coeffs}
-    else:
+    if variant not in _POTENTIAL_VARIANTS:
         raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
+    cls, params = _POTENTIAL_VARIANTS[variant]
+    values = {key: _read(data, key, path, *kind) for key, kind in params.items()}
     try:
-        return cls(**params)
+        return cls(**{key: value for key, value in values.items() if value is not None})
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def potential_to_dict(potential: Potential) -> dict:
-    if isinstance(potential, Uniform):
-        return {"variant": "uniform", "g": potential.g.tolist()}
-    if isinstance(potential, Newtonian):
-        return {
-            "variant": "newtonian",
-            "strength": potential.strength,
-            "center": potential.center.tolist(),
-        }
-    if isinstance(potential, Polynomial):
-        return {
-            "variant": "polynomial",
-            "coefficients": {
-                ",".join(str(e) for e in exps): c
-                for exps, c in sorted(potential.coefficients.items())
-            },
-        }
+    for variant, (cls, params) in _POTENTIAL_VARIANTS.items():
+        if type(potential) is cls:
+            return {"variant": variant} | {
+                key: _WRITERS.get(kind, lambda value: value)(getattr(potential, key))
+                for key, (kind, _) in params.items()
+            }
     raise TypeError(f"unknown potential variant: {type(potential).__name__}")
 
 
@@ -828,9 +835,16 @@ def _check_wep_test(scenario: Scenario) -> None:
         raise ScenarioError("potential: required for this task")
     if scenario.system.n_particles != 1:
         raise ScenarioError("particles: wep-test needs exactly one particle")
+    masses = scenario.settings["masses"]
+    momenta = _wep_momenta(scenario.gravity_scenario(), masses)
+    for i, m in enumerate(masses):
+        if not np.isfinite(momenta[i]).all():
+            raise ScenarioError(
+                f"options.masses[{i}]: the initial momentum m P'(0) for mass {m!r} overflows"
+            )
     if scenario.settings["scaling_mode"] != "fixed":
         base = scenario.system.particles[0]
-        for i, m in enumerate(scenario.settings["masses"]):
+        for i, m in enumerate(masses):
             _rescaled(f"options.masses[{i}]", m, lambda: rescale(base.spec, m / base.mass))
 
 

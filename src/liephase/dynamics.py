@@ -8,6 +8,10 @@ measures weak-equivalence-principle deviations across masses.
 The gravitational Hamiltonian is H = |P|^2 / 2m + m V(X1, X2, X3), with the
 inertial mass in the kinetic term equal to the gravitational mass in the
 potential term; a composite body uses H = |Pcom|^2 / 2M + M V(Xcom).
+grad(H) has one writer, ``_hamiltonian_gradient``: the RK4 kernel,
+``_rhs_flat`` (behind ``eom_rhs`` and ``body_com_rhs``) and
+``decoupling_check`` call it, and only the oracle ``closed_form_rhs``
+evaluates a potential's gradient on its own.
 """
 
 from __future__ import annotations
@@ -420,16 +424,15 @@ class Trajectory:
 
 
 def _hamiltonian_gradient(
-    masses: np.ndarray, potential: Potential, z: np.ndarray
+    masses: np.ndarray, potential: Potential, blocks: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """grad(H) for H = sum_a |P^a|^2 / 2 m_a + m_a V(X^a)."""
-    blocks = z.reshape(-1, 6)
+    """grad(H) for H = sum_a |P^a|^2 / 2 m_a + m_a V(X^a) at the (N, 6) phase
+    points ``blocks``, written into ``out`` and returned."""
     m = masses[:, None]
-    grad = np.empty_like(blocks)
     # out passed positionally: the keyword costs about 0.5 us a call at N=1
-    np.multiply(m, potential.gradient(blocks[:, :3]), grad[:, :3])
-    np.divide(blocks[:, 3:], m, grad[:, 3:])
-    return grad.reshape(-1)
+    np.multiply(m, potential.gradient(blocks[:, :3]), out[:, :3])
+    np.divide(blocks[:, 3:], m, out[:, 3:])
+    return out
 
 
 def _energies(masses: np.ndarray, potential: Potential, states: np.ndarray) -> np.ndarray:
@@ -449,7 +452,9 @@ def _rhs_flat(
     z: np.ndarray,
     t: float,
 ) -> np.ndarray:
-    return lowered.apply(z, t, _hamiltonian_gradient(masses, potential, z))
+    blocks = z.reshape(-1, 6)
+    grad = _hamiltonian_gradient(masses, potential, blocks, np.empty_like(blocks))
+    return lowered.apply(z, t, grad)
 
 
 def eom_rhs(scenario: GravityScenario, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -564,12 +569,11 @@ def _integrate_flat(
         ) from None
     states[0] = z0
     rows = states.reshape(n_steps + 1, -1, 6)
-    m = masses[:, None]
     time, slope = lowered.time, lowered.slope
     half = dt / 2.0
     stage = np.empty(rows.shape[1:])
     grad = np.empty(rows.shape[1:])
-    grad_x, grad_p, grad_column = grad[:, :3], grad[:, 3:], grad[..., None]
+    grad_column = grad[..., None]
     k = np.empty((4,) + rows.shape[1:])
     k1, k2, k3, k4 = k
     k_columns = k[..., None]
@@ -578,9 +582,7 @@ def _integrate_flat(
 
     def rhs(z, base, out):
         """``out = J(z, t) grad(H)(z)`` as a column, for the block ``base = C + t time``."""
-        # out passed positionally: the keyword costs about 0.5 us a call at N=1
-        np.multiply(m, potential.gradient(z[:, :3]), grad_x)
-        np.divide(z[:, 3:], m, grad_p)
+        _hamiltonian_gradient(masses, potential, z, grad)
         if slope is not None:
             np.einsum("ad,adij->aij", z, slope, out=j)
             base = np.add(base, j, j)
@@ -623,20 +625,6 @@ def _integrate_flat(
     return times, states
 
 
-def _body_setup(scenario: GravityScenario) -> tuple[float, AlgebraSpec, np.ndarray]:
-    """Total mass, effective spec, and initial COM phase vector of a body run."""
-    system = scenario.system
-    effective = effective_parameters(system)
-    if not scenario.neglect_relative_motion and not _decouples_exactly(system):
-        raise ValueError(
-            "center-of-mass motion does not decouple exactly for this system; "
-            "set neglect_relative_motion=True to accept the approximation"
-        )
-    com = com_transform(system, scenario.initial)
-    z0 = np.concatenate([com.x_com, com.p_com])
-    return system.total_mass, effective, z0
-
-
 def integrate(scenario: GravityScenario) -> Trajectory:
     """Integrate the scenario on its uniform grid with fixed-step RK4.
 
@@ -649,11 +637,20 @@ def integrate(scenario: GravityScenario) -> Trajectory:
 
 def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, LoweredAlgebra, np.ndarray]:
     """Masses, lowered algebra and initial phase vector of the system the
-    scenario integrates: its particles, or its body's center of mass."""
-    if scenario.body_mode:
-        total_mass, effective, z0 = _body_setup(scenario)
-        return np.array([total_mass]), lower([effective]), z0
-    return scenario.system.masses, scenario.system.lowered, scenario.initial.flatten()
+    scenario integrates: its particles, or its body's center of mass as a
+    pseudo-particle of mass M with the effective parameters."""
+    system = scenario.system
+    if not scenario.body_mode:
+        return system.masses, system.lowered, scenario.initial.flatten()
+    effective = effective_parameters(system)
+    if not scenario.neglect_relative_motion and not _decouples_exactly(system):
+        raise ValueError(
+            "center-of-mass motion does not decouple exactly for this system; "
+            "set neglect_relative_motion=True to accept the approximation"
+        )
+    com = com_transform(system, scenario.initial)
+    z0 = np.concatenate([com.x_com, com.p_com])
+    return np.array([system.total_mass]), lower([effective]), z0
 
 
 def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
@@ -724,11 +721,8 @@ def body_com_rhs(scenario: GravityScenario, com_state: PhaseState) -> tuple[np.n
         raise ValueError("body_com_rhs requires a body-mode scenario")
     if com_state.n_particles != 1:
         raise ValueError("com_state must hold exactly the COM coordinates and momenta")
-    total_mass, effective, _ = _body_setup(scenario)
-    z = com_state.flatten()
-    zdot = _rhs_flat(
-        np.array([total_mass]), lower([effective]), scenario.potential, z, com_state.t
-    )
+    masses, lowered, _ = _flat_run(scenario)
+    zdot = _rhs_flat(masses, lowered, scenario.potential, com_state.flatten(), com_state.t)
     return zdot[:3].copy(), zdot[3:].copy()
 
 
@@ -784,6 +778,10 @@ def wep_deviation(
     for run, m in enumerate(masses):
         if not (math.isfinite(m) and m > 0):
             raise ValueError(f"masses must be finite and positive, got {m!r} for run {run}")
+    momenta = _wep_momenta(template, masses)
+    for run, m in enumerate(masses):
+        if not np.isfinite(momenta[run]).all():
+            raise ValueError(f"the initial momentum m P'(0) of run {run} (mass {m!r}) overflows")
     base = template.system.particles[0]
     if scaling_mode == "mass_scaled":
         specs = [rescale(base.spec, m / base.mass) for m in masses]
@@ -792,10 +790,9 @@ def wep_deviation(
     # runs sharing a grid and a field are independent (J is block-diagonal
     # and H a sum of per-particle terms): particle a of this system is run a
     system = ParticleSystem.from_pairs(masses, specs)
-    m = system.masses[:, None]
     z0 = np.empty((len(masses), 6))
     z0[:, :3] = template.initial.x[0]
-    z0[:, 3:] = m * (template.initial.p[0] / base.mass)
+    z0[:, 3:] = momenta
     try:
         _, states = _integrate_flat(
             system.masses, system.lowered, template.potential, z0.reshape(-1),
@@ -813,7 +810,7 @@ def wep_deviation(
 
     blocks = states.reshape(len(states), len(masses), 6)
     x = blocks[..., :3]
-    p_reduced = blocks[..., 3:] / m
+    p_reduced = blocks[..., 3:] / system.masses[:, None]
     pairs = []
     for i, m_i in enumerate(masses[:-1]):
         # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, 3)
@@ -824,6 +821,15 @@ def wep_deviation(
             for m_j, a, b in zip(masses[i + 1 :], dx, dpr)
         ]
     return WepReport(scaling_mode=scaling_mode, pairs=tuple(pairs))
+
+
+def _wep_momenta(template: GravityScenario, masses: Sequence[float]) -> np.ndarray:
+    """Initial momenta m P'(0) of WEP runs of ``masses`` sharing the
+    template's reduced momentum P'(0): shape (B, 3).  A row overflows to
+    inf, without a warning, where its product does."""
+    base = template.system.particles[0]
+    with np.errstate(over="ignore"):
+        return np.array(masses, dtype=float)[:, None] * (template.initial.p[0] / base.mass)
 
 
 def _run_label(masses: list[float], run: int | None) -> str:
@@ -848,12 +854,12 @@ def decoupling_check(
     g_com = (M grad V(Xcom), Pcom / M) and g_rel = (2 dX^(a), dP^(a) / (mu_a m_a)).
     """
     com = com_transform(system, state)
-    total_mass = system.total_mass
-    g_com = np.concatenate([total_mass * potential.gradient(com.x_com), com.p_com / total_mass])
+    z_com = np.concatenate([com.x_com, com.p_com])[None]
+    g_com = _hamiltonian_gradient(np.array([system.total_mass]), potential, z_com, np.empty((1, 6)))
     g_rel = np.concatenate(
         [2.0 * com.dx.ravel(), (com.dp / (system.mu * system.masses)[:, None]).ravel()]
     )
-    return float(abs(g_com @ _com_brackets(system, state)[:6, 6:] @ g_rel))
+    return float(abs(g_com[0] @ _com_brackets(system, state)[:6, 6:] @ g_rel))
 
 
 def hamiltonian(system: ParticleSystem, potential: Potential, state: PhaseState) -> float:

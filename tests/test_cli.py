@@ -336,6 +336,24 @@ class TestScenarioParsing:
             ("potential.coefficients.2,0,0: expected a finite number, got 'x'",
              dict(SIMULATE, potential={"variant": "polynomial",
                                        "coefficients": {"2,0,0": "x"}})),
+            ("potential.variant: unknown variant 'lumpy'",
+             dict(SIMULATE, potential={"variant": "lumpy"})),
+            ("potential.coefficients: expected dict, got list",
+             dict(SIMULATE, potential={"variant": "polynomial", "coefficients": [2, 0, 0]})),
+            ("potential.coefficients: bad exponent key '2.0,0,0'",
+             dict(SIMULATE, potential={"variant": "polynomial",
+                                       "coefficients": {"2.0,0,0": 1.0}})),
+            ("potential.strength: missing required field",
+             dict(SIMULATE, potential={"variant": "newtonian", "center": [5, 0, 0]})),
+            # two keys for one monomial: one of them would be dropped
+            ("potential.coefficients.02,0,0: the same monomial as key '2,0,0'",
+             dict(SIMULATE, potential={"variant": "polynomial",
+                                       "coefficients": {"2,0,0": 1.0, "02,0,0": 2.0}})),
+            # a run's initial momentum m P'(0) that overflows, in either mode
+            *[("options.masses[1]: the initial momentum m P'(0) for mass 2.0 overflows",
+               dict(WEP, initial={"x": [[0, 0, 0]], "p": [[1e308, 0, 0]]},
+                    options={"masses": [1.0, 2.0], "scaling_mode": mode}))
+              for mode in ("fixed", "mass_scaled", "both")],
             # 1e20 steps: numpy refuses to size the trajectory
             ("grid.t_end", dict(SIMULATE, grid={"t0": 0.0, "t_end": 1e17, "dt": 1e-3})),
             # true is not the integer 1
@@ -360,6 +378,12 @@ class TestScenarioParsing:
         ):
             redone = cli.potential_from_dict(cli.potential_to_dict(pot))
             assert cli.potential_to_dict(redone) == cli.potential_to_dict(pot)
+            # the scenario fingerprint hashes the repr
+            assert repr(redone) == repr(pot)
+        # an absent center is the origin
+        bare = cli.potential_from_dict({"variant": "newtonian", "strength": 2.0})
+        assert np.array_equal(bare.center, np.zeros(3))
+        assert repr(bare) == repr(lp.Newtonian(strength=2.0, center=[0, 0, 0]))
 
     def test_algebra_roundtrip_all_variants(self):
         rng = np.random.default_rng(0)

@@ -707,6 +707,13 @@ class TestWepDeviation:
         with pytest.raises(ValueError, match="mass"):
             lp.wep_deviation(one_particle(lp.Canonical()), masses, "fixed")
 
+    @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
+    def test_overflowing_initial_momentum_names_run_and_mass(self, mode):
+        # P(0) = m P'(0) = 2 * 1e308 is not a float
+        scen = one_particle(lp.SpaceTime(kappa=1.0, rho=1, tau=2), p=(1e308, 0, 0))
+        with pytest.raises(ValueError, match=r"run 1 \(mass 2\.0\) overflows"):
+            lp.wep_deviation(scen, [1.0, 2.0], mode)
+
     def test_failure_names_run_and_mass(self):
         # the nearly canonical light run escapes the quartic hill first
         pot = lp.Polynomial(coefficients={(4, 0, 0): -1.0, (0, 4, 0): -1.0})

@@ -12,6 +12,9 @@ a seeded hypothesis draw of arbitrary JSON values.  The full sweep, every
 mutation of every node, runs as a script and prints its counts::
 
     PYTHONPATH=src python tests/test_fuzz.py
+
+As under pytest's filter, a ``RuntimeWarning`` in the sweep is an error, so
+it counts as an exception that escaped ``cli.run``.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ import math
 import shutil
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -79,16 +83,19 @@ def run_mutant(doc, workdir: Path) -> tuple[int, bool, bool]:
     scenario = workdir / "mutant.scn"
     scenario.write_text(json.dumps(doc))
     out = workdir / "out"
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        status = cli.run(str(scenario), out_dir=str(out))
-    wrote = out.exists()
-    strict = True
-    if (out / "report.json").exists():
-        try:
-            strict_json(out / "report.json")
-        except ValueError:
-            strict = False
-    shutil.rmtree(out, ignore_errors=True)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = cli.run(str(scenario), out_dir=str(out))
+        wrote = out.exists()
+        strict = True
+        if (out / "report.json").exists():
+            try:
+                strict_json(out / "report.json")
+            except ValueError:
+                strict = False
+    finally:
+        # an escaped exception must not leave the directory to the next mutant
+        shutil.rmtree(out, ignore_errors=True)
     return status, wrote, strict
 
 
@@ -161,5 +168,6 @@ def full_sweep() -> Counter:
 
 
 if __name__ == "__main__":
+    warnings.simplefilter("error", RuntimeWarning)
     for key, count in sorted(full_sweep().items()):
         print(f"{key}: {count}")
