@@ -188,6 +188,15 @@ def _read(mapping: dict, key: str, path: str, kind, default=_REQUIRED):
     return value
 
 
+def _refuse_unknown(data: dict, fields: set, path: str, variant: str) -> None:
+    """Refuse a key of a ``variant`` block that is neither ``variant`` nor one
+    of its ``fields``: a misspelt field would otherwise be left at its
+    default without a word."""
+    unknown = sorted(set(data) - fields - {"variant"})
+    if unknown:
+        raise ScenarioError(f"{path}.{unknown[0]}: unknown field for variant {variant}")
+
+
 # scenario name of each algebra variant; its fields, read through their
 # parameter roles, are the keys of its algebra block
 _ALGEBRA_VARIANTS = {
@@ -207,6 +216,7 @@ def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
     if variant not in _ALGEBRA_VARIANTS:
         raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
     cls = _ALGEBRA_VARIANTS[variant]
+    _refuse_unknown(data, {name for name, _ in parameter_roles(cls)}, path, variant)
     params = {}
     for name, role in parameter_roles(cls):
         if role.kind == AXIS:
@@ -254,6 +264,7 @@ def potential_from_dict(data: dict, path: str = "potential") -> Potential:
     if variant not in _POTENTIAL_VARIANTS:
         raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
     cls, params = _POTENTIAL_VARIANTS[variant]
+    _refuse_unknown(data, set(params), path, variant)
     values = {key: _read(data, key, path, *kind) for key, kind in params.items()}
     try:
         return cls(**{key: value for key, value in values.items() if value is not None})

@@ -8,9 +8,10 @@ measures weak-equivalence-principle deviations across masses.
 The gravitational Hamiltonian is H = |P|^2 / 2m + m V(X1, X2, X3), with the
 inertial mass in the kinetic term equal to the gravitational mass in the
 potential term; a composite body uses H = |Pcom|^2 / 2M + M V(Xcom).
-grad(H) has one writer, ``_hamiltonian_gradient``: the RK4 kernel,
-``_rhs_flat`` (behind ``eom_rhs`` and ``body_com_rhs``) and
-``decoupling_check`` call it, and only the oracle ``closed_form_rhs``
+grad(H) has one writer, ``_write_hamiltonian_gradient``: the RK4 kernel
+calls it on views of its buffers made once per run, ``_rhs_flat`` (behind
+``eom_rhs`` and ``body_com_rhs``) and ``decoupling_check`` through
+``_hamiltonian_gradient``, and only the oracle ``closed_form_rhs``
 evaluates a potential's gradient on its own.
 """
 
@@ -77,7 +78,9 @@ class Potential:
     Both methods take points ``x`` of shape (..., 3): ``value`` returns
     shape (...), a float for a single point, and ``gradient`` returns
     shape (..., 3).  Every point is evaluated on its own, so a row's result
-    does not depend on the other rows.
+    does not depend on the other rows.  ``gradient_into`` writes the
+    gradient into a given float array of the points' shape; a subclass
+    that defines only ``gradient`` gets it copied there.
     """
 
     def value(self, x: np.ndarray) -> float | np.ndarray:
@@ -85,6 +88,10 @@ class Potential:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def gradient_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[...] = self.gradient(x)
+        return out
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,9 +121,11 @@ class Uniform(Potential):
 
     def gradient(self, x):
         # filling an empty array is cheaper than copying a broadcast view
-        grad = np.empty(np.shape(x))
-        grad[...] = self.g
-        return grad
+        return self.gradient_into(x, np.empty(np.shape(x)))
+
+    def gradient_into(self, x, out):
+        out[...] = self.g
+        return out
 
 
 @dataclass(frozen=True)
@@ -168,9 +177,12 @@ class Newtonian(Potential):
         return _scalar_or_array(np.reshape(-self.strength / r, d.shape[:-1]))
 
     def gradient(self, x):
+        return self.gradient_into(x, np.empty(np.shape(x)))
+
+    def gradient_into(self, x, out):
         d, r = self._radius(x)
         r3 = r**3 if isinstance(r, float) else np.float_power(r, 3)[..., None]
-        return self.strength * d / r3
+        return np.divide(np.multiply(self.strength, d, out), r3, out)
 
 
 # the factors of d/dX_a of a monomial, per axis a: X_a first, then the
@@ -191,7 +203,10 @@ class Polynomial(Potential):
     Each term is multiplied out left to right, weight first, from a table
     of X_k^e for e = 0..4, and the terms are added in order to a running
     total from 0.0: every point gets exactly the sum a loop over monomials
-    would.
+    would.  Up to degree 2 every gradient term is w X_k or w, which is the
+    same product (libm's pow gives X^1 = X and X^0 = 1, and w 1 = w), so
+    the gradient reads X_k or 1 straight from the point and skips the
+    power table.
     """
 
     coefficients: dict
@@ -205,6 +220,11 @@ class Polynomial(Potential):
     # X_a become zero terms
     _grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
     _grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    # up to degree 2, the (3, M+1) index of each gradient term's one factor
+    # in the point (X1, X2, X3, 1); None for the power table
+    _affine_factors: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         coeffs = {}
@@ -233,6 +253,12 @@ class Polynomial(Potential):
             "_grad_weights": grad_weights,
             "_grad_factors": _DERIVATIVE_AXES[:, None, :] * len(_POWERS) + grad_exps,
         }
+        if exps.sum(axis=1).max() <= 2:
+            # each term has at most one factor X_k, the others X^0; with
+            # none it is w 1, read from the appended 1 at index 3
+            arrays["_affine_factors"] = np.where(
+                grad_exps == 1, _DERIVATIVE_AXES[:, None, :], 3
+            ).min(axis=-1)
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -255,7 +281,18 @@ class Polynomial(Potential):
         return _scalar_or_array(self._sum(x, self._weights, self._factors))
 
     def gradient(self, x):
-        return self._sum(x, self._grad_weights, self._grad_factors)
+        return self.gradient_into(x, np.empty(np.shape(x)))
+
+    def gradient_into(self, x, out):
+        if self._affine_factors is None:
+            out[...] = self._sum(x, self._grad_weights, self._grad_factors)
+            return out
+        point = np.empty(np.shape(x)[:-1] + (4,))
+        point[..., :3] = x
+        point[..., 3] = 1.0
+        terms = self._grad_weights * point[..., self._affine_factors]
+        out[...] = np.add.accumulate(terms, axis=-1)[..., -1]
+        return out
 
 
 # --- scenario and trajectory --------------------------------------------------
@@ -428,11 +465,22 @@ def _hamiltonian_gradient(
 ) -> np.ndarray:
     """grad(H) for H = sum_a |P^a|^2 / 2 m_a + m_a V(X^a) at the (N, 6) phase
     points ``blocks``, written into ``out`` and returned."""
-    m = masses[:, None]
-    # out passed positionally: the keyword costs about 0.5 us a call at N=1
-    np.multiply(m, potential.gradient(blocks[:, :3]), out[:, :3])
-    np.divide(blocks[:, 3:], m, out[:, 3:])
+    _write_hamiltonian_gradient(
+        masses[:, None], potential, blocks[:, :3], blocks[:, 3:], out[:, :3], out[:, 3:]
+    )
     return out
+
+
+def _write_hamiltonian_gradient(
+    m: np.ndarray, potential: Potential, x: np.ndarray, p: np.ndarray,
+    out_x: np.ndarray, out_p: np.ndarray,
+) -> None:
+    """(m grad V(x), p / m) into ``out_x`` and ``out_p``, from the column of
+    masses and the halves of the phase points and of grad(H), which a
+    caller evaluating many points makes once."""
+    # out passed positionally: the keyword costs about 0.5 us a call at N=1
+    np.multiply(m, potential.gradient_into(x, out_x), out_x)
+    np.divide(p, m, out_p)
 
 
 def _energies(masses: np.ndarray, potential: Potential, states: np.ndarray) -> np.ndarray:
@@ -540,6 +588,11 @@ def closed_form_rhs(
 # --- integration ----------------------------------------------------------------
 
 
+# bytes of the blocks C + t time at one stage time for a block of steps: the
+# kernel builds them for as many steps as fit, one step at large N
+_BLOCK_BYTES = 64 * 1024
+
+
 def _integrate_flat(
     masses: np.ndarray,
     lowered: LoweredAlgebra,
@@ -555,9 +608,13 @@ def _integrate_flat(
     ``z + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` in the order those expressions are
     written, so every step rounds as they would, but every ufunc writes
     into a buffer made once: the stages, grad(H), the stage state and the
-    blocks.  Each step lands directly in its row of ``states``.  The block
-    ``C + t time`` is built once per stage time, so k2 and k3 share the one
-    at t + dt/2; the slope's contraction is added to a copy of it.
+    blocks, and grad(H) is written through views of them made once.  Each
+    step lands directly in its row of ``states``.  The blocks
+    ``C + t time`` are built for the three stage times of a whole block of
+    steps at once, so k2 and k3 share the one at t + dt/2; the slope's
+    contraction is added to a copy of it.  Finiteness is checked once per
+    block of steps, and a failure names the block's first non-finite step,
+    as a check after every step would.
     """
     try:
         times = t0 + dt * np.arange(n_steps + 1)
@@ -570,19 +627,28 @@ def _integrate_flat(
     states[0] = z0
     rows = states.reshape(n_steps + 1, -1, 6)
     time, slope = lowered.time, lowered.slope
-    half = dt / 2.0
+    half, sixth = dt / 2.0, dt / 6.0
+    per_block = max(1, min(n_steps, _BLOCK_BYTES // time.nbytes))
+    # C + t time at t, t + dt/2 and t + dt for each step of a block
+    stage_blocks = np.empty((3, per_block) + time.shape)
     stage = np.empty(rows.shape[1:])
     grad = np.empty(rows.shape[1:])
     grad_column = grad[..., None]
     k = np.empty((4,) + rows.shape[1:])
     k1, k2, k3, k4 = k
-    k_columns = k[..., None]
-    at_t, at_half, at_end = np.empty((3,) + time.shape)
+    k23 = k[1:3]
+    k1_out, k2_out, k3_out, k4_out = k[..., None]
     j = np.empty(time.shape)
+    # the views grad(H) is read from and written to
+    m = masses[:, None]
+    grad_x, grad_p = grad[:, :3], grad[:, 3:]
+    stage_x, stage_p = stage[:, :3], stage[:, 3:]
+    rows_x, rows_p = rows[..., :3], rows[..., 3:]
 
-    def rhs(z, base, out):
-        """``out = J(z, t) grad(H)(z)`` as a column, for the block ``base = C + t time``."""
-        _hamiltonian_gradient(masses, potential, z, grad)
+    def rhs(z, x, p, base, out):
+        """``out = J(z, t) grad(H)(z)`` as a column, for the block
+        ``base = C + t time``; ``x`` and ``p`` are the halves of ``z``."""
+        _write_hamiltonian_gradient(m, potential, x, p, grad_x, grad_p)
         if slope is not None:
             np.einsum("ad,adij->aij", z, slope, out=j)
             base = np.add(base, j, j)
@@ -590,39 +656,69 @@ def _integrate_flat(
 
     # blow-ups surface through the finiteness guard, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, t in enumerate(times[:-1].tolist()):
-            z, z_next = rows[step], rows[step + 1]
-            for block, at in ((at_t, t), (at_half, t + half), (at_end, t + dt)):
-                np.multiply(at, time, block)
-                np.add(_CANONICAL, block, block)
+        for start in range(0, n_steps, per_block):
+            stop = min(start + per_block, n_steps)
+            t = times[start:stop, None, None, None]
+            blocks = stage_blocks[:, : stop - start]
+            at_t, at_half, at_end = blocks
+            np.multiply(t, time, at_t)
+            np.multiply(t + half, time, at_half)
+            np.multiply(t + dt, time, at_end)
+            np.add(_CANONICAL, blocks, blocks)
+            step, failure = start, None
             try:
-                rhs(z, at_t, k_columns[0])
-                np.add(z, np.multiply(half, k1, stage), stage)
-                rhs(stage, at_half, k_columns[1])
-                np.add(z, np.multiply(half, k2, stage), stage)
-                rhs(stage, at_half, k_columns[2])
-                np.add(z, np.multiply(dt, k3, stage), stage)
-                rhs(stage, at_end, k_columns[3])
-            except PotentialSingularityError as exc:
-                where = "" if exc.index is None else f" for particle {exc.index}"
+                for z, x, p, z_next, block_t, block_half, block_end in zip(
+                    rows[start:stop], rows_x[start:stop], rows_p[start:stop],
+                    rows[start + 1 : stop + 1], at_t, at_half, at_end,
+                ):
+                    rhs(z, x, p, block_t, k1_out)
+                    np.add(z, np.multiply(half, k1, stage), stage)
+                    rhs(stage, stage_x, stage_p, block_half, k2_out)
+                    np.add(z, np.multiply(half, k2, stage), stage)
+                    rhs(stage, stage_x, stage_p, block_half, k3_out)
+                    np.add(z, np.multiply(dt, k3, stage), stage)
+                    rhs(stage, stage_x, stage_p, block_end, k4_out)
+                    np.multiply(2.0, k23, k23)
+                    np.add(k1, k2, k1)
+                    np.add(k1, k3, k1)
+                    np.add(k1, k4, k1)
+                    np.add(z, np.multiply(sixth, k1, k1), z_next)
+                    step += 1
+            except Exception as exc:  # re-raised below unless a step before it failed
+                failure = exc
+            # steps start..step - 1 are done; the block goes on past a
+            # non-finite one, and a failure after it is its consequence
+            _check_finite(rows, times, dt, start, step)
+            if isinstance(failure, PotentialSingularityError):
+                where = "" if failure.index is None else f" for particle {failure.index}"
                 raise PotentialSingularityError(
-                    f"singularity encountered at step {step} (t = {t:.6g}){where}: {exc}",
-                    index=exc.index,
-                ) from exc
-            np.add(k1, np.multiply(2.0, k2, k2), k1)
-            np.add(k1, np.multiply(2.0, k3, k3), k1)
-            np.add(k1, k4, k1)
-            np.add(z, np.multiply(dt / 6.0, k1, k1), z_next)
-            if not np.isfinite(z_next).all():
-                particle = int(np.argmin(np.isfinite(z_next).all(axis=1)))
-                raise NonFiniteStateError(
-                    f"non-finite state of particle {particle} after step {step} "
-                    f"(t = {t + dt:.6g})",
-                    step=step,
-                    time=float(t + dt),
-                    particle=particle,
-                )
+                    f"singularity encountered at step {step} "
+                    f"(t = {float(times[step]):.6g}){where}: {failure}",
+                    index=failure.index,
+                ) from failure
+            if failure is not None:
+                raise failure
     return times, states
+
+
+def _check_finite(
+    rows: np.ndarray, times: np.ndarray, dt: float, start: int, stop: int
+) -> None:
+    """Raise NonFiniteStateError for the first of steps ``start``..``stop - 1``
+    whose result, a row of the (T, N, 6) ``rows``, is not finite."""
+    done = rows[start + 1 : stop + 1]
+    if np.isfinite(done).all():
+        return
+    finite = np.isfinite(done).all(axis=2)
+    step = start + int(np.argmin(finite.all(axis=1)))
+    particle = int(np.argmin(finite[step - start]))
+    t = float(times[step]) + dt
+    raise NonFiniteStateError(
+        f"non-finite state of particle {particle} after step {step} (t = {t:.6g})",
+        step=step,
+        time=t,
+        particle=particle,
+    )
 
 
 def integrate(scenario: GravityScenario) -> Trajectory:

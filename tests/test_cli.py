@@ -360,6 +360,21 @@ class TestScenarioParsing:
             ("schema_version: expected an integer >= 0, got True",
              dict(MINIMAL, schema_version=True)),
             ("task: expected str, got int", dict(MINIMAL, task=3)),
+            # a misspelt field is refused, not left at its default
+            ("algebra.thetta0: unknown field for variant generalized",
+             dict(MINIMAL, algebra={"variant": "generalized",
+                                    "thetta0": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})),
+            ("algebra.kapa: unknown field for variant space_time",
+             dict(MINIMAL, algebra=dict(MINIMAL["algebra"], kapa=2.0))),
+            ("potential.strenght: unknown field for variant uniform",
+             dict(SIMULATE, potential={"variant": "uniform", "g": [0, 1, 0], "strenght": 3})),
+            ("potential.r_min: unknown field for variant newtonian",
+             dict(SIMULATE, potential={"variant": "newtonian", "strength": 1.0, "r_min": 0.1})),
+            ("particles[1].thetta0: not a parameter of this algebra variant",
+             dict(MINIMAL, algebra={"variant": "generalized"},
+                  particles=[{"mass": 1.0},
+                             {"mass": 2.0, "thetta0": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}],
+                  initial={"x": [[0, 0, 0], [1, 0, 0]], "p": [[0, 0, 0], [0, 0, 0]]})),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):

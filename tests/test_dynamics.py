@@ -1,7 +1,11 @@
 """Equations of motion, integration, WEP sweeps and composite bodies."""
 
+import ast
 import dataclasses
 import io
+import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,48 @@ class TestVectorisedPotentials:
             # same products in the same order: bit-equal to the loop
             assert np.array_equal(pot.gradient(x), loop_grad)
             assert np.array_equal(pot.value(x), loop_value)
+
+    def test_quadratic_gradient_bit_equal_to_monomial_loop(self):
+        rng = np.random.default_rng(37)
+        quadratic = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        # every triple of specials, then random points salted with them
+        points = np.vstack([
+            list(itertools.product(specials, repeat=3)),
+            np.where(rng.random((40, 3)) < 0.3, rng.choice(specials, (40, 3)),
+                     rng.uniform(-3.0, 3.0, (40, 3))),
+        ])
+        polynomials = [{(0, 0, 0): 1.5}, {(0, 0, 0): -0.0}]
+        for _ in range(30):
+            picked = rng.choice(len(quadratic), rng.integers(1, len(quadratic) + 1), replace=False)
+            polynomials.append({quadratic[i]: float(rng.choice([rng.uniform(-2.0, 2.0), 0.0, -0.0]))
+                                for i in picked})
+        for coefficients in polynomials:
+            pot = lp.Polynomial(coefficients=coefficients)
+            assert pot._affine_factors is not None
+            with np.errstate(invalid="ignore"):
+                got = pot.gradient(points)
+                loop = np.array([polynomial_gradient_loop(pot.coefficients, x) for x in points])
+            # bit-equal where a number; NaN where the loop gives NaN, whose
+            # sign neither the loop nor the power table pins
+            nan = np.isnan(loop)
+            assert np.array_equal(np.isnan(got), nan), coefficients
+            assert got[~nan].tobytes() == loop[~nan].tobytes(), coefficients
+        assert lp.Polynomial(coefficients={(1, 2, 0): 1.0})._affine_factors is None
+
+    @pytest.mark.parametrize("name", list(POTENTIALS) + ["quadratic"])
+    def test_gradient_into_buffer_equals_gradient(self, name):
+        pot = POTENTIALS.get(name) or lp.Polynomial(
+            coefficients={(1, 1, 0): 0.5, (0, 0, 2): -1.0, (0, 1, 0): 2.0})
+        rng = np.random.default_rng(38)
+        for shape in [(3,), (1, 3), (7, 3), (2, 4, 3)]:
+            x = rng.uniform(-3.0, 3.0, shape)
+            # a strided half of a wider buffer, as the kernel's grad(H) is
+            buffer = np.full(shape[:-1] + (6,), np.nan)
+            out = buffer[..., :3]
+            assert pot.gradient_into(x, out) is out
+            assert out.tobytes() == pot.gradient(x).tobytes()
+            assert np.isnan(buffer[..., 3:]).all()
 
     def test_newtonian_batch_singularity_names_point(self):
         pot = lp.Newtonian(strength=1.0)
@@ -358,6 +404,11 @@ KERNEL_FIELDS = {
     "polynomial": lp.Polynomial(coefficients={
         (2, 0, 0): 0.5, (0, 2, 0): 0.3, (0, 0, 2): 0.4, (1, 1, 1): -0.05, (0, 4, 0): 0.01,
     }),
+    # degree 2 with cross, linear and constant terms: the affine gradient
+    "quadratic": lp.Polynomial(coefficients={
+        (2, 0, 0): 0.5, (0, 2, 0): 0.3, (0, 0, 2): 0.4, (1, 1, 0): -0.2, (0, 1, 1): 0.15,
+        (1, 0, 0): 0.3, (0, 0, 1): -0.1, (0, 0, 0): 2.0,
+    }),
 }
 
 
@@ -413,6 +464,113 @@ class TestKernelMatchesReference:
         got = kernel_outcome(dynamics._integrate_flat, *args)
         assert got[0] is lp.NonFiniteStateError and got[2]["particle"] == 1
         assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    @pytest.mark.parametrize("place", ["first", "last"])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_nonfinite_at_block_edge_same_as_reference(self, variant, place, monkeypatch):
+        rng = np.random.default_rng(7)
+        system = random_system(rng, variant, 2)
+        field = lp.Polynomial(coefficients={(4, 0, 0): -1.0})
+        z0 = np.zeros((2, 6))
+        z0[:, 0] = [0.1, 2.0]
+        z0[1, 3] = 5.0
+        args = (system.masses, system.lowered, field, z0.reshape(-1), 0.0, 0.01, 500)
+        expected = kernel_outcome(integrate_flat_reference, *args)
+        assert expected[0] is lp.NonFiniteStateError
+        step = expected[2]["step"]
+        assert step >= 2
+        # blocks of `step` steps start one at it; blocks of `step + 1` end one there
+        per_block = step if place == "first" else step + 1
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", per_block * system.lowered.time.nbytes)
+        assert kernel_outcome(dynamics._integrate_flat, *args) == expected
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_nonfinite_before_singularity_in_one_block(self, variant):
+        rng = np.random.default_rng(8)
+        system = random_system(rng, variant, 2)
+        field = lp.Newtonian(strength=1.0, r_min=0.25)
+        z0 = np.zeros((2, 6))
+        z0[:, 0] = [3.0, 1.0]
+        z0[0, 3] = 1e308  # particle 0 overflows in its first step
+        z0[1, 3] = -3.0  # particle 1 later falls into the guarded region
+        args = (system.masses, system.lowered, field, z0.reshape(-1), -0.5, 0.01, 100)
+        second = lp.ParticleSystem(system.particles[1:])
+        alone = kernel_outcome(integrate_flat_reference, second.masses, second.lowered,
+                               field, z0[1], -0.5, 0.01, 100)
+        assert alone[0] is lp.PotentialSingularityError
+        singular_step = int(re.search(r"at step (\d+)", alone[1]).group(1))
+        assert 0 < singular_step < dynamics._BLOCK_BYTES // system.lowered.time.nbytes
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert got[0] is lp.NonFiniteStateError and got[2]["particle"] == 0
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    def test_block_of_one_step_at_large_n(self):
+        n = 240
+        rng = np.random.default_rng(9)
+        system = random_system(rng, "miao_type_ii", n)
+        assert dynamics._BLOCK_BYTES // system.lowered.time.nbytes == 0
+        z0 = random_state(rng, n, box=1.0).flatten()
+        args = (system.masses, system.lowered, KERNEL_FIELDS["quadratic"], z0, -0.37, 0.002, 3)
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert isinstance(got[0], bytes)
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    def test_potential_defining_only_gradient_integrates(self):
+        class Tilted(lp.Potential):
+            """V = X1^2 / 2 + 2 X2 - X3, with no buffer path of its own."""
+
+            def value(self, x):
+                x = np.asarray(x, dtype=float)
+                return x[..., 0] ** 2 / 2 + 2 * x[..., 1] - x[..., 2]
+
+            def gradient(self, x):
+                x = np.asarray(x, dtype=float)
+                return np.stack([x[..., 0], np.full(x.shape[:-1], 2.0),
+                                 np.full(x.shape[:-1], -1.0)], axis=-1)
+
+        rng = np.random.default_rng(10)
+        system = random_system(rng, "space_space", 2)
+        z0 = random_state(rng, 2, box=1.0).flatten()
+        args = (system.masses, system.lowered, Tilted(), z0, 0.25, 0.01, 30)
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert isinstance(got[0], bytes)
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+
+def potential_gradient_calls():
+    """The qualified name of the function around every call of ``.gradient``
+    or ``.gradient_into`` in the package that may evaluate a potential: all
+    such calls in ``dynamics``, and calls elsewhere on something named
+    ``potential``.  Observables' gradients are the other calls."""
+    calls = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ("gradient", "gradient_into")
+                  and (module == "dynamics" or "potential" in ast.unparse(child.func.value))):
+                calls.add(f"{module}.{'.'.join(scope)}")
+            visit(child, module, inner)
+
+    for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return calls
+
+
+def test_one_writer_of_hamiltonian_gradient():
+    # grad(H) is written in one place and the oracle evaluates the field on
+    # its own; the rest are potentials' own methods
+    assert potential_gradient_calls() == {
+        "dynamics._write_hamiltonian_gradient",
+        "dynamics.closed_form_rhs",
+        "dynamics.Potential.gradient_into",  # the fallback to gradient
+        "dynamics.Uniform.gradient",  # gradient_into a fresh array
+        "dynamics.Newtonian.gradient",
+        "dynamics.Polynomial.gradient",
+    }
 
 
 def assert_same_trajectories(got, expected):
