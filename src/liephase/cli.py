@@ -188,13 +188,14 @@ def _read(mapping: dict, key: str, path: str, kind, default=_REQUIRED):
     return value
 
 
-def _refuse_unknown(data: dict, fields: set, path: str, variant: str) -> None:
-    """Refuse a key of a ``variant`` block that is neither ``variant`` nor one
-    of its ``fields``: a misspelt field would otherwise be left at its
-    default without a word."""
-    unknown = sorted(set(data) - fields - {"variant"})
+def _refuse_unknown(data: dict, known, path: str, tail: str = "unknown field") -> None:
+    """Refuse a key of the block ``data`` at ``path`` that is not ``known``,
+    naming the first as ``<path>.<key>: <tail>``: a misspelt field would
+    otherwise be left at its default without a word."""
+    unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ScenarioError(f"{path}.{unknown[0]}: unknown field for variant {variant}")
+        name = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ScenarioError(f"{name}: {tail}")
 
 
 # scenario name of each algebra variant; its fields, read through their
@@ -216,7 +217,8 @@ def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
     if variant not in _ALGEBRA_VARIANTS:
         raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
     cls = _ALGEBRA_VARIANTS[variant]
-    _refuse_unknown(data, {name for name, _ in parameter_roles(cls)}, path, variant)
+    _refuse_unknown(data, ["variant", *(name for name, _ in parameter_roles(cls))], path,
+                    f"unknown field for variant {variant}")
     params = {}
     for name, role in parameter_roles(cls):
         if role.kind == AXIS:
@@ -264,7 +266,7 @@ def potential_from_dict(data: dict, path: str = "potential") -> Potential:
     if variant not in _POTENTIAL_VARIANTS:
         raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
     cls, params = _POTENTIAL_VARIANTS[variant]
-    _refuse_unknown(data, set(params), path, variant)
+    _refuse_unknown(data, ["variant", *params], path, f"unknown field for variant {variant}")
     values = {key: _read(data, key, path, *kind) for key, kind in params.items()}
     try:
         return cls(**{key: value for key, value in values.items() if value is not None})
@@ -346,6 +348,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     version = _read(data, "schema_version", "", "count")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+    _refuse_unknown(data, ["schema_version", "task", "algebra", "particles", "potential", "grid",
+                           "initial", "options", "body_mode", "neglect_relative_motion"], "")
     task = _read(data, "task", "", str)
     if task not in _TASKS:
         raise ScenarioError(f"task: unknown task {task!r} (expected one of {', '.join(_TASKS)})")
@@ -356,16 +360,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     raw_particles = _read(data, "particles", "", list)
     masses, specs = [], []
     # axes are shared by all particles; every other parameter may differ
-    allowed = {name for name, role in parameter_roles(base_spec) if role.kind != AXIS}
+    allowed = ["mass", *(name for name, role in parameter_roles(base_spec) if role.kind != AXIS)]
     for idx, entry in enumerate(raw_particles):
         path = f"particles[{idx}]"
         if not isinstance(entry, dict):
             raise ScenarioError(f"{path}: expected an object")
+        _refuse_unknown(entry, allowed, path, "not a parameter of this algebra variant")
         masses.append(_read(entry, "mass", path, "number"))
         overrides = {k: v for k, v in entry.items() if k != "mass"}
-        for key in overrides:
-            if key not in allowed:
-                raise ScenarioError(f"{path}.{key}: not a parameter of this algebra variant")
         if overrides:
             merged = dict(algebra_dict)
             merged.update(overrides)
@@ -382,6 +384,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         potential = potential_from_dict(_read(data, "potential", "", dict), "potential")
 
     grid = _read(data, "grid", "", dict)
+    _refuse_unknown(grid, ["t0", "t_end", "dt"], "grid")
     t0, t_end, dt = (_read(grid, key, "grid", "number") for key in ("t0", "t_end", "dt"))
     try:
         _grid_steps(t0, t_end, dt)
@@ -389,6 +392,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"grid.{exc.field}: {exc}") from exc
 
     initial_dict = _read(data, "initial", "", dict)
+    _refuse_unknown(initial_dict, ["x", "p", "p_reduced"], "initial")
     n = system.n_particles
     x = _points(initial_dict, "x", n)
     if "p" in initial_dict and "p_reduced" in initial_dict:
@@ -408,9 +412,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(options, dict):
         raise ScenarioError("options: expected an object")
     declared = _TASKS[task].options
-    unknown = set(options) - set(declared)
-    if unknown:
-        raise ScenarioError(f"options.{sorted(unknown)[0]}: unknown option for task {task}")
+    _refuse_unknown(options, declared, "options", f"unknown option for task {task}")
     # the given options first, in name order, then the defaults of the others
     settings = {key: _read(options, key, "options", *declared[key])
                 for key in [*sorted(options), *(k for k in declared if k not in options)]}
@@ -655,6 +657,8 @@ def _rule_to_dict(rule: Optional[MassScalingRule]) -> Optional[dict]:
 
 def _check_com_brackets(scenario: Scenario) -> None:
     system = scenario.system
+    if "expect_decoupling_max" in scenario.settings and scenario.potential is None:
+        raise ScenarioError("options.expect_decoupling_max: needs a potential")
     if "expect_kappa_eff" in scenario.settings:
         scalars = _scalar_parameters(system.variant)
         if len(scalars) != 1:
@@ -995,12 +999,14 @@ def run(
             scenario.dt = float(dt)
         if tol is not None:
             tol = _KINDS["tolerance"](tol, "--tol")
+        out = Path(out_dir) if out_dir else Path(f"{Path(scenario_path).stem}_out")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at the path, or above it
+            raise ScenarioError(f"--out: {exc}") from exc
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-
-    out = Path(out_dir) if out_dir else Path(f"{Path(scenario_path).stem}_out")
-    out.mkdir(parents=True, exist_ok=True)
 
     runner = _CheckRunner(tol)
     start = time.perf_counter()

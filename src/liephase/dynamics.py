@@ -10,9 +10,9 @@ inertial mass in the kinetic term equal to the gravitational mass in the
 potential term; a composite body uses H = |Pcom|^2 / 2M + M V(Xcom).
 grad(H) has one writer, ``_write_hamiltonian_gradient``: the RK4 kernel
 calls it on views of its buffers made once per run, ``_rhs_flat`` (behind
-``eom_rhs`` and ``body_com_rhs``) and ``decoupling_check`` through
-``_hamiltonian_gradient``, and only the oracle ``closed_form_rhs``
-evaluates a potential's gradient on its own.
+``eom_rhs`` and ``body_com_rhs``) and ``decoupling_check`` on the halves of
+their own buffers, and only the oracle ``closed_form_rhs`` evaluates a
+potential's gradient on its own.
 """
 
 from __future__ import annotations
@@ -79,17 +79,19 @@ class Potential:
     shape (...), a float for a single point, and ``gradient`` returns
     shape (..., 3).  Every point is evaluated on its own, so a row's result
     does not depend on the other rows.  ``gradient_into`` writes the
-    gradient into a given float array of the points' shape; a subclass
-    that defines only ``gradient`` gets it copied there.
+    gradient into a given float array of the points' shape.  A subclass
+    defines ``value`` and either gradient method; the other derives from it.
     """
 
     def value(self, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.gradient_into(x, np.empty(np.shape(x)))
 
     def gradient_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if type(self).gradient is Potential.gradient:
+            raise NotImplementedError(f"{type(self).__name__} defines no gradient")
         out[...] = self.gradient(x)
         return out
 
@@ -119,10 +121,6 @@ class Uniform(Potential):
     def value(self, x):
         return _scalar_or_array(_dot_rows(np.asarray(x, dtype=float), self.g))
 
-    def gradient(self, x):
-        # filling an empty array is cheaper than copying a broadcast view
-        return self.gradient_into(x, np.empty(np.shape(x)))
-
     def gradient_into(self, x, out):
         out[...] = self.g
         return out
@@ -145,43 +143,29 @@ class Newtonian(Potential):
             raise ValueError(f"strength must be positive, got {self.strength!r}")
         object.__setattr__(self, "center", _finite_array(self.center, (3,), "center"))
 
-    def _radius(self, x) -> tuple[np.ndarray, np.ndarray | float]:
-        """Offsets from the center and their lengths, guarded by r_min.
-
-        A single point, as in a one-particle integration, gets a float
-        radius: the same value at a fraction of the array overhead.
-        """
+    def _radius(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets from the center and their lengths, guarded by r_min."""
         d = np.asarray(x, dtype=float) - self.center
-        if d.size == 3:
-            flat = d.reshape(3)
-            r = math.sqrt(flat @ flat)
-            if r < self.r_min:
-                self._singular(r, None if d.ndim == 1 else (0,) * (d.ndim - 1))
-            return d, r
         r = np.sqrt(_dot_rows(d, d))
         # fmin skips NaN radii: a non-finite point is the integrator's to report
         if np.fmin.reduce(r, axis=None, initial=np.inf) < self.r_min:
-            where = np.unravel_index(np.nanargmin(r), r.shape)
-            self._singular(r[where], tuple(int(i) for i in where))
+            where = tuple(int(i) for i in np.unravel_index(np.nanargmin(r), r.shape))
+            # a single point, of shape (3,), has no index
+            index = where[0] if len(where) == 1 else where or None
+            at = "" if index is None else f" for point {index}"
+            raise PotentialSingularityError(
+                f"field evaluated at r = {r[where]:.3e} < r_min = {self.r_min:.3e}{at}",
+                index=index,
+            )
         return d, r
-
-    def _singular(self, r: float, where: tuple | None):
-        index = where[0] if where is not None and len(where) == 1 else where
-        at = "" if where is None else f" for point {index}"
-        raise PotentialSingularityError(
-            f"field evaluated at r = {r:.3e} < r_min = {self.r_min:.3e}{at}", index=index
-        )
 
     def value(self, x):
         d, r = self._radius(x)
         return _scalar_or_array(np.reshape(-self.strength / r, d.shape[:-1]))
 
-    def gradient(self, x):
-        return self.gradient_into(x, np.empty(np.shape(x)))
-
     def gradient_into(self, x, out):
         d, r = self._radius(x)
-        r3 = r**3 if isinstance(r, float) else np.float_power(r, 3)[..., None]
+        r3 = np.float_power(r, 3)[..., None]
         return np.divide(np.multiply(self.strength, d, out), r3, out)
 
 
@@ -279,9 +263,6 @@ class Polynomial(Potential):
 
     def value(self, x):
         return _scalar_or_array(self._sum(x, self._weights, self._factors))
-
-    def gradient(self, x):
-        return self.gradient_into(x, np.empty(np.shape(x)))
 
     def gradient_into(self, x, out):
         if self._affine_factors is None:
@@ -460,24 +441,13 @@ class Trajectory:
 # --- equations of motion -------------------------------------------------------
 
 
-def _hamiltonian_gradient(
-    masses: np.ndarray, potential: Potential, blocks: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """grad(H) for H = sum_a |P^a|^2 / 2 m_a + m_a V(X^a) at the (N, 6) phase
-    points ``blocks``, written into ``out`` and returned."""
-    _write_hamiltonian_gradient(
-        masses[:, None], potential, blocks[:, :3], blocks[:, 3:], out[:, :3], out[:, 3:]
-    )
-    return out
-
-
 def _write_hamiltonian_gradient(
     m: np.ndarray, potential: Potential, x: np.ndarray, p: np.ndarray,
     out_x: np.ndarray, out_p: np.ndarray,
 ) -> None:
-    """(m grad V(x), p / m) into ``out_x`` and ``out_p``, from the column of
-    masses and the halves of the phase points and of grad(H), which a
-    caller evaluating many points makes once."""
+    """grad(H) = (m grad V(x), p / m) into ``out_x`` and ``out_p``, from the
+    (N, 1) column of masses and the halves of the phase points and of
+    grad(H)'s buffer, which a caller evaluating many points makes once."""
     # out passed positionally: the keyword costs about 0.5 us a call at N=1
     np.multiply(m, potential.gradient_into(x, out_x), out_x)
     np.divide(p, m, out_p)
@@ -501,7 +471,10 @@ def _rhs_flat(
     t: float,
 ) -> np.ndarray:
     blocks = z.reshape(-1, 6)
-    grad = _hamiltonian_gradient(masses, potential, blocks, np.empty_like(blocks))
+    grad = np.empty_like(blocks)
+    _write_hamiltonian_gradient(
+        masses[:, None], potential, blocks[:, :3], blocks[:, 3:], grad[:, :3], grad[:, 3:]
+    )
     return lowered.apply(z, t, grad)
 
 
@@ -756,12 +729,13 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
     J of the stacked system is block-diagonal and H a sum of per-particle
     terms, and the kernel evaluates every particle on its own, so each
     scenario's states are exactly those of its own integration (as the runs
-    of a WEP sweep).  Scenarios whose brackets differ in depending on the
-    phase point are integrated apart: stacked, the runs without a slope
-    would get a contraction of zeros, work and an addition to J that their
-    own integration never makes.  On a singularity or non-finite state the
-    scenarios are rerun apart, in order, so the error names the failing
-    scenario's own step and particle.
+    of a WEP sweep).  Runs without a slope get zero slope blocks, which at
+    a finite phase point changes no bit: their ``C + t time`` holds no -0.0
+    (+0 + -0 is +0), so adding a zero leaves it as it is.  On a singularity
+    or non-finite state the scenarios are rerun apart, in order, so an error
+    names the failing scenario's own step and particle; if none fails on its
+    own (a zero slope at an infinite stage point gives NaN), their own runs
+    are returned.
     """
     first = scenarios[0]
     grid = (first.t0, first.dt, first.n_steps())
@@ -771,13 +745,12 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
         ) != grid:
             raise ValueError("stacked scenarios must share a potential and a grid")
     runs = [_flat_run(s) for s in scenarios]
-    if len({lowered.slope is None for _, lowered, _ in runs}) > 1:
-        return [integrate(s) for s in scenarios]
-
-    slopes = [lowered.slope for _, lowered, _ in runs]
+    algebras = [lowered for _, lowered, _ in runs]
     stacked = LoweredAlgebra(
-        time=np.concatenate([lowered.time for _, lowered, _ in runs]),
-        slope=None if slopes[0] is None else np.concatenate(slopes),
+        time=np.concatenate([a.time for a in algebras]),
+        slope=None if all(a.slope is None for a in algebras) else np.concatenate(
+            [np.zeros((len(a), 6, 6, 6)) if a.slope is None else a.slope for a in algebras]
+        ),
     )
     z0 = np.concatenate([z for _, _, z in runs])
     try:
@@ -787,9 +760,7 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
     except (PotentialSingularityError, NonFiniteStateError):
         if len(runs) == 1:
             raise
-        for scenario in scenarios:
-            integrate(scenario)
-        raise
+        return [integrate(scenario) for scenario in scenarios]
 
     bounds = np.cumsum([0] + [z.size for _, _, z in runs]).tolist()
     return [
@@ -950,8 +921,12 @@ def decoupling_check(
     g_com = (M grad V(Xcom), Pcom / M) and g_rel = (2 dX^(a), dP^(a) / (mu_a m_a)).
     """
     com = com_transform(system, state)
-    z_com = np.concatenate([com.x_com, com.p_com])[None]
-    g_com = _hamiltonian_gradient(np.array([system.total_mass]), potential, z_com, np.empty((1, 6)))
+    # one point of shape (1, 3), so a singularity names it as point 0
+    g_com = np.empty((1, 6))
+    _write_hamiltonian_gradient(
+        np.array([[system.total_mass]]), potential, com.x_com[None], com.p_com[None],
+        g_com[:, :3], g_com[:, 3:],
+    )
     g_rel = np.concatenate(
         [2.0 * com.dx.ravel(), (com.dp / (system.mu * system.masses)[:, None]).ravel()]
     )

@@ -375,6 +375,21 @@ class TestScenarioParsing:
                   particles=[{"mass": 1.0},
                              {"mass": 2.0, "thetta0": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]}],
                   initial={"x": [[0, 0, 0], [1, 0, 0]], "p": [[0, 0, 0], [0, 0, 0]]})),
+            ("particles[0].rho: not a parameter of this algebra variant",
+             dict(MINIMAL, particles=[{"mass": 1.0, "rho": 2}])),
+            ("options.sample: unknown option for task check-algebra",
+             dict(MINIMAL, options={"sample": 3})),
+            # every other block refuses an unknown key too
+            ("body_mod: unknown field", dict(BODY, body_mod=True)),
+            ("grid.dtt: unknown field", dict(SIMULATE, grid=dict(SIMULATE["grid"], dtt=0.05))),
+            ("initial.pp: unknown field",
+             dict(SIMULATE, initial=dict(SIMULATE["initial"], pp=[[5, 0, 0]]))),
+            ("potentail: unknown field",
+             dict(COM, potentail={"variant": "uniform", "g": [0, 1, 0]},
+                  options={"expect_decoupling_max": 1e-12})),
+            # without a potential the asked-for decoupling check could not run
+            ("options.expect_decoupling_max: needs a potential",
+             dict(COM, options={"expect_decoupling_max": 1e-12})),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -494,6 +509,18 @@ class TestRun:
         path = write_scenario(tmp_path, "sim.scn", SIMULATE)
         assert cli.run(path, out_dir=str(tmp_path / "out"), dt=dt) == 2
         assert capsys.readouterr().err.startswith("scenario error: --dt: dt")
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_out_flag_must_name_a_directory(self, where, tmp_path, capsys):
+        path = write_scenario(tmp_path, "sim.scn", SIMULATE)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker if where == "a file" else blocker / "out"
+        assert cli.run(path, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: --out: ") and "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.scn", "taken"]
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_flag_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):

@@ -16,6 +16,7 @@ from liephase.algebra import rescale
 
 from helpers import (
     VARIANT_NAMES,
+    antisym,
     count_kernel_calls,
     decoupling_check_closures,
     integrate_flat_reference,
@@ -210,6 +211,37 @@ class TestVectorisedPotentials:
         with pytest.raises(lp.PotentialSingularityError) as info:
             pot.value(x[1])
         assert info.value.index is None
+
+    def test_newtonian_single_point_singularity_has_no_index(self):
+        pot = lp.Newtonian(strength=1.0, center=[1.0, 2.0, 3.0])
+        for evaluate in (pot.value, pot.gradient):
+            with pytest.raises(lp.PotentialSingularityError) as info:
+                evaluate(np.array([1.0, 2.0, 3.0]))
+            assert info.value.index is None
+            assert str(info.value) == "field evaluated at r = 0.000e+00 < r_min = 1.000e-09"
+
+    def test_subclass_defines_value_and_one_gradient_method(self):
+        class Bowl(lp.Potential):
+            """V = |X|^2 / 2, with only the buffer path of its gradient."""
+
+            def value(self, x):
+                x = np.asarray(x, dtype=float)
+                return (x * x).sum(axis=-1) / 2
+
+            def gradient_into(self, x, out):
+                out[...] = x
+                return out
+
+        class Flat(lp.Potential):
+            def value(self, x):
+                return np.zeros(np.shape(x)[:-1])
+
+        x = np.random.default_rng(39).uniform(-3.0, 3.0, (4, 3))
+        assert Bowl().gradient(x).tobytes() == x.tobytes()
+        assert Bowl().gradient(x[0]).tobytes() == x[0].tobytes()
+        for evaluate in (lambda: Flat().gradient(x), lambda: Flat().gradient_into(x, x.copy())):
+            with pytest.raises(NotImplementedError, match="Flat defines no gradient"):
+                evaluate()
 
     def test_newtonian_nan_point_is_not_a_singularity(self):
         # a non-finite point is for the integrator's finiteness guard to report
@@ -453,6 +485,18 @@ class TestKernelMatchesReference:
         assert got == kernel_outcome(integrate_flat_reference, *args)
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_single_particle_singularity_same_as_reference(self, variant):
+        rng = np.random.default_rng(11)
+        system = random_system(rng, variant, 1)
+        field = lp.Newtonian(strength=1.0, center=[0.5, -0.25, 1.0], r_min=0.5)
+        z0 = np.array([1.1, -0.25, 1.0, -1.0, 0.0, 0.0])  # falls into the guarded region
+        args = (system.masses, system.lowered, field, z0, -0.5, 0.01, 100)
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert got[0] is lp.PotentialSingularityError and got[2]["index"] == 0
+        assert got[1].endswith("for point 0")
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_nonfinite_state_same_as_reference(self, variant):
         rng = np.random.default_rng(6)
         system = random_system(rng, variant, 2)
@@ -567,9 +611,7 @@ def test_one_writer_of_hamiltonian_gradient():
         "dynamics._write_hamiltonian_gradient",
         "dynamics.closed_form_rhs",
         "dynamics.Potential.gradient_into",  # the fallback to gradient
-        "dynamics.Uniform.gradient",  # gradient_into a fresh array
-        "dynamics.Newtonian.gradient",
-        "dynamics.Polynomial.gradient",
+        "dynamics.Potential.gradient",  # gradient_into a fresh array
     }
 
 
@@ -580,6 +622,19 @@ def assert_same_trajectories(got, expected):
         assert a.states.tobytes() == b.states.tobytes()
         assert a.masses.tobytes() == b.masses.tobytes()
         assert a.metadata == b.metadata
+
+
+def on_one_grid(rng, systems, t0, potential):
+    """Scenarios of the given systems, from random states, on one field and
+    a grid of 30 steps from t0."""
+    scenarios = []
+    for system in systems:
+        state = random_state(rng, system.n_particles, box=1.0)
+        scenarios.append(lp.GravityScenario(
+            system=system, potential=potential, initial=lp.PhaseState(state.x, state.p, t0),
+            t0=t0, t_end=t0 + 0.3, dt=0.01,
+        ))
+    return scenarios
 
 
 def scenario_pair(rng, variants, n, body_mode=False, potential=HARMONIC):
@@ -617,13 +672,50 @@ class TestStackedIntegration:
         assert_same_trajectories(dynamics._integrate_together(runs), expected)
         assert len(calls) == 1
 
-    def test_unequal_slope_presence_integrates_apart(self, monkeypatch):
+    def test_unequal_slope_presence_stacks(self, monkeypatch):
         runs = scenario_pair(np.random.default_rng(9), ["space_time", "space_space"], 3)
         assert [s.system.lowered.slope is None for s in runs] == [True, False]
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
         assert_same_trajectories(dynamics._integrate_together(runs), expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field", ["harmonic", "uniform"])
+    @pytest.mark.parametrize("t0", [-0.37, 0.41])
+    @pytest.mark.parametrize("slope_free", ["canonical", "space_time", "theta0_generalized"])
+    def test_slope_free_run_stacks_with_zero_slopes(self, slope_free, t0, field, monkeypatch):
+        # t0 < 0 puts -0.0 into t * time; the runs without a slope get
+        # zero slope blocks and must keep every bit of their own runs
+        rng = np.random.default_rng([len(slope_free), int(t0 > 0)])
+        if slope_free == "theta0_generalized":
+            specs = [lp.Generalized(theta0=antisym(rng, (3, 3))) for _ in range(2)]
+            free = lp.ParticleSystem.from_pairs([1.5, 2.5], specs)
+        else:
+            free = random_system(rng, slope_free, 2)
+        sloped = random_system(rng, "miao_type_ii", 3)
+        assert free.lowered.slope is None and sloped.lowered.slope is not None
+        potential = {"harmonic": HARMONIC, "uniform": G_FIELD}[field]
+        runs = on_one_grid(rng, [free, sloped], t0, potential)
+        expected = [lp.integrate(s) for s in runs]
+        calls = count_kernel_calls(monkeypatch)
+        assert_same_trajectories(dynamics._integrate_together(runs), expected)
+        assert_same_trajectories(dynamics._integrate_together(runs[::-1]), expected[::-1])
         assert len(calls) == 2
+
+    def test_run_failing_only_stacked_returns_own_runs(self, monkeypatch):
+        # X1 + dt/2 P1 overflows at the first midpoint, where the canonical
+        # J ignores it and the step lands finite; a zero slope times inf
+        # is NaN, so only the stacked run fails
+        field = lp.Uniform(g=[0.2e308, 0.0, 0.0])
+        free = one_particle(lp.Canonical(), x=(1.75e308, 0, 0), p=(0.1e308, 0, 0),
+                            t_end=1.0, dt=1.0, potential=field)
+        sloped = one_particle(lp.SpaceSpace(kappa_tilde=2.0, k=1, l=2, gamma=3),
+                              t_end=1.0, dt=1.0, potential=field)
+        expected = [lp.integrate(free), lp.integrate(sloped)]
+        assert np.isfinite(expected[0].states).all()
+        calls = count_kernel_calls(monkeypatch)
+        assert_same_trajectories(dynamics._integrate_together([free, sloped]), expected)
+        assert len(calls) == 3  # the stack, then each run on its own
 
     def test_failure_names_the_scenario_as_its_own_run(self):
         field = lp.Polynomial(coefficients={(4, 0, 0): -1.0})

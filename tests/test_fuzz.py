@@ -5,11 +5,15 @@ containers included) is replaced by one of ``MUTATIONS`` or deleted.  Each
 mutated scenario must leave ``cli.run`` with an exit status in {0, 1, 2, 3},
 never with an exception; an exit 2 must come before anything is computed or
 written: it leaves no output directory; and a report it writes must be
-strict JSON, with no NaN or Infinity.
+strict JSON, with no NaN or Infinity.  Every object of every bundled
+scenario, the scenario itself included, also gets an extra key,
+``UNKNOWN_KEY``; that mutant must exit 2, a misspelt key being refused
+rather than ignored.
 
-The tier-1 tests take one mutation per node, rotating through the list, plus
-a seeded hypothesis draw of arbitrary JSON values.  The full sweep, every
-mutation of every node, runs as a script and prints its counts::
+The tier-1 tests take one mutation per node, rotating through the list, every
+extra key, and a seeded hypothesis draw of arbitrary JSON values.  The full
+sweep, every mutation of every node and every extra key, runs as a script and
+prints its counts::
 
     PYTHONPATH=src python tests/test_fuzz.py
 
@@ -40,6 +44,7 @@ from helpers import strict_json
 
 DELETE = object()
 MUTATIONS = ("x", math.nan, -1, 0, 1e308, [], {}, None, True, 2.5, DELETE)
+UNKNOWN_KEY = "zz_unknown"
 EXIT_CODES = {0, 1, 2, 3}
 
 SCENARIOS = {
@@ -64,12 +69,24 @@ def node_paths(node, prefix=()):
 PATHS = {name: list(node_paths(doc)) for name, doc in SCENARIOS.items()}
 
 
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# the paths of the extra key in the scenario and in every object below it
+INSERTIONS = {
+    name: [path + (UNKNOWN_KEY,) for path in [(), *PATHS[name]]
+           if isinstance(node_at(doc, path), dict)]
+    for name, doc in SCENARIOS.items()
+}
+
+
 def mutated(doc, path, value):
     """A copy of ``doc`` with the node at ``path`` set to ``value`` (or deleted)."""
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = node_at(doc, path[:-1])
     if value is DELETE:
         del parent[path[-1]]
     else:
@@ -118,6 +135,13 @@ def test_one_mutation_per_node(name, tmp_path):
         assert_contract(mutated(SCENARIOS[name], path, value), tmp_path, label)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_unknown_key_in_every_object_exits_2(name, tmp_path):
+    for path in INSERTIONS[name]:
+        status, wrote, _ = run_mutant(mutated(SCENARIOS[name], path, 1), tmp_path)
+        assert (status, wrote) == (2, False), f"{name} {list(path)} <- 1"
+
+
 # numbers stay small: a huge sample count or time span is a valid but long
 # run, and MUTATIONS already brings the extremes (1e308, NaN) to every node
 json_values = st.recursive(
@@ -141,29 +165,30 @@ def test_arbitrary_json_in_any_node(name, index, value):
 
 
 def full_sweep() -> Counter:
-    """Every mutation of every node: counts of exit statuses, exits 2 that made
-    the output directory, reports that are not strict JSON, and exceptions
-    that escaped ``cli.run``."""
+    """Every mutation of every node and every extra key: counts of exit
+    statuses, exits 2 that made the output directory, reports that are not
+    strict JSON, extra keys not refused, and exceptions that escaped
+    ``cli.run``."""
     counts = Counter()
     with tempfile.TemporaryDirectory() as workdir:
         for name, doc in SCENARIOS.items():
-            for path in PATHS[name]:
-                for value in MUTATIONS:
-                    counts["runs"] += 1
-                    try:
-                        status, wrote, strict = run_mutant(
-                            mutated(doc, path, value), Path(workdir)
-                        )
-                    except Exception as exc:  # noqa: BLE001 - counted, the sweep goes on
-                        counts["uncaught"] += 1
-                        print(f"{name} {list(path)}: {type(exc).__name__}: {exc}",
-                              file=sys.stderr)
-                        continue
-                    counts[f"exit {status}"] += 1
-                    if status == 2 and wrote:
-                        counts["exit 2 after writing"] += 1
-                    if not strict:
-                        counts["non-strict report"] += 1
+            mutants = [(path, value) for path in PATHS[name] for value in MUTATIONS]
+            mutants += [(path, 1) for path in INSERTIONS[name]]
+            for path, value in mutants:
+                counts["runs"] += 1
+                try:
+                    status, wrote, strict = run_mutant(mutated(doc, path, value), Path(workdir))
+                except Exception as exc:  # noqa: BLE001 - counted, the sweep goes on
+                    counts["uncaught"] += 1
+                    print(f"{name} {list(path)}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                    continue
+                counts[f"exit {status}"] += 1
+                if status == 2 and wrote:
+                    counts["exit 2 after writing"] += 1
+                if not strict:
+                    counts["non-strict report"] += 1
+                if path[-1] == UNKNOWN_KEY and status != 2:
+                    counts["extra key not refused"] += 1
     return counts
 
 
