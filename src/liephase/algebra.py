@@ -549,8 +549,8 @@ def jacobi_residual(
     """
     if isinstance(specs, AlgebraSpec):
         specs = [specs]
-    if fd_step <= 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step!r}")
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     lowered = lower(specs)
     z = _phase_points(state)
     j = lowered.blocks(z, state.t)

@@ -291,6 +291,9 @@ class Scenario:
     ``options`` is the file's options object, which the report echoes;
     ``settings`` holds the options read through their kinds, with the task's
     defaults for those not given (an option with no default stays absent).
+    A task's check may replace a setting by what its run builds from it:
+    ``compare_partition`` becomes the partition body's system and initial
+    state.
     """
 
     task: str
@@ -448,8 +451,8 @@ def load_scenario(path_or_name: str) -> Scenario:
     path = Path(path_or_name)
     if path.exists():
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     else:
         name = path_or_name.removesuffix(".scn")
@@ -461,7 +464,7 @@ def load_scenario(path_or_name: str) -> Scenario:
             raise ScenarioError(f"no such scenario file or builtin: {path_or_name}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a JSON object")
@@ -576,14 +579,14 @@ def _sample_states(scenario: Scenario, count: int) -> list[PhaseState]:
 # --- task implementations ---------------------------------------------------------
 
 
-def _rescaled(name: str, mass: float, build) -> None:
-    """Build a spec the task will rescale to ``mass``, so that a parameter sent
-    out of range (kappa to inf, say), or a system with no effective
+def _rescaled(name: str, mass: float, build):
+    """Build and return a spec the task rescales to ``mass``, so that a parameter
+    sent out of range (kappa to inf, say), or a system with no effective
     parameters, exits 2 at load naming ``name``, the field asking for it."""
     try:
         # an overflow is refused by the spec it produces
         with np.errstate(over="ignore"):
-            build()
+            return build()
     except ValueError as exc:
         raise ScenarioError(f"{name}: the parameters rescaled to mass {mass!r}: {exc}") from exc
     except ScalingRequiredError as exc:
@@ -751,31 +754,30 @@ def _check_simulate(scenario: Scenario) -> None:
                 "system to define the rule"
             )
         template = system.particles[0].spec
-        for i, m in enumerate(partition):
+        body = ParticleSystem.from_pairs(partition, [
             _rescaled(f"options.compare_partition[{i}]", m,
                       lambda: rule.spec_for_mass(template, m))
+            for i, m in enumerate(partition)
+        ])
+        # the body made of the partition's masses, from the same center-of-mass
+        # state; neither depends on dt, so --dt may still change the grid
+        com = com_transform(system, scenario.initial)
+        scenario.settings["compare_partition"] = (body, PhaseState(
+            x=np.tile(com.x_com, (len(partition), 1)),
+            p=np.outer(body.mu, com.p_com),
+            t=scenario.t0,
+        ))
 
 
 def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
     settings = scenario.settings
     g = scenario.gravity_scenario()
     runs = [g]
-    alt_masses = settings.get("compare_partition")
-    if alt_masses is not None:
-        # the same body composed of the partition's masses, from the same
-        # center-of-mass state: it shares the main run's grid and field, so
-        # the two integrate as one stacked system
-        rule = satisfies_mass_scaling(scenario.system).rule
-        template = scenario.system.particles[0].spec
-        alt_specs = [rule.spec_for_mass(template, m) for m in alt_masses]
-        alt_system = ParticleSystem.from_pairs(alt_masses, alt_specs)
-        com = com_transform(scenario.system, scenario.initial)
-        alt_initial = PhaseState(
-            x=np.tile(com.x_com, (len(alt_masses), 1)),
-            p=np.outer(alt_system.mu, com.p_com),
-            t=scenario.t0,
-        )
-        runs.append(replace(g, system=alt_system, initial=alt_initial, body_mode=True))
+    if "compare_partition" in settings:
+        # the partition body shares the main run's grid and field, so the
+        # two integrate as one stacked system
+        body, initial = settings["compare_partition"]
+        runs.append(replace(g, system=body, initial=initial, body_mode=True))
     trajectory, *partition = _integrate_together(runs)
     csv_path = out_dir / "trajectory.csv"
     trajectory.write_csv(str(csv_path), include_reduced_momentum=settings["reduced_momentum"])

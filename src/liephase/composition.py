@@ -424,6 +424,12 @@ def _relative(diff: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.where(denom > 0.0, diff / np.where(denom > 0.0, denom, 1.0), diff)
 
 
+def _check_tolerance(tol: float) -> None:
+    # written so that NaN, which no comparison holds for, is refused too
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+
+
 def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> ScalingCheck:
     """Test whether the deformation parameters scale inversely with mass.
 
@@ -433,8 +439,7 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
     between particles, which is the quantity that vanishes under exact
     scaling.
     """
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+    _check_tolerance(tol)
     values = _scaled_values(system)
     mu = system.mu
 
@@ -518,6 +523,7 @@ def effective_parameters(system: ParticleSystem, tol: float = 1e-9) -> AlgebraSp
     coordinate/momentum-valued terms) require ``satisfies_mass_scaling``;
     ScalingRequiredError is raised otherwise.
     """
+    _check_tolerance(tol)
     if _needs_scaling(system):
         check = satisfies_mass_scaling(system, tol=tol)
         if not check.holds:
@@ -545,6 +551,7 @@ def reproduction_check(
     {Pcom, Pcom}) against the single-particle bracket table of the
     consensus effective spec evaluated at the COM phase point.
     """
+    _check_tolerance(tol)
     com = com_transform(system, state)
     candidate = _candidate_effective(system)
     com_point = np.concatenate([com.x_com, com.p_com])[None, :]

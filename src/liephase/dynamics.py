@@ -141,6 +141,8 @@ class Newtonian(Potential):
     def __post_init__(self):
         if not np.isfinite(self.strength) or self.strength <= 0:
             raise ValueError(f"strength must be positive, got {self.strength!r}")
+        if not np.isfinite(self.r_min) or self.r_min <= 0:
+            raise ValueError(f"r_min must be positive and finite, got {self.r_min!r}")
         object.__setattr__(self, "center", _finite_array(self.center, (3,), "center"))
 
     def _radius(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -704,13 +706,13 @@ def integrate(scenario: GravityScenario) -> Trajectory:
     return _integrate_together([scenario])[0]
 
 
-def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, LoweredAlgebra, np.ndarray]:
-    """Masses, lowered algebra and initial phase vector of the system the
+def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSpec], np.ndarray]:
+    """Masses, algebra specs and initial phase vector of the system the
     scenario integrates: its particles, or its body's center of mass as a
     pseudo-particle of mass M with the effective parameters."""
     system = scenario.system
     if not scenario.body_mode:
-        return system.masses, system.lowered, scenario.initial.flatten()
+        return system.masses, system.specs, scenario.initial.flatten()
     effective = effective_parameters(system)
     if not scenario.neglect_relative_motion and not _decouples_exactly(system):
         raise ValueError(
@@ -719,7 +721,7 @@ def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, LoweredAlgebra, np
         )
     com = com_transform(system, scenario.initial)
     z0 = np.concatenate([com.x_com, com.p_com])
-    return np.array([system.total_mass]), lower([effective]), z0
+    return np.array([system.total_mass]), [effective], z0
 
 
 def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
@@ -729,8 +731,9 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
     J of the stacked system is block-diagonal and H a sum of per-particle
     terms, and the kernel evaluates every particle on its own, so each
     scenario's states are exactly those of its own integration (as the runs
-    of a WEP sweep).  Runs without a slope get zero slope blocks, which at
-    a finite phase point changes no bit: their ``C + t time`` holds no -0.0
+    of a WEP sweep).  The specs of all runs are lowered together, so a run
+    without a slope has zero slope blocks when another has one; at a finite
+    phase point that changes no bit: its ``C + t time`` holds no -0.0
     (+0 + -0 is +0), so adding a zero leaves it as it is.  On a singularity
     or non-finite state the scenarios are rerun apart, in order, so an error
     names the failing scenario's own step and particle; if none fails on its
@@ -745,17 +748,11 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
         ) != grid:
             raise ValueError("stacked scenarios must share a potential and a grid")
     runs = [_flat_run(s) for s in scenarios]
-    algebras = [lowered for _, lowered, _ in runs]
-    stacked = LoweredAlgebra(
-        time=np.concatenate([a.time for a in algebras]),
-        slope=None if all(a.slope is None for a in algebras) else np.concatenate(
-            [np.zeros((len(a), 6, 6, 6)) if a.slope is None else a.slope for a in algebras]
-        ),
-    )
+    lowered = lower([spec for _, specs, _ in runs for spec in specs])
     z0 = np.concatenate([z for _, _, z in runs])
     try:
         times, states = _integrate_flat(
-            np.concatenate([m for m, _, _ in runs]), stacked, first.potential, z0, *grid
+            np.concatenate([m for m, _, _ in runs]), lowered, first.potential, z0, *grid
         )
     except (PotentialSingularityError, NonFiniteStateError):
         if len(runs) == 1:
@@ -788,8 +785,8 @@ def body_com_rhs(scenario: GravityScenario, com_state: PhaseState) -> tuple[np.n
         raise ValueError("body_com_rhs requires a body-mode scenario")
     if com_state.n_particles != 1:
         raise ValueError("com_state must hold exactly the COM coordinates and momenta")
-    masses, lowered, _ = _flat_run(scenario)
-    zdot = _rhs_flat(masses, lowered, scenario.potential, com_state.flatten(), com_state.t)
+    masses, specs, _ = _flat_run(scenario)
+    zdot = _rhs_flat(masses, lower(specs), scenario.potential, com_state.flatten(), com_state.t)
     return zdot[:3].copy(), zdot[3:].copy()
 
 
@@ -855,14 +852,14 @@ def wep_deviation(
     else:
         specs = [base.spec] * len(masses)
     # runs sharing a grid and a field are independent (J is block-diagonal
-    # and H a sum of per-particle terms): particle a of this system is run a
-    system = ParticleSystem.from_pairs(masses, specs)
+    # and H a sum of per-particle terms): particle a of one stack is run a
+    run_masses = np.array(masses)
     z0 = np.empty((len(masses), 6))
     z0[:, :3] = template.initial.x[0]
     z0[:, 3:] = momenta
     try:
         _, states = _integrate_flat(
-            system.masses, system.lowered, template.potential, z0.reshape(-1),
+            run_masses, lower(specs), template.potential, z0.reshape(-1),
             template.t0, template.dt, template.n_steps(),
         )
     except PotentialSingularityError as exc:
@@ -877,7 +874,7 @@ def wep_deviation(
 
     blocks = states.reshape(len(states), len(masses), 6)
     x = blocks[..., :3]
-    p_reduced = blocks[..., 3:] / system.masses[:, None]
+    p_reduced = blocks[..., 3:] / run_masses[:, None]
     pairs = []
     for i, m_i in enumerate(masses[:-1]):
         # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, 3)

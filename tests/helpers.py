@@ -1,6 +1,8 @@
 """Shared factories for randomized tests."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +27,26 @@ def strict_json(path):
     def refuse(token):
         raise ValueError(f"{path}: non-standard JSON token {token}")
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def package_calls(wanted) -> set[str]:
+    """The qualified name, ``module.Class.function``, of the scope around
+    every call in the package's source for which ``wanted(call, module)``
+    holds."""
+    calls = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and wanted(child, module):
+                calls.add(f"{module}.{'.'.join(scope)}")
+            visit(child, module, inner)
+
+    for path in sorted(Path(lp.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return calls
 
 
 def tensor_with(shape, index, value) -> list:

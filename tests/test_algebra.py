@@ -1,5 +1,6 @@
 """Structure matrices, bracket evaluation and the Jacobi identity."""
 
+import ast
 import dataclasses
 
 import numpy as np
@@ -17,6 +18,7 @@ from helpers import (
     VARIANT_NAMES,
     antisym,
     lower_via_generalized,
+    package_calls,
     random_spec,
     random_state,
     tensor_with,
@@ -274,6 +276,13 @@ class TestLowering:
             lp.MiaoTypeII(kappa=1.0, kappa_tilde=1.0, kappa_bar=-2e-309)
         assert lower([lp.SpaceSpace(kappa_tilde=1e-300)]).slope.max() == 1.0 / 1e-300
 
+    def test_one_constructor_of_lowered_algebra(self):
+        # stacked runs are lowered together from their specs, so no caller
+        # assembles bracket tensors of its own
+        assert package_calls(
+            lambda call, module: ast.unparse(call.func).split(".")[-1] == "LoweredAlgebra"
+        ) == {"algebra.lower"}
+
 
 class TestBracket:
     def test_conjugate_pair(self):
@@ -413,8 +422,9 @@ class TestJacobi:
 
     def test_fd_step_must_be_positive(self):
         state = random_state(np.random.default_rng(8), 1)
-        with pytest.raises(ValueError, match="fd_step"):
-            lp.jacobi_residual([lp.Canonical()], state, fd_step=0.0)
+        for fd_step in (0.0, -1e-5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="fd_step"):
+                lp.jacobi_residual([lp.Canonical()], state, fd_step=fd_step, use_fd=True)
 
     def test_multi_particle_residual(self):
         rng = np.random.default_rng(9)

@@ -283,9 +283,20 @@ class TestMassScaling:
         assert np.allclose(check.rule.gamma0, system.particles[0].spec.theta0 * m0, atol=1e-13)
 
     def test_negative_tolerance_rejected(self):
-        system = spacetime_system([1.0], [1.0])
-        with pytest.raises(ValueError, match="tol"):
-            lp.satisfies_mass_scaling(system, tol=-1.0)
+        state = random_state(np.random.default_rng(3), 2)
+        checks = [
+            lp.satisfies_mass_scaling,
+            lp.effective_parameters,
+            lambda system, tol: lp.reproduction_check(system, state, tol=tol),
+        ]
+        # unscaled pairs: a NaN tolerance, which no deviation exceeds, made
+        # the SpaceSpace rule hold and gave that pair effective parameters
+        for spec in (lp.SpaceSpace(kappa_tilde=1.0), lp.SpaceTime(kappa=1.0)):
+            system = lp.ParticleSystem.from_pairs([1.0, 2.0], [spec] * 2)
+            for check in checks:
+                for tol in (-1.0, np.nan):
+                    with pytest.raises(ValueError, match="tol"):
+                        check(system, tol=tol)
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_matches_pairwise_loop_bit_for_bit(self, variant):

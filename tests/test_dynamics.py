@@ -5,7 +5,6 @@ import dataclasses
 import io
 import itertools
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from helpers import (
     count_kernel_calls,
     decoupling_check_closures,
     integrate_flat_reference,
+    package_calls,
     polynomial_gradient_loop,
     polynomial_value_loop,
     random_polynomial,
@@ -82,6 +82,9 @@ class TestPotentials:
         (lambda: lp.Uniform(g=[0.0, "x", 0.0]), r"^g: could not convert"),
         (lambda: lp.Newtonian(strength=1.0, center=[0.0, 0.0]),
          r"^center: must have shape \(3,\)"),
+        # a NaN or non-positive r_min would switch the singularity guard off
+        *[(lambda r_min=r_min: lp.Newtonian(strength=1.0, r_min=r_min),
+           r"^r_min must be positive and finite") for r_min in (np.nan, -1.0, 0.0, np.inf)],
         # finite, but 2 * 1e308, its weight in the gradient, is not
         (lambda: lp.Polynomial(coefficients={(2, 0, 0): 1e308}), "as must its derivative"),
     ])
@@ -586,22 +589,11 @@ def potential_gradient_calls():
     or ``.gradient_into`` in the package that may evaluate a potential: all
     such calls in ``dynamics``, and calls elsewhere on something named
     ``potential``.  Observables' gradients are the other calls."""
-    calls = set()
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = scope + (child.name,)
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr in ("gradient", "gradient_into")
-                  and (module == "dynamics" or "potential" in ast.unparse(child.func.value))):
-                calls.add(f"{module}.{'.'.join(scope)}")
-            visit(child, module, inner)
-
-    for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, ())
-    return calls
+    return package_calls(
+        lambda call, module: isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("gradient", "gradient_into")
+        and (module == "dynamics" or "potential" in ast.unparse(call.func.value))
+    )
 
 
 def test_one_writer_of_hamiltonian_gradient():

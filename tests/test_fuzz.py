@@ -8,12 +8,13 @@ written: it leaves no output directory; and a report it writes must be
 strict JSON, with no NaN or Infinity.  Every object of every bundled
 scenario, the scenario itself included, also gets an extra key,
 ``UNKNOWN_KEY``; that mutant must exit 2, a misspelt key being refused
-rather than ignored.
+rather than ignored.  The files of ``BYTE_MUTANTS``, which no JSON value
+gives, must exit 2 too.
 
 The tier-1 tests take one mutation per node, rotating through the list, every
-extra key, and a seeded hypothesis draw of arbitrary JSON values.  The full
-sweep, every mutation of every node and every extra key, runs as a script and
-prints its counts::
+extra key, every byte mutant, and a seeded hypothesis draw of arbitrary JSON
+values.  The full sweep, every mutation of every node, every extra key and
+every byte mutant, runs as a script and prints its counts::
 
     PYTHONPATH=src python tests/test_fuzz.py
 
@@ -45,6 +46,12 @@ from helpers import strict_json
 DELETE = object()
 MUTATIONS = ("x", math.nan, -1, 0, 1e308, [], {}, None, True, 2.5, DELETE)
 UNKNOWN_KEY = "zz_unknown"
+# scenario files as bytes: not UTF-8, and valid JSON nested far past the
+# recursion limit of any interpreter
+BYTE_MUTANTS = {
+    "invalid UTF-8": b"\xff\xfe",
+    "nested 100000 deep": b"[" * 100_000 + b"]" * 100_000,
+}
 EXIT_CODES = {0, 1, 2, 3}
 
 SCENARIOS = {
@@ -95,10 +102,11 @@ def mutated(doc, path, value):
 
 
 def run_mutant(doc, workdir: Path) -> tuple[int, bool, bool]:
-    """Exit status of ``cli.run`` on ``doc``, whether it made the output
-    directory, and whether the report it wrote, if any, is strict JSON."""
+    """Exit status of ``cli.run`` on ``doc``, a JSON value or the bytes of a
+    file, whether it made the output directory, and whether the report it
+    wrote, if any, is strict JSON."""
     scenario = workdir / "mutant.scn"
-    scenario.write_text(json.dumps(doc))
+    scenario.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     out = workdir / "out"
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -142,6 +150,12 @@ def test_unknown_key_in_every_object_exits_2(name, tmp_path):
         assert (status, wrote) == (2, False), f"{name} {list(path)} <- 1"
 
 
+@pytest.mark.parametrize("label", sorted(BYTE_MUTANTS))
+def test_unreadable_bytes_exit_2(label, tmp_path):
+    status, wrote, _ = run_mutant(BYTE_MUTANTS[label], tmp_path)
+    assert (status, wrote) == (2, False), label
+
+
 # numbers stay small: a huge sample count or time span is a valid but long
 # run, and MUTATIONS already brings the extremes (1e308, NaN) to every node
 json_values = st.recursive(
@@ -164,31 +178,40 @@ def test_arbitrary_json_in_any_node(name, index, value):
                         f"{name} {list(path)}")
 
 
+def sweep_mutants():
+    """(label, mutant, whether it must exit 2) of every mutation of every
+    node, every extra key and every byte mutant."""
+    for name, doc in SCENARIOS.items():
+        for path in PATHS[name]:
+            for value in MUTATIONS:
+                yield f"{name} {list(path)}", mutated(doc, path, value), False
+        for path in INSERTIONS[name]:
+            yield f"{name} {list(path)}", mutated(doc, path, 1), True
+    for label, raw in BYTE_MUTANTS.items():
+        yield label, raw, True
+
+
 def full_sweep() -> Counter:
-    """Every mutation of every node and every extra key: counts of exit
-    statuses, exits 2 that made the output directory, reports that are not
-    strict JSON, extra keys not refused, and exceptions that escaped
-    ``cli.run``."""
+    """Counts over ``sweep_mutants`` of exit statuses, exits 2 that made the
+    output directory, reports that are not strict JSON, mutants that must be
+    refused but were not, and exceptions that escaped ``cli.run``."""
     counts = Counter()
     with tempfile.TemporaryDirectory() as workdir:
-        for name, doc in SCENARIOS.items():
-            mutants = [(path, value) for path in PATHS[name] for value in MUTATIONS]
-            mutants += [(path, 1) for path in INSERTIONS[name]]
-            for path, value in mutants:
-                counts["runs"] += 1
-                try:
-                    status, wrote, strict = run_mutant(mutated(doc, path, value), Path(workdir))
-                except Exception as exc:  # noqa: BLE001 - counted, the sweep goes on
-                    counts["uncaught"] += 1
-                    print(f"{name} {list(path)}: {type(exc).__name__}: {exc}", file=sys.stderr)
-                    continue
-                counts[f"exit {status}"] += 1
-                if status == 2 and wrote:
-                    counts["exit 2 after writing"] += 1
-                if not strict:
-                    counts["non-strict report"] += 1
-                if path[-1] == UNKNOWN_KEY and status != 2:
-                    counts["extra key not refused"] += 1
+        for label, mutant, refuse in sweep_mutants():
+            counts["runs"] += 1
+            try:
+                status, wrote, strict = run_mutant(mutant, Path(workdir))
+            except Exception as exc:  # noqa: BLE001 - counted, the sweep goes on
+                counts["uncaught"] += 1
+                print(f"{label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                continue
+            counts[f"exit {status}"] += 1
+            if status == 2 and wrote:
+                counts["exit 2 after writing"] += 1
+            if not strict:
+                counts["non-strict report"] += 1
+            if refuse and status != 2:
+                counts["not refused"] += 1
     return counts
 
 
