@@ -291,9 +291,9 @@ class Scenario:
     ``options`` is the file's options object, which the report echoes;
     ``settings`` holds the options read through their kinds, with the task's
     defaults for those not given (an option with no default stays absent).
-    A task's check may replace a setting by what its run builds from it:
-    ``compare_partition`` becomes the partition body's system and initial
-    state.
+    A task's check may add what its run builds at load under a key starting
+    with ``_``: simulate's ``_partition_body`` is the partition body's system
+    and initial state, built from ``initial`` and ``t0`` as they are then.
     """
 
     task: str
@@ -762,7 +762,7 @@ def _check_simulate(scenario: Scenario) -> None:
         # the body made of the partition's masses, from the same center-of-mass
         # state; neither depends on dt, so --dt may still change the grid
         com = com_transform(system, scenario.initial)
-        scenario.settings["compare_partition"] = (body, PhaseState(
+        scenario.settings["_partition_body"] = (body, PhaseState(
             x=np.tile(com.x_com, (len(partition), 1)),
             p=np.outer(body.mu, com.p_com),
             t=scenario.t0,
@@ -773,10 +773,10 @@ def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> di
     settings = scenario.settings
     g = scenario.gravity_scenario()
     runs = [g]
-    if "compare_partition" in settings:
+    if "_partition_body" in settings:
         # the partition body shares the main run's grid and field, so the
         # two integrate as one stacked system
-        body, initial = settings["compare_partition"]
+        body, initial = settings["_partition_body"]
         runs.append(replace(g, system=body, initial=initial, body_mode=True))
     trajectory, *partition = _integrate_together(runs)
     csv_path = out_dir / "trajectory.csv"

@@ -422,9 +422,11 @@ class TestJacobi:
 
     def test_fd_step_must_be_positive(self):
         state = random_state(np.random.default_rng(8), 1)
-        for fd_step in (0.0, -1e-5, np.nan, np.inf):
-            with pytest.raises(ValueError, match="fd_step"):
-                lp.jacobi_residual([lp.Canonical()], state, fd_step=fd_step, use_fd=True)
+        # refused whether or not the finite-difference path reads it
+        for use_fd in (False, True):
+            for fd_step in (0.0, -1e-5, np.nan, np.inf):
+                with pytest.raises(ValueError, match="fd_step"):
+                    lp.jacobi_residual([lp.Canonical()], state, fd_step=fd_step, use_fd=use_fd)
 
     def test_multi_particle_residual(self):
         rng = np.random.default_rng(9)
