@@ -59,7 +59,6 @@ from .composition import (
     com_transform,
     effective_parameters,
     reproduction_check,
-    satisfies_mass_scaling,
 )
 from .dynamics import (
     GravityScenario,
@@ -95,9 +94,14 @@ class ScenarioError(ValueError):
 
 
 def _is_finite_number(value) -> bool:
-    return (
-        not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    )
+    """A JSON number that reads as a finite float: an integer beyond float
+    range is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_count(value) -> bool:
@@ -284,27 +288,20 @@ def potential_to_dict(potential: Potential) -> dict:
     raise TypeError(f"unknown potential variant: {type(potential).__name__}")
 
 
-@dataclass
-class Scenario:
-    """A validated scenario file.
+@dataclass(frozen=True, kw_only=True)
+class Scenario(GravityScenario):
+    """A validated scenario file: the ``GravityScenario`` it runs, plus what
+    only the front-end reads.  It is frozen, so ``--dt`` makes a new one.
 
     ``options`` is the file's options object, which the report echoes;
     ``settings`` holds the options read through their kinds, with the task's
     defaults for those not given (an option with no default stays absent).
     A task's check may add what its run builds at load under a key starting
     with ``_``: simulate's ``_partition_body`` is the partition body's system
-    and initial state, built from ``initial`` and ``t0`` as they are then.
+    and initial state, built from ``initial`` and ``t0``.
     """
 
     task: str
-    system: ParticleSystem
-    potential: Optional[Potential]
-    initial: PhaseState
-    t0: float
-    t_end: float
-    dt: float
-    body_mode: bool
-    neglect_relative_motion: bool
     options: dict
     settings: dict
 
@@ -334,8 +331,8 @@ class Scenario:
         return out
 
     def gravity_scenario(self) -> GravityScenario:
-        # the fields of a GravityScenario are fields of this class too
-        return GravityScenario(**{f.name: getattr(self, f.name) for f in fields(GravityScenario)})
+        """The scenario itself, which is the library's ``GravityScenario``."""
+        return self
 
 
 def _points(initial: dict, key: str, n: int) -> np.ndarray:
@@ -446,6 +443,41 @@ def scenario_from_dict(data: dict) -> Scenario:
     return scenario
 
 
+def _parse_json(text: str):
+    """``text`` as JSON.  An object that gives a key twice, of which a dict
+    would keep the last value without a word, is refused, naming the first
+    such key in document order as ``<path>.<key>``."""
+    # id of an object that repeats a key -> (the object, kept alive so that
+    # its id is not reused, and the key)
+    repeats = {}
+
+    def build(pairs: list) -> dict:
+        out = dict(pairs)
+        if len(out) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeats[id(out)] = (out, next(k for i, k in enumerate(keys) if k in keys[:i]))
+        return out
+
+    try:
+        data = json.loads(text, object_pairs_hook=build)
+    # beside JSONDecodeError: a ValueError for an integer of too many digits,
+    # a RecursionError for values nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    todo = [("", data)] if repeats else []
+    while todo:
+        path, node = todo.pop()
+        if id(node) in repeats:
+            key = repeats[id(node)][1]
+            name = f"{path}.{key}" if path else key
+            raise ScenarioError(f"{name}: key given twice in one object")
+        if isinstance(node, dict):
+            todo += reversed([(f"{path}.{k}" if path else k, v) for k, v in node.items()])
+        elif isinstance(node, list):
+            todo += reversed([(f"{path}[{i}]", v) for i, v in enumerate(node)])
+    return data
+
+
 def load_scenario(path_or_name: str) -> Scenario:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(path_or_name)
@@ -462,10 +494,7 @@ def load_scenario(path_or_name: str) -> Scenario:
             )
         else:
             raise ScenarioError(f"no such scenario file or builtin: {path_or_name}")
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    data = _parse_json(text)
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a JSON object")
     return scenario_from_dict(data)
@@ -622,9 +651,8 @@ def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, out_dir: Path) 
 
     def eom_agreement():
         deviations = []
-        g = scenario.gravity_scenario()
         for st in states:
-            xdot, pdot = eom_rhs(g, st)
+            xdot, pdot = eom_rhs(scenario, st)
             for a, particle in enumerate(scenario.system.particles):
                 cx, cp = closed_form_rhs(
                     particle.spec, particle.mass, scenario.potential,
@@ -687,7 +715,7 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -
     )
     runner.add("com-transform-identities", identity, tolerance=1e-13)
 
-    scaling = satisfies_mass_scaling(system)
+    scaling = system.scaling
     repro = reproduction_check(system, state)
     coupling = com_relative_coupling(system, state)
 
@@ -747,7 +775,7 @@ def _check_simulate(scenario: Scenario) -> None:
             raise ScenarioError(
                 "options.compare_partition: partition must preserve the total mass"
             )
-        rule = satisfies_mass_scaling(system).rule
+        rule = system.scaling.rule
         if rule is None:
             raise ScenarioError(
                 "options.compare_partition: partition comparison needs a mass-scaled "
@@ -771,13 +799,12 @@ def _check_simulate(scenario: Scenario) -> None:
 
 def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
     settings = scenario.settings
-    g = scenario.gravity_scenario()
-    runs = [g]
+    runs = [scenario]
     if "_partition_body" in settings:
         # the partition body shares the main run's grid and field, so the
         # two integrate as one stacked system
         body, initial = settings["_partition_body"]
-        runs.append(replace(g, system=body, initial=initial, body_mode=True))
+        runs.append(replace(scenario, system=body, initial=initial, body_mode=True))
     trajectory, *partition = _integrate_together(runs)
     csv_path = out_dir / "trajectory.csv"
     trajectory.write_csv(str(csv_path), include_reduced_momentum=settings["reduced_momentum"])
@@ -817,7 +844,8 @@ def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> di
         def halving_ratio():
             # the main run is the coarsest of the three grids
             ends = [trajectory.states[-1]] + [
-                integrate(replace(g, dt=g.dt / factor)).states[-1] for factor in (2, 4)
+                integrate(replace(scenario, dt=scenario.dt / factor)).states[-1]
+                for factor in (2, 4)
             ]
             coarse = float(np.linalg.norm(ends[0] - ends[1]))
             fine = float(np.linalg.norm(ends[1] - ends[2]))
@@ -853,7 +881,7 @@ def _check_wep_test(scenario: Scenario) -> None:
     if scenario.system.n_particles != 1:
         raise ScenarioError("particles: wep-test needs exactly one particle")
     masses = scenario.settings["masses"]
-    momenta = _wep_momenta(scenario.gravity_scenario(), masses)
+    momenta = _wep_momenta(scenario, masses)
     for i, m in enumerate(masses):
         if not np.isfinite(momenta[i]).all():
             raise ScenarioError(
@@ -872,10 +900,9 @@ def _run_wep_test(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> di
     modes = ("fixed", "mass_scaled") if mode == "both" else (mode,)
     expected = settings.get("expect_position_deviation")
 
-    g = scenario.gravity_scenario()
     results: dict[str, Any] = {"masses": masses, "modes": {}}
     for m in modes:
-        report = wep_deviation(g, masses, m)
+        report = wep_deviation(scenario, masses, m)
         results["modes"][m] = {
             "pairs": [
                 {
@@ -995,10 +1022,9 @@ def run(
         scenario = load_scenario(scenario_path)
         if dt is not None:
             try:
-                _grid_steps(scenario.t0, scenario.t_end, dt)
+                scenario = replace(scenario, dt=float(dt))
             except GridError as exc:
                 raise ScenarioError(f"--dt: {exc}") from exc
-            scenario.dt = float(dt)
         if tol is not None:
             tol = _KINDS["tolerance"](tol, "--tol")
         out = Path(out_dir) if out_dir else Path(f"{Path(scenario_path).stem}_out")

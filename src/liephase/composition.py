@@ -140,6 +140,16 @@ class ParticleSystem:
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def scaling(self) -> "ScalingCheck":
+        """``satisfies_mass_scaling`` at its default tolerance, checked once
+        per system; the rule's arrays are read-only."""
+        check = satisfies_mass_scaling(self)
+        for value in vars(check.rule).values() if check.rule else ():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return check
+
 
 @dataclass(frozen=True)
 class ComVariables:
@@ -469,7 +479,7 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
 def _decouples_exactly(system: ParticleSystem) -> bool:
     """Does the COM motion decouple exactly from the relative motion?  Yes for
     purely time-valued brackets under the mass-scaling rule."""
-    return system.lowered.slope is None and satisfies_mass_scaling(system).holds
+    return system.lowered.slope is None and system.scaling.holds
 
 
 def _needs_scaling(system: ParticleSystem) -> bool:

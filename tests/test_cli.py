@@ -1,5 +1,6 @@
 """Scenario loading, task dispatch, exit codes and report determinism."""
 
+import dataclasses
 import json
 import time
 import warnings
@@ -8,14 +9,15 @@ import numpy as np
 import pytest
 
 import liephase as lp
-from liephase import cli
+from liephase import cli, composition
 
 from helpers import count_kernel_calls, strict_json, tensor_with
 
 
 def write_scenario(tmp_path, name, payload):
+    """``payload`` as a scenario file: a str is the file's text as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -53,6 +55,10 @@ WEP = {
 
 
 COM = dict(MINIMAL, task="com-brackets")
+
+
+# an integer that no float holds
+HUGE = 10**400
 
 
 BODY_X = [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0]]
@@ -390,6 +396,36 @@ class TestScenarioParsing:
             # without a potential the asked-for decoupling check could not run
             ("options.expect_decoupling_max: needs a potential",
              dict(COM, options={"expect_decoupling_max": 1e-12})),
+            # an integer beyond float range is not a finite number
+            *[(f"{field}: expected {what}", payload) for field, what, payload in (
+                ("particles[0].mass", "a finite number", dict(WEP, particles=[{"mass": HUGE}])),
+                ("grid.t_end", "a finite number",
+                 dict(WEP, grid={"t0": 0.0, "t_end": HUGE, "dt": 0.01})),
+                ("options.max_deviation", "a finite number >= 0",
+                 dict(WEP, options={"masses": [1.0, 2.0], "max_deviation": HUGE})),
+                ("options.masses", "a non-empty list of positive finite masses",
+                 dict(WEP, options={"masses": [1.0, HUGE]})),
+                ("potential.g[1]", "a finite number",
+                 dict(WEP, potential={"variant": "uniform", "g": [0, HUGE, 0]})),
+                ("initial.x[0][1]", "a finite number",
+                 dict(WEP, initial={"x": [[0, HUGE, 0]], "p": [[0, 0, 0]]})),
+            )],
+            # ... and one of more digits than Python converts
+            ("scenario is not valid JSON: Exceeds the limit",
+             json.dumps(WEP).replace('"t_end": 0.1', '"t_end": 1' + "0" * 5000)),
+            # a key given twice in one object: a dict would keep the last value
+            *[(f"{field}: key given twice in one object", json.dumps(WEP).replace(old, new))
+              for field, old, new in (
+                ("grid.dt", '"dt": 0.01', '"dt": 0.5, "dt": 0.01'),
+                ("algebra.rho", '"rho": 1', '"rho": 1, "rho": 3'),
+                ("particles[0].mass", '"mass": 1.0', '"mass": 1.0, "mass": 1.0'),
+                ("task", '"task": "wep-test"', '"task": "wep-test", "task": "wep-test"'),
+              )],
+            ("initial: give either p or p_reduced, not both",
+             dict(WEP, initial=dict(WEP["initial"], p_reduced=[[0, 0, 0]]))),
+            ("scenario: expected a JSON object", [WEP]),
+            ("potential: required for this task",
+             {k: v for k, v in WEP.items() if k != "potential"}),
         ],
     )
     def test_bad_values_exit_2_naming_field(self, field, payload, tmp_path, capsys):
@@ -399,6 +435,23 @@ class TestScenarioParsing:
         assert err.startswith(f"scenario error: {field}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", list(cli.BUILTIN_SCENARIOS))
+    def test_loaded_scenario_is_a_frozen_gravity_scenario(self, name):
+        scenario = cli.load_scenario(name)
+        assert isinstance(scenario, lp.GravityScenario)
+        assert scenario.gravity_scenario() is scenario
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.dt = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.task = "simulate"
+
+    def test_scenario_declares_only_what_the_library_lacks(self):
+        assert set(cli.Scenario.__annotations__) == {"task", "options", "settings"}
+        assert [f.name for f in dataclasses.fields(cli.Scenario)] == [
+            *(f.name for f in dataclasses.fields(lp.GravityScenario)),
+            "task", "options", "settings",
+        ]
 
     def test_potential_roundtrip(self):
         for pot in (
@@ -607,6 +660,21 @@ class TestRun:
         calls = count_kernel_calls(monkeypatch)
         assert cli.run(name, out_dir=str(tmp_path / "out")) == 0
         assert len(calls) == integrations
+
+    def test_one_mass_scaling_verdict_per_system(self, tmp_path, monkeypatch):
+        # the main body and its partition body: one verdict each, however
+        # many checks read it
+        systems = []
+        check = composition.satisfies_mass_scaling
+
+        def counted(system, *args, **kwargs):
+            systems.append(system)
+            return check(system, *args, **kwargs)
+
+        monkeypatch.setattr(composition, "satisfies_mass_scaling", counted)
+        assert cli.run("body_composition", out_dir=str(tmp_path / "out")) == 0
+        assert len(systems) == 2
+        assert systems[0] is not systems[1]
 
     def test_undefined_effective_kappa_fails(self, tmp_path, capsys):
         # unscaled SpaceSpace has no effective algebra to read kappa_tilde from

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
-from liephase import observables as obs
+from liephase import composition, observables as obs
 from liephase.composition import _candidate_effective, _scaled_values
 
 from helpers import VARIANT_NAMES, random_state, random_system, scaled_system
@@ -281,6 +281,29 @@ class TestMassScaling:
         assert check.holds
         m0 = system.particles[0].mass
         assert np.allclose(check.rule.gamma0, system.particles[0].spec.theta0 * m0, atol=1e-13)
+
+    @pytest.mark.parametrize("variant, scaled", [("generalized", True), ("space_time", False)])
+    def test_system_scaling_is_the_default_check_made_once(self, variant, scaled, monkeypatch):
+        rng = np.random.default_rng(7)
+        system = scaled_system(rng, variant, 3) if scaled else random_system(rng, variant, 3)
+        expected = lp.satisfies_mass_scaling(system)
+        calls = []
+        check = composition.satisfies_mass_scaling
+        monkeypatch.setattr(composition, "satisfies_mass_scaling",
+                            lambda system: calls.append(system) or check(system))
+        assert system.scaling is system.scaling
+        assert calls == [system]
+        got = system.scaling
+        assert (got.holds, got.worst_relative_deviation) == (
+            expected.holds, expected.worst_relative_deviation)
+        assert got.holds is scaled
+        if scaled:
+            for name in ("gamma0", "gamma", "gamma_tilde", "theta_bar"):
+                value = getattr(got.rule, name)
+                assert value.tobytes() == getattr(expected.rule, name).tobytes()
+                assert not value.flags.writeable
+        with pytest.raises(AttributeError):
+            system.scaling = expected
 
     def test_negative_tolerance_rejected(self):
         state = random_state(np.random.default_rng(3), 2)

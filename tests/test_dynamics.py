@@ -447,6 +447,19 @@ KERNEL_FIELDS = {
 }
 
 
+class Brittle(lp.Potential):
+    """V = 0, refusing a point past X1 = 1 with a plain ValueError."""
+
+    def value(self, x):
+        return np.zeros(np.shape(x)[:-1])
+
+    def gradient_into(self, x, out):
+        if np.any(np.asarray(x)[..., 0] > 1.0):
+            raise ValueError("no field past X1 = 1")
+        out[...] = 0.0
+        return out
+
+
 def kernel_outcome(kernel, *args):
     """The bytes of a kernel's times and states, or its error's type,
     message and fields."""
@@ -550,6 +563,24 @@ class TestKernelMatchesReference:
         got = kernel_outcome(dynamics._integrate_flat, *args)
         assert got[0] is lp.NonFiniteStateError and got[2]["particle"] == 0
         assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_other_potential_error_reraised_unless_a_step_before_failed(self, overflow):
+        system = lp.ParticleSystem.from_pairs([1.0, 1.0], [lp.Canonical()] * 2)
+        z0 = np.zeros((2, 6))
+        z0[1, 3] = 2.0  # particle 1 passes X1 = 1 near step 50
+        if overflow:
+            z0[0, 4] = 1e308  # particle 0 overflows in its first step
+        assert 50 < dynamics._BLOCK_BYTES // system.lowered.time.nbytes
+        args = (system.masses, system.lowered, Brittle(), z0.reshape(-1), 0.0, 0.01, 100)
+        if overflow:
+            with pytest.raises(lp.NonFiniteStateError) as info:
+                dynamics._integrate_flat(*args)
+            assert (info.value.step, info.value.particle) == (0, 0)
+        else:
+            with pytest.raises(ValueError, match="^no field past X1 = 1$") as info:
+                dynamics._integrate_flat(*args)
+            assert type(info.value) is ValueError
 
     def test_block_of_one_step_at_large_n(self):
         n = 240
@@ -752,6 +783,16 @@ class TestGrid:
         with pytest.raises(lp.GridError) as info:
             one_particle(lp.Canonical(), t_end=t_end, dt=dt, t0=t0)
         assert info.value.field == field
+
+    @pytest.mark.parametrize("initial, message", [
+        (lp.PhaseState(x=[[0, 0, 0]], p=[[0, 0, 0]], t=0.5),
+         r"^initial state time 0\.5 must equal t0 = 0\.0$"),
+        (lp.PhaseState(x=np.zeros((2, 3)), p=np.zeros((2, 3)), t=0.0),
+         "^initial state size does not match the system$"),
+    ])
+    def test_initial_state_must_fit_grid_and_system(self, initial, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(one_particle(lp.Canonical()), initial=initial)
 
     def test_rounded_spans_accepted(self):
         # spans whose quotient by dt rounds to either side of the step count
@@ -965,6 +1006,21 @@ class TestWepDeviation:
             lp.wep_deviation(scen, [1.0, 0.01], "fixed")
         assert info.value.particle == 1
 
+    def test_singularity_names_run_and_mass(self):
+        # with fixed parameters the light run falls faster, into the guarded
+        # region, while the heavy run 0 stays clear of it
+        pot = lp.Newtonian(strength=1.0, r_min=0.5)
+        scen = one_particle(lp.SpaceTime(kappa=1.0, rho=1, tau=2), x=(1, 0, 0),
+                            dt=0.01, potential=pot)
+        lp.integrate(dataclasses.replace(
+            scen, system=lp.ParticleSystem.from_pairs([2.0], [scen.system.specs[0]])))
+        with pytest.raises(lp.PotentialSingularityError) as info:
+            lp.wep_deviation(scen, [2.0, 0.5], "fixed")
+        assert str(info.value).startswith(
+            "WEP run 1 (mass 0.5): singularity encountered at step 92 (t = 0.92) for particle 1"
+        )
+        assert info.value.index == 1
+
     @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
     @pytest.mark.parametrize("case", list(WEP_CASES))
     def test_stacked_sweep_equals_sequential_runs(self, case, mode):
@@ -1102,6 +1158,11 @@ class TestBodyDynamics:
         scen = one_particle(lp.Canonical())
         with pytest.raises(ValueError, match="body"):
             lp.body_com_rhs(scen, lp.PhaseState(x=[[0, 0, 0]], p=[[0, 0, 0]]))
+
+    def test_body_rhs_needs_one_com_state(self):
+        scen = body_scenario([1.0, 3.0], [2.0, 6.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0])
+        with pytest.raises(ValueError, match="exactly the COM coordinates"):
+            lp.body_com_rhs(scen, scen.initial)
 
 
 class TestDecouplingCheck:

@@ -8,13 +8,15 @@ written: it leaves no output directory; and a report it writes must be
 strict JSON, with no NaN or Infinity.  Every object of every bundled
 scenario, the scenario itself included, also gets an extra key,
 ``UNKNOWN_KEY``; that mutant must exit 2, a misspelt key being refused
-rather than ignored.  The files of ``BYTE_MUTANTS``, which no JSON value
-gives, must exit 2 too.
+rather than ignored.  Every float of every bundled scenario is also set to
+``HUGE``, an integer beyond float range, which must exit 2 as well.  The
+files of ``BYTE_MUTANTS``, which no JSON value gives, must exit 2 too.
 
 The tier-1 tests take one mutation per node, rotating through the list, every
-extra key, every byte mutant, and a seeded hypothesis draw of arbitrary JSON
-values.  The full sweep, every mutation of every node, every extra key and
-every byte mutant, runs as a script and prints its counts::
+extra key, every huge float, every byte mutant, and a seeded hypothesis draw
+of arbitrary JSON values.  The full sweep, every mutation of every node,
+every extra key, every huge float and every byte mutant, runs as a script
+and prints its counts::
 
     PYTHONPATH=src python tests/test_fuzz.py
 
@@ -46,17 +48,24 @@ from helpers import strict_json
 DELETE = object()
 MUTATIONS = ("x", math.nan, -1, 0, 1e308, [], {}, None, True, 2.5, DELETE)
 UNKNOWN_KEY = "zz_unknown"
-# scenario files as bytes: not UTF-8, and valid JSON nested far past the
-# recursion limit of any interpreter
-BYTE_MUTANTS = {
-    "invalid UTF-8": b"\xff\xfe",
-    "nested 100000 deep": b"[" * 100_000 + b"]" * 100_000,
-}
+# an integer no float holds; integer counts and axes keep their values, as a
+# huge sample count is a valid but endless run
+HUGE = 10**400
 EXIT_CODES = {0, 1, 2, 3}
 
 SCENARIOS = {
     name: json.loads(resources.files("liephase").joinpath("scenarios", f"{name}.scn").read_text())
     for name in cli.BUILTIN_SCENARIOS
+}
+WEP_TEXT = json.dumps(SCENARIOS["spacetime_wep"])
+# scenario files as bytes: not UTF-8, valid JSON nested far past the
+# recursion limit of any interpreter, a key given twice in one object, and
+# an integer of more digits than Python converts
+BYTE_MUTANTS = {
+    "invalid UTF-8": b"\xff\xfe",
+    "nested 100000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "repeated key in grid": WEP_TEXT.replace('"dt": ', '"dt": 0.5, "dt": ').encode(),
+    "5000-digit integer": WEP_TEXT.replace('"t_end": 1.0', '"t_end": 1' + "0" * 4999).encode(),
 }
 
 
@@ -88,6 +97,11 @@ INSERTIONS = {
            if isinstance(node_at(doc, path), dict)]
     for name, doc in SCENARIOS.items()
 }
+
+
+# the paths of every float
+FLOATS = {name: [path for path in PATHS[name] if isinstance(node_at(doc, path), float)]
+          for name, doc in SCENARIOS.items()}
 
 
 def mutated(doc, path, value):
@@ -150,6 +164,13 @@ def test_unknown_key_in_every_object_exits_2(name, tmp_path):
         assert (status, wrote) == (2, False), f"{name} {list(path)} <- 1"
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_huge_integer_for_every_float_exits_2(name, tmp_path):
+    for path in FLOATS[name]:
+        status, wrote, _ = run_mutant(mutated(SCENARIOS[name], path, HUGE), tmp_path)
+        assert (status, wrote) == (2, False), f"{name} {list(path)} <- 10**400"
+
+
 @pytest.mark.parametrize("label", sorted(BYTE_MUTANTS))
 def test_unreadable_bytes_exit_2(label, tmp_path):
     status, wrote, _ = run_mutant(BYTE_MUTANTS[label], tmp_path)
@@ -180,13 +201,15 @@ def test_arbitrary_json_in_any_node(name, index, value):
 
 def sweep_mutants():
     """(label, mutant, whether it must exit 2) of every mutation of every
-    node, every extra key and every byte mutant."""
+    node, every extra key, every huge float and every byte mutant."""
     for name, doc in SCENARIOS.items():
         for path in PATHS[name]:
             for value in MUTATIONS:
                 yield f"{name} {list(path)}", mutated(doc, path, value), False
         for path in INSERTIONS[name]:
             yield f"{name} {list(path)}", mutated(doc, path, 1), True
+        for path in FLOATS[name]:
+            yield f"{name} {list(path)} <- 10**400", mutated(doc, path, HUGE), True
     for label, raw in BYTE_MUTANTS.items():
         yield label, raw, True
 
