@@ -7,13 +7,13 @@ list, an optional potential, the initial state and the time grid.
 ``_TASKS`` is the one table of the tasks: for each, its options with their
 kinds and defaults, the rules it needs of a scenario beyond those kinds, and
 the runner that computes it.  Every field is read through ``_read`` and one
-kind table, ``_KINDS``, so a bad value names its field.  ``load_scenario``
-applies all of it, and every rescaling the task will do, before anything is
-computed; the runners only compute.  The ``run`` entry point writes a
-deterministic ``report.json`` (plus CSVs for trajectory tasks) into the
-output directory, and exits 0 only when every check passed (2 on validation
-errors, always before the output directory is made, 3 on numerical failure,
-1 on failed checks).
+kind table, ``_KINDS``, so a bad value names its field.  ``scenario_from_dict``
+checks the fields; ``run`` plans the task (its rules, and every object its
+runner integrates or reports) before it makes the output directory, and the
+runner only computes.  ``run`` writes a deterministic ``report.json`` (plus
+CSVs for trajectory tasks) into the output directory, and exits 0 only when
+every check passed (2 on validation errors, always before the output
+directory is made, 3 on numerical failure, 1 on failed checks).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -50,7 +50,6 @@ from .algebra import (
 from .composition import (
     MassScalingRule,
     ParticleSystem,
-    _candidate_effective,
     _decouples_exactly,
     _table_xp_deform,
     _table_xx,
@@ -70,11 +69,11 @@ from .dynamics import (
     _grid_steps,
     _integrate_together,
     _wep_momenta,
+    _wep_report,
     closed_form_rhs,
     decoupling_check,
     eom_rhs,
     integrate,
-    wep_deviation,
 )
 from .errors import (
     GridError,
@@ -108,11 +107,17 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut short when longer than 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:50]}... ({len(text)} characters)"
+
+
 def _checked(expected: str, test, convert=lambda v: v):
     """A kind whose values ``test`` accepts as a whole and ``convert`` makes usable."""
     def read(value, name: str):
         if not test(value):
-            raise ScenarioError(f"{name}: expected {expected}, got {value!r}")
+            raise ScenarioError(f"{name}: expected {expected}, got {_shown(value)}")
         return convert(value)
     return read
 
@@ -122,12 +127,12 @@ def _array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
     index, ``<name>[i][j]``."""
     if not isinstance(value, list) or len(value) != shape[0]:
         items = "numbers" if len(shape) == 1 else "lists"
-        raise ScenarioError(f"{name}: expected a list of {shape[0]} {items}, got {value!r}")
+        raise ScenarioError(f"{name}: expected a list of {shape[0]} {items}, got {_shown(value)}")
     for i, entry in enumerate(value):
         if len(shape) > 1:
             _array(entry, shape[1:], f"{name}[{i}]")
         elif not _is_finite_number(entry):
-            raise ScenarioError(f"{name}[{i}]: expected a finite number, got {entry!r}")
+            raise ScenarioError(f"{name}[{i}]: expected a finite number, got {_shown(entry)}")
     return np.array(value, dtype=float)
 
 
@@ -141,7 +146,7 @@ def _monomials(value, name: str) -> dict:
         try:
             exps = tuple(int(part) for part in key.split(","))
         except ValueError as exc:
-            raise ScenarioError(f"{name}: bad exponent key {key!r} (use 'e1,e2,e3')") from exc
+            raise ScenarioError(f"{name}: bad exponent key {_shown(key)} (use 'e1,e2,e3')") from exc
         if exps in keys:
             raise ScenarioError(f"{name}.{key}: the same monomial as key {keys[exps]!r}")
         keys[exps] = key
@@ -219,7 +224,7 @@ def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
     """Scalars and axes are required; tensors default to zero when absent."""
     variant = _read(data, "variant", path, str)
     if variant not in _ALGEBRA_VARIANTS:
-        raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
+        raise ScenarioError(f"{path}.variant: unknown variant {_shown(variant)}")
     cls = _ALGEBRA_VARIANTS[variant]
     _refuse_unknown(data, ["variant", *(name for name, _ in parameter_roles(cls))], path,
                     f"unknown field for variant {variant}")
@@ -268,7 +273,7 @@ _WRITERS = {
 def potential_from_dict(data: dict, path: str = "potential") -> Potential:
     variant = _read(data, "variant", path, str)
     if variant not in _POTENTIAL_VARIANTS:
-        raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
+        raise ScenarioError(f"{path}.variant: unknown variant {_shown(variant)}")
     cls, params = _POTENTIAL_VARIANTS[variant]
     _refuse_unknown(data, ["variant", *params], path, f"unknown field for variant {variant}")
     values = {key: _read(data, key, path, *kind) for key, kind in params.items()}
@@ -296,9 +301,6 @@ class Scenario(GravityScenario):
     ``options`` is the file's options object, which the report echoes;
     ``settings`` holds the options read through their kinds, with the task's
     defaults for those not given (an option with no default stays absent).
-    A task's check may add what its run builds at load under a key starting
-    with ``_``: simulate's ``_partition_body`` is the partition body's system
-    and initial state, built from ``initial`` and ``t0``.
     """
 
     task: str
@@ -347,12 +349,13 @@ def _points(initial: dict, key: str, n: int) -> np.ndarray:
 def scenario_from_dict(data: dict) -> Scenario:
     version = _read(data, "schema_version", "", "count")
     if version != SCHEMA_VERSION:
-        raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+        raise ScenarioError(f"schema_version: expected {SCHEMA_VERSION}, got {_shown(version)}")
     _refuse_unknown(data, ["schema_version", "task", "algebra", "particles", "potential", "grid",
                            "initial", "options", "body_mode", "neglect_relative_motion"], "")
     task = _read(data, "task", "", str)
     if task not in _TASKS:
-        raise ScenarioError(f"task: unknown task {task!r} (expected one of {', '.join(_TASKS)})")
+        raise ScenarioError(f"task: unknown task {_shown(task)} "
+                            f"(expected one of {', '.join(_TASKS)})")
 
     algebra_dict = _read(data, "algebra", "", dict)
     base_spec = algebra_from_dict(algebra_dict, "algebra")
@@ -426,7 +429,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             "decouple exactly from their relative motion; set it to true to accept "
             "the body run as an approximation"
         )
-    scenario = Scenario(
+    return Scenario(
         task=task,
         system=system,
         potential=potential,
@@ -439,8 +442,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         options=options,
         settings=settings,
     )
-    _TASKS[task].check(scenario)
-    return scenario
 
 
 def _parse_json(text: str):
@@ -609,9 +610,9 @@ def _sample_states(scenario: Scenario, count: int) -> list[PhaseState]:
 
 
 def _rescaled(name: str, mass: float, build):
-    """Build and return a spec the task rescales to ``mass``, so that a parameter
-    sent out of range (kappa to inf, say), or a system with no effective
-    parameters, exits 2 at load naming ``name``, the field asking for it."""
+    """Build and return a spec the task's plan rescales to ``mass``, so that a
+    parameter sent out of range (kappa to inf, say), or a system with no
+    effective parameters, exits 2 naming ``name``, the field asking for it."""
     try:
         # an overflow is refused by the spec it produces
         with np.errstate(over="ignore"):
@@ -627,7 +628,7 @@ def _scalar_parameters(variant: type) -> list[str]:
             if role.kind != AXIS and not role.shape]
 
 
-def _run_check_algebra(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+def _run_check_algebra(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path) -> dict:
     states = _sample_states(scenario, scenario.settings["samples"])
     specs = scenario.system.specs
     lowered = scenario.system.lowered
@@ -686,7 +687,7 @@ def _rule_to_dict(rule: Optional[MassScalingRule]) -> Optional[dict]:
     return out
 
 
-def _check_com_brackets(scenario: Scenario) -> None:
+def _plan_com_brackets(scenario: Scenario) -> None:
     system = scenario.system
     if "expect_decoupling_max" in scenario.settings and scenario.potential is None:
         raise ScenarioError("options.expect_decoupling_max: needs a potential")
@@ -697,11 +698,11 @@ def _check_com_brackets(scenario: Scenario) -> None:
                 f"options.expect_kappa_eff: needs an algebra with exactly one scalar "
                 f"deformation parameter, {_VARIANT_NAMES[system.variant]} has {len(scalars)}"
             )
-    # the effective parameters, reported whether or not the system is mass-scaled
-    _rescaled("particles", system.total_mass, lambda: _candidate_effective(system))
+    # the effective parameters the run reports, mass-scaled or not; the system keeps them
+    _rescaled("particles", system.total_mass, lambda: system.candidate_effective)
 
 
-def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+def _run_com_brackets(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path) -> dict:
     system = scenario.system
     state = scenario.initial
     settings = scenario.settings
@@ -761,49 +762,44 @@ def _run_com_brackets(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -
     return results
 
 
-def _check_simulate(scenario: Scenario) -> None:
+def _plan_simulate(scenario: Scenario) -> Optional[tuple[ParticleSystem, PhaseState]]:
+    """The partition body's system and initial state, when one is asked for."""
     if scenario.potential is None:
         raise ScenarioError("potential: required for this task")
     system = scenario.system
     if scenario.body_mode:
         _rescaled("particles", system.total_mass, lambda: effective_parameters(system))
     partition = scenario.settings.get("compare_partition")
-    if partition is not None:
-        if not scenario.body_mode:
-            raise ScenarioError("options.compare_partition: only meaningful with body_mode")
-        if abs(sum(partition) - system.total_mass) > 1e-12:
-            raise ScenarioError(
-                "options.compare_partition: partition must preserve the total mass"
-            )
-        rule = system.scaling.rule
-        if rule is None:
-            raise ScenarioError(
-                "options.compare_partition: partition comparison needs a mass-scaled "
-                "system to define the rule"
-            )
-        template = system.particles[0].spec
-        body = ParticleSystem.from_pairs(partition, [
-            _rescaled(f"options.compare_partition[{i}]", m,
-                      lambda: rule.spec_for_mass(template, m))
-            for i, m in enumerate(partition)
-        ])
-        # the body made of the partition's masses, from the same center-of-mass
-        # state; neither depends on dt, so --dt may still change the grid
-        com = com_transform(system, scenario.initial)
-        scenario.settings["_partition_body"] = (body, PhaseState(
-            x=np.tile(com.x_com, (len(partition), 1)),
-            p=np.outer(body.mu, com.p_com),
-            t=scenario.t0,
-        ))
+    if partition is None:
+        return None
+    if not scenario.body_mode:
+        raise ScenarioError("options.compare_partition: only meaningful with body_mode")
+    if abs(sum(partition) - system.total_mass) > 1e-12:
+        raise ScenarioError("options.compare_partition: partition must preserve the total mass")
+    rule = system.scaling.rule
+    if rule is None:
+        raise ScenarioError("options.compare_partition: partition comparison needs a "
+                            "mass-scaled system to define the rule")
+    template = system.particles[0].spec
+    body = ParticleSystem.from_pairs(partition, [
+        _rescaled(f"options.compare_partition[{i}]", m, lambda: rule.spec_for_mass(template, m))
+        for i, m in enumerate(partition)
+    ])
+    # the body made of the partition's masses, from the same center-of-mass
+    # state; neither depends on dt, so --dt may still change the grid
+    com = com_transform(system, scenario.initial)
+    return body, PhaseState(
+        x=np.tile(com.x_com, (len(partition), 1)), p=np.outer(body.mu, com.p_com), t=scenario.t0
+    )
 
 
-def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+def _run_simulate(scenario: Scenario, partition_body, runner: _CheckRunner, out_dir: Path) -> dict:
     settings = scenario.settings
     runs = [scenario]
-    if "_partition_body" in settings:
+    if partition_body is not None:
         # the partition body shares the main run's grid and field, so the
         # two integrate as one stacked system
-        body, initial = settings["_partition_body"]
+        body, initial = partition_body
         runs.append(replace(scenario, system=body, initial=initial, body_mode=True))
     trajectory, *partition = _integrate_together(runs)
     csv_path = out_dir / "trajectory.csv"
@@ -875,43 +871,42 @@ def _run_simulate(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> di
     return results
 
 
-def _check_wep_test(scenario: Scenario) -> None:
+def _plan_wep_test(scenario: Scenario) -> tuple[np.ndarray, tuple]:
+    """The runs' initial momenta, read-only, and each mode with its runs' specs."""
     if scenario.potential is None:
         raise ScenarioError("potential: required for this task")
     if scenario.system.n_particles != 1:
         raise ScenarioError("particles: wep-test needs exactly one particle")
     masses = scenario.settings["masses"]
     momenta = _wep_momenta(scenario, masses)
+    momenta.flags.writeable = False
     for i, m in enumerate(masses):
         if not np.isfinite(momenta[i]).all():
             raise ScenarioError(
                 f"options.masses[{i}]: the initial momentum m P'(0) for mass {m!r} overflows"
             )
-    if scenario.settings["scaling_mode"] != "fixed":
-        base = scenario.system.particles[0]
-        for i, m in enumerate(masses):
+    mode = scenario.settings["scaling_mode"]
+    base = scenario.system.particles[0]
+    runs = []
+    for name in ("fixed", "mass_scaled") if mode == "both" else (mode,):
+        specs = (base.spec,) * len(masses) if name == "fixed" else tuple(
             _rescaled(f"options.masses[{i}]", m, lambda: rescale(base.spec, m / base.mass))
+            for i, m in enumerate(masses))
+        runs.append((name, specs))
+    return momenta, tuple(runs)
 
 
-def _run_wep_test(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> dict:
+def _run_wep_test(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path) -> dict:
     settings = scenario.settings
     masses = settings["masses"]
-    mode = settings["scaling_mode"]
-    modes = ("fixed", "mass_scaled") if mode == "both" else (mode,)
+    momenta, modes = plan
     expected = settings.get("expect_position_deviation")
 
     results: dict[str, Any] = {"masses": masses, "modes": {}}
-    for m in modes:
-        report = wep_deviation(scenario, masses, m)
+    for m, specs in modes:
+        report = _wep_report(scenario, masses, specs, momenta, m)
         results["modes"][m] = {
-            "pairs": [
-                {
-                    "masses": list(p.masses),
-                    "position": p.position,
-                    "reduced_momentum": p.reduced_momentum,
-                }
-                for p in report.pairs
-            ],
+            "pairs": [asdict(p) for p in report.pairs],
             "max_position_deviation": report.max_position_deviation,
             "max_reduced_momentum_deviation": report.max_reduced_momentum_deviation,
         }
@@ -932,12 +927,13 @@ def _run_wep_test(scenario: Scenario, runner: _CheckRunner, out_dir: Path) -> di
 class _Task:
     """One task: ``options`` maps each option to ``(kind, default)``, where a
     None default leaves it absent (off) and ``_REQUIRED`` makes it required;
-    ``check`` holds the rules beyond the options' kinds, applied at load;
-    ``run`` only computes."""
+    ``plan`` applies the rules beyond the options' kinds and returns every
+    object ``run`` integrates or reports, none of it dependent on dt; ``run``
+    takes that plan and only computes."""
 
     options: dict
-    check: Callable[[Scenario], None]
-    run: Callable[[Scenario, _CheckRunner, Path], dict]
+    plan: Callable[[Scenario], Any]
+    run: Callable[[Scenario, Any, _CheckRunner, Path], dict]
 
 
 _TASKS = {
@@ -946,7 +942,7 @@ _TASKS = {
         "expect_closes": ("flag", None),
         "expect_kappa_eff": ("number", None),
         "expect_decoupling_max": ("tolerance", None),
-    }, _check_com_brackets, _run_com_brackets),
+    }, _plan_com_brackets, _run_com_brackets),
     "simulate": _Task({
         "reduced_momentum": ("flag", False),
         "energy_drift_tol": ("tolerance", None),
@@ -954,14 +950,14 @@ _TASKS = {
         "order_bounds": ("bounds", (12.0, 20.0)),
         "compare_partition": ("masses", None),
         "partition_tol": ("tolerance", None),  # absent: --tol, else 1e-10
-    }, _check_simulate, _run_simulate),
+    }, _plan_simulate, _run_simulate),
     "wep-test": _Task({
         "masses": ("masses", _REQUIRED),
         "scaling_mode": ("scaling_mode", "both"),
         "max_deviation": ("tolerance", None),  # absent: --tol, else 1e-8
         "expect_position_deviation": ("number", None),
         "expect_deviation_tol": ("tolerance", 1e-8),
-    }, _check_wep_test, _run_wep_test),
+    }, _plan_wep_test, _run_wep_test),
 }
 
 
@@ -1020,6 +1016,7 @@ def run(
     """Execute one scenario; returns the process exit status."""
     try:
         scenario = load_scenario(scenario_path)
+        plan = _TASKS[scenario.task].plan(scenario)  # holds nothing --dt changes
         if dt is not None:
             try:
                 scenario = replace(scenario, dt=float(dt))
@@ -1039,7 +1036,7 @@ def run(
     runner = _CheckRunner(tol)
     start = time.perf_counter()
     try:
-        results = _TASKS[scenario.task].run(scenario, runner, out)
+        results = _TASKS[scenario.task].run(scenario, plan, runner, out)
     except (PotentialSingularityError, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -150,6 +150,11 @@ class ParticleSystem:
                 value.flags.writeable = False
         return check
 
+    @cached_property
+    def candidate_effective(self) -> AlgebraSpec:
+        """``_candidate_effective``, the consensus effective spec, built once per system."""
+        return _candidate_effective(self)
+
 
 @dataclass(frozen=True)
 class ComVariables:
@@ -535,7 +540,7 @@ def effective_parameters(system: ParticleSystem, tol: float = 1e-9) -> AlgebraSp
     """
     _check_tolerance(tol)
     if _needs_scaling(system):
-        check = satisfies_mass_scaling(system, tol=tol)
+        check = system.scaling if tol == 1e-9 else satisfies_mass_scaling(system, tol=tol)
         if not check.holds:
             raise ScalingRequiredError(
                 "center-of-mass brackets do not close into the single-particle "
@@ -543,7 +548,7 @@ def effective_parameters(system: ParticleSystem, tol: float = 1e-9) -> AlgebraSp
                 f"proportional to the masses (worst pairwise deviation "
                 f"{check.worst_relative_deviation:.3e})"
             )
-    return _candidate_effective(system)
+    return system.candidate_effective
 
 
 @dataclass(frozen=True)
@@ -563,7 +568,7 @@ def reproduction_check(
     """
     _check_tolerance(tol)
     com = com_transform(system, state)
-    candidate = _candidate_effective(system)
+    candidate = system.candidate_effective
     com_point = np.concatenate([com.x_com, com.p_com])[None, :]
     single = lower([candidate]).blocks(com_point, state.t)[0]
     com_brackets = _com_brackets(system, state)[:6, :6]  # (X1..X3, P1..P3) order

@@ -851,6 +851,13 @@ def wep_deviation(
         specs = [rescale(base.spec, m / base.mass) for m in masses]
     else:
         specs = [base.spec] * len(masses)
+    return _wep_report(template, masses, specs, momenta, scaling_mode)
+
+
+def _wep_report(template: GravityScenario, masses: list[float], specs: Sequence[AlgebraSpec],
+                momenta: np.ndarray, scaling_mode: str) -> WepReport:
+    """``wep_deviation``'s report on runs already built: run i has mass
+    ``masses[i]``, spec ``specs[i]`` and initial momentum ``momenta[i]``."""
     # runs sharing a grid and a field are independent (J is block-diagonal
     # and H a sum of per-particle terms): particle a of one stack is run a
     run_masses = np.array(masses)

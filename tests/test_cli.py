@@ -1,5 +1,6 @@
 """Scenario loading, task dispatch, exit codes and report determinism."""
 
+import copy
 import dataclasses
 import json
 import time
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import liephase as lp
-from liephase import cli, composition
+from liephase import cli, composition, dynamics
 
 from helpers import count_kernel_calls, strict_json, tensor_with
 
@@ -83,6 +84,14 @@ def _mutated(name, path, value):
         node = node[key]
     node[path[-1]] = value
     return payload
+
+
+def _counted(fn, calls):
+    """``fn``, appending the positional arguments of each call to ``calls``."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return counted
 
 
 def _encoded_body(spec, mass):
@@ -436,6 +445,20 @@ class TestScenarioParsing:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, payload", [
+        ("grid.t_end", dict(WEP, grid={"t0": 0.0, "t_end": 10**400, "dt": 0.01})),
+        ("particles[0].mass", dict(WEP, particles=[{"mass": 10**3999}])),
+        ("initial.x[0]", dict(WEP, initial={"x": [[0.0] * 10_000], "p": [[0, 0, 0]]})),
+        ("options.masses", dict(WEP, options={"masses": [1.0] * 9_999 + [-1.0]})),
+    ])
+    def test_long_values_are_echoed_short(self, field, payload, tmp_path, capsys):
+        # a 401- or 4000-digit integer, or a 10,000-entry list, is not echoed whole
+        path = write_scenario(tmp_path, "long.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {field}: expected ")
+        assert err.count("\n") == 1 and len(err) < 200
+
     @pytest.mark.parametrize("name", list(cli.BUILTIN_SCENARIOS))
     def test_loaded_scenario_is_a_frozen_gravity_scenario(self, name):
         scenario = cli.load_scenario(name)
@@ -661,20 +684,57 @@ class TestRun:
         assert cli.run(name, out_dir=str(tmp_path / "out")) == 0
         assert len(calls) == integrations
 
-    def test_one_mass_scaling_verdict_per_system(self, tmp_path, monkeypatch):
-        # the main body and its partition body: one verdict each, however
-        # many checks read it
-        systems = []
-        check = composition.satisfies_mass_scaling
+    @pytest.mark.parametrize("name", list(cli.BUILTIN_SCENARIOS))
+    def test_one_build_per_object(self, name, tmp_path, monkeypatch):
+        # the plan builds each object the run integrates or reports, or the
+        # system caches it, once; the runner builds none of them again
+        calls = {}
+        for fn in ("rescale", "_candidate_effective", "satisfies_mass_scaling", "_wep_momenta"):
+            calls[fn] = []
+            for module in (cli, dynamics, composition):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, _counted(getattr(module, fn), calls[fn]))
+        loaded = []
+        load = cli.load_scenario
 
-        def counted(system, *args, **kwargs):
-            systems.append(system)
-            return check(system, *args, **kwargs)
+        def load_and_keep(path):
+            scenario = load(path)
+            loaded.append((scenario, copy.deepcopy(scenario.settings)))
+            return scenario
 
-        monkeypatch.setattr(composition, "satisfies_mass_scaling", counted)
-        assert cli.run("body_composition", out_dir=str(tmp_path / "out")) == 0
-        assert len(systems) == 2
-        assert systems[0] is not systems[1]
+        monkeypatch.setattr(cli, "load_scenario", load_and_keep)
+        assert cli.run(name, out_dir=str(tmp_path / "out")) == 0
+
+        ((scenario, as_loaded),) = loaded
+        settings = scenario.settings
+        # the options as read, with no private key a plan or a run added
+        assert settings == as_loaded
+        assert not any(key.startswith("_") for key in settings)
+        wep = scenario.task == "wep-test"
+        rescaled = settings.get("compare_partition", [])
+        if wep and settings["scaling_mode"] != "fixed":
+            rescaled = settings["masses"]
+        assert len(calls["rescale"]) == len(rescaled)
+        assert [args[1] for args in calls["_wep_momenta"]] == ([settings["masses"]] if wep else [])
+        # the system whose effective parameters the task reads, and
+        # simulate's partition body: one build each
+        systems = (scenario.task == "com-brackets" or scenario.body_mode) + (
+            "compare_partition" in settings)
+        for fn in ("_candidate_effective", "satisfies_mass_scaling"):
+            assert len(calls[fn]) == len({id(args[0]) for args in calls[fn]}) == systems
+
+    @pytest.mark.parametrize("name, check", [
+        ("body_composition", "partition-independence"),
+        ("spacetime_wep", "wep-recovery-deviation"),
+    ])
+    def test_plan_holds_nothing_dt_changes(self, name, check, tmp_path):
+        out = tmp_path / "out"
+        assert cli.run(name, out_dir=str(out), dt=0.002) == 0
+        report = strict_json(out / "report.json")
+        assert [c["passed"] for c in report["checks"] if c["name"] == check] == [True]
+        csvs = ["trajectory.csv", "trajectory_partition.csv"] if name == "body_composition" else []
+        # 500 steps of dt = 0.002 from t0 = 0 to t_end = 1: a header and 501 samples
+        assert [len((out / csv).read_text().splitlines()) for csv in csvs] == [502] * len(csvs)
 
     def test_undefined_effective_kappa_fails(self, tmp_path, capsys):
         # unscaled SpaceSpace has no effective algebra to read kappa_tilde from

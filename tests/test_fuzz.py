@@ -16,7 +16,7 @@ The tier-1 tests take one mutation per node, rotating through the list, every
 extra key, every huge float, every byte mutant, and a seeded hypothesis draw
 of arbitrary JSON values.  The full sweep, every mutation of every node,
 every extra key, every huge float and every byte mutant, runs as a script
-and prints its counts::
+that prints its counts and exits 1 when any run broke the contract::
 
     PYTHONPATH=src python tests/test_fuzz.py
 
@@ -238,7 +238,26 @@ def full_sweep() -> Counter:
     return counts
 
 
+def sweep_status(counts: Counter) -> int:
+    """Exit status of the full sweep: 1 when ``counts`` holds an exception
+    that escaped, an exit 2 after writing, a report that is not strict JSON
+    or a mutant that was not refused, else 0."""
+    broken = ("uncaught", "exit 2 after writing", "non-strict report", "not refused")
+    return int(any(counts[key] for key in broken))
+
+
+@pytest.mark.parametrize("broken", [None, "uncaught", "exit 2 after writing",
+                                    "non-strict report", "not refused"])
+def test_sweep_status(broken):
+    counts = Counter({"runs": 4, "exit 0": 1, "exit 1": 1, "exit 2": 1, "exit 3": 1})
+    if broken is not None:
+        counts[broken] += 1
+    assert sweep_status(counts) == (broken is not None)
+
+
 if __name__ == "__main__":
     warnings.simplefilter("error", RuntimeWarning)
-    for key, count in sorted(full_sweep().items()):
+    counts = full_sweep()
+    for key, count in sorted(counts.items()):
         print(f"{key}: {count}")
+    sys.exit(sweep_status(counts))
