@@ -107,10 +107,14 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _shown(value) -> str:
-    """``repr(value)`` for an error message, cut short when longer than 60 characters."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """``text`` for an error message, cut short when longer than 60 characters."""
     return text if len(text) <= 60 else f"{text[:50]}... ({len(text)} characters)"
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, cut short as ``_cut`` does."""
+    return _cut(repr(value))
 
 
 def _checked(expected: str, test, convert=lambda v: v):
@@ -148,7 +152,9 @@ def _monomials(value, name: str) -> dict:
         except ValueError as exc:
             raise ScenarioError(f"{name}: bad exponent key {_shown(key)} (use 'e1,e2,e3')") from exc
         if exps in keys:
-            raise ScenarioError(f"{name}.{key}: the same monomial as key {keys[exps]!r}")
+            raise ScenarioError(
+                f"{name}.{_cut(key)}: the same monomial as key {_shown(keys[exps])}"
+            )
         keys[exps] = key
         coeffs[exps] = _read(value, key, name, "number")
     return coeffs
@@ -182,8 +188,8 @@ _REQUIRED = object()  # the default of a field that must be given
 def _read(mapping: dict, key: str, path: str, kind, default=_REQUIRED):
     """``mapping[key]`` read as ``kind``, a key of ``_KINDS`` or, for a JSON
     container or string, its Python type; ``default`` when absent.  Errors
-    name the field ``<path>.<key>``."""
-    name = f"{path}.{key}" if path else key
+    name the field ``<path>.<key>``, a long key cut short."""
+    name = f"{path}.{_cut(key)}" if path else _cut(key)
     if key not in mapping:
         if default is _REQUIRED:
             noun = "option" if path == "options" else "field"
@@ -199,11 +205,11 @@ def _read(mapping: dict, key: str, path: str, kind, default=_REQUIRED):
 
 def _refuse_unknown(data: dict, known, path: str, tail: str = "unknown field") -> None:
     """Refuse a key of the block ``data`` at ``path`` that is not ``known``,
-    naming the first as ``<path>.<key>: <tail>``: a misspelt field would
-    otherwise be left at its default without a word."""
+    naming the first as ``<path>.<key>: <tail>``, a long key cut short: a
+    misspelt field would otherwise be left at its default without a word."""
     unknown = sorted(set(data) - set(known))
     if unknown:
-        name = f"{path}.{unknown[0]}" if path else unknown[0]
+        name = f"{path}.{_cut(unknown[0])}" if path else _cut(unknown[0])
         raise ScenarioError(f"{name}: {tail}")
 
 
@@ -469,11 +475,12 @@ def _parse_json(text: str):
     while todo:
         path, node = todo.pop()
         if id(node) in repeats:
-            key = repeats[id(node)][1]
+            key = _cut(repeats[id(node)][1])
             name = f"{path}.{key}" if path else key
             raise ScenarioError(f"{name}: key given twice in one object")
         if isinstance(node, dict):
-            todo += reversed([(f"{path}.{k}" if path else k, v) for k, v in node.items()])
+            todo += reversed([(f"{path}.{_cut(k)}" if path else _cut(k), v)
+                              for k, v in node.items()])
         elif isinstance(node, list):
             todo += reversed([(f"{path}[{i}]", v) for i, v in enumerate(node)])
     return data
@@ -843,9 +850,12 @@ def _run_simulate(scenario: Scenario, partition_body, runner: _CheckRunner, out_
                 integrate(replace(scenario, dt=scenario.dt / factor)).states[-1]
                 for factor in (2, 4)
             ]
-            coarse = float(np.linalg.norm(ends[0] - ends[1]))
-            fine = float(np.linalg.norm(ends[1] - ends[2]))
-            return coarse / fine if fine else None
+            # a norm of huge finite states may overflow: the ratio is then
+            # not finite, which the check reports as undefined
+            with np.errstate(over="ignore", invalid="ignore"):
+                coarse = float(np.linalg.norm(ends[0] - ends[1]))
+                fine = float(np.linalg.norm(ends[1] - ends[2]))
+                return coarse / fine if fine else None
 
         lo, hi = settings["order_bounds"]
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0

@@ -12,7 +12,9 @@ grad(H) has one writer, ``_write_hamiltonian_gradient``: the RK4 kernel
 calls it on views of its buffers made once per run, ``_rhs_flat`` (behind
 ``eom_rhs`` and ``body_com_rhs``) and ``decoupling_check`` on the halves of
 their own buffers, and only the oracle ``closed_form_rhs`` evaluates a
-potential's gradient on its own.
+potential's gradient on its own.  The step maps of a linear flow evaluate
+no gradient: they build grad(H) = A z + b once, as a matrix, from the
+field's declared affine gradient.
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ class Potential:
         out[...] = self.gradient(x)
         return out
 
+    def _affine_gradient(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(G, g0) with grad V(x) = G x + g0, for a field that declares its
+        gradient affine, else None: the integrator's step maps read it."""
+        return None
+
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of (..., 3) arrays, one BLAS dot per row.
@@ -124,6 +131,9 @@ class Uniform(Potential):
     def gradient_into(self, x, out):
         out[...] = self.g
         return out
+
+    def _affine_gradient(self):
+        return np.zeros((3, 3)), self.g
 
 
 @dataclass(frozen=True)
@@ -276,6 +286,14 @@ class Polynomial(Potential):
         terms = self._grad_weights * point[..., self._affine_factors]
         out[...] = np.add.accumulate(terms, axis=-1)[..., -1]
         return out
+
+    def _affine_gradient(self):
+        if self._affine_factors is None:
+            return None
+        # each axis's gradient weights on (X1, X2, X3, 1)
+        weights = np.zeros((3, 4))
+        np.add.at(weights, (np.arange(3)[:, None], self._affine_factors), self._grad_weights)
+        return weights[:, :3], weights[:, 3]
 
 
 # --- scenario and trajectory --------------------------------------------------
@@ -563,8 +581,9 @@ def closed_form_rhs(
 # --- integration ----------------------------------------------------------------
 
 
-# bytes of the blocks C + t time at one stage time for a block of steps: the
-# kernel builds them for as many steps as fit, one step at large N
+# bytes of the blocks C + t time at one stage time for a block of steps, or
+# of the step maps (M c) of a block of steps: the kernel and the step maps
+# build them for as many steps as fit, one step at large N
 _BLOCK_BYTES = 64 * 1024
 
 
@@ -577,7 +596,125 @@ def _integrate_flat(
     dt: float,
     n_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step fourth-order Runge-Kutta.
+    """Classical fixed-step fourth-order Runge-Kutta: the grid's times and
+    the (n_steps + 1, 6N) states from ``z0``.
+
+    A linear flow, with no slope in J and a field that declares an affine
+    gradient, takes the step maps of ``_rk4_step_maps``; everything else
+    takes ``_rk4_kernel``.  Where a step map leaves a non-finite state, the
+    whole call is redone by the kernel, so every failure is the kernel's.
+    """
+    affine = potential._affine_gradient() if lowered.slope is None else None
+    if affine is not None:
+        try:
+            # blow-ups, in the maps or in the states, surface as non-finite states
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _rk4_step_maps(masses, lowered, affine, z0, t0, dt, n_steps)
+        except NonFiniteStateError:
+            pass  # the kernel runs outside the handler, so the maps' states are freed
+    return _rk4_kernel(masses, lowered, potential, z0, t0, dt, n_steps)
+
+
+def _grid_buffers(
+    z0: np.ndarray, t0: float, dt: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's times and a trajectory's states, the first row ``z0``."""
+    try:
+        times = t0 + dt * np.arange(n_steps + 1)
+        states = np.empty((n_steps + 1, z0.size))
+    except MemoryError as exc:
+        # a grid numpy can size (see _grid_steps) but this machine cannot hold
+        raise GridError(
+            "t_end", f"a trajectory of {n_steps + 1} grid points does not fit in memory: {exc}"
+        ) from None
+    states[0] = z0
+    return times, states
+
+
+def _rk4_step_maps(
+    masses: np.ndarray,
+    lowered: LoweredAlgebra,
+    affine: tuple[np.ndarray, np.ndarray],
+    z0: np.ndarray,
+    t0: float,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 for a linear flow, one affine map per step.
+
+    With J = C + t time and grad(H) = A z + b (``affine`` is the field's
+    (G, g0) with grad V = G x + g0), z' = (L0 + t L1) (z, 1), and each RK4
+    stage k_i = K_i(t_n) (z, 1) with K_i a polynomial in t_n of degree i.
+    The step ``z + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` is then (M(t_n) c(t_n))
+    (z, 1), of degree 4 in t_n, whose coefficients are built once.  Per
+    block of steps M and c are evaluated at the step times by Horner's rule
+    in elementwise ufuncs, so a particle's bits do not depend on its stack,
+    and each step is one batched 6x6 product and one addition into its row
+    of ``states``.  Finiteness is checked once per block of steps.
+    """
+    times, states = _grid_buffers(z0, t0, dt, n_steps)
+    columns = states.reshape(n_steps + 1, -1, 6, 1)
+    n = len(masses)
+    g, g0 = affine
+    # grad(H) = gradient @ (z, 1): (m G x + m g0, p / m)
+    gradient = np.zeros((n, 6, 7))
+    gradient[:, :3, :3] = masses[:, None, None] * g
+    gradient[:, :3, 6] = masses[:, None] * g0
+    gradient[:, 3:, 3:6] = np.eye(3) / masses[:, None, None]
+    # the rate at t_n + s as a polynomial in t_n: (L0 + s L1) + t_n L1, with
+    # a zero last row, so that (z, 1) maps to (z', 0)
+    rate = np.zeros((2, n, 7, 7))
+    rate[0, :, :6] = _CANONICAL @ gradient
+    rate[1, :, :6] = lowered.time @ gradient
+    unit = np.eye(7)
+
+    def stage(s, k):
+        """K_i = rate(t_n + s) (1 + s K_{i-1}), coefficients lowest first."""
+        point = s * k
+        point[0] += unit
+        out = np.zeros((len(k) + 1,) + k.shape[1:])
+        for i, coefficient in enumerate((rate[0] + s * rate[1], rate[1])):
+            out[i : i + len(k)] += coefficient @ point
+        return out
+
+    stages = [rate]
+    for s in (dt / 2.0, dt / 2.0, dt):
+        stages.append(stage(s, stages[-1]))
+    step = np.zeros((5, n, 7, 7))
+    for weight, k in zip((1.0, 2.0, 2.0, 1.0), stages):
+        step[: len(k)] += weight * k
+    step *= dt / 6.0
+    step[0] += unit
+    step = np.ascontiguousarray(step[:, :, :6])
+    per_block = max(1, min(n_steps, _BLOCK_BYTES // step[0].nbytes))
+    maps = np.empty((per_block,) + step.shape[1:])
+
+    for start in range(0, n_steps, per_block):
+        stop = min(start + per_block, n_steps)
+        t = times[start:stop, None, None, None]
+        block = maps[: stop - start]
+        np.multiply(step[4], t, block)
+        for coefficient in step[3:0:-1]:
+            np.multiply(np.add(block, coefficient, block), t, block)
+        np.add(block, step[0], block)
+        for m, c, z, z_next in zip(
+            block[..., :6], block[..., 6:], columns[start:stop], columns[start + 1 : stop + 1]
+        ):
+            np.add(np.matmul(m, z, z_next), c, z_next)
+        _check_finite(columns[..., 0], times, dt, start, stop)
+    return times, states
+
+
+def _rk4_kernel(
+    masses: np.ndarray,
+    lowered: LoweredAlgebra,
+    potential: Potential,
+    z0: np.ndarray,
+    t0: float,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fixed-step fourth-order Runge-Kutta for any flow.
 
     Computes ``k = J(z, t) grad(H)`` at the four stages and
     ``z + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` in the order those expressions are
@@ -591,15 +728,7 @@ def _integrate_flat(
     block of steps, and a failure names the block's first non-finite step,
     as a check after every step would.
     """
-    try:
-        times = t0 + dt * np.arange(n_steps + 1)
-        states = np.empty((n_steps + 1, z0.size))
-    except MemoryError as exc:
-        # a grid numpy can size (see _grid_steps) but this machine cannot hold
-        raise GridError(
-            "t_end", f"a trajectory of {n_steps + 1} grid points does not fit in memory: {exc}"
-        ) from None
-    states[0] = z0
+    times, states = _grid_buffers(z0, t0, dt, n_steps)
     rows = states.reshape(n_steps + 1, -1, 6)
     time, slope = lowered.time, lowered.slope
     half, sixth = dt / 2.0, dt / 6.0
@@ -725,20 +854,20 @@ def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSp
 
 
 def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
-    """Integrate scenarios sharing a potential, t0, dt and step count as one
-    stacked system, and return each its own Trajectory.
+    """Integrate scenarios sharing a potential, t0, dt and step count as
+    stacked systems, and return each its own Trajectory.
 
-    J of the stacked system is block-diagonal and H a sum of per-particle
-    terms, and the kernel evaluates every particle on its own, so each
-    scenario's states are exactly those of its own integration (as the runs
-    of a WEP sweep).  The specs of all runs are lowered together, so a run
-    without a slope has zero slope blocks when another has one; at a finite
-    phase point that changes no bit: its ``C + t time`` holds no -0.0
-    (+0 + -0 is +0), so adding a zero leaves it as it is.  On a singularity
-    or non-finite state the scenarios are rerun apart, in order, so an error
-    names the failing scenario's own step and particle; if none fails on its
-    own (a zero slope at an infinite stage point gives NaN), their own runs
-    are returned.
+    J of a stacked system is block-diagonal and H a sum of per-particle
+    terms, and both integration routes evaluate every particle on its own,
+    so each scenario's states are exactly those of its own integration (as
+    the runs of a WEP sweep).  A stack never mixes runs with and without a
+    slope: the runs whose brackets depend on the phase point are stacked
+    apart from those whose brackets do not, so a run takes the route its
+    own integration takes, and at most two stacks are integrated.  Each run
+    is lowered to see whether it has a slope, and a stack of several runs
+    is lowered from their specs by one more ``lower`` call.  On a
+    singularity or non-finite state the scenarios are rerun apart, in
+    order, so an error names the failing scenario's own step and particle.
     """
     first = scenarios[0]
     grid = (first.t0, first.dt, first.n_steps())
@@ -748,22 +877,31 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
         ) != grid:
             raise ValueError("stacked scenarios must share a potential and a grid")
     runs = [_flat_run(s) for s in scenarios]
-    lowered = lower([spec for _, specs, _ in runs for spec in specs])
-    z0 = np.concatenate([z for _, _, z in runs])
+    lowered = [lower(specs) for _, specs, _ in runs]
+    stacks: dict[bool, list[int]] = {}
+    for i, run in enumerate(lowered):
+        stacks.setdefault(run.slope is None, []).append(i)
+    states = {}
     try:
-        times, states = _integrate_flat(
-            np.concatenate([m for m, _, _ in runs]), lowered, first.potential, z0, *grid
-        )
+        for members in stacks.values():
+            times, stacked = _integrate_flat(
+                np.concatenate([runs[i][0] for i in members]),
+                lowered[members[0]] if len(members) == 1
+                else lower([spec for i in members for spec in runs[i][1]]),
+                first.potential, np.concatenate([runs[i][2] for i in members]), *grid,
+            )
+            bounds = np.cumsum([0] + [runs[i][2].size for i in members]).tolist()
+            for i, lo, hi in zip(members, bounds, bounds[1:]):
+                states[i] = np.ascontiguousarray(stacked[:, lo:hi])
     except (PotentialSingularityError, NonFiniteStateError):
         if len(runs) == 1:
             raise
         return [integrate(scenario) for scenario in scenarios]
 
-    bounds = np.cumsum([0] + [z.size for _, _, z in runs]).tolist()
     return [
         Trajectory(
             times=times if i == 0 else times.copy(),
-            states=np.ascontiguousarray(states[:, bounds[i] : bounds[i + 1]]),
+            states=states[i],
             masses=masses,
             metadata={
                 "scenario": _scenario_fingerprint(scenario),

@@ -392,23 +392,25 @@ def lower_via_generalized(specs) -> tuple[np.ndarray, np.ndarray]:
     return time, slope
 
 
-def count_kernel_calls(monkeypatch) -> list:
-    """Record each call of ``dynamics._integrate_flat`` in the returned list."""
+def count_kernel_calls(monkeypatch, name: str = "_integrate_flat") -> list:
+    """Record each call of ``dynamics.<name>``, by default the integrator
+    every run goes through, in the returned list."""
     calls = []
-    kernel = dynamics._integrate_flat
+    kernel = getattr(dynamics, name)
 
     def counted(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(dynamics, "_integrate_flat", counted)
+    monkeypatch.setattr(dynamics, name, counted)
     return calls
 
 
 def integrate_flat_reference(masses, lowered, potential, z0, t0, dt, n_steps):
     """Classical fixed-step RK4 with fresh arrays for every stage and every
     step, each expression written out: the reference for
-    ``dynamics._integrate_flat``."""
+    ``dynamics._rk4_kernel``, and so for every flow ``_integrate_flat``
+    does not send to step maps."""
     rhs = dynamics._rhs_flat
     times = t0 + dt * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1, z0.size))

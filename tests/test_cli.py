@@ -430,6 +430,18 @@ class TestScenarioParsing:
                 ("particles[0].mass", '"mass": 1.0', '"mass": 1.0, "mass": 1.0'),
                 ("task", '"task": "wep-test"', '"task": "wep-test", "task": "wep-test"'),
               )],
+            # a 10,000-character key is cut short in the field's name
+            ("grid." + "k" * 50 + "... (10000 characters): unknown field",
+             dict(SIMULATE, grid=dict(SIMULATE["grid"], **{"k" * 10_000: 1}))),
+            ("potential.coefficients." + "0" * 50
+             + "... (10000 characters): the same monomial as key '2,0,0'",
+             dict(SIMULATE, potential={"variant": "polynomial", "coefficients": {
+                 "2,0,0": 1.0, ",".join(["0" * 3332 + "2", "0" * 3333, "0" * 3332]): 2.0}})),
+            pytest.param(
+                "grid." + "k" * 50 + "... (10000 characters): key given twice in one object",
+                json.dumps(WEP).replace('"dt": 0.01', f'"{"k" * 10_000}": 1, "{"k" * 10_000}": 2, '
+                                                     '"dt": 0.01'),
+                id="long-key-given-twice"),
             ("initial: give either p or p_reduced, not both",
              dict(WEP, initial=dict(WEP["initial"], p_reduced=[[0, 0, 0]]))),
             ("scenario: expected a JSON object", [WEP]),

@@ -460,6 +460,20 @@ class Brittle(lp.Potential):
         return out
 
 
+class Tilted(lp.Potential):
+    """V = X1^2 / 2 + 2 X2 - X3, with no buffer path of its own: an affine
+    gradient it does not declare."""
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] ** 2 / 2 + 2 * x[..., 1] - x[..., 2]
+
+    def gradient(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([x[..., 0], np.full(x.shape[:-1], 2.0),
+                         np.full(x.shape[:-1], -1.0)], axis=-1)
+
+
 def kernel_outcome(kernel, *args):
     """The bytes of a kernel's times and states, or its error's type,
     message and fields."""
@@ -471,8 +485,9 @@ def kernel_outcome(kernel, *args):
 
 
 class TestKernelMatchesReference:
-    """``_integrate_flat`` reuses its buffers and shares the midpoint block;
-    every step must round exactly as the expression-per-stage reference."""
+    """``_rk4_kernel`` reuses its buffers and shares the midpoint block;
+    every step must round exactly as the expression-per-stage reference,
+    linear flows included, which ``_integrate_flat`` sends to step maps."""
 
     @pytest.mark.parametrize("field", list(KERNEL_FIELDS))
     @pytest.mark.parametrize("n", [1, 2, 16])
@@ -483,7 +498,7 @@ class TestKernelMatchesReference:
         z0 = random_state(rng, n, box=1.0).flatten()
         # a negative t0 puts -0.0 entries into t * time
         args = (system.masses, system.lowered, KERNEL_FIELDS[field], z0, -0.37, 0.002, 40)
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert isinstance(got[0], bytes)  # the run completes
         assert got == kernel_outcome(integrate_flat_reference, *args)
 
@@ -496,7 +511,7 @@ class TestKernelMatchesReference:
         z0[:, 0] = [2.0, 0.3, 1.5]
         z0[1, 3] = -3.0  # particle 1 falls into the guarded region
         args = (system.masses, system.lowered, field, z0.reshape(-1), -0.5, 0.01, 100)
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert got[0] is lp.PotentialSingularityError and got[2]["index"] == 1
         assert got == kernel_outcome(integrate_flat_reference, *args)
 
@@ -507,7 +522,7 @@ class TestKernelMatchesReference:
         field = lp.Newtonian(strength=1.0, center=[0.5, -0.25, 1.0], r_min=0.5)
         z0 = np.array([1.1, -0.25, 1.0, -1.0, 0.0, 0.0])  # falls into the guarded region
         args = (system.masses, system.lowered, field, z0, -0.5, 0.01, 100)
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert got[0] is lp.PotentialSingularityError and got[2]["index"] == 0
         assert got[1].endswith("for point 0")
         assert got == kernel_outcome(integrate_flat_reference, *args)
@@ -521,7 +536,7 @@ class TestKernelMatchesReference:
         z0[:, 0] = [0.1, 2.0]
         z0[1, 3] = 5.0  # particle 1 runs away to infinity
         args = (system.masses, system.lowered, field, z0.reshape(-1), 0.0, 0.01, 500)
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert got[0] is lp.NonFiniteStateError and got[2]["particle"] == 1
         assert got == kernel_outcome(integrate_flat_reference, *args)
 
@@ -542,7 +557,7 @@ class TestKernelMatchesReference:
         # blocks of `step` steps start one at it; blocks of `step + 1` end one there
         per_block = step if place == "first" else step + 1
         monkeypatch.setattr(dynamics, "_BLOCK_BYTES", per_block * system.lowered.time.nbytes)
-        assert kernel_outcome(dynamics._integrate_flat, *args) == expected
+        assert kernel_outcome(dynamics._rk4_kernel, *args) == expected
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_nonfinite_before_singularity_in_one_block(self, variant):
@@ -560,7 +575,7 @@ class TestKernelMatchesReference:
         assert alone[0] is lp.PotentialSingularityError
         singular_step = int(re.search(r"at step (\d+)", alone[1]).group(1))
         assert 0 < singular_step < dynamics._BLOCK_BYTES // system.lowered.time.nbytes
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert got[0] is lp.NonFiniteStateError and got[2]["particle"] == 0
         assert got == kernel_outcome(integrate_flat_reference, *args)
 
@@ -575,11 +590,11 @@ class TestKernelMatchesReference:
         args = (system.masses, system.lowered, Brittle(), z0.reshape(-1), 0.0, 0.01, 100)
         if overflow:
             with pytest.raises(lp.NonFiniteStateError) as info:
-                dynamics._integrate_flat(*args)
+                dynamics._rk4_kernel(*args)
             assert (info.value.step, info.value.particle) == (0, 0)
         else:
             with pytest.raises(ValueError, match="^no field past X1 = 1$") as info:
-                dynamics._integrate_flat(*args)
+                dynamics._rk4_kernel(*args)
             assert type(info.value) is ValueError
 
     def test_block_of_one_step_at_large_n(self):
@@ -589,30 +604,106 @@ class TestKernelMatchesReference:
         assert dynamics._BLOCK_BYTES // system.lowered.time.nbytes == 0
         z0 = random_state(rng, n, box=1.0).flatten()
         args = (system.masses, system.lowered, KERNEL_FIELDS["quadratic"], z0, -0.37, 0.002, 3)
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert isinstance(got[0], bytes)
         assert got == kernel_outcome(integrate_flat_reference, *args)
 
     def test_potential_defining_only_gradient_integrates(self):
-        class Tilted(lp.Potential):
-            """V = X1^2 / 2 + 2 X2 - X3, with no buffer path of its own."""
-
-            def value(self, x):
-                x = np.asarray(x, dtype=float)
-                return x[..., 0] ** 2 / 2 + 2 * x[..., 1] - x[..., 2]
-
-            def gradient(self, x):
-                x = np.asarray(x, dtype=float)
-                return np.stack([x[..., 0], np.full(x.shape[:-1], 2.0),
-                                 np.full(x.shape[:-1], -1.0)], axis=-1)
-
         rng = np.random.default_rng(10)
         system = random_system(rng, "space_space", 2)
         z0 = random_state(rng, 2, box=1.0).flatten()
         args = (system.masses, system.lowered, Tilted(), z0, 0.25, 0.01, 30)
-        got = kernel_outcome(dynamics._integrate_flat, *args)
+        got = kernel_outcome(dynamics._rk4_kernel, *args)
         assert isinstance(got[0], bytes)
         assert got == kernel_outcome(integrate_flat_reference, *args)
+
+
+SLOPE_FREE = ("canonical", "space_time", "theta0_generalized")
+
+
+def random_flow_system(rng, variant, n):
+    """``random_system``, or for "theta0_generalized" one of Generalized
+    brackets with theta0 alone, which have no slope."""
+    if variant != "theta0_generalized":
+        return random_system(rng, variant, n)
+    specs = [lp.Generalized(theta0=antisym(rng, (3, 3))) for _ in range(n)]
+    return lp.ParticleSystem.from_pairs(rng.uniform(0.5, 4.0, n).tolist(), specs)
+
+
+class TestStepMapsMatchKernel:
+    """A linear flow, with no slope and a field that declares an affine
+    gradient, integrates by step maps, within rounding of the kernel; any
+    other flow, or a map that leaves a non-finite state, takes the kernel."""
+
+    @pytest.mark.parametrize("field", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("variant", SLOPE_FREE)
+    def test_within_rounding_of_kernel(self, variant, n, field, monkeypatch):
+        rng = np.random.default_rng([SLOPE_FREE.index(variant), n])
+        system = random_flow_system(rng, variant, n)
+        assert system.lowered.slope is None
+        z0 = random_state(rng, n, box=1.0).flatten()
+        args = (system.masses, system.lowered, KERNEL_FIELDS[field], z0, -0.37, 0.002, 400)
+        kernel_times, kernel_states = dynamics._rk4_kernel(*args)
+        calls = count_kernel_calls(monkeypatch, "_rk4_kernel")
+        times, states = dynamics._integrate_flat(*args)
+        assert calls == []
+        assert times.tobytes() == kernel_times.tobytes()
+        assert np.abs(states - kernel_states).max() <= 1e-12 * np.abs(kernel_states).max()
+
+    def test_particle_bits_independent_of_stack_and_block(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        system = random_flow_system(rng, "space_time", 5)
+        field = KERNEL_FIELDS["quadratic"]
+        z0 = random_state(rng, 5, box=1.0).flatten()
+        _, stacked = dynamics._integrate_flat(
+            system.masses, system.lowered, field, z0, -0.37, 0.002, 300
+        )
+        # blocks of 7 steps for one particle, where the stack had blocks of 39
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 7 * 6 * 7 * 8)
+        for a in range(5):
+            one = lp.ParticleSystem(system.particles[a : a + 1])
+            _, alone = dynamics._integrate_flat(
+                one.masses, one.lowered, field, z0[6 * a : 6 * a + 6], -0.37, 0.002, 300
+            )
+            assert alone.tobytes() == np.ascontiguousarray(stacked[:, 6 * a : 6 * a + 6]).tobytes()
+
+    @pytest.mark.parametrize("variant, field", [
+        ("space_space", "uniform"),  # a slope
+        ("canonical", "newtonian"),  # a field that is not affine
+        # an affine field that does not declare it
+        *[(variant, "tilted") for variant in SLOPE_FREE],
+    ])
+    def test_other_flows_take_kernel(self, variant, field, monkeypatch):
+        rng = np.random.default_rng([13, len(variant), len(field)])
+        system = random_flow_system(rng, variant, 2)
+        z0 = random_state(rng, 2, box=1.0).flatten()
+        potential = Tilted() if field == "tilted" else KERNEL_FIELDS[field]
+        args = (system.masses, system.lowered, potential, z0, 0.25, 0.01, 30)
+        calls = count_kernel_calls(monkeypatch, "_rk4_kernel")
+        got = kernel_outcome(dynamics._integrate_flat, *args)
+        assert isinstance(got[0], bytes) and len(calls) == 1
+        assert got == kernel_outcome(integrate_flat_reference, *args)
+
+    @pytest.mark.parametrize("kernel_fails", [False, True])
+    def test_nonfinite_map_gives_kernel_outcome(self, kernel_fails):
+        system = lp.ParticleSystem.from_pairs([1.0], [lp.Canonical()])
+        if kernel_fails:
+            # P1 = -g t runs past float range near t = 180
+            field, z0, n_steps = lp.Uniform(g=[1e306, 0.0, 0.0]), np.zeros(6), 400
+        else:
+            # X1 + dt P1 overflows in the map's product; the kernel's stage
+            # velocities P1, 0, 0 and -P1 sum to 0 first, and it lands finite
+            field, n_steps = lp.Uniform(g=[0.2e308, 0.0, 0.0]), 1
+            z0 = np.array([1.75e308, 0.0, 0.0, 0.1e308, 0.0, 0.0])
+        args = (system.masses, system.lowered, field, z0, 0.0, 1.0, n_steps)
+        with pytest.raises(lp.NonFiniteStateError), np.errstate(over="ignore", invalid="ignore"):
+            dynamics._rk4_step_maps(
+                system.masses, system.lowered, field._affine_gradient(), *args[3:]
+            )
+        expected = kernel_outcome(integrate_flat_reference, *args)
+        assert isinstance(expected[0], bytes) is not kernel_fails
+        assert kernel_outcome(dynamics._integrate_flat, *args) == expected
 
 
 def potential_gradient_calls():
@@ -701,14 +792,14 @@ class TestStackedIntegration:
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
         assert_same_trajectories(dynamics._integrate_together(runs), expected)
-        assert len(calls) == 1
+        assert len(calls) == 2  # a stack never mixes runs with and without a slope
 
     @pytest.mark.parametrize("field", ["harmonic", "uniform"])
     @pytest.mark.parametrize("t0", [-0.37, 0.41])
     @pytest.mark.parametrize("slope_free", ["canonical", "space_time", "theta0_generalized"])
     def test_slope_free_run_stacks_with_zero_slopes(self, slope_free, t0, field, monkeypatch):
-        # t0 < 0 puts -0.0 into t * time; the runs without a slope get
-        # zero slope blocks and must keep every bit of their own runs
+        # t0 < 0 puts -0.0 into t * time; the runs without a slope are
+        # stacked apart from those with one and keep every bit of their own runs
         rng = np.random.default_rng([len(slope_free), int(t0 > 0)])
         if slope_free == "theta0_generalized":
             specs = [lp.Generalized(theta0=antisym(rng, (3, 3))) for _ in range(2)]
@@ -723,12 +814,12 @@ class TestStackedIntegration:
         calls = count_kernel_calls(monkeypatch)
         assert_same_trajectories(dynamics._integrate_together(runs), expected)
         assert_same_trajectories(dynamics._integrate_together(runs[::-1]), expected[::-1])
-        assert len(calls) == 2
+        assert len(calls) == 4  # two stacks per call
 
     def test_run_failing_only_stacked_returns_own_runs(self, monkeypatch):
         # X1 + dt/2 P1 overflows at the first midpoint, where the canonical
         # J ignores it and the step lands finite; a zero slope times inf
-        # is NaN, so only the stacked run fails
+        # would be NaN, but the free run is not stacked with the sloped one
         field = lp.Uniform(g=[0.2e308, 0.0, 0.0])
         free = one_particle(lp.Canonical(), x=(1.75e308, 0, 0), p=(0.1e308, 0, 0),
                             t_end=1.0, dt=1.0, potential=field)
@@ -738,7 +829,7 @@ class TestStackedIntegration:
         assert np.isfinite(expected[0].states).all()
         calls = count_kernel_calls(monkeypatch)
         assert_same_trajectories(dynamics._integrate_together([free, sloped]), expected)
-        assert len(calls) == 3  # the stack, then each run on its own
+        assert len(calls) == 2  # one stack per kind of run, and neither fails
 
     def test_failure_names_the_scenario_as_its_own_run(self):
         field = lp.Polynomial(coefficients={(4, 0, 0): -1.0})

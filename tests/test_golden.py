@@ -26,19 +26,19 @@ DIGESTS = {
     "spacetime_eom/report.json":
         "a2e00a1c07e3f795e13f86132b41e1f8b3fa2285b057c05eb162dae9f62591a4",
     "spacetime_wep/report.json":
-        "fa1f23e1e6649ddf92c69ceaaec61ba42b127a453f05db9fe4f16e303c283731",
+        "c4d7bcb9e38fa273d497a9f9f1c791f4690c6aaddb67309d477a955cac9cdfde",
     "spacetime_wep_violation/report.json":
         "e78044b6a8ee819ac4b0bf46e2bcdbf27de42e39885e403970ffde603066f3ef",
     "body_composition/report.json":
-        "73b4c3c76ca03ec4e8dcfd915062be41a16ac0cc3c0849770f4509ce483655ce",
+        "c384b3f4c5bc3c1e385e7c7d776cbe870b94e2b8fe668d1891fe524c54af7719",
     "body_composition/trajectory.csv":
-        "26ba0448ef896f24fc942c2922aa64e407e947019c50f0068d7bb910c8bc066d",
+        "b84db4ce8d6b9f97ff3b1d2201f608b203e0233715877ae4a18304b0cfe6cec1",
     "body_composition/trajectory_partition.csv":
-        "26ba0448ef896f24fc942c2922aa64e407e947019c50f0068d7bb910c8bc066d",
+        "b84db4ce8d6b9f97ff3b1d2201f608b203e0233715877ae4a18304b0cfe6cec1",
     "integrator_order/report.json":
-        "7b3713b493cd431954e1b1f15c629b435d8cf7319a2716eda81c3567b9cedd36",
+        "41752ec97dff1fb32465e57c4e52b9e65a75a38038ccf85d32c904b3f832caaf",
     "integrator_order/trajectory.csv":
-        "d07927319cdc465d8981abfaa85926f74bfd2f5c71fd2b7361c889b6865cf7b2",
+        "8fb63c6515b8b4f418317f31127a3e9a85e58d3a1cf60e20bb31181cf29ad262",
 }
 
 
