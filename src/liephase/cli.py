@@ -151,6 +151,11 @@ def _monomials(value, name: str) -> dict:
             exps = tuple(int(part) for part in key.split(","))
         except ValueError as exc:
             raise ScenarioError(f"{name}: bad exponent key {_shown(key)} (use 'e1,e2,e3')") from exc
+        # refused here, so that the message names the key cut short
+        if len(exps) != 3 or min(exps) < 0 or sum(exps) > 4:
+            raise ScenarioError(
+                f"{name}.{_cut(key)}: expected three exponents >= 0 of total degree <= 4"
+            )
         if exps in keys:
             raise ScenarioError(
                 f"{name}.{_cut(key)}: the same monomial as key {_shown(keys[exps])}"

@@ -141,6 +141,30 @@ class ParticleSystem:
         return w
 
     @cached_property
+    def bracket_keys(self) -> tuple[str, ...]:
+        """The keys of ``com_bracket_report``, built once per system.
+
+        Each key ``{left,right}`` names two rows of ``frame``.  The keys come
+        one index shape at a time, [i, j], then [a, i, j], then [a, b, i, j],
+        and each index emits its shape's three bracket families in turn.
+        """
+        three, particles = range(3), range(self.n_particles)
+        x = [f"Xcom_{i}" for i in (1, 2, 3)]
+        p = [f"Pcom_{i}" for i in (1, 2, 3)]
+        dx = [[f"dX_{i}[{a}]" for i in (1, 2, 3)] for a in particles]
+        dp = [[f"dP_{i}[{a}]" for i in (1, 2, 3)] for a in particles]
+        return (
+            *(key for i in three for j in three
+              for key in (f"{{{x[i]},{x[j]}}}", f"{{{x[i]},{p[j]}}}", f"{{{p[i]},{p[j]}}}")),
+            *(key for a in particles for i in three for j in three
+              for key in (f"{{{dx[a][i]},{x[j]}}}", f"{{{p[i]},{dx[a][j]}}}",
+                          f"{{{dp[a][i]},{x[j]}}}")),
+            *(key for a in particles for b in particles for i in three for j in three
+              for key in (f"{{{dx[a][i]},{dx[b][j]}}}", f"{{{dx[a][i]},{dp[b][j]}}}",
+                          f"{{{dp[a][i]},{dp[b][j]}}}")),
+        )
+
+    @cached_property
     def scaling(self) -> "ScalingCheck":
         """``satisfies_mass_scaling`` at its default tolerance, checked once
         per system; the rule's arrays are read-only."""
@@ -256,13 +280,14 @@ def _closed_form_tables(system: ParticleSystem, state: PhaseState):
     return a, b
 
 
-def _pair_key(left: str, right: str) -> str:
-    return "{" + left + "," + right + "}"
-
-
 @dataclass(frozen=True)
 class ComBracketReport:
-    """Chain-rule versus closed-form values of every COM/relative bracket."""
+    """Chain-rule versus closed-form values of every COM/relative bracket.
+
+    ``max_abs_diff`` is the largest |computed - closed_form| over all keys;
+    it is NaN when any entry of either side is NaN, so a NaN bracket fails
+    every tolerance.
+    """
 
     computed: dict[str, float]
     closed_form: dict[str, float]
@@ -325,52 +350,36 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
     a_a, a_b = a_tab[:, None], a_tab[None, :]
     b_a, b_b = b_tab[:, None], b_tab[None, :]
 
-    x_names = np.array([f"Xcom_{i}" for i in (1, 2, 3)])
-    p_names = np.array([f"Pcom_{i}" for i in (1, 2, 3)])
-    dx_names = np.array([[f"dX_{i}[{a}]" for i in (1, 2, 3)] for a in range(n)])
-    dp_names = np.array([[f"dP_{i}[{a}]" for i in (1, 2, 3)] for a in range(n)])
-    # left and right labels of the pair families, indexed [a, b, i, j]
-    dx_left, dx_right = dx_names[:, None, :, None], dx_names[None, :, None, :]
-    dp_left, dp_right = dp_names[:, None, :, None], dp_names[None, :, None, :]
-
-    # (left labels, right labels, chain-rule view of B, closed form), in
-    # groups of one index shape: [i, j], then [a, i, j], then [a, b, i, j]
+    # (chain-rule view of B, closed form) of each family, in groups of one
+    # index shape: [i, j], then [a, i, j], then [a, b, i, j]
     groups = (
         (
-            (x_names[:, None], x_names, brackets[x, x], sum_mu2_a),
-            (x_names[:, None], p_names, brackets[x, p], eye + sum_mu_b),
-            (p_names[:, None], p_names, brackets[p, p], np.zeros((3, 3))),
+            (brackets[x, x], sum_mu2_a),
+            (brackets[x, p], eye + sum_mu_b),
+            (brackets[p, p], np.zeros((3, 3))),
         ),
         (
-            (dx_names[:, :, None], x_names, per_particle(dx, x),
-             mu[:, None, None] * a_tab - sum_mu2_a),
-            (p_names[:, None], dx_names[:, None, :],
-             brackets[p, dx].reshape(3, n, 3).transpose(1, 0, 2), pcom_dx),
-            (dp_names[:, :, None], x_names, per_particle(dp, x), mu[:, None, None] * pcom_dx),
+            (per_particle(dx, x), mu[:, None, None] * a_tab - sum_mu2_a),
+            (brackets[p, dx].reshape(3, n, 3).transpose(1, 0, 2), pcom_dx),
+            (per_particle(dp, x), mu[:, None, None] * pcom_dx),
         ),
         (
-            (dx_left, dx_right, per_pair(dx, dx), (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a),
-            (dx_left, dp_right, per_pair(dx, dp),
-             eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)),
-            (dp_left, dp_right, per_pair(dp, dp), np.zeros((n, n, 3, 3))),
+            (per_pair(dx, dx), (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a),
+            (per_pair(dx, dp), eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)),
+            (per_pair(dp, dp), np.zeros((n, n, 3, 3))),
         ),
     )
 
-    computed: dict[str, float] = {}
-    closed: dict[str, float] = {}
-    for group in groups:
-        shape = group[0][3].shape
-        # stacked on a last axis, each index emits its group's families in turn
-        lefts, rights, gots, wants = (
-            np.stack([np.broadcast_to(v, shape) for v in column], axis=-1).ravel().tolist()
-            for column in zip(*group)
-        )
-        for left, right, got, want in zip(lefts, rights, gots, wants):
-            key = _pair_key(left, right)
-            computed[key] = got
-            closed[key] = want
+    def flat(group, side):
+        """One side of a group, stacked on a last axis so that each index
+        emits the group's families in turn: the order of ``bracket_keys``."""
+        return np.stack([family[side] for family in group], axis=-1).ravel()
 
-    max_abs_diff = max(abs(computed[k] - closed[k]) for k in computed)
+    got, want = (np.concatenate([flat(group, side) for group in groups]) for side in (0, 1))
+    keys = system.bracket_keys
+    computed = dict(zip(keys, got.tolist()))
+    closed = dict(zip(keys, want.tolist()))
+    max_abs_diff = float(np.max(np.abs(got - want)))
     return ComBracketReport(computed=computed, closed_form=closed, max_abs_diff=max_abs_diff)
 
 

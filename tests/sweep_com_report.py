@@ -1,0 +1,118 @@
+"""Time ``com_bracket_report`` on fresh and warm systems.
+
+For particle counts N in (2, 8, 20, 64), builds a mass-scaled MiaoTypeII
+system of seeded masses and a seeded phase point, and records the minimum
+wall time of a few calls of ``composition.com_bracket_report`` in two cases:
+
+- fresh: each call gets a new ``ParticleSystem`` of the same particles, so
+  the call also builds what the system caches (the COM frame W, the lowered
+  tensors and the report's keys);
+- warm: every call reuses one system that has made a report before.
+
+It also records the report's entry count, 27 (1 + N + N^2), and writes the
+rows with the machine's description to ``BENCH_com_bracket_report.json`` at
+the repository root::
+
+    PYTHONPATH=src python tests/sweep_com_report.py [--repeats 20]
+
+Only the public call is timed, so the script runs on earlier versions of
+the package too.  Not a test: pytest does not collect it.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+# one BLAS thread, as the benchmark pins it, so the timings are per core
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+import liephase as lp  # noqa: E402
+from liephase import composition  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+PARTICLES = (2, 8, 20, 64)
+
+
+def best_time(call, repeats: int) -> float:
+    """Minimum wall time of ``repeats`` calls of ``call()``, which returns
+    the function to time: what it builds first is not timed."""
+    best = np.inf
+    for _ in range(repeats):
+        timed = call()
+        start = time.perf_counter()
+        timed()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=20)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_com_bracket_report.json"))
+    args = parser.parse_args(argv)
+
+    rows = []
+    for n in PARTICLES:
+        rng = np.random.default_rng(n)
+        masses = rng.uniform(0.5, 3.0, n)
+        particles = lp.ParticleSystem.from_pairs(
+            masses,
+            [lp.MiaoTypeII(kappa=2.0 * m, kappa_tilde=3.0 * m, kappa_bar=4.0, k=1, l=2, gamma=3)
+             for m in masses],
+        ).particles
+        state = lp.PhaseState(x=rng.uniform(-1.0, 1.0, (n, 3)),
+                              p=rng.uniform(-1.0, 1.0, (n, 3)), t=0.7)
+        warm = lp.ParticleSystem(particles)
+        entries = len(composition.com_bracket_report(warm, state).computed)
+
+        def fresh():
+            system = lp.ParticleSystem(particles)
+            return lambda: composition.com_bracket_report(system, state)
+
+        fresh_s = best_time(fresh, args.repeats)
+        warm_s = best_time(lambda: lambda: composition.com_bracket_report(warm, state),
+                           args.repeats)
+        row = {"particles": n, "entries": entries,
+               "fresh_ms": round(fresh_s * 1e3, 4), "warm_ms": round(warm_s * 1e3, 4)}
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+
+    result = {
+        "what": "composition.com_bracket_report on a mass-scaled MiaoTypeII system: "
+                f"minimum wall time of {args.repeats} calls on a fresh system (each call "
+                "builds the system's frame, lowered tensors and keys) and on a warm one",
+        "command": "PYTHONPATH=src python tests/sweep_com_report.py",
+        "machine": {
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        },
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

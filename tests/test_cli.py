@@ -360,6 +360,10 @@ class TestScenarioParsing:
                                        "coefficients": {"2.0,0,0": 1.0}})),
             ("potential.strength: missing required field",
              dict(SIMULATE, potential={"variant": "newtonian", "center": [5, 0, 0]})),
+            # a monomial the potential could not hold is refused by its key
+            *[(f"potential.coefficients.{key}: expected three exponents >= 0 of total degree <= 4",
+               dict(SIMULATE, potential={"variant": "polynomial", "coefficients": {key: 1.0}}))
+              for key in ("3,2,0", "-1,0,0", "1,1", "1,0,0,0")],
             # two keys for one monomial: one of them would be dropped
             ("potential.coefficients.02,0,0: the same monomial as key '2,0,0'",
              dict(SIMULATE, potential={"variant": "polynomial",
@@ -462,9 +466,13 @@ class TestScenarioParsing:
         ("particles[0].mass", dict(WEP, particles=[{"mass": 10**3999}])),
         ("initial.x[0]", dict(WEP, initial={"x": [[0.0] * 10_000], "p": [[0, 0, 0]]})),
         ("options.masses", dict(WEP, options={"masses": [1.0] * 9_999 + [-1.0]})),
+        ("potential.coefficients." + "1" * 50 + "... (4004 characters)",
+         dict(SIMULATE, potential={"variant": "polynomial",
+                                   "coefficients": {"1" * 4000 + ",0,0": 1.0}})),
     ])
     def test_long_values_are_echoed_short(self, field, payload, tmp_path, capsys):
-        # a 401- or 4000-digit integer, or a 10,000-entry list, is not echoed whole
+        # a 401- or 4000-digit integer, a 10,000-entry list or a monomial key of
+        # degree 4000 is not echoed whole
         path = write_scenario(tmp_path, "long.scn", payload)
         assert cli.run(path, out_dir=str(tmp_path / "out")) == 2
         err = capsys.readouterr().err

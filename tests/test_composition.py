@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
-from liephase import composition, observables as obs
+from liephase import cli, composition, observables as obs
 from liephase.composition import _candidate_effective, _scaled_values
 
-from helpers import VARIANT_NAMES, random_state, random_system, scaled_system
+from helpers import VARIANT_NAMES, random_state, random_system, scaled_system, strict_json
 
 
 def spacetime_system(masses, kappas, rho=1, tau=2):
@@ -214,6 +214,115 @@ class TestComBracketReport:
             assert got == pytest.approx(com.dp[a][1] / kt_a, rel=1e-12)
             got = report.computed[f"{{dP_1[{a}],Xcom_3}}"]
             assert got == pytest.approx(com.dp[a][1] / kt_eff, rel=1e-12)
+
+
+def spelled_out_keys(n):
+    """The report's keys in its order, spelled out loop by loop: one index
+    shape at a time, and for each index its three families."""
+    def com(kind, i):
+        return f"{kind}com_{i}"
+
+    def rel(kind, i, a):
+        return f"d{kind}_{i}[{a}]"
+
+    keys = []
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            for left, right in ((com("X", i), com("X", j)), (com("X", i), com("P", j)),
+                                (com("P", i), com("P", j))):
+                keys.append("{" + left + "," + right + "}")
+    for a in range(n):
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                for left, right in ((rel("X", i, a), com("X", j)), (com("P", i), rel("X", j, a)),
+                                    (rel("P", i, a), com("X", j))):
+                    keys.append("{" + left + "," + right + "}")
+    for a in range(n):
+        for b in range(n):
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    for left, right in ((rel("X", i, a), rel("X", j, b)),
+                                        (rel("X", i, a), rel("P", j, b)),
+                                        (rel("P", i, a), rel("P", j, b))):
+                        keys.append("{" + left + "," + right + "}")
+    return keys
+
+
+def frame_row_names(n):
+    """The names of the rows of W, in its row order (particle-major)."""
+    return (
+        [f"Xcom_{i}" for i in (1, 2, 3)]
+        + [f"Pcom_{i}" for i in (1, 2, 3)]
+        + [f"dX_{i}[{a}]" for a in range(n) for i in (1, 2, 3)]
+        + [f"dP_{i}[{a}]" for a in range(n) for i in (1, 2, 3)]
+    )
+
+
+class TestComBracketKeys:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_keys_match_spelled_out_order(self, n):
+        rng = np.random.default_rng(n)
+        system = random_system(rng, "miao_type_ii", n)
+        report = lp.com_bracket_report(system, random_state(rng, n))
+        expected = spelled_out_keys(n)
+        assert len(expected) == 27 + 27 * n + 27 * n * n
+        assert list(report.computed) == expected
+        assert list(report.closed_form) == expected
+        d = report.to_dict()
+        assert list(d["computed"]) == expected
+        assert list(d["closed_form"]) == expected
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_values_are_entries_of_b(self, variant):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 4):
+            system = random_system(rng, variant, n)
+            state = random_state(rng, n)
+            report = lp.com_bracket_report(system, state)
+            brackets = composition._com_brackets(system, state)
+            row = {name: r for r, name in enumerate(frame_row_names(n))}
+            for key, value in report.computed.items():
+                left, right = key[1:-1].split(",")
+                assert value == brackets[row[left], row[right]], key
+            assert report.max_abs_diff == max(
+                abs(report.computed[k] - report.closed_form[k]) for k in report.computed
+            )
+
+    def test_keys_built_once_per_system(self):
+        rng = np.random.default_rng(12)
+        system = random_system(rng, "space_space", 3)
+        state = random_state(rng, 3)
+        first = lp.com_bracket_report(system, state)
+        second = lp.com_bracket_report(system, random_state(rng, 3))
+        keys = system.bracket_keys
+        # both reports hold the very key objects the system built once
+        for report in (first, second):
+            assert all(a is k and b is k
+                       for a, b, k in zip(report.computed, report.closed_form, keys))
+        # a new system of the same particles builds its own, equal keys
+        other = lp.ParticleSystem(system.particles)
+        assert other.bracket_keys == keys and other.bracket_keys[0] is not keys[0]
+
+    def test_nan_past_the_first_entry_is_not_hidden(self, monkeypatch, tmp_path, capsys):
+        system = spacetime_system([1.0, 2.0], [1.0, 3.0])
+        state = random_state(np.random.default_rng(13), 2)
+        tables = composition._closed_form_tables
+
+        def with_nan(system, state):
+            a_tab, b_tab = tables(system, state)
+            a_tab[0, 0, 1] = np.nan  # reaches {Xcom_1,Xcom_2}, the fourth entry
+            return a_tab, b_tab
+
+        monkeypatch.setattr(composition, "_closed_form_tables", with_nan)
+        report = lp.com_bracket_report(system, state)
+        values = list(report.closed_form.values())
+        assert np.isfinite(values[0]) and np.isnan(values[3])
+        assert np.isnan(report.max_abs_diff)
+        # so the scenario's oracle check fails instead of passing
+        assert cli.run("spacetime_com_brackets", out_dir=str(tmp_path)) == 1
+        checks = {c["name"]: c for c in strict_json(tmp_path / "report.json")["checks"]}
+        assert not checks["com-bracket-oracle"]["passed"]
+        assert "FAIL com-bracket-oracle" in capsys.readouterr().out
 
 
 class TestComFrameCache:
