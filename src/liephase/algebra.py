@@ -103,10 +103,6 @@ class AlgebraSpec:
                 f"{len(axes)} of {_AXES}, got {tuple(axes.values())}"
             )
 
-    @property
-    def variant(self) -> str:
-        return type(self).__name__
-
 
 @dataclass(frozen=True)
 class Canonical(AlgebraSpec):
@@ -251,13 +247,6 @@ class StructureMatrix:
         m = np.asarray(self.matrix, dtype=float)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __getitem__(self, idx):
-        return self.matrix[idx]
 
 
 # --- generalized-tensor encodings ----------------------------------------
@@ -530,7 +519,7 @@ def bracket(
 # --- Jacobi identity --------------------------------------------------------
 
 def jacobi_residual(
-    specs: Sequence[AlgebraSpec] | AlgebraSpec | LoweredAlgebra,
+    specs: Sequence[AlgebraSpec] | LoweredAlgebra,
     state: PhaseState,
     fd_step: float = 1e-5,
     use_fd: bool = False,
@@ -547,8 +536,6 @@ def jacobi_residual(
     central differences of the blocks with step ``fd_step``, an independent
     oracle for the slopes.
     """
-    if isinstance(specs, AlgebraSpec):
-        specs = [specs]
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     lowered = lower(specs)

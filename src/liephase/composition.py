@@ -536,7 +536,7 @@ def _candidate_effective(system: ParticleSystem) -> AlgebraSpec:
     return type(first)(**params)
 
 
-def effective_parameters(system: ParticleSystem, tol: float = 1e-9) -> AlgebraSpec:
+def effective_parameters(system: ParticleSystem) -> AlgebraSpec:
     """Deformation parameters governing the center-of-mass brackets.
 
     For SpaceTime (and Canonical, and Generalized specs whose deformation is
@@ -544,19 +544,17 @@ def effective_parameters(system: ParticleSystem, tol: float = 1e-9) -> AlgebraSp
     1/kappa_eff = sum_a mu_a^2 / kappa_a, which depends on the composition
     unless the scaling rule holds.  Variants whose COM brackets close only
     under mass scaling (SpaceSpace, the Miao types, Generalized with
-    coordinate/momentum-valued terms) require ``satisfies_mass_scaling``;
+    coordinate/momentum-valued terms) require the scaling rule to hold, as
+    ``system.scaling`` checks it at the default tolerance;
     ScalingRequiredError is raised otherwise.
     """
-    _check_tolerance(tol)
-    if _needs_scaling(system):
-        check = system.scaling if tol == 1e-9 else satisfies_mass_scaling(system, tol=tol)
-        if not check.holds:
-            raise ScalingRequiredError(
-                "center-of-mass brackets do not close into the single-particle "
-                "algebra form: deformation parameters are not inversely "
-                f"proportional to the masses (worst pairwise deviation "
-                f"{check.worst_relative_deviation:.3e})"
-            )
+    if _needs_scaling(system) and not system.scaling.holds:
+        raise ScalingRequiredError(
+            "center-of-mass brackets do not close into the single-particle "
+            "algebra form: deformation parameters are not inversely "
+            f"proportional to the masses (worst pairwise deviation "
+            f"{system.scaling.worst_relative_deviation:.3e})"
+        )
     return system.candidate_effective
 
 

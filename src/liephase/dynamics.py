@@ -199,10 +199,7 @@ class Polynomial(Potential):
     Each term is multiplied out left to right, weight first, from a table
     of X_k^e for e = 0..4, and the terms are added in order to a running
     total from 0.0: every point gets exactly the sum a loop over monomials
-    would.  Up to degree 2 every gradient term is w X_k or w, which is the
-    same product (libm's pow gives X^1 = X and X^0 = 1, and w 1 = w), so
-    the gradient reads X_k or 1 straight from the point and skips the
-    power table.
+    would.
     """
 
     coefficients: dict
@@ -216,11 +213,6 @@ class Polynomial(Potential):
     # X_a become zero terms
     _grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
     _grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
-    # up to degree 2, the (3, M+1) index of each gradient term's one factor
-    # in the point (X1, X2, X3, 1); None for the power table
-    _affine_factors: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         coeffs = {}
@@ -249,12 +241,6 @@ class Polynomial(Potential):
             "_grad_weights": grad_weights,
             "_grad_factors": _DERIVATIVE_AXES[:, None, :] * len(_POWERS) + grad_exps,
         }
-        if exps.sum(axis=1).max() <= 2:
-            # each term has at most one factor X_k, the others X^0; with
-            # none it is w 1, read from the appended 1 at index 3
-            arrays["_affine_factors"] = np.where(
-                grad_exps == 1, _DERIVATIVE_AXES[:, None, :], 3
-            ).min(axis=-1)
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -277,23 +263,23 @@ class Polynomial(Potential):
         return _scalar_or_array(self._sum(x, self._weights, self._factors))
 
     def gradient_into(self, x, out):
-        if self._affine_factors is None:
-            out[...] = self._sum(x, self._grad_weights, self._grad_factors)
-            return out
-        point = np.empty(np.shape(x)[:-1] + (4,))
-        point[..., :3] = x
-        point[..., 3] = 1.0
-        terms = self._grad_weights * point[..., self._affine_factors]
-        out[...] = np.add.accumulate(terms, axis=-1)[..., -1]
+        out[...] = self._sum(x, self._grad_weights, self._grad_factors)
         return out
 
     def _affine_gradient(self):
-        if self._affine_factors is None:
-            return None
-        # each axis's gradient weights on (X1, X2, X3, 1)
-        weights = np.zeros((3, 4))
-        np.add.at(weights, (np.arange(3)[:, None], self._affine_factors), self._grad_weights)
-        return weights[:, :3], weights[:, 3]
+        # up to degree 2, dV/dX_a of w X^e is e_a w times one X_k, or 1; no
+        # two monomials meet in one entry, and each is added to +0.0, as _sum's
+        # running total starts
+        grad = np.zeros((3, 4))
+        for exps, weight in self.coefficients.items():
+            if sum(exps) > 2:
+                return None
+            for axis, e in enumerate(exps):
+                if e:
+                    rest = list(exps)
+                    rest[axis] -= 1
+                    grad[axis, rest.index(1) if 1 in rest else 3] += weight * e
+        return grad[:, :3], grad[:, 3]
 
 
 # --- scenario and trajectory --------------------------------------------------
@@ -985,10 +971,16 @@ def wep_deviation(
         if not np.isfinite(momenta[run]).all():
             raise ValueError(f"the initial momentum m P'(0) of run {run} (mass {m!r}) overflows")
     base = template.system.particles[0]
+    specs = [base.spec] * len(masses)
     if scaling_mode == "mass_scaled":
-        specs = [rescale(base.spec, m / base.mass) for m in masses]
-    else:
-        specs = [base.spec] * len(masses)
+        for run, m in enumerate(masses):
+            try:
+                # an overflow is refused by the spec it produces
+                with np.errstate(over="ignore"):
+                    specs[run] = rescale(base.spec, m / base.mass)
+            except ValueError as exc:
+                raise ValueError(f"{_run_label(masses, run)}: the parameters rescaled "
+                                 f"to mass {m!r}: {exc}") from exc
     return _wep_report(template, masses, specs, momenta, scaling_mode)
 
 

@@ -21,22 +21,16 @@ the package too.  Not a test: pytest does not collect it.
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
-# one BLAS thread, as the benchmark pins it, so the timings are per core
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-import liephase as lp  # noqa: E402
-from liephase import composition  # noqa: E402
+import liephase as lp
+from liephase import composition
 
-ROOT = Path(__file__).resolve().parents[1]
 PARTICLES = (2, 8, 20, 64)
 
 
@@ -50,16 +44,6 @@ def best_time(call, repeats: int) -> float:
         timed()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
 
 
 def main(argv=None) -> int:
@@ -94,23 +78,14 @@ def main(argv=None) -> int:
         rows.append(row)
         print(json.dumps(row), flush=True)
 
-    result = {
-        "what": "composition.com_bracket_report on a mass-scaled MiaoTypeII system: "
-                f"minimum wall time of {args.repeats} calls on a fresh system (each call "
-                "builds the system's frame, lowered tensors and keys) and on a warm one",
-        "command": "PYTHONPATH=src python tests/sweep_com_report.py",
-        "machine": {
-            "cpu": cpu_model(),
-            "nproc": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        },
-        "rows": rows,
-    }
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    write_record(
+        args.out,
+        "composition.com_bracket_report on a mass-scaled MiaoTypeII system: "
+        f"minimum wall time of {args.repeats} calls on a fresh system (each call "
+        "builds the system's frame, lowered tensors and keys) and on a warm one",
+        "PYTHONPATH=src python tests/sweep_com_report.py",
+        rows,
+    )
     return 0
 
 

@@ -18,22 +18,16 @@ time, about 1.2 GB.  Not a test: pytest does not collect it.
 
 import argparse
 import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
-# one BLAS thread, as the benchmark pins it, so the timings are per core
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-import liephase as lp  # noqa: E402
-from liephase import dynamics  # noqa: E402
+import liephase as lp
+from liephase import dynamics
 
-ROOT = Path(__file__).resolve().parents[1]
 FLOWS = {
     "space_time/uniform": (lambda: lp.SpaceTime(kappa=2.0, rho=1, tau=2),
                            lp.Uniform(g=[0.0, 1.0, 0.0])),
@@ -57,16 +51,6 @@ def best_time(run, repeats: int) -> tuple[float, np.ndarray]:
         sample = np.concatenate([states[::100], states[-1:]])
         del states  # one trajectory at a time
     return best, sample
-
-
-def cpu_model() -> str:
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
 
 
 def main(argv=None) -> int:
@@ -96,24 +80,15 @@ def main(argv=None) -> int:
                 rows.append(row)
                 print(json.dumps(row), flush=True)
 
-    result = {
-        "what": "RK4 on linear flows: dynamics._rk4_kernel against the step maps "
-                "_integrate_flat takes for them; minimum wall time of "
-                f"{args.repeats} runs each, t0 = {T0}, dt = {DT}; the deviation is "
-                "taken over every 100th grid point and the last",
-        "command": "PYTHONPATH=src python tests/sweep_linear_flow.py",
-        "machine": {
-            "cpu": cpu_model(),
-            "nproc": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        },
-        "rows": rows,
-    }
-    Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    write_record(
+        args.out,
+        "RK4 on linear flows: dynamics._rk4_kernel against the step maps "
+        "_integrate_flat takes for them; minimum wall time of "
+        f"{args.repeats} runs each, t0 = {T0}, dt = {DT}; the deviation is "
+        "taken over every 100th grid point and the last",
+        "PYTHONPATH=src python tests/sweep_linear_flow.py",
+        rows,
+    )
     return 0
 
 

@@ -418,7 +418,6 @@ class TestMassScaling:
         state = random_state(np.random.default_rng(3), 2)
         checks = [
             lp.satisfies_mass_scaling,
-            lp.effective_parameters,
             lambda system, tol: lp.reproduction_check(system, state, tol=tol),
         ]
         # unscaled pairs: a NaN tolerance, which no deviation exceeds, made

@@ -180,7 +180,7 @@ class TestVectorisedPotentials:
                                 for i in picked})
         for coefficients in polynomials:
             pot = lp.Polynomial(coefficients=coefficients)
-            assert pot._affine_factors is not None
+            assert pot._affine_gradient() is not None
             with np.errstate(invalid="ignore"):
                 got = pot.gradient(points)
                 loop = np.array([polynomial_gradient_loop(pot.coefficients, x) for x in points])
@@ -189,7 +189,39 @@ class TestVectorisedPotentials:
             nan = np.isnan(loop)
             assert np.array_equal(np.isnan(got), nan), coefficients
             assert got[~nan].tobytes() == loop[~nan].tobytes(), coefficients
-        assert lp.Polynomial(coefficients={(1, 2, 0): 1.0})._affine_factors is None
+        assert lp.Polynomial(coefficients={(1, 2, 0): 1.0})._affine_gradient() is None
+
+    def test_affine_gradient_of_quadratic_matches_gradient(self):
+        rng = np.random.default_rng(41)
+        quadratic = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+        polynomials = [
+            {(1, 1, 0): rng.uniform(-2.0, 2.0)},
+            {(0, 1, 1): rng.uniform(-2.0, 2.0), (1, 0, 1): rng.uniform(-2.0, 2.0)},
+            {(1, 0, 0): 1.0, (0, 1, 1): 1.0},
+            {(0, 0, 0): 1.5},
+            {},
+            {e: -0.0 for e in quadratic},
+        ]
+        for _ in range(30):
+            picked = rng.choice(len(quadratic), rng.integers(1, len(quadratic) + 1), replace=False)
+            polynomials.append({quadratic[i]: float(rng.choice([rng.uniform(-2.0, 2.0), -0.0]))
+                                for i in picked})
+        x = np.vstack([[1.0, -0.7, 1.1], rng.uniform(-3.0, 3.0, (20, 3))])
+        for coefficients in polynomials:
+            pot = lp.Polynomial(coefficients=coefficients)
+            G, g0 = pot._affine_gradient()
+            want = pot.gradient(x)
+            # relative to the size of the terms, so a cancelling sum is not
+            # held to its own small size
+            scale = np.abs(x) @ np.abs(G).T + np.abs(g0)
+            assert (np.abs(x @ G.T + g0 - want) <= 1e-13 * scale).all(), coefficients
+        assert np.array_equal(lp.Polynomial(coefficients={(1, 0, 0): 1.0, (0, 1, 1): 1.0})
+                              .gradient(x[0]), [1.0, 1.1, -0.7])
+        for e in [e for e in itertools.product(range(5), repeat=3) if 3 <= sum(e) <= 4]:
+            # a zero weight is still a monomial of its degree
+            for weight in (1.0, 0.0):
+                pot = lp.Polynomial(coefficients={(1, 0, 0): 1.0, e: weight})
+                assert pot._affine_gradient() is None, e
 
     @pytest.mark.parametrize("name", list(POTENTIALS) + ["quadratic"])
     def test_gradient_into_buffer_equals_gradient(self, name):
@@ -1087,6 +1119,23 @@ class TestWepDeviation:
         scen = one_particle(lp.SpaceTime(kappa=1.0, rho=1, tau=2), p=(1e308, 0, 0))
         with pytest.raises(ValueError, match=r"run 1 \(mass 2\.0\) overflows"):
             lp.wep_deviation(scen, [1.0, 2.0], mode)
+
+    @pytest.mark.parametrize("spec, masses, message", [
+        (lp.SpaceTime(kappa=1e-300), [1.0, 2.0, 1e-10],
+         "WEP run 2 (mass 1e-10): the parameters rescaled to mass 1e-10: "
+         "kappa must have a finite inverse, got 1e-310"),
+        (lp.SpaceTime(kappa=1e308), [1.0, 10.0],
+         "WEP run 1 (mass 10.0): the parameters rescaled to mass 10.0: "
+         "kappa must be nonzero and finite, got inf"),
+        # theta0 / 1e-10 overflows in numpy, which the spec refuses
+        (lp.Generalized(theta0=[[0, 1e300, 0], [-1e300, 0, 0], [0, 0, 0]]), [1.0, 1e-10],
+         "WEP run 1 (mass 1e-10): the parameters rescaled to mass 1e-10: "
+         "theta0[0][1]: must be finite"),
+    ])
+    def test_failed_rescale_names_run_and_mass(self, spec, masses, message):
+        with pytest.raises(ValueError) as info:
+            lp.wep_deviation(one_particle(spec), masses, "mass_scaled")
+        assert str(info.value) == message
 
     def test_failure_names_run_and_mass(self):
         # the nearly canonical light run escapes the quartic hill first
