@@ -13,6 +13,7 @@ mu_a = m_a / M, and dP^(a) = P^(a) - mu_a Pcom, dX^(a) = X^(a) - Xcom.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -142,7 +143,8 @@ class ParticleSystem:
 
     @cached_property
     def bracket_keys(self) -> tuple[str, ...]:
-        """The keys of ``com_bracket_report``, built once per system.
+        """The keys of ``com_bracket_report``, built once per system, when a
+        report's keys are first read.
 
         Each key ``{left,right}`` names two rows of ``frame``.  The keys come
         one index shape at a time, [i, j], then [a, i, j], then [a, b, i, j],
@@ -163,6 +165,12 @@ class ParticleSystem:
               for key in (f"{{{dx[a][i]},{dx[b][j]}}}", f"{{{dx[a][i]},{dp[b][j]}}}",
                           f"{{{dp[a][i]},{dp[b][j]}}}")),
         )
+
+    @cached_property
+    def bracket_index(self) -> dict[str, int]:
+        """Position of each of ``bracket_keys``, built on the first key lookup
+        in a report of this system."""
+        return {key: i for i, key in enumerate(self.bracket_keys)}
 
     @cached_property
     def scaling(self) -> "ScalingCheck":
@@ -280,23 +288,77 @@ def _closed_form_tables(system: ParticleSystem, state: PhaseState):
     return a, b
 
 
+class _BracketView(Mapping):
+    """Read-only mapping of a system's ``bracket_keys`` to one flat array of
+    bracket values, in key order.
+
+    The view builds nothing itself.  Iteration yields the system's own key
+    objects; a key lookup returns a Python float through
+    ``system.bracket_index``, which the system builds on the first lookup;
+    ``items()`` and ``values()`` take one ``tolist()`` of the array.
+    """
+
+    __slots__ = ("_system", "_values")
+
+    def __init__(self, system: "ParticleSystem", values: np.ndarray):
+        values.flags.writeable = False
+        self._system = system
+        self._values = values
+
+    def __reduce__(self):
+        # through __init__, since pickle does not keep the array read-only
+        return _BracketView, (self._system, self._values)
+
+    def __getitem__(self, key: str) -> float:
+        return float(self._values[self._system.bracket_index[key]])
+
+    def __iter__(self):
+        return iter(self._system.bracket_keys)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def items(self):
+        return _ViewItems(self)
+
+    def values(self):
+        return _ViewValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ViewItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values.tolist())
+
+
+class _ViewValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+
 @dataclass(frozen=True)
 class ComBracketReport:
     """Chain-rule versus closed-form values of every COM/relative bracket.
 
-    ``max_abs_diff`` is the largest |computed - closed_form| over all keys;
-    it is NaN when any entry of either side is NaN, so a NaN bracket fails
-    every tolerance.
+    ``computed`` and ``closed_form`` map each bracket key to its value.
+    ``com_bracket_report`` makes them read-only mappings over two flat,
+    read-only arrays in the order of ``ParticleSystem.bracket_keys``; plain
+    dicts work as well.  ``max_abs_diff`` is the largest
+    |computed - closed_form| over all keys; it is NaN when any entry of
+    either side is NaN, so a NaN bracket fails every tolerance.
     """
 
-    computed: dict[str, float]
-    closed_form: dict[str, float]
+    computed: Mapping[str, float]
+    closed_form: Mapping[str, float]
     max_abs_diff: float
 
     def to_dict(self) -> dict:
+        """Plain dicts of both sides, in key order."""
         return {
-            "computed": dict(self.computed),
-            "closed_form": dict(self.closed_form),
+            "computed": dict(self.computed.items()),
+            "closed_form": dict(self.closed_form.items()),
             "max_abs_diff": self.max_abs_diff,
         }
 
@@ -322,7 +384,9 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
     ``computed`` applies the chain rule grad(f) . J . grad(g) to the COM and
     relative observables; ``closed_form`` evaluates the hand-derived sums
     over single-particle bracket tables.  The two agree to rounding for all
-    variants; this is the module's central correctness check.
+    variants; this is the module's central correctness check.  Both sides
+    are read-only mappings over one flat array each, keyed by
+    ``system.bracket_keys``; no per-key dict is built.
     """
     n = system.n_particles
     mu = system.mu
@@ -376,11 +440,9 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
         return np.stack([family[side] for family in group], axis=-1).ravel()
 
     got, want = (np.concatenate([flat(group, side) for group in groups]) for side in (0, 1))
-    keys = system.bracket_keys
-    computed = dict(zip(keys, got.tolist()))
-    closed = dict(zip(keys, want.tolist()))
     max_abs_diff = float(np.max(np.abs(got - want)))
-    return ComBracketReport(computed=computed, closed_form=closed, max_abs_diff=max_abs_diff)
+    return ComBracketReport(computed=_BracketView(system, got),
+                            closed_form=_BracketView(system, want), max_abs_diff=max_abs_diff)
 
 
 # --- mass scaling ------------------------------------------------------------

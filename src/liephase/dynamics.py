@@ -1009,19 +1009,39 @@ def _wep_report(template: GravityScenario, masses: list[float], specs: Sequence[
             step=exc.step, time=exc.time, particle=exc.particle,
         ) from exc
 
-    blocks = states.reshape(len(states), len(masses), 6)
-    x = blocks[..., :3]
-    p_reduced = blocks[..., 3:] / run_masses[:, None]
-    pairs = []
-    for i, m_i in enumerate(masses[:-1]):
-        # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, 3)
-        dx = np.linalg.norm(x[:, i : i + 1] - x[:, i + 1 :], axis=-1).max(axis=0)
-        dpr = np.linalg.norm(p_reduced[:, i : i + 1] - p_reduced[:, i + 1 :], axis=-1).max(axis=0)
-        pairs += [
-            PairDeviation(masses=(m_i, m_j), position=float(a), reduced_momentum=float(b))
-            for m_j, a, b in zip(masses[i + 1 :], dx, dpr)
-        ]
-    return WepReport(scaling_mode=scaling_mode, pairs=tuple(pairs))
+    # each run's position and reduced momentum P / m, over time: (T, B, 2, 3)
+    runs = states.reshape(len(states), len(masses), 2, 3)
+    runs[:, :, 1] /= run_masses[:, None]
+    pairs = tuple(
+        PairDeviation(masses=(masses[i], masses[j]), position=a, reduced_momentum=b)
+        for (i, j), (a, b) in zip(np.transpose(np.triu_indices(len(masses), 1)).tolist(),
+                                  _pair_deviations(runs).tolist())
+    )
+    return WepReport(scaling_mode=scaling_mode, pairs=pairs)
+
+
+def _pair_deviations(runs: np.ndarray) -> np.ndarray:
+    """Largest distance over time |runs[:, i, k] - runs[:, j, k]| of every
+    pair of runs i < j, ordered by i, then j, for each k: (pairs, K) from
+    ``runs`` of shape (T, B, K, 3).
+
+    The norm squares the separation, so runs more than about 1e154 apart
+    overflow it; only those entries are measured again, with ``hypot``,
+    which scales.  One check per call finds them.
+    """
+    count = runs.shape[1]
+    with np.errstate(over="ignore"):
+        # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, K)
+        dev = np.concatenate([np.empty((0, runs.shape[2]))] + [
+            np.linalg.norm(runs[:, i : i + 1] - runs[:, i + 1 :], axis=-1).max(axis=0)
+            for i in range(count - 1)
+        ])
+        pair, k = np.nonzero(np.isinf(dev))
+        if len(pair):
+            rows, cols = np.triu_indices(count, 1)
+            d = runs[:, rows[pair], k] - runs[:, cols[pair], k]
+            dev[pair, k] = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]).max(axis=0)
+    return dev
 
 
 def _wep_momenta(template: GravityScenario, masses: Sequence[float]) -> np.ndarray:

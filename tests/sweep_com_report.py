@@ -5,8 +5,8 @@ system of seeded masses and a seeded phase point, and records the minimum
 wall time of a few calls of ``composition.com_bracket_report`` in two cases:
 
 - fresh: each call gets a new ``ParticleSystem`` of the same particles, so
-  the call also builds what the system caches (the COM frame W, the lowered
-  tensors and the report's keys);
+  the call also builds what the system caches for it (the COM frame W and
+  the lowered tensors; the report's keys are built only when read);
 - warm: every call reuses one system that has made a report before.
 
 It also records the report's entry count, 27 (1 + N + N^2), and writes the
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         args.out,
         "composition.com_bracket_report on a mass-scaled MiaoTypeII system: "
         f"minimum wall time of {args.repeats} calls on a fresh system (each call "
-        "builds the system's frame, lowered tensors and keys) and on a warm one",
+        "builds the system's frame and lowered tensors) and on a warm one",
         "PYTHONPATH=src python tests/sweep_com_report.py",
         rows,
     )

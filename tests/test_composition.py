@@ -1,5 +1,10 @@
 """Center-of-mass reduction, bracket oracle and effective parameters."""
 
+import json
+import pickle
+from collections.abc import Mapping
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ import liephase as lp
 from liephase import cli, composition, observables as obs
 from liephase.composition import _candidate_effective, _scaled_values
 
+import sweep_com_report
 from helpers import VARIANT_NAMES, random_state, random_system, scaled_system, strict_json
 
 
@@ -323,6 +329,150 @@ class TestComBracketKeys:
         checks = {c["name"]: c for c in strict_json(tmp_path / "report.json")["checks"]}
         assert not checks["com-bracket-oracle"]["passed"]
         assert "FAIL com-bracket-oracle" in capsys.readouterr().out
+
+
+def count_index_builds(monkeypatch) -> list:
+    """Record each build of ``ParticleSystem.bracket_index`` from now on."""
+    calls = []
+    build = lp.ParticleSystem.bracket_index.func
+
+    def counted(system):
+        calls.append(system.n_particles)
+        return build(system)
+
+    index = cached_property(counted)
+    index.__set_name__(lp.ParticleSystem, "bracket_index")
+    monkeypatch.setattr(lp.ParticleSystem, "bracket_index", index)
+    return calls
+
+
+class TestComBracketMapping:
+    @pytest.fixture
+    def made(self):
+        rng = np.random.default_rng(14)
+        system = random_system(rng, "miao_type_i", 3)
+        state = random_state(rng, 3)
+        return system, state, lp.com_bracket_report(system, state)
+
+    def test_is_a_read_only_mapping(self, made):
+        _, _, report = made
+        for side in (report.computed, report.closed_form):
+            assert isinstance(side, Mapping)
+            with pytest.raises(TypeError):
+                side["{Xcom_1,Xcom_2}"] = 0.0
+            with pytest.raises(TypeError):
+                del side["{Xcom_1,Xcom_2}"]
+            assert not side._values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                side._values[0] = 0.0
+            copied = pickle.loads(pickle.dumps(side))
+            assert copied == side and not copied._values.flags.writeable
+
+    def test_unknown_key_raises_key_error(self, made):
+        _, _, report = made
+        for key in ("{Xcom_1,Xcom_4}", "", 0):
+            with pytest.raises(KeyError):
+                report.computed[key]
+            assert key not in report.computed
+            assert report.closed_form.get(key) is None
+        assert "{Xcom_1,Xcom_2}" in report.computed
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_length_and_keys(self, n):
+        rng = np.random.default_rng(15)
+        system = random_system(rng, "space_space", n)
+        report = lp.com_bracket_report(system, random_state(rng, n))
+        for side in (report.computed, report.closed_form):
+            assert len(side) == 27 * (1 + n + n * n)
+            assert all(a is k for a, k in zip(side, system.bracket_keys, strict=True))
+            assert all(a is k for a, k in zip(side.keys(), system.bracket_keys, strict=True))
+
+    def test_values_are_python_floats_equal_to_the_arrays(self, made):
+        _, _, report = made
+        for side in (report.computed, report.closed_form):
+            values = side._values.tolist()
+            assert list(side.values()) == values
+            assert [side[k] for k in side] == values
+            assert list(side.items()) == list(zip(side, values))
+            assert all(type(side[k]) is float for k in list(side)[:30])
+            assert all(type(v) is float for v in side.values())
+
+    def test_to_dict_is_plain_dicts_in_key_order(self, made):
+        system, _, report = made
+        d = report.to_dict()
+        for name in ("computed", "closed_form"):
+            side = getattr(report, name)
+            assert type(d[name]) is dict
+            assert d[name] == dict(zip(system.bracket_keys, side._values.tolist()))
+            assert list(d[name]) == list(system.bracket_keys)
+        assert d["max_abs_diff"] == report.max_abs_diff
+
+    def test_reports_of_the_same_inputs_are_equal(self, made):
+        system, state, report = made
+        again = lp.com_bracket_report(system, state)
+        assert again == report
+        assert lp.com_bracket_report(lp.ParticleSystem(system.particles), state) == report
+        # and equal to a report built from plain dicts
+        plain = lp.ComBracketReport(**report.to_dict())
+        assert plain == report and report == plain
+        assert plain.to_dict() == report.to_dict()
+        other = lp.com_bracket_report(system, random_state(np.random.default_rng(16), 3))
+        assert other != report
+
+    def test_report_of_plain_dicts_keeps_working(self):
+        report = lp.ComBracketReport(computed={"{a,b}": 1.0}, closed_form={"{a,b}": 1.5},
+                                     max_abs_diff=0.5)
+        assert report.to_dict() == {"computed": {"{a,b}": 1.0}, "closed_form": {"{a,b}": 1.5},
+                                    "max_abs_diff": 0.5}
+
+    def test_repr_reads_like_a_dict(self, made):
+        _, _, report = made
+        assert repr(report.computed) == repr(report.to_dict()["computed"])
+
+
+class TestBracketIndexCache:
+    def test_report_and_diff_build_no_index(self, monkeypatch):
+        calls = count_index_builds(monkeypatch)
+        rng = np.random.default_rng(17)
+        system = scaled_system(rng, "miao_type_ii", 20)
+        state = random_state(rng, 20)
+        report = lp.com_bracket_report(system, state)
+        assert report.max_abs_diff <= 1e-12
+        assert len(report.computed) == 27 * (1 + 20 + 400)
+        # neither the keys nor their index
+        assert "bracket_keys" not in vars(system) and "bracket_index" not in vars(system)
+        for _ in range(2):  # the keys once, then warm
+            report = lp.com_bracket_report(system, state)
+            list(report.computed.items())
+            report.to_dict()
+            assert report.max_abs_diff <= 1e-12
+        assert calls == []
+        assert "bracket_keys" in vars(system) and "bracket_index" not in vars(system)
+        assert not isinstance(report.computed, dict)
+
+    def test_lookups_across_two_reports_build_one_index(self, monkeypatch):
+        calls = count_index_builds(monkeypatch)
+        rng = np.random.default_rng(18)
+        system = random_system(rng, "space_time", 4)
+        first = lp.com_bracket_report(system, random_state(rng, 4))
+        second = lp.com_bracket_report(system, random_state(rng, 4))
+        assert first.computed["{Xcom_1,Xcom_2}"] != second.closed_form["{Xcom_1,Xcom_2}"]
+        assert calls == [4]
+        # a new system of the same particles builds its own
+        other = lp.com_bracket_report(lp.ParticleSystem(system.particles), random_state(rng, 4))
+        assert "{dX_1[3],dP_3[2]}" in other.computed
+        assert calls == [4, 4]
+
+
+def test_sweep_com_report_smoke(tmp_path):
+    out = tmp_path / "record.json"
+    assert sweep_com_report.main(["--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["particles"] for row in rows] == [2, 8, 20, 64]
+    for row in rows:
+        n = row["particles"]
+        assert row["entries"] == 27 * (1 + n + n * n)
+        assert row["fresh_ms"] > 0 and row["warm_ms"] > 0
 
 
 class TestComFrameCache:

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import io
 import itertools
+import json
 import re
 
 import numpy as np
@@ -1160,6 +1161,32 @@ class TestWepDeviation:
             "WEP run 1 (mass 0.5): singularity encountered at step 92 (t = 0.92) for particle 1"
         )
         assert info.value.index == 1
+
+    def test_runs_far_apart_give_a_finite_deviation(self, tmp_path):
+        # the runs end about 5e299 apart: the squared separation overflows,
+        # the distance does not, and an overflow warning is an error here
+        theta0 = [[0.0, 1e300, 0.0], [-1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        masses = [1.0, 1.0, 1e-10]
+        # X1 deviation at t = 1 is (m1 - m2) g theta0[0][1] / 2
+        far = 0.5e300 * (1.0 - 1e-10)
+        report = lp.wep_deviation(one_particle(lp.Generalized(theta0=theta0)), masses, "fixed")
+        positions = [p.position for p in report.pairs]
+        assert positions[0] == 0.0
+        assert positions[1:] == [pytest.approx(far, rel=1e-12)] * 2
+
+        scenario = {
+            "schema_version": 1, "task": "wep-test",
+            "algebra": {"variant": "generalized", "theta0": theta0},
+            "particles": [{"mass": 1.0}], "initial": {"x": [[0, 0, 0]], "p": [[0, 0, 0]]},
+            "grid": {"t0": 0.0, "t_end": 1.0, "dt": 1e-3},
+            "potential": {"variant": "uniform", "g": [0, 1, 0]},
+            "options": {"masses": masses, "scaling_mode": "fixed"},
+        }
+        path = tmp_path / "far.scn"
+        path.write_text(json.dumps(scenario))
+        assert cli.run(str(path), out_dir=str(tmp_path / "out")) == 0
+        fixed = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["modes"]
+        assert [p["position"] for p in fixed["fixed"]["pairs"]] == positions
 
     @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
     @pytest.mark.parametrize("case", list(WEP_CASES))
