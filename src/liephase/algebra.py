@@ -31,13 +31,16 @@ Generalized
 
 Evaluation
 ----------
-Every variant is a special case of the Generalized form.  ``_encoding``
-writes a named variant's exact tensor encoding (``as_generalized`` wraps it
-in a validated Generalized spec), ``lower`` stacks the raw encodings of one
-spec per particle into a time coefficient (N, 6, 6) and a slope dJ/dz
-(N, 6, 6, 6), and one block evaluator (``LoweredAlgebra``) serves ``structure_matrix``, ``bracket``, the equations of motion and
-``jacobi_residual``.  Brackets between particles vanish, so J is a stack
-of per-particle 6x6 blocks, each affine in its own particle's phase point.
+Every variant is a special case of the Generalized form.  One ladder,
+``_spec_blocks``, writes a variant's exact tensor encoding into a 6x6 time
+block and a 6x6x6 slope block dJ/dz, built once per spec and kept read-only
+(``AlgebraSpec._blocks``).  ``lower`` stacks the blocks of one spec per
+particle into (N, 6, 6) and (N, 6, 6, 6), ``_encoding`` and
+``as_generalized`` read the four tensors back from them, and one block
+evaluator (``LoweredAlgebra``) serves ``structure_matrix``, ``bracket``,
+the equations of motion and ``jacobi_residual``.  Brackets between
+particles vanish, so J is a stack of per-particle 6x6 blocks, each affine
+in its own particle's phase point.
 
 A note on tensor encodings: the X-X deformation tensors (theta0, theta)
 must be antisymmetric in the lower index pair, since {X_i, X_j} is an
@@ -102,6 +105,16 @@ class AlgebraSpec:
                 f"({', '.join(axes)}) must be distinct axes, a permutation of "
                 f"{len(axes)} of {_AXES}, got {tuple(axes.values())}"
             )
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spec's lowered time and slope blocks (``_spec_blocks``), built
+        once on first use from the frozen fields, read-only."""
+        return _spec_blocks(self)
+
+    def __getstate__(self):
+        # the blocks are derived from the fields, so a pickle or copy holds the fields alone
+        return {name: value for name, value in vars(self).items() if name != "_blocks"}
 
 
 @dataclass(frozen=True)
@@ -251,53 +264,72 @@ class StructureMatrix:
 
 # --- generalized-tensor encodings ----------------------------------------
 
-def _encoding(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tensors (theta0, theta, theta_bar, theta_tilde) whose structure
-    matrix equals the variant's exactly, unvalidated.
+# a slope with no X-P deformation: each P-X entry is a negated X-P zero, -0.0
+_NO_SLOPE = np.zeros((1, 6, 6, 6))
+_NO_SLOPE[..., 3:, :3] = -0.0
+_NO_SLOPE.flags.writeable = False
 
+
+def _spec_blocks(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The variant's exact tensor encoding, unvalidated and read-only, as a
+    time block (1, 6, 6) and a slope block (1, 6, 6, 6) in ``lower``'s layout.
+
+    ``t[i, j]`` is theta0_ij and ``s[d, i, j]`` is dJ_ij/dz_d: theta^u_ij at
+    d = u, theta_bar^u_ij at (u, i, 3 + j) and theta_tilde^u_ij at
+    (3 + u, i, 3 + j), each X-P entry with its negative at (d, 3 + j, i).
     For SpaceSpace and the Miao types the X-P deformation lives only in the
-    gamma row of the bracket table, so the emitted theta_bar/theta_tilde
-    slices are one-sided rather than antisymmetric; symmetrizing them would
-    change the bracket of X_k with P_gamma and break the Jacobi identity.
-    A Generalized spec gives its own (validated, read-only) tensors.
+    gamma row of the bracket table, so the theta_bar/theta_tilde slices are
+    one-sided rather than antisymmetric; symmetrizing them would change the
+    bracket of X_k with P_gamma and break the Jacobi identity.  A
+    Generalized spec copies its own (validated) tensors.
     """
+    time = np.zeros((1, 6, 6))
+    slope = _NO_SLOPE.copy()
+    t, s = time[0], slope[0]
     if isinstance(spec, Generalized):
-        return spec.theta0, spec.theta, spec.theta_bar, spec.theta_tilde
-    theta0 = np.zeros((3, 3))
-    theta = np.zeros((3, 3, 3))
-    theta_bar = np.zeros((3, 3, 3))
-    theta_tilde = np.zeros((3, 3, 3))
-    if isinstance(spec, Canonical):
+        t[:3, :3], s[:3, :3, :3] = spec.theta0, spec.theta
+        s[:3, :3, 3:], s[3:, :3, 3:] = spec.theta_bar, spec.theta_tilde
+        s[:, 3:, :3] = -s[:, :3, 3:].transpose(0, 2, 1)
+    elif isinstance(spec, Canonical):
         pass
     elif isinstance(spec, SpaceTime):
-        r, s = spec.rho - 1, spec.tau - 1
-        theta0[r, s] = 1.0 / spec.kappa
-        theta0[s, r] = -1.0 / spec.kappa
+        r, q = spec.rho - 1, spec.tau - 1
+        t[r, q] = 1.0 / spec.kappa
+        t[q, r] = -1.0 / spec.kappa
     elif isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
         k, l, g = spec.k - 1, spec.l - 1, spec.gamma - 1
         inv_kt = 1.0 / spec.kappa_tilde
-        theta[l, k, g] = inv_kt
-        theta[l, g, k] = -inv_kt
-        theta[k, l, g] = -inv_kt
-        theta[k, g, l] = inv_kt
-        theta_tilde[l, g, k] = -inv_kt
-        theta_tilde[k, g, l] = inv_kt
+        s[l, k, g] = inv_kt
+        s[l, g, k] = -inv_kt
+        s[k, l, g] = -inv_kt
+        s[k, g, l] = inv_kt
+        s[3 + l, g, 3 + k], s[3 + l, 3 + k, g] = -inv_kt, inv_kt
+        s[3 + k, g, 3 + l], s[3 + k, 3 + l, g] = inv_kt, -inv_kt
         if isinstance(spec, (MiaoTypeI, MiaoTypeII)):
             inv_k = 1.0 / spec.kappa
-            theta0[k, g] = -inv_k
-            theta0[g, k] = inv_k
-            theta0[l, g] = inv_k
-            theta0[g, l] = -inv_k
+            t[k, g] = -inv_k
+            t[g, k] = inv_k
+            t[l, g] = inv_k
+            t[g, l] = -inv_k
         if isinstance(spec, MiaoTypeI):
-            theta0[k, l] = 1.0 / spec.kappa
-            theta0[l, k] = -1.0 / spec.kappa
+            t[k, l] = 1.0 / spec.kappa
+            t[l, k] = -1.0 / spec.kappa
         if isinstance(spec, MiaoTypeII):
             inv_kb = 1.0 / spec.kappa_bar
-            theta_bar[l, g, k] = -inv_kb
-            theta_bar[k, g, l] = -inv_kb
+            s[l, g, 3 + k], s[l, 3 + k, g] = -inv_kb, inv_kb
+            s[k, g, 3 + l], s[k, 3 + l, g] = -inv_kb, inv_kb
     else:
         raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
-    return theta0, theta, theta_bar, theta_tilde
+    time.setflags(write=False)
+    slope.setflags(write=False)
+    return time, slope
+
+
+def _encoding(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tensors (theta0, theta, theta_bar, theta_tilde) whose structure
+    matrix equals the variant's exactly: read-only views of the spec's blocks."""
+    time, slope = spec._blocks
+    return time[0, :3, :3], slope[0, :3, :3, :3], slope[0, :3, :3, 3:], slope[0, 3:, :3, 3:]
 
 
 def as_generalized(spec: AlgebraSpec) -> Generalized:
@@ -425,6 +457,8 @@ def rescale(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:
 # built by subtraction so its zeros are +0.0; a -0.0 would survive C + t*T for t < 0
 _CANONICAL = np.eye(6, k=3) - np.eye(6, k=-3)
 _CANONICAL.flags.writeable = False
+_NO_PARTICLES = np.zeros((0, 6, 6))
+_NO_PARTICLES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -459,22 +493,18 @@ class LoweredAlgebra:
 
 
 def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra) -> LoweredAlgebra:
-    """Stack the exact tensor encodings of one spec per particle.
+    """Stack the exact tensor encodings of one spec per particle, each
+    spec's blocks built once (``AlgebraSpec._blocks``).
 
     Already lowered input is returned as is, so callers that evaluate many
     states lower once and pass the result on.
     """
     if isinstance(specs, LoweredAlgebra):
         return specs
-    encodings = [_encoding(s) for s in specs]
-    time = np.zeros((len(encodings), 6, 6))
-    slope = np.zeros((len(encodings), 6, 6, 6))
-    for a, (theta0, theta, theta_bar, theta_tilde) in enumerate(encodings):
-        time[a, :3, :3] = theta0
-        slope[a, :3, :3, :3] = theta
-        slope[a, :3, :3, 3:] = theta_bar
-        slope[a, 3:, :3, 3:] = theta_tilde
-    slope[..., 3:, :3] = -np.swapaxes(slope[..., :3, 3:], -1, -2)
+    if not specs:
+        return LoweredAlgebra(time=_NO_PARTICLES, slope=None)
+    times, slopes = zip(*[spec._blocks for spec in specs])
+    time, slope = np.concatenate(times), np.concatenate(slopes)
     time.flags.writeable = slope.flags.writeable = False
     return LoweredAlgebra(time=time, slope=slope if slope.any() else None)
 

@@ -67,6 +67,11 @@ class Particle:
             raise ValueError(f"particle mass must be positive and finite, got {self.mass!r}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _structural_axes(spec: AlgebraSpec) -> tuple:
     return tuple(getattr(spec, name) for name, role in parameter_roles(spec) if role.kind == AXIS)
 
@@ -97,6 +102,10 @@ class ParticleSystem:
             if _structural_axes(p.spec) != _structural_axes(first):
                 raise ValueError("all particles must share the same distinguished axes")
 
+    def __getstate__(self):
+        # the cached arrays derive from the particles (and would unpickle writable)
+        return {"particles": self.particles}
+
     @classmethod
     def from_pairs(cls, masses: Sequence[float], specs: Sequence[AlgebraSpec]) -> "ParticleSystem":
         if len(masses) != len(specs):
@@ -107,19 +116,19 @@ class ParticleSystem:
     def n_particles(self) -> int:
         return len(self.particles)
 
-    @property
+    @cached_property
     def masses(self) -> np.ndarray:
-        return np.array([p.mass for p in self.particles])
+        """The particles' masses, read-only."""
+        return _read_only(np.array([p.mass for p in self.particles]))
 
     @property
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    @property
+    @cached_property
     def mu(self) -> np.ndarray:
-        """Mass fractions mu_a = m_a / M (sum to one)."""
-        m = self.masses
-        return m / m.sum()
+        """Mass fractions mu_a = m_a / M (sum to one), read-only."""
+        return _read_only(self.masses / self.masses.sum())
 
     @property
     def specs(self) -> list[AlgebraSpec]:
@@ -137,9 +146,7 @@ class ParticleSystem:
     @cached_property
     def frame(self) -> np.ndarray:
         """The COM change of variables W (``observables.com_frame``), read-only."""
-        w = obs.com_frame(self.mu)
-        w.flags.writeable = False
-        return w
+        return _read_only(obs.com_frame(self.mu))
 
     @cached_property
     def bracket_keys(self) -> tuple[str, ...]:
@@ -367,14 +374,16 @@ def _com_brackets(system: ParticleSystem, state: PhaseState) -> np.ndarray:
     """B = W J W^T: the brackets among all COM and relative variables.
 
     Entry (r, s) is the bracket of the variables of rows r and s of
-    ``system.frame``.  J is block-diagonal, so W J is taken block by block;
+    ``system.frame``.  J is block-diagonal, so W J is one (R x 6) @ (6 x 6)
+    product per particle, of W's columns for that particle with its block;
     each row of W has one nonzero weight per particle, which makes W J equal
     to the dense product entry for entry.
     """
     _check_particle_count(system, state)
     w = system.frame
     blocks = system.lowered.blocks(_phase_points(state), state.t)
-    wj = (w.reshape(len(w), -1, 1, 6) @ blocks).reshape(w.shape)
+    per_particle = w.reshape(len(w), len(blocks), 6).transpose(1, 0, 2)
+    wj = (per_particle @ blocks).transpose(1, 0, 2).reshape(w.shape)
     return wj @ w.T
 
 

@@ -377,6 +377,19 @@ def write_csv_cells(trajectory, fh, include_reduced_momentum: bool = False) -> N
         fh.write(",".join(cells) + "\n")
 
 
+def signed_zero_generalized() -> lp.Generalized:
+    """A Generalized spec with -0.0 entries in every tensor, next to +0.0 ones."""
+    theta0 = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, -0.0, 0.0]])
+    theta = np.full((3, 3, 3), -0.0)
+    theta[1, 0, 2], theta[1, 2, 0] = 0.25, -0.25
+    theta_bar = np.full((3, 3, 3), -0.0)
+    theta_bar[2, 0, 1] = 0.75
+    theta_tilde = np.zeros((3, 3, 3))
+    theta_tilde[0, 2, 1] = -0.0
+    return lp.Generalized(theta0=theta0, theta=theta, theta_bar=theta_bar,
+                          theta_tilde=theta_tilde)
+
+
 def lower_via_generalized(specs) -> tuple[np.ndarray, np.ndarray]:
     """The time and slope stacks built from each spec's validated
     ``as_generalized`` encoding: the reference for ``algebra.lower``."""

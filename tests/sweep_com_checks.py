@@ -1,0 +1,129 @@
+"""Time ``algebra.lower`` on fresh and lowered specs, and the COM product W J W^T.
+
+For particle counts N in (1, 16, 64) and the three spec templates of the
+benchmark's WEP sweep (SpaceTime, MiaoTypeII and a Generalized encoding of
+MiaoTypeI), records the minimum wall time of a few calls of
+``algebra.lower`` in two cases:
+
+- cold: each call gets N fresh specs, made by ``rescale`` from the template
+  as a mass-scaled WEP sweep makes them, so the call also builds whatever
+  the package keeps per spec;
+- warm: every call lowers the same N specs, lowered before.
+
+For N in (2, 8, 20, 64) it records the minimum wall time of
+``composition._com_brackets`` on a mass-scaled MiaoTypeII system whose
+frame and lowered tensors are built, the product the COM checks share.
+
+Each row carries ``--label``, a name for the code measured.  The rows are
+written with the machine's description to ``BENCH_com_checks.json`` at the
+repository root; rows of other labels already in that file are kept, so
+running the script on two checkouts records both::
+
+    PYTHONPATH=src python tests/sweep_com_checks.py --label change [--repeats 200]
+
+Only calls that earlier versions of the package also have are timed, so
+the script runs on them too.  Not a test: pytest does not collect it.
+"""
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
+
+import numpy as np
+
+import liephase as lp
+from liephase import algebra, composition
+
+LOWER_PARTICLES = (1, 16, 64)
+PRODUCT_PARTICLES = (2, 8, 20, 64)
+TEMPLATES = {
+    "SpaceTime": lp.SpaceTime(kappa=1.7, rho=2, tau=3),
+    "MiaoTypeII": lp.MiaoTypeII(kappa=3.0, kappa_tilde=4.5, kappa_bar=2.5, k=3, l=1, gamma=2),
+    "Generalized": lp.as_generalized(lp.MiaoTypeI(kappa=2.5, kappa_tilde=3.5, k=2, l=3, gamma=1)),
+}
+
+
+def best_time(call, repeats: int) -> float:
+    """Minimum wall time of ``repeats`` calls of ``call()``, which returns
+    the function to time: what it builds first is not timed."""
+    best = np.inf
+    for _ in range(repeats):
+        timed = call()
+        start = time.perf_counter()
+        timed()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def lower_rows(repeats: int) -> list[dict]:
+    rows = []
+    for case, template in TEMPLATES.items():
+        for n in LOWER_PARTICLES:
+            masses = np.random.default_rng(n).uniform(0.5, 5.0, n)
+
+            def fresh():
+                specs = [algebra.rescale(template, m) for m in masses]
+                return lambda: algebra.lower(specs)
+
+            lowered = [algebra.rescale(template, m) for m in masses]
+            algebra.lower(lowered)
+            for timing, call in (("lower_cold", fresh),
+                                 ("lower_warm", lambda: lambda: algebra.lower(lowered))):
+                rows.append({"timing": timing, "case": case, "particles": n,
+                             "us": round(best_time(call, repeats) * 1e6, 2)})
+    return rows
+
+
+def product_rows(repeats: int) -> list[dict]:
+    rows = []
+    for n in PRODUCT_PARTICLES:
+        rng = np.random.default_rng(n)
+        masses = rng.uniform(0.5, 3.0, n)
+        system = lp.ParticleSystem.from_pairs(
+            masses,
+            [lp.MiaoTypeII(kappa=2.0 * m, kappa_tilde=3.0 * m, kappa_bar=4.0, k=1, l=2, gamma=3)
+             for m in masses],
+        )
+        state = lp.PhaseState(x=rng.uniform(-1.0, 1.0, (n, 3)),
+                              p=rng.uniform(-1.0, 1.0, (n, 3)), t=0.7)
+        composition._com_brackets(system, state)
+        seconds = best_time(lambda: lambda: composition._com_brackets(system, state), repeats)
+        rows.append({"timing": "com_brackets", "case": "MiaoTypeII", "particles": n,
+                     "us": round(seconds * 1e6, 2)})
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--repeats", type=int, default=200)
+    parser.add_argument("--out", default=str(ROOT / "BENCH_com_checks.json"))
+    args = parser.parse_args(argv)
+
+    rows = []
+    for row in lower_rows(args.repeats) + product_rows(args.repeats):
+        row = {"label": args.label, **row}
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    out = Path(args.out)
+    if out.exists():
+        kept = [row for row in json.loads(out.read_text())["rows"] if row["label"] != args.label]
+        rows = kept + rows
+    write_record(
+        args.out,
+        "algebra.lower on fresh (cold) and lowered (warm) specs made by rescale "
+        "from each template, and composition._com_brackets on a mass-scaled "
+        f"MiaoTypeII system: minimum wall time of {args.repeats} calls, in us, "
+        "per label of the code measured",
+        "PYTHONPATH=src python tests/sweep_com_checks.py --label <name>",
+        rows,
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
-from liephase import observables as obs
+from liephase import algebra, observables as obs
 from liephase.algebra import AXIS, PARAMETER_ROLES, SCALED, SHARED, lower, parameter_roles, rescale
 from liephase.composition import _table_xp_deform, _table_xx
 
@@ -21,6 +22,7 @@ from helpers import (
     package_calls,
     random_spec,
     random_state,
+    signed_zero_generalized,
     tensor_with,
 )
 
@@ -225,18 +227,6 @@ class TestAsGeneralized:
 
 
 class TestLowering:
-    @staticmethod
-    def signed_zero_generalized() -> lp.Generalized:
-        theta0 = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, -0.0, 0.0]])
-        theta = np.full((3, 3, 3), -0.0)
-        theta[1, 0, 2], theta[1, 2, 0] = 0.25, -0.25
-        theta_bar = np.full((3, 3, 3), -0.0)
-        theta_bar[2, 0, 1] = 0.75
-        theta_tilde = np.zeros((3, 3, 3))
-        theta_tilde[0, 2, 1] = -0.0
-        return lp.Generalized(theta0=theta0, theta=theta, theta_bar=theta_bar,
-                              theta_tilde=theta_tilde)
-
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_bytes_equal_validated_encoding(self, variant):
         rng = np.random.default_rng(21)
@@ -251,7 +241,7 @@ class TestLowering:
                 assert lowered.slope.tobytes() == slope.tobytes()
 
     def test_signed_zeros_kept(self):
-        specs = [self.signed_zero_generalized(), lp.SpaceTime(kappa=2.0)]
+        specs = [signed_zero_generalized(), lp.SpaceTime(kappa=2.0)]
         lowered = lower(specs)
         time, slope = lower_via_generalized(specs)
         assert lowered.time.tobytes() == time.tobytes()
@@ -282,6 +272,80 @@ class TestLowering:
         assert package_calls(
             lambda call, module: ast.unparse(call.func).split(".")[-1] == "LoweredAlgebra"
         ) == {"algebra.lower"}
+
+    def test_empty_list(self):
+        lowered = lower([])
+        assert lowered.time.shape == (0, 6, 6) and lowered.slope is None
+        assert len(lowered) == 0 and not lowered.time.flags.writeable
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_blocks_read_only(self, variant):
+        spec = random_spec(np.random.default_rng(22), variant)
+        lowered = lower([spec, spec])
+        for array in (*spec._blocks, *algebra._encoding(spec), lowered.time):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0, 1] = 1.0
+
+    def test_interleaved_variants_and_axes(self):
+        rng = np.random.default_rng(23)
+        specs = [random_spec(rng, variant) for _ in range(4) for variant in VARIANT_NAMES]
+        specs += [signed_zero_generalized(), lp.SpaceTime(kappa=3.0, rho=3, tau=1),
+                  lp.MiaoTypeII(kappa=1.0, kappa_tilde=-2.0, kappa_bar=3.0, k=2, l=3, gamma=1)]
+        assert len({(s.k, s.l, s.gamma) for s in specs if hasattr(s, "gamma")}) > 1
+        time, slope = lower_via_generalized(specs)
+        for _ in range(2):  # fresh specs, then lowered ones
+            lowered = lower(specs)
+            assert lowered.time.tobytes() == time.tobytes()
+            assert lowered.slope.tobytes() == slope.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_spec_unchanged_by_lowering(self, variant):
+        spec = random_spec(np.random.default_rng(24), variant)
+        twin = dataclasses.replace(spec)
+
+        def identity():
+            hashed = None if variant == "generalized" else hash(spec)
+            return repr(spec), pickle.dumps(spec), spec == twin, hashed
+
+        before = identity()
+        lower([spec])
+        assert identity() == before
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and "_blocks" not in vars(copy)
+        assert not copy._blocks[1].flags.writeable
+        assert lower([copy]).time.tobytes() == lower([spec]).time.tobytes()
+
+    def test_rescale_and_replace_build_their_own_blocks(self):
+        spec = lp.MiaoTypeII(kappa=1.0, kappa_tilde=2.0, kappa_bar=3.0, k=3, l=1, gamma=2)
+        lower([spec])
+        for other in (rescale(spec, 2.0), dataclasses.replace(spec, kappa_bar=5.0),
+                      dataclasses.replace(spec)):
+            assert "_blocks" not in vars(other)
+            assert lower([other]).slope.tobytes() == lower_via_generalized([other])[1].tobytes()
+            assert other._blocks[1] is not spec._blocks[1]
+        assert lower([rescale(spec, 2.0)]).time.max() == spec._blocks[0].max() / 2.0
+
+    def test_ladder_runs_once_per_spec(self, monkeypatch):
+        calls = []
+        ladder = algebra._spec_blocks
+
+        def counted(spec):
+            calls.append(spec)
+            return ladder(spec)
+
+        monkeypatch.setattr(algebra, "_spec_blocks", counted)
+        rng = np.random.default_rng(25)
+        specs = [random_spec(rng, "miao_type_ii") for _ in range(3)]
+        state = random_state(rng, 3)
+        for _ in range(2):
+            lower(specs)
+            lp.structure_matrix(specs, state)
+            lp.bracket(obs.coordinate(0, 1), obs.momentum(2, 3), specs, state)
+            lp.jacobi_residual(specs, state)
+            for spec in specs:
+                lp.as_generalized(spec)
+                algebra._encoding(spec)
+        assert calls == specs
 
 
 class TestBracket:

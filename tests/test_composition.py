@@ -14,8 +14,16 @@ import liephase as lp
 from liephase import cli, composition, observables as obs
 from liephase.composition import _candidate_effective, _scaled_values
 
+import sweep_com_checks
 import sweep_com_report
-from helpers import VARIANT_NAMES, random_state, random_system, scaled_system, strict_json
+from helpers import (
+    VARIANT_NAMES,
+    random_state,
+    random_system,
+    scaled_system,
+    signed_zero_generalized,
+    strict_json,
+)
 
 
 def spacetime_system(masses, kappas, rho=1, tau=2):
@@ -49,6 +57,24 @@ class TestParticleSystem:
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             lp.ParticleSystem(particles=())
+
+    def test_masses_and_fractions_cached_read_only(self):
+        system = spacetime_system([1.0, 2.0, 5.0], [1.0, 1.0, 1.0])
+        assert system.masses is system.masses and system.mu is system.mu
+        assert system.masses.tolist() == [1.0, 2.0, 5.0]
+        assert system.mu.tobytes() == (np.array([1.0, 2.0, 5.0]) / 8.0).tobytes()
+        for array in (system.masses, system.mu):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 3.0
+
+    def test_pickle_holds_the_particles_alone(self):
+        system = spacetime_system([1.0, 2.0], [1.0, 2.0])
+        built = (system.masses, system.mu, system.frame, system.lowered.time)
+        copy = pickle.loads(pickle.dumps(system))
+        assert vars(copy) == {"particles": system.particles}
+        for array, original in zip((copy.masses, copy.mu, copy.frame, copy.lowered.time), built):
+            assert not array.flags.writeable
+            assert array.tobytes() == original.tobytes()
 
 
 class TestComTransform:
@@ -473,6 +499,48 @@ def test_sweep_com_report_smoke(tmp_path):
         n = row["particles"]
         assert row["entries"] == 27 * (1 + n + n * n)
         assert row["fresh_ms"] > 0 and row["warm_ms"] > 0
+
+
+def test_sweep_com_checks_smoke(tmp_path):
+    out = tmp_path / "record.json"
+    for label in ("a", "b", "a"):
+        assert sweep_com_checks.main(["--label", label, "--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["label"] for row in rows] == ["b"] * 22 + ["a"] * 22
+    assert {(row["timing"], row["particles"]) for row in rows} == {
+        *((timing, n) for timing in ("lower_cold", "lower_warm") for n in (1, 16, 64)),
+        *(("com_brackets", n) for n in (2, 8, 20, 64)),
+    }
+    assert all(row["us"] > 0 for row in rows)
+
+
+class TestComBracketsDense:
+    """``_com_brackets`` against W J W^T with the dense 6N x 6N J."""
+
+    @staticmethod
+    def assert_dense(system, state):
+        w = system.frame
+        dense = (w @ lp.structure_matrix(system.lowered, state).matrix) @ w.T
+        assert composition._com_brackets(system, state).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_bytes_equal_dense_product(self, variant, n):
+        rng = np.random.default_rng(30 + n)
+        for make in (random_system, scaled_system):
+            system = make(rng, variant, n)
+            for t in (0.8, -2.5):
+                state = random_state(rng, n)
+                self.assert_dense(system, lp.PhaseState(x=state.x, p=state.p, t=t))
+
+    def test_signed_zero_particles(self):
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 5):
+            system = lp.ParticleSystem.from_pairs(
+                rng.uniform(0.5, 3.0, n), [signed_zero_generalized() for _ in range(n)])
+            state = random_state(rng, n)
+            for t in (0.0, -0.0, -1.5):
+                self.assert_dense(system, lp.PhaseState(x=state.x, p=state.p, t=t))
 
 
 class TestComFrameCache:
