@@ -509,10 +509,6 @@ def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra) -> LoweredAlgebra:
     return LoweredAlgebra(time=time, slope=slope if slope.any() else None)
 
 
-def _phase_points(state: PhaseState) -> np.ndarray:
-    return state.flatten().reshape(-1, 6)
-
-
 def structure_matrix(
     specs: Sequence[AlgebraSpec] | LoweredAlgebra, state: PhaseState
 ) -> StructureMatrix:
@@ -528,7 +524,7 @@ def structure_matrix(
         raise ValueError(f"got {n} algebra specs for {state.n_particles} particles")
     j = np.zeros((n, 6, n, 6))
     diag = np.arange(n)
-    j[diag, :, diag, :] = lowered.blocks(_phase_points(state), state.t)
+    j[diag, :, diag, :] = lowered.blocks(state.flatten().reshape(-1, 6), state.t)
     return StructureMatrix(j.reshape(6 * n, 6 * n))
 
 
@@ -569,7 +565,7 @@ def jacobi_residual(
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     lowered = lower(specs)
-    z = _phase_points(state)
+    z = state.flatten().reshape(-1, 6)
     j = lowered.blocks(z, state.t)
     if use_fd:
         steps = fd_step * np.eye(6)

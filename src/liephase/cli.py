@@ -31,6 +31,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+# private on purpose: _table_xx and _table_xp_deform are check-algebra's
+# independent oracle, and _checked_parameter and _grid_steps check a field
+# where it is read, so a file's first bad field is the one reported
 from .algebra import (
     AXIS,
     AlgebraSpec,
@@ -42,15 +45,12 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     _checked_parameter,
-    _phase_points,
     jacobi_residual,
     parameter_roles,
-    rescale,
 )
 from .composition import (
     MassScalingRule,
     ParticleSystem,
-    _decouples_exactly,
     _table_xp_deform,
     _table_xx,
     com_bracket_report,
@@ -65,21 +65,21 @@ from .dynamics import (
     Polynomial,
     Potential,
     Uniform,
-    _energies,
     _grid_steps,
-    _integrate_together,
-    _wep_momenta,
-    _wep_report,
     closed_form_rhs,
     decoupling_check,
     eom_rhs,
     integrate,
+    integrate_together,
+    wep_report,
+    wep_runs,
 )
 from .errors import (
     GridError,
     NonFiniteStateError,
     PotentialSingularityError,
     ScalingRequiredError,
+    WepRunError,
 )
 
 SCHEMA_VERSION = 1
@@ -434,7 +434,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     body_mode = _read(data, "body_mode", "", "flag", False)
     neglect = _read(data, "neglect_relative_motion", "", "flag", False)
-    if body_mode and not neglect and not _decouples_exactly(system):
+    if body_mode and not neglect and not system.decouples_exactly:
         raise ScenarioError(
             "neglect_relative_motion: the center of mass of these particles does not "
             "decouple exactly from their relative motion; set it to true to accept "
@@ -645,7 +645,7 @@ def _run_check_algebra(scenario: Scenario, plan, runner: _CheckRunner, out_dir: 
     specs = scenario.system.specs
     lowered = scenario.system.lowered
     # J is block-diagonal: its per-particle 6x6 blocks at each sampled state
-    blocks = np.stack([lowered.blocks(_phase_points(st), st.t) for st in states])
+    blocks = np.stack([lowered.blocks(st.flatten().reshape(-1, 6), st.t) for st in states])
 
     def roundtrip():
         # the evaluator's X-X and X-P corners against the named variant's
@@ -813,7 +813,7 @@ def _run_simulate(scenario: Scenario, partition_body, runner: _CheckRunner, out_
         # two integrate as one stacked system
         body, initial = partition_body
         runs.append(replace(scenario, system=body, initial=initial, body_mode=True))
-    trajectory, *partition = _integrate_together(runs)
+    trajectory, *partition = integrate_together(runs)
     csv_path = out_dir / "trajectory.csv"
     trajectory.write_csv(str(csv_path), include_reduced_momentum=settings["reduced_momentum"])
 
@@ -828,7 +828,7 @@ def _run_simulate(scenario: Scenario, partition_body, runner: _CheckRunner, out_
     # run's trajectory holds its center of mass with the total mass.  An
     # energy that overflows leaves the drift undefined: null in the report
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = _energies(trajectory.masses, scenario.potential, trajectory.states)
+        energies = trajectory.energies(scenario.potential)
         drift = float(np.max(np.abs(energies - energies[0])))
     undefined = ""
     if not math.isfinite(drift):
@@ -890,25 +890,14 @@ def _plan_wep_test(scenario: Scenario) -> tuple[np.ndarray, tuple]:
     """The runs' initial momenta, read-only, and each mode with its runs' specs."""
     if scenario.potential is None:
         raise ScenarioError("potential: required for this task")
-    if scenario.system.n_particles != 1:
-        raise ScenarioError("particles: wep-test needs exactly one particle")
-    masses = scenario.settings["masses"]
-    momenta = _wep_momenta(scenario, masses)
-    momenta.flags.writeable = False
-    for i, m in enumerate(masses):
-        if not np.isfinite(momenta[i]).all():
-            raise ScenarioError(
-                f"options.masses[{i}]: the initial momentum m P'(0) for mass {m!r} overflows"
-            )
     mode = scenario.settings["scaling_mode"]
-    base = scenario.system.particles[0]
-    runs = []
-    for name in ("fixed", "mass_scaled") if mode == "both" else (mode,):
-        specs = (base.spec,) * len(masses) if name == "fixed" else tuple(
-            _rescaled(f"options.masses[{i}]", m, lambda: rescale(base.spec, m / base.mass))
-            for i, m in enumerate(masses))
-        runs.append((name, specs))
-    return momenta, tuple(runs)
+    try:
+        return wep_runs(scenario, scenario.settings["masses"],
+                        ("fixed", "mass_scaled") if mode == "both" else (mode,))
+    except WepRunError as exc:
+        raise ScenarioError(f"options.masses[{exc.run}]: {exc}") from exc
+    except ValueError as exc:  # the masses and the mode were checked as they were read
+        raise ScenarioError(f"particles: {exc}") from exc
 
 
 def _run_wep_test(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path) -> dict:
@@ -919,7 +908,7 @@ def _run_wep_test(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path)
 
     results: dict[str, Any] = {"masses": masses, "modes": {}}
     for m, specs in modes:
-        report = _wep_report(scenario, masses, specs, momenta, m)
+        report = wep_report(scenario, masses, specs, momenta, m)
         results["modes"][m] = {
             "pairs": [asdict(p) for p in report.pairs],
             "max_position_deviation": report.max_position_deviation,

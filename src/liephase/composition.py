@@ -33,7 +33,6 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     LoweredAlgebra,
-    _phase_points,
     lower,
     parameter_roles,
     rescale,
@@ -188,6 +187,12 @@ class ParticleSystem:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         return check
+
+    @property
+    def decouples_exactly(self) -> bool:
+        """Does the COM motion decouple exactly from the relative motion?  Yes
+        for purely time-valued brackets under the mass-scaling rule."""
+        return self.lowered.slope is None and self.scaling.holds
 
     @cached_property
     def candidate_effective(self) -> AlgebraSpec:
@@ -381,7 +386,7 @@ def _com_brackets(system: ParticleSystem, state: PhaseState) -> np.ndarray:
     """
     _check_particle_count(system, state)
     w = system.frame
-    blocks = system.lowered.blocks(_phase_points(state), state.t)
+    blocks = system.lowered.blocks(state.flatten().reshape(-1, 6), state.t)
     per_particle = w.reshape(len(w), len(blocks), 6).transpose(1, 0, 2)
     wj = (per_particle @ blocks).transpose(1, 0, 2).reshape(w.shape)
     return wj @ w.T
@@ -559,12 +564,6 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
             kwargs[name] = float(mean) if np.ndim(mean) == 0 else mean
         rule = MassScalingRule(**kwargs)
     return ScalingCheck(holds=holds, rule=rule, worst_relative_deviation=worst_pairwise)
-
-
-def _decouples_exactly(system: ParticleSystem) -> bool:
-    """Does the COM motion decouple exactly from the relative motion?  Yes for
-    purely time-valued brackets under the mass-scaling rule."""
-    return system.lowered.slope is None and system.scaling.holds
 
 
 def _needs_scaling(system: ParticleSystem) -> bool:

@@ -46,11 +46,10 @@ from .algebra import (
 from .composition import (
     ParticleSystem,
     _com_brackets,
-    _decouples_exactly,
     com_transform,
     effective_parameters,
 )
-from .errors import GridError, NonFiniteStateError, PotentialSingularityError
+from .errors import GridError, NonFiniteStateError, PotentialSingularityError, WepRunError
 
 __all__ = [
     "Potential",
@@ -62,6 +61,9 @@ __all__ = [
     "eom_rhs",
     "closed_form_rhs",
     "integrate",
+    "integrate_together",
+    "wep_runs",
+    "wep_report",
     "wep_deviation",
     "body_com_rhs",
     "decoupling_check",
@@ -410,6 +412,10 @@ class Trajectory:
     def reduced_momenta(self, particle: int = 0) -> np.ndarray:
         """P' = P / m of one particle."""
         return self.momenta(particle) / self.masses[particle]
+
+    def energies(self, potential: Potential) -> np.ndarray:
+        """Total energy H of each sample in ``potential``: shape (n,)."""
+        return _energies(self.masses, potential, self.states)
 
     def write_csv(self, target: str | TextIO, include_reduced_momentum: bool = False) -> None:
         """Write the trajectory as CSV with 17-significant-digit values.
@@ -818,7 +824,7 @@ def integrate(scenario: GravityScenario) -> Trajectory:
     center of mass alone as a pseudo-particle of mass M with the system's
     effective algebra parameters.
     """
-    return _integrate_together([scenario])[0]
+    return integrate_together([scenario])[0]
 
 
 def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSpec], np.ndarray]:
@@ -829,7 +835,7 @@ def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSp
     if not scenario.body_mode:
         return system.masses, system.specs, scenario.initial.flatten()
     effective = effective_parameters(system)
-    if not scenario.neglect_relative_motion and not _decouples_exactly(system):
+    if not scenario.neglect_relative_motion and not system.decouples_exactly:
         raise ValueError(
             "center-of-mass motion does not decouple exactly for this system; "
             "set neglect_relative_motion=True to accept the approximation"
@@ -839,7 +845,7 @@ def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSp
     return np.array([system.total_mass]), [effective], z0
 
 
-def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
+def integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
     """Integrate scenarios sharing a potential, t0, dt and step count as
     stacked systems, and return each its own Trajectory.
 
@@ -855,6 +861,8 @@ def _integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory
     singularity or non-finite state the scenarios are rerun apart, in
     order, so an error names the failing scenario's own step and particle.
     """
+    if not scenarios:
+        return []
     first = scenarios[0]
     grid = (first.t0, first.dt, first.n_steps())
     for scenario in scenarios[1:]:
@@ -954,10 +962,25 @@ def wep_deviation(
     mass-dependent deformation terms in the equations of motion.
 
     All runs are integrated together, as one particle each of a single
-    system; a singularity or non-finite state names the run and its mass.
+    system; a bad run, a singularity or a non-finite state names the run and its mass.
     """
-    if scaling_mode not in ("fixed", "mass_scaled"):
-        raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {scaling_mode!r}")
+    masses = [float(m) for m in masses]
+    try:
+        momenta, ((_, specs),) = wep_runs(template, masses, (scaling_mode,))
+    except WepRunError as exc:
+        raise WepRunError(exc.run, f"{_run_label(masses, exc.run)}: {exc}") from exc
+    return wep_report(template, masses, specs, momenta, scaling_mode)
+
+
+def wep_runs(template: GravityScenario, masses: Sequence[float],
+             modes: Sequence[str]) -> tuple[np.ndarray, tuple]:
+    """The WEP runs of ``masses``: their initial momenta m P'(0) from the
+    template's P'(0), read-only, and each of ``modes`` with its runs' specs,
+    the template's (fixed) or rescaled to each mass (mass_scaled).  A run
+    whose momentum or parameters overflow raises WepRunError naming it."""
+    for mode in modes:
+        if mode not in ("fixed", "mass_scaled"):
+            raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {mode!r}")
     if template.system.n_particles != 1:
         raise ValueError("WEP comparisons are defined for single-particle scenarios")
     masses = [float(m) for m in masses]
@@ -966,27 +989,27 @@ def wep_deviation(
     for run, m in enumerate(masses):
         if not (math.isfinite(m) and m > 0):
             raise ValueError(f"masses must be finite and positive, got {m!r} for run {run}")
-    momenta = _wep_momenta(template, masses)
+    base = template.system.particles[0]
+    with np.errstate(over="ignore"):
+        momenta = np.array(masses)[:, None] * (template.initial.p[0] / base.mass)
+    momenta.flags.writeable = False
     for run, m in enumerate(masses):
         if not np.isfinite(momenta[run]).all():
-            raise ValueError(f"the initial momentum m P'(0) of run {run} (mass {m!r}) overflows")
-    base = template.system.particles[0]
-    specs = [base.spec] * len(masses)
-    if scaling_mode == "mass_scaled":
-        for run, m in enumerate(masses):
-            try:
-                # an overflow is refused by the spec it produces
-                with np.errstate(over="ignore"):
-                    specs[run] = rescale(base.spec, m / base.mass)
-            except ValueError as exc:
-                raise ValueError(f"{_run_label(masses, run)}: the parameters rescaled "
-                                 f"to mass {m!r}: {exc}") from exc
-    return _wep_report(template, masses, specs, momenta, scaling_mode)
+            raise WepRunError(run, f"the initial momentum m P'(0) for mass {m!r} overflows")
+    scaled = []
+    for run, m in enumerate(masses if "mass_scaled" in modes else ()):
+        try:
+            with np.errstate(over="ignore"):  # the spec it produces refuses an overflow
+                scaled.append(rescale(base.spec, m / base.mass))
+        except ValueError as exc:
+            raise WepRunError(run, f"the parameters rescaled to mass {m!r}: {exc}") from exc
+    specs = {"fixed": (base.spec,) * len(masses), "mass_scaled": tuple(scaled)}
+    return momenta, tuple((mode, specs[mode]) for mode in modes)
 
 
-def _wep_report(template: GravityScenario, masses: list[float], specs: Sequence[AlgebraSpec],
-                momenta: np.ndarray, scaling_mode: str) -> WepReport:
-    """``wep_deviation``'s report on runs already built: run i has mass
+def wep_report(template: GravityScenario, masses: list[float], specs: Sequence[AlgebraSpec],
+               momenta: np.ndarray, scaling_mode: str) -> WepReport:
+    """``wep_deviation``'s report on runs ``wep_runs`` built: run i has mass
     ``masses[i]``, spec ``specs[i]`` and initial momentum ``momenta[i]``."""
     # runs sharing a grid and a field are independent (J is block-diagonal
     # and H a sum of per-particle terms): particle a of one stack is run a
@@ -1042,15 +1065,6 @@ def _pair_deviations(runs: np.ndarray) -> np.ndarray:
             d = runs[:, rows[pair], k] - runs[:, cols[pair], k]
             dev[pair, k] = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]).max(axis=0)
     return dev
-
-
-def _wep_momenta(template: GravityScenario, masses: Sequence[float]) -> np.ndarray:
-    """Initial momenta m P'(0) of WEP runs of ``masses`` sharing the
-    template's reduced momentum P'(0): shape (B, 3).  A row overflows to
-    inf, without a warning, where its product does."""
-    base = template.system.particles[0]
-    with np.errstate(over="ignore"):
-        return np.array(masses, dtype=float)[:, None] * (template.initial.p[0] / base.mass)
 
 
 def _run_label(masses: list[float], run: int | None) -> str:

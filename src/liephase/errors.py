@@ -43,3 +43,12 @@ class GridError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+class WepRunError(ValueError):
+    """A WEP run that cannot be built: its initial momentum or its rescaled
+    parameters overflow; ``run`` is its index in the list of masses."""
+
+    def __init__(self, run: int, message: str):
+        super().__init__(message)
+        self.run = run

@@ -1,10 +1,12 @@
 """Scenario loading, task dispatch, exit codes and report determinism."""
 
+import ast
 import copy
 import dataclasses
 import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,12 +706,19 @@ class TestRun:
         assert cli.run(name, out_dir=str(tmp_path / "out")) == 0
         assert len(calls) == integrations
 
-    @pytest.mark.parametrize("name", list(cli.BUILTIN_SCENARIOS))
-    def test_one_build_per_object(self, name, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, scaling_mode", [
+        *[pytest.param(name, None, id=name) for name in cli.BUILTIN_SCENARIOS],
+        # no bundled scenario runs both modes
+        pytest.param("spacetime_wep", "both", id="spacetime_wep-both"),
+    ])
+    def test_one_build_per_object(self, name, scaling_mode, tmp_path, monkeypatch):
         # the plan builds each object the run integrates or reports, or the
         # system caches it, once; the runner builds none of them again
+        if scaling_mode is not None:
+            name = write_scenario(tmp_path, "both.scn",
+                                  _mutated(name, ("options", "scaling_mode"), scaling_mode))
         calls = {}
-        for fn in ("rescale", "_candidate_effective", "satisfies_mass_scaling", "_wep_momenta"):
+        for fn in ("rescale", "_candidate_effective", "satisfies_mass_scaling", "wep_runs"):
             calls[fn] = []
             for module in (cli, dynamics, composition):
                 if hasattr(module, fn):
@@ -735,7 +744,7 @@ class TestRun:
         if wep and settings["scaling_mode"] != "fixed":
             rescaled = settings["masses"]
         assert len(calls["rescale"]) == len(rescaled)
-        assert [args[1] for args in calls["_wep_momenta"]] == ([settings["masses"]] if wep else [])
+        assert [args[1] for args in calls["wep_runs"]] == ([settings["masses"]] if wep else [])
         # the system whose effective parameters the task reads, and
         # simulate's partition body: one build each
         systems = (scenario.task == "com-brackets" or scenario.body_mode) + (
@@ -755,6 +764,29 @@ class TestRun:
         csvs = ["trajectory.csv", "trajectory_partition.csv"] if name == "body_composition" else []
         # 500 steps of dt = 0.002 from t0 = 0 to t_end = 1: a header and 501 samples
         assert [len((out / csv).read_text().splitlines()) for csv in csvs] == [502] * len(csvs)
+
+    @pytest.mark.parametrize("name, scaling_mode", [
+        ("spacetime_wep", None), ("spacetime_wep_violation", None), ("spacetime_wep", "both"),
+    ])
+    def test_wep_report_is_the_library_report(self, name, scaling_mode, tmp_path):
+        # the CLI reports each mode as wep_deviation computes it, bit for bit
+        if scaling_mode is not None:
+            name = write_scenario(tmp_path, "both.scn",
+                                  _mutated(name, ("options", "scaling_mode"), scaling_mode))
+        assert cli.run(name, out_dir=str(tmp_path / "out")) == 0
+        modes = strict_json(tmp_path / "out" / "report.json")["results"]["modes"]
+        scenario = cli.load_scenario(name)
+        settings = scenario.settings
+        asked = settings["scaling_mode"]
+        assert list(modes) == (["fixed", "mass_scaled"] if asked == "both" else [asked])
+        for mode, got in modes.items():
+            report = lp.wep_deviation(scenario, settings["masses"], mode)
+            expected = {
+                "pairs": [dataclasses.asdict(p) for p in report.pairs],
+                "max_position_deviation": report.max_position_deviation,
+                "max_reduced_momentum_deviation": report.max_reduced_momentum_deviation,
+            }
+            assert got == json.loads(json.dumps(expected))
 
     def test_undefined_effective_kappa_fails(self, tmp_path, capsys):
         # unscaled SpaceSpace has no effective algebra to read kappa_tilde from
@@ -849,3 +881,18 @@ class TestListBuiltin:
         assert cli.main(["run", "effective_kappa", "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert "PASS effective-kappa" in out
+
+
+class TestLibraryImports:
+    def test_cli_imports_only_four_private_names(self):
+        # the oracle tables are check-algebra's independent side, and the two
+        # validators check a field where it is read; every other name the
+        # CLI needs is public, so a library caller can do what the CLI does
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("liephase")
+            ):
+                private |= {alias.name for alias in node.names if alias.name.startswith("_")}
+        assert private == {"_table_xx", "_table_xp_deform", "_checked_parameter", "_grid_steps"}

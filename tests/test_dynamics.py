@@ -303,6 +303,9 @@ class TestVectorisedPotentials:
             expected.append(total)
         assert np.array_equal(energies, expected)
         assert lp.hamiltonian(system, pot, lp.PhaseState.from_flat(states[2], 0.0)) == expected[2]
+        trajectory = lp.Trajectory(times=np.arange(6.0), states=states, masses=system.masses,
+                                   metadata={})
+        assert np.array_equal(trajectory.energies(pot), expected)
 
 
 class TestEomRhs:
@@ -807,7 +810,7 @@ class TestStackedIntegration:
         partition = dataclasses.replace(partition, potential=body.potential)
         expected = [lp.integrate(body), lp.integrate(partition)]
         calls = count_kernel_calls(monkeypatch)
-        assert_same_trajectories(dynamics._integrate_together([body, partition]), expected)
+        assert_same_trajectories(dynamics.integrate_together([body, partition]), expected)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("body_mode", [False, True])
@@ -816,7 +819,7 @@ class TestStackedIntegration:
         assert runs[0].system.lowered.slope is not None
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
-        assert_same_trajectories(dynamics._integrate_together(runs), expected)
+        assert_same_trajectories(dynamics.integrate_together(runs), expected)
         assert len(calls) == 1
 
     def test_unequal_slope_presence_stacks(self, monkeypatch):
@@ -824,7 +827,7 @@ class TestStackedIntegration:
         assert [s.system.lowered.slope is None for s in runs] == [True, False]
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
-        assert_same_trajectories(dynamics._integrate_together(runs), expected)
+        assert_same_trajectories(dynamics.integrate_together(runs), expected)
         assert len(calls) == 2  # a stack never mixes runs with and without a slope
 
     @pytest.mark.parametrize("field", ["harmonic", "uniform"])
@@ -845,8 +848,8 @@ class TestStackedIntegration:
         runs = on_one_grid(rng, [free, sloped], t0, potential)
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
-        assert_same_trajectories(dynamics._integrate_together(runs), expected)
-        assert_same_trajectories(dynamics._integrate_together(runs[::-1]), expected[::-1])
+        assert_same_trajectories(dynamics.integrate_together(runs), expected)
+        assert_same_trajectories(dynamics.integrate_together(runs[::-1]), expected[::-1])
         assert len(calls) == 4  # two stacks per call
 
     def test_run_failing_only_stacked_returns_own_runs(self, monkeypatch):
@@ -861,7 +864,7 @@ class TestStackedIntegration:
         expected = [lp.integrate(free), lp.integrate(sloped)]
         assert np.isfinite(expected[0].states).all()
         calls = count_kernel_calls(monkeypatch)
-        assert_same_trajectories(dynamics._integrate_together([free, sloped]), expected)
+        assert_same_trajectories(dynamics.integrate_together([free, sloped]), expected)
         assert len(calls) == 2  # one stack per kind of run, and neither fails
 
     def test_failure_names_the_scenario_as_its_own_run(self):
@@ -872,16 +875,19 @@ class TestStackedIntegration:
         with pytest.raises(lp.NonFiniteStateError) as alone:
             lp.integrate(runaway)
         with pytest.raises(lp.NonFiniteStateError) as stacked:
-            dynamics._integrate_together([calm, runaway])
+            dynamics.integrate_together([calm, runaway])
         assert str(stacked.value) == str(alone.value)
         assert vars(stacked.value) == vars(alone.value) and alone.value.particle == 0
+
+    def test_empty_stack_integrates_to_no_trajectories(self):
+        assert dynamics.integrate_together([]) == []
 
     def test_runs_must_share_field_and_grid(self):
         a = one_particle(lp.Canonical())
         for b in (dataclasses.replace(a, potential=lp.Uniform(g=[0.0, 1.0, 0.0])),
                   dataclasses.replace(a, dt=2e-3)):
             with pytest.raises(ValueError, match="share a potential and a grid"):
-                dynamics._integrate_together([a, b])
+                dynamics.integrate_together([a, b])
 
 
 class TestGrid:
@@ -1114,12 +1120,33 @@ class TestWepDeviation:
         with pytest.raises(ValueError, match="mass"):
             lp.wep_deviation(one_particle(lp.Canonical()), masses, "fixed")
 
+    def test_runs_of_both_modes_share_one_build(self, monkeypatch):
+        scen = one_particle(lp.SpaceTime(kappa=1.0, rho=1, tau=2), mass=2.0, p=(0.4, 0, 0),
+                            t_end=0.1, dt=0.01)
+        spec, masses = scen.system.specs[0], [1.0, 4.0, 0.5]
+        factors = []
+        monkeypatch.setattr(dynamics, "rescale",
+                            lambda base, factor: factors.append(factor) or rescale(base, factor))
+        momenta, runs = lp.wep_runs(scen, masses, ("fixed", "mass_scaled"))
+        assert factors == [m / 2.0 for m in masses]  # one rescale per mass
+        assert not momenta.flags.writeable
+        assert np.array_equal(momenta, np.outer(masses, [0.2, 0.0, 0.0]))
+        assert runs == (("fixed", (spec,) * 3),
+                        ("mass_scaled", tuple(rescale(spec, m / 2.0) for m in masses)))
+        # wep_deviation is the builder and the report on its runs
+        for mode, specs in runs:
+            assert (lp.wep_report(scen, masses, specs, momenta, mode)
+                    == lp.wep_deviation(scen, masses, mode))
+
     @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
     def test_overflowing_initial_momentum_names_run_and_mass(self, mode):
         # P(0) = m P'(0) = 2 * 1e308 is not a float
         scen = one_particle(lp.SpaceTime(kappa=1.0, rho=1, tau=2), p=(1e308, 0, 0))
-        with pytest.raises(ValueError, match=r"run 1 \(mass 2\.0\) overflows"):
+        with pytest.raises(lp.WepRunError) as info:
             lp.wep_deviation(scen, [1.0, 2.0], mode)
+        assert str(info.value) == (
+            "WEP run 1 (mass 2.0): the initial momentum m P'(0) for mass 2.0 overflows")
+        assert info.value.run == 1
 
     @pytest.mark.parametrize("spec, masses, message", [
         (lp.SpaceTime(kappa=1e-300), [1.0, 2.0, 1e-10],
