@@ -287,16 +287,11 @@ def _table_xp_deform(spec: AlgebraSpec, x: np.ndarray, p: np.ndarray, t: float) 
 
 
 def _closed_form_tables(system: ParticleSystem, state: PhaseState):
-    """Per-particle A and B tables, stacked to shape (N, 3, 3)."""
-    a = np.stack(
-        [_table_xx(p.spec, state.x[i], state.p[i], state.t) for i, p in enumerate(system.particles)]
-    )
-    b = np.stack(
-        [
-            _table_xp_deform(p.spec, state.x[i], state.p[i], state.t)
-            for i, p in enumerate(system.particles)
-        ]
-    )
+    """Per-particle A and B tables, written into two (N, 3, 3) arrays."""
+    a, b = np.empty((2, system.n_particles, 3, 3))
+    for i, particle in enumerate(system.particles):
+        a[i] = _table_xx(particle.spec, state.x[i], state.p[i], state.t)
+        b[i] = _table_xp_deform(particle.spec, state.x[i], state.p[i], state.t)
     return a, b
 
 
@@ -375,21 +370,22 @@ class ComBracketReport:
         }
 
 
-def _com_brackets(system: ParticleSystem, state: PhaseState) -> np.ndarray:
-    """B = W J W^T: the brackets among all COM and relative variables.
+def _com_brackets(system: ParticleSystem, state: PhaseState,
+                  rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    """B[rows, cols] of B = W J W^T, the brackets of the COM and relative variables.
 
-    Entry (r, s) is the bracket of the variables of rows r and s of
-    ``system.frame``.  J is block-diagonal, so W J is one (R x 6) @ (6 x 6)
-    product per particle, of W's columns for that particle with its block;
-    each row of W has one nonzero weight per particle, which makes W J equal
-    to the dense product entry for entry.
+    Entry (r, s) of B is the bracket of rows r and s of ``system.frame``.  Only
+    the block is formed, as (W J)[rows] W[cols]^T: O(N^3) for all of B, O(N^2) or
+    less for a block of the six COM rows or columns.  J is block-diagonal, so
+    (W J)[rows] is one (R x 6) @ (6 x 6) product per particle; each row of W has
+    one nonzero weight per particle, which makes it equal to the dense product entry for entry.
     """
     _check_particle_count(system, state)
-    w = system.frame
+    w = system.frame[rows]
     blocks = system.lowered.blocks(state.flatten().reshape(-1, 6), state.t)
     per_particle = w.reshape(len(w), len(blocks), 6).transpose(1, 0, 2)
     wj = (per_particle @ blocks).transpose(1, 0, 2).reshape(w.shape)
-    return wj @ w.T
+    return wj @ system.frame[cols].T
 
 
 def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketReport:
@@ -398,7 +394,8 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
     ``computed`` applies the chain rule grad(f) . J . grad(g) to the COM and
     relative observables; ``closed_form`` evaluates the hand-derived sums
     over single-particle bracket tables.  The two agree to rounding for all
-    variants; this is the module's central correctness check.  Both sides
+    variants; this is the module's central correctness check, and the one
+    COM check that forms all of B = W J W^T, its chain-rule side.  Both sides
     are read-only mappings over one flat array each, keyed by
     ``system.bracket_keys``; no per-key dict is built.
     """
@@ -434,7 +431,7 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
         (
             (brackets[x, x], sum_mu2_a),
             (brackets[x, p], eye + sum_mu_b),
-            (brackets[p, p], np.zeros((3, 3))),
+            (brackets[p, p], 0.0),
         ),
         (
             (per_particle(dx, x), mu[:, None, None] * a_tab - sum_mu2_a),
@@ -444,16 +441,19 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
         (
             (per_pair(dx, dx), (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a),
             (per_pair(dx, dp), eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)),
-            (per_pair(dp, dp), np.zeros((n, n, 3, 3))),
+            (per_pair(dp, dp), 0.0),
         ),
     )
 
-    def flat(group, side):
-        """One side of a group, stacked on a last axis so that each index
-        emits the group's families in turn: the order of ``bracket_keys``."""
-        return np.stack([family[side] for family in group], axis=-1).ravel()
-
-    got, want = (np.concatenate([flat(group, side) for group in groups]) for side in (0, 1))
+    # each side is one array in the order of ``bracket_keys``: each group's
+    # view has the family on a last axis, so each index emits them in turn
+    got, want = np.empty((2, 27 * (1 + n + n * n)))
+    for side, out in enumerate((got, want)):
+        views = (out[:27].reshape(3, 3, 3), out[27 : 27 * (1 + n)].reshape(n, 3, 3, 3),
+                 out[27 * (1 + n) :].reshape(n, n, 3, 3, 3))
+        for view, group in zip(views, groups):
+            for f, family in enumerate(group):
+                view[..., f] = family[side]
     max_abs_diff = float(np.max(np.abs(got - want)))
     return ComBracketReport(computed=_BracketView(system, got),
                             closed_form=_BracketView(system, want), max_abs_diff=max_abs_diff)
@@ -640,15 +640,15 @@ def reproduction_check(
     """Do the COM brackets reproduce the single-particle algebra?
 
     Compares every chain-rule COM bracket ({Xcom, Xcom}, {Xcom, Pcom},
-    {Pcom, Pcom}) against the single-particle bracket table of the
-    consensus effective spec evaluated at the COM phase point.
+    {Pcom, Pcom}), B[:6, :6], the one block of B = W J W^T it forms, against
+    the single-particle table of the consensus effective spec at the COM point.
     """
     _check_tolerance(tol)
     com = com_transform(system, state)
     candidate = system.candidate_effective
     com_point = np.concatenate([com.x_com, com.p_com])[None, :]
     single = lower([candidate]).blocks(com_point, state.t)[0]
-    com_brackets = _com_brackets(system, state)[:6, :6]  # (X1..X3, P1..P3) order
+    com_brackets = _com_brackets(system, state, slice(6), slice(6))  # (X1..X3, P1..P3) order
 
     max_abs_diff = float(np.max(np.abs(com_brackets - single)))
     return ReproductionCheck(closes=max_abs_diff <= tol, max_abs_diff=max_abs_diff)
@@ -657,13 +657,13 @@ def reproduction_check(
 def com_relative_coupling(system: ParticleSystem, state: PhaseState) -> float:
     """Largest bracket magnitude coupling COM and relative motion.
 
-    Scans {dX_i^(a), Xcom_j} together with the momentum couplings
-    {Pcom_i, dX_j^(a)} and {dP_i^(a), Xcom_j}.  Vanishes for SpaceTime
-    systems under the mass-scaling rule; stays finite for SpaceSpace, where
-    the scaled couplings reduce to dX_l^(a) / kappa_tilde_eff and friends.
+    Scans {dX_i^(a), Xcom_j} with the momentum couplings {Pcom_i, dX_j^(a)} and
+    {dP_i^(a), Xcom_j} in B[6:, :6], the one block of B = W J W^T it forms.
+    Vanishes for SpaceTime systems under the mass-scaling rule; stays finite for
+    SpaceSpace, where the scaled couplings reduce to dX_l^(a) / kappa_tilde_eff and friends.
     """
     n = system.n_particles
-    coupling = _com_brackets(system, state)[6:, :6]  # relative rows, COM columns
+    coupling = _com_brackets(system, state, slice(6, None), slice(6))  # relative rows, COM columns
     dx_com = coupling[: 3 * n]  # {dX, Xcom} and {dX, Pcom} = -{Pcom, dX}
     dp_xcom = coupling[3 * n :, :3]  # {dP, Xcom}
     return float(max(np.max(np.abs(dx_com)), np.max(np.abs(dp_xcom))))

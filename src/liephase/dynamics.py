@@ -1085,7 +1085,7 @@ def decoupling_check(
     rule, where the COM brackets with all relative variables are zero.
 
     Hcom depends on (Xcom, Pcom) and Hrel on (dX, dP), so the bracket is
-    g_com . {COM, relative} . g_rel with the partial derivatives
+    g_com . B[:6, 6:] . g_rel, the one block of B = W J W^T it forms, with partials
     g_com = (M grad V(Xcom), Pcom / M) and g_rel = (2 dX^(a), dP^(a) / (mu_a m_a)).
     """
     com = com_transform(system, state)
@@ -1098,7 +1098,7 @@ def decoupling_check(
     g_rel = np.concatenate(
         [2.0 * com.dx.ravel(), (com.dp / (system.mu * system.masses)[:, None]).ravel()]
     )
-    return float(abs(g_com[0] @ _com_brackets(system, state)[:6, 6:] @ g_rel))
+    return float(abs(g_com[0] @ _com_brackets(system, state, slice(6), slice(6, None)) @ g_rel))
 
 
 def hamiltonian(system: ParticleSystem, potential: Potential, state: PhaseState) -> float:

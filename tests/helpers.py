@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import liephase as lp
-from liephase import dynamics
+from liephase import composition, dynamics
 from liephase import observables as obs
 
 VARIANT_NAMES = (
@@ -353,6 +353,56 @@ def com_frame_loops(mu) -> np.ndarray:
             w[obs.momentum_slot(particle, axis)] += 1.0
             rows.append(w)
     return np.stack(rows)
+
+
+def com_report_stacked(system, state) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of ``com_bracket_report``, chain rule then closed form, as
+    flat arrays made by stacking each group's families on a last axis and
+    concatenating the groups: the reference for the report's layout."""
+    n = system.n_particles
+    mu = system.mu
+    brackets = composition._com_brackets(system, state)
+    x, p = slice(0, 3), slice(3, 6)
+    dx, dp = slice(6, 6 + 3 * n), slice(6 + 3 * n, None)
+
+    def per_particle(rows, cols):
+        return brackets[rows, cols].reshape(n, 3, 3)
+
+    def per_pair(rows, cols):
+        return brackets[rows, cols].reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
+
+    a_tab, b_tab = composition._closed_form_tables(system, state)
+    sum_mu2_a = np.einsum("a,aij->ij", mu**2, a_tab)
+    sum_mu_b = np.einsum("a,aij->ij", mu, b_tab)
+    eye = np.eye(3)
+    pcom_dx = sum_mu_b.T - b_tab.transpose(0, 2, 1)
+    delta = np.eye(n)[:, :, None, None]
+    mu_a, mu_b = mu[:, None, None, None], mu[None, :, None, None]
+    a_a, a_b = a_tab[:, None], a_tab[None, :]
+    b_a, b_b = b_tab[:, None], b_tab[None, :]
+    groups = (
+        (
+            (brackets[x, x], sum_mu2_a),
+            (brackets[x, p], eye + sum_mu_b),
+            (brackets[p, p], np.zeros((3, 3))),
+        ),
+        (
+            (per_particle(dx, x), mu[:, None, None] * a_tab - sum_mu2_a),
+            (brackets[p, dx].reshape(3, n, 3).transpose(1, 0, 2), pcom_dx),
+            (per_particle(dp, x), mu[:, None, None] * pcom_dx),
+        ),
+        (
+            (per_pair(dx, dx), (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a),
+            (per_pair(dx, dp), eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)),
+            (per_pair(dp, dp), np.zeros((n, n, 3, 3))),
+        ),
+    )
+
+    def flat(group, side):
+        return np.stack([family[side] for family in group], axis=-1).ravel()
+
+    got, want = (np.concatenate([flat(group, side) for group in groups]) for side in (0, 1))
+    return got, want
 
 
 def write_csv_cells(trajectory, fh, include_reduced_momentum: bool = False) -> None:

@@ -1,4 +1,5 @@
-"""Time ``algebra.lower`` on fresh and lowered specs, and the COM product W J W^T.
+"""Time ``algebra.lower`` on fresh and lowered specs, the COM product W J W^T
+and the four COM checks.
 
 For particle counts N in (1, 16, 64) and the three spec templates of the
 benchmark's WEP sweep (SpaceTime, MiaoTypeII and a Generalized encoding of
@@ -10,9 +11,15 @@ MiaoTypeI), records the minimum wall time of a few calls of
   the package keeps per spec;
 - warm: every call lowers the same N specs, lowered before.
 
-For N in (2, 8, 20, 64) it records the minimum wall time of
-``composition._com_brackets`` on a mass-scaled MiaoTypeII system whose
-frame and lowered tensors are built, the product the COM checks share.
+For N in (2, 8, 20, 64), on a mass-scaled MiaoTypeII system whose frame
+and lowered tensors are built, it records the minimum wall time of
+
+- ``composition._com_brackets(system, state)``, all of B = W J W^T, the
+  product only ``com_bracket_report`` forms;
+- each of the four COM checks, ``com_bracket_report``,
+  ``reproduction_check``, ``com_relative_coupling`` and
+  ``decoupling_check`` (in a uniform field), which form the blocks of B
+  they read.
 
 Each row carries ``--label``, a name for the code measured.  The rows are
 written with the machine's description to ``BENCH_com_checks.json`` at the
@@ -36,7 +43,7 @@ from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
 import numpy as np
 
 import liephase as lp
-from liephase import algebra, composition
+from liephase import algebra, composition, dynamics
 
 LOWER_PARTICLES = (1, 16, 64)
 PRODUCT_PARTICLES = (2, 8, 20, 64)
@@ -90,10 +97,18 @@ def product_rows(repeats: int) -> list[dict]:
         )
         state = lp.PhaseState(x=rng.uniform(-1.0, 1.0, (n, 3)),
                               p=rng.uniform(-1.0, 1.0, (n, 3)), t=0.7)
-        composition._com_brackets(system, state)
-        seconds = best_time(lambda: lambda: composition._com_brackets(system, state), repeats)
-        rows.append({"timing": "com_brackets", "case": "MiaoTypeII", "particles": n,
-                     "us": round(seconds * 1e6, 2)})
+        field = lp.Uniform(g=[0.3, -1.2, 0.7])
+        calls = {
+            "com_brackets": lambda: composition._com_brackets(system, state),
+            "com_bracket_report": lambda: composition.com_bracket_report(system, state),
+            "reproduction_check": lambda: composition.reproduction_check(system, state),
+            "com_relative_coupling": lambda: composition.com_relative_coupling(system, state),
+            "decoupling_check": lambda: dynamics.decoupling_check(system, state, field),
+        }
+        for timing, call in calls.items():
+            call()
+            rows.append({"timing": timing, "case": "MiaoTypeII", "particles": n,
+                         "us": round(best_time(lambda: call, repeats) * 1e6, 2)})
     return rows
 
 
@@ -116,9 +131,9 @@ def main(argv=None) -> int:
     write_record(
         args.out,
         "algebra.lower on fresh (cold) and lowered (warm) specs made by rescale "
-        "from each template, and composition._com_brackets on a mass-scaled "
-        f"MiaoTypeII system: minimum wall time of {args.repeats} calls, in us, "
-        "per label of the code measured",
+        "from each template, and composition._com_brackets and the four COM checks "
+        f"on a mass-scaled MiaoTypeII system: minimum wall time of {args.repeats} "
+        "calls, in us, per label of the code measured",
         "PYTHONPATH=src python tests/sweep_com_checks.py --label <name>",
         rows,
     )

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
-from liephase import cli, composition, observables as obs
+from liephase import algebra, cli, composition, dynamics, observables as obs
 from liephase.composition import _candidate_effective, _scaled_values
 
 import sweep_com_checks
 import sweep_com_report
 from helpers import (
     VARIANT_NAMES,
+    com_report_stacked,
     random_state,
     random_system,
     scaled_system,
@@ -506,10 +507,12 @@ def test_sweep_com_checks_smoke(tmp_path):
     for label in ("a", "b", "a"):
         assert sweep_com_checks.main(["--label", label, "--repeats", "1", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
-    assert [row["label"] for row in rows] == ["b"] * 22 + ["a"] * 22
+    assert [row["label"] for row in rows] == ["b"] * 38 + ["a"] * 38
+    com = ("com_brackets", "com_bracket_report", "reproduction_check", "com_relative_coupling",
+           "decoupling_check")
     assert {(row["timing"], row["particles"]) for row in rows} == {
         *((timing, n) for timing in ("lower_cold", "lower_warm") for n in (1, 16, 64)),
-        *(("com_brackets", n) for n in (2, 8, 20, 64)),
+        *((timing, n) for timing in com for n in (2, 8, 20, 64)),
     }
     assert all(row["us"] > 0 for row in rows)
 
@@ -541,6 +544,149 @@ class TestComBracketsDense:
             state = random_state(rng, n)
             for t in (0.0, -0.0, -1.5):
                 self.assert_dense(system, lp.PhaseState(x=state.x, p=state.p, t=t))
+
+
+# the grid the COM blocks and the report layout are checked on: every
+# variant, scaled and unscaled, and signed-zero Generalized particles
+COM_KINDS = (*VARIANT_NAMES, "signed_zero")
+COM_GRID = [(kind, n) for kind in COM_KINDS for n in (1, 2, 5, 20)]
+
+
+def com_grid(kind, n):
+    """The (system, state) cases of one grid point: unscaled and scaled
+    systems at t = 0.8 and -2.5, or signed-zero particles at t = +-0.0."""
+    rng = np.random.default_rng([n, COM_KINDS.index(kind)])
+    if kind == "signed_zero":
+        system = lp.ParticleSystem.from_pairs(
+            rng.uniform(0.5, 3.0, n), [signed_zero_generalized() for _ in range(n)])
+        systems, times = [system], (0.0, -0.0)
+    else:
+        systems = [make(rng, kind, n) for make in (random_system, scaled_system)]
+        times = (0.8, -2.5)
+    for system in systems:
+        for t in times:
+            state = random_state(rng, n)
+            yield system, lp.PhaseState(x=state.x, p=state.p, t=t)
+
+
+# the block of B = W J W^T that each COM check reads: rows, then columns
+CHECK_BLOCKS = {
+    "reproduction_check": (slice(6), slice(6)),
+    "com_relative_coupling": (slice(6, None), slice(6)),
+    "decoupling_check": (slice(6), slice(6, None)),
+}
+
+
+def run_check(name, system, state):
+    if name == "decoupling_check":
+        return lp.decoupling_check(system, state, lp.Uniform(g=[0.3, -1.2, 0.7]))
+    return getattr(lp, name)(system, state)
+
+
+def record_blocks(monkeypatch) -> list:
+    """Record (N, block) for each block of B formed from now on by
+    ``composition._com_brackets``, wherever it is called from."""
+    blocks = []
+    product = composition._com_brackets
+
+    def recorded(system, *args):
+        blocks.append((system.n_particles, product(system, *args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(composition, "_com_brackets", recorded)
+    monkeypatch.setattr(dynamics, "_com_brackets", recorded)
+    return blocks
+
+
+def term_scale(system, state, rows, cols) -> float:
+    """The largest sum of |terms| over the entries of B[rows, cols], with the
+    dense J: the size rounding is relative to, also where the terms cancel
+    (the COM-relative brackets of canonical particles are sums to zero)."""
+    w = np.abs(system.frame)
+    dense = np.abs(lp.structure_matrix(system.lowered, state).matrix)
+    return float(np.max(w[rows] @ dense @ w[cols].T))
+
+
+def assert_close(got, want, scale):
+    """Equal entry for entry within 1e-14 of ``scale``."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+class TestComBlocks:
+    """Each COM check forms only the block of B it reads, equal to the same
+    slice of the whole product to rounding."""
+
+    @pytest.mark.parametrize("kind, n", COM_GRID)
+    def test_block_is_the_slice_of_b(self, monkeypatch, kind, n):
+        cases = [(system, state, composition._com_brackets(system, state))
+                 for system, state in com_grid(kind, n)]
+        blocks = record_blocks(monkeypatch)
+        for system, state, whole in cases:
+            for name, (rows, cols) in CHECK_BLOCKS.items():
+                blocks.clear()
+                run_check(name, system, state)
+                [(_, block)] = blocks
+                assert_close(block, whole[rows, cols], term_scale(system, state, rows, cols))
+
+    @pytest.mark.parametrize("kind, n", COM_GRID)
+    def test_values_read_the_slice_of_b(self, kind, n):
+        for system, state in com_grid(kind, n):
+            whole = composition._com_brackets(system, state)
+            com = lp.com_transform(system, state)
+            point = np.concatenate([com.x_com, com.p_com])[None]
+            single = algebra.lower([system.candidate_effective]).blocks(point, state.t)[0]
+            repro = lp.reproduction_check(system, state).max_abs_diff
+            want = np.max(np.abs(whole[:6, :6] - single))
+            assert_close(np.array(repro), want, term_scale(system, state, slice(6), slice(6)))
+            rel = whole[6:, :6]
+            want = max(np.max(np.abs(rel[: 3 * n])), np.max(np.abs(rel[3 * n :, :3])))
+            coupling = lp.com_relative_coupling(system, state)
+            assert_close(np.array(coupling), want,
+                         term_scale(system, state, slice(6, None), slice(6)))
+
+    def test_wrong_particle_count_raises(self):
+        rng = np.random.default_rng(34)
+        system = scaled_system(rng, "miao_type_ii", 3)
+        for state in (random_state(rng, 2), random_state(rng, 4)):
+            for name in CHECK_BLOCKS:
+                with pytest.raises(ValueError, match=(
+                        f"state has {state.n_particles} particles, system has 3")):
+                    run_check(name, system, state)
+
+
+class TestReportLayout:
+    @pytest.mark.parametrize("kind, n", COM_GRID)
+    def test_sides_byte_equal_stacked_families(self, kind, n):
+        for system, state in com_grid(kind, n):
+            report = lp.com_bracket_report(system, state)
+            got, want = com_report_stacked(system, state)
+            assert report.computed._values.tobytes() == got.tobytes()
+            assert report.closed_form._values.tobytes() == want.tobytes()
+            assert report.max_abs_diff == float(np.max(np.abs(got - want)))
+
+
+class TestDenseProductCount:
+    def test_only_the_report_forms_all_of_b(self, monkeypatch, tmp_path):
+        blocks = record_blocks(monkeypatch)
+
+        def dense():
+            return sum(block.shape == (6 + 6 * n,) * 2 for n, block in blocks)
+
+        rng = np.random.default_rng(35)
+        for n in (1, 3, 8):
+            system = scaled_system(rng, "space_space", n)
+            state = random_state(rng, n)
+            for name in CHECK_BLOCKS:
+                run_check(name, system, state)
+            assert dense() == 0
+            for count in (1, 2):
+                lp.com_bracket_report(system, state)
+                assert dense() == count
+            blocks.clear()
+        assert cli.run("spacetime_com_brackets", out_dir=str(tmp_path)) == 0
+        # the report, the closure and the coupling (no potential, so no decoupling)
+        assert dense() == 1 and len(blocks) == 3
 
 
 class TestComFrameCache:
