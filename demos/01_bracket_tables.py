@@ -17,7 +17,7 @@ LABELS = ["X1", "X2", "X3", "P1", "P2", "P3"]
 
 
 def show_nonzero(title, spec, state):
-    j = lp.structure_matrix([spec], state).matrix
+    j = lp.structure_matrix([spec], state)[0]  # the one particle's 6x6 block
     print(f"\n--- {title} ---")
     print(f"    at X = {state.x[0]}, P = {state.p[0]}, t = {state.t}")
     for a in range(6):
@@ -26,7 +26,7 @@ def show_nonzero(title, spec, state):
                 print(f"    {{{LABELS[a]},{LABELS[b]}}} = {j[a, b]:+.4f}")
     residual = lp.jacobi_residual([spec], state)
     print(f"    Jacobi residual: {residual:.2e}")
-    encoded = lp.structure_matrix([lp.as_generalized(spec)], state).matrix
+    encoded = lp.structure_matrix([lp.as_generalized(spec)], state)[0]
     print(f"    tensor-encoding mismatch: {np.max(np.abs(j - encoded)):.1e}")
 
 

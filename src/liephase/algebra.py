@@ -73,7 +73,6 @@ __all__ = [
     "MiaoTypeI",
     "MiaoTypeII",
     "PhaseState",
-    "StructureMatrix",
     "LoweredAlgebra",
     "structure_matrix",
     "as_generalized",
@@ -248,18 +247,6 @@ class PhaseState:
             raise ValueError(f"flat phase vector length must be a multiple of 6, got {z.size}")
         blocks = z.reshape(-1, 6)
         return cls(x=blocks[:, :3].copy(), p=blocks[:, 3:].copy(), t=t)
-
-
-@dataclass(frozen=True)
-class StructureMatrix:
-    """Antisymmetric bracket matrix J_ab = {z_a, z_b} at one phase point."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 # --- generalized-tensor encodings ----------------------------------------
@@ -511,21 +498,19 @@ def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra) -> LoweredAlgebra:
 
 def structure_matrix(
     specs: Sequence[AlgebraSpec] | LoweredAlgebra, state: PhaseState
-) -> StructureMatrix:
-    """Assemble the full 6N x 6N structure matrix for N particles.
+) -> np.ndarray:
+    """The structure matrix J of N particles as its read-only (N, 6, 6) block
+    stack: block a is {z_i, z_j} of particle a.
 
     One spec per particle, or their lowered form.  Brackets between
-    different particles vanish, so the matrix is block-diagonal with one
-    6x6 block per particle.
+    different particles vanish, so these blocks are all of J.
     """
     lowered = lower(specs)
-    n = len(lowered)
-    if n != state.n_particles:
-        raise ValueError(f"got {n} algebra specs for {state.n_particles} particles")
-    j = np.zeros((n, 6, n, 6))
-    diag = np.arange(n)
-    j[diag, :, diag, :] = lowered.blocks(state.flatten().reshape(-1, 6), state.t)
-    return StructureMatrix(j.reshape(6 * n, 6 * n))
+    if len(lowered) != state.n_particles:
+        raise ValueError(f"got {len(lowered)} algebra specs for {state.n_particles} particles")
+    j = lowered.blocks(state.flatten().reshape(-1, 6), state.t)
+    j.flags.writeable = False
+    return j
 
 
 # --- bracket evaluation ----------------------------------------------------

@@ -47,6 +47,7 @@ from .algebra import (
     _checked_parameter,
     jacobi_residual,
     parameter_roles,
+    structure_matrix,
 )
 from .composition import (
     MassScalingRule,
@@ -71,6 +72,7 @@ from .dynamics import (
     eom_rhs,
     integrate,
     integrate_together,
+    scenario_fingerprint,
     wep_report,
     wep_runs,
 )
@@ -644,8 +646,8 @@ def _run_check_algebra(scenario: Scenario, plan, runner: _CheckRunner, out_dir: 
     states = _sample_states(scenario, scenario.settings["samples"])
     specs = scenario.system.specs
     lowered = scenario.system.lowered
-    # J is block-diagonal: its per-particle 6x6 blocks at each sampled state
-    blocks = np.stack([lowered.blocks(st.flatten().reshape(-1, 6), st.t) for st in states])
+    # J's per-particle 6x6 blocks at each sampled state
+    blocks = np.stack([structure_matrix(lowered, st) for st in states])
 
     def roundtrip():
         # the evaluator's X-X and X-P corners against the named variant's
@@ -786,7 +788,7 @@ def _plan_simulate(scenario: Scenario) -> Optional[tuple[ParticleSystem, PhaseSt
         return None
     if not scenario.body_mode:
         raise ScenarioError("options.compare_partition: only meaningful with body_mode")
-    if abs(sum(partition) - system.total_mass) > 1e-12:
+    if abs(sum(partition) - system.total_mass) > 1e-12 * system.total_mass:
         raise ScenarioError("options.compare_partition: partition must preserve the total mass")
     rule = system.scaling.rule
     if rule is None:
@@ -820,7 +822,7 @@ def _run_simulate(scenario: Scenario, partition_body, runner: _CheckRunner, out_
     results: dict[str, Any] = {
         "trajectory_csv": csv_path.name,
         "samples": len(trajectory.times),
-        "scenario_fingerprint": trajectory.metadata["scenario"],
+        "scenario_fingerprint": scenario_fingerprint(scenario),
     }
 
     # energy drift along the trajectory (informative for time-dependent

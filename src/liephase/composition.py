@@ -180,13 +180,8 @@ class ParticleSystem:
 
     @cached_property
     def scaling(self) -> "ScalingCheck":
-        """``satisfies_mass_scaling`` at its default tolerance, checked once
-        per system; the rule's arrays are read-only."""
-        check = satisfies_mass_scaling(self)
-        for value in vars(check.rule).values() if check.rule else ():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        return check
+        """``satisfies_mass_scaling`` at its default tolerance, checked once per system."""
+        return satisfies_mass_scaling(self)
 
     @property
     def decouples_exactly(self) -> bool:
@@ -537,7 +532,7 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
     mass-weighted consensus within ``tol`` (relative, absolute at zeros).
     ``worst_relative_deviation`` reports the largest pairwise disagreement
     between particles, which is the quantity that vanishes under exact
-    scaling.
+    scaling.  The rule's tensor constants are read-only.
     """
     _check_tolerance(tol)
     values = _scaled_values(system)
@@ -559,10 +554,10 @@ def satisfies_mass_scaling(system: ParticleSystem, tol: float = 1e-9) -> Scaling
 
     rule = None
     if holds:
-        kwargs = {}
-        for name, mean in consensus.items():
-            kwargs[name] = float(mean) if np.ndim(mean) == 0 else mean
-        rule = MassScalingRule(**kwargs)
+        rule = MassScalingRule(**{
+            name: float(mean) if np.ndim(mean) == 0 else _read_only(mean)
+            for name, mean in consensus.items()
+        })
     return ScalingCheck(holds=holds, rule=rule, worst_relative_deviation=worst_pairwise)
 
 

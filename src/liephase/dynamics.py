@@ -62,6 +62,7 @@ __all__ = [
     "closed_form_rhs",
     "integrate",
     "integrate_together",
+    "scenario_fingerprint",
     "wep_runs",
     "wep_report",
     "wep_deviation",
@@ -325,14 +326,17 @@ class GravityScenario:
 # a trajectory holds at least one particle's six float64 phase coordinates per
 # grid point, and numpy sizes no array of more bytes than an intp counts
 _MAX_GRID_STEPS = np.iinfo(np.intp).max // (6 * 8) - 1
+_EPS = np.finfo(float).eps
 
 
 def _grid_steps(t0: float, t_end: float, dt: float) -> int:
     """Number of steps of size dt from t0 to t_end.
 
     The grid must end at t_end: dt has to divide t_end - t0 to within 1e-9
-    of a step, and its trajectory must be an array numpy can size.  Raises
-    GridError naming the offending field.
+    of a step plus the quotient's rounding, 4 eps per step, but never to
+    within more than a quarter step, and its trajectory must be an array
+    numpy can size.  Raises GridError naming
+    the offending field.
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
@@ -348,8 +352,8 @@ def _grid_steps(t0: float, t_end: float, dt: float) -> int:
             f"t_end - t0 = {t_end - t0!r} takes {steps:.6g} steps of dt = {dt!r}, "
             "more than numpy can size a trajectory for",
         )
-    n = int(np.floor(steps + 1e-9))
-    if n < 1 or abs(steps - n) > 1e-9:
+    n = int(round(steps))
+    if n < 1 or abs(steps - n) > min(1e-9 + 4 * _EPS * steps, 0.25):
         raise GridError(
             "dt",
             f"dt = {dt!r} does not divide t_end - t0 = {t_end - t0!r} ({steps:.6g} steps); "
@@ -358,7 +362,10 @@ def _grid_steps(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
-def _scenario_fingerprint(scenario: GravityScenario) -> str:
+def scenario_fingerprint(scenario: GravityScenario) -> str:
+    """16 hex digits of the SHA-256 of the scenario's particles (variant,
+    mass and exact tensor encoding), potential, initial state, grid and
+    body mode: equal scenarios share it, and a changed input moves it."""
     spec_dump = []
     for p in scenario.system.particles:
         theta0, theta, theta_bar, theta_tilde = _encoding(p.spec)
@@ -391,7 +398,6 @@ class Trajectory:
     times: np.ndarray  # (n,)
     states: np.ndarray  # (n, 6 * n_particles)
     masses: np.ndarray  # (n_particles,)
-    metadata: dict
 
     @property
     def n_particles(self) -> int:
@@ -897,13 +903,8 @@ def integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]
             times=times if i == 0 else times.copy(),
             states=states[i],
             masses=masses,
-            metadata={
-                "scenario": _scenario_fingerprint(scenario),
-                "integrator": "rk4",
-                "dt": scenario.dt,
-            },
         )
-        for i, (scenario, (masses, _, _)) in enumerate(zip(scenarios, runs))
+        for i, (masses, _, _) in enumerate(runs)
     ]
 
 

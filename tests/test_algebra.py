@@ -34,13 +34,13 @@ def single_state(x, p, t=0.0):
 class TestStructureMatrix:
     def test_spacetime_time_valued_entry(self):
         spec = lp.SpaceTime(kappa=4.0, rho=1, tau=2)
-        j = lp.structure_matrix([spec], single_state([0, 0, 0], [0, 0, 0], t=2.0)).matrix
+        j = lp.structure_matrix([spec], single_state([0, 0, 0], [0, 0, 0], t=2.0))[0]
         assert j[0, 1] == pytest.approx(0.5, abs=0)
         assert j[1, 2] == 0.0
         assert j[0, 2] == 0.0
 
     def test_canonical_is_standard_symplectic(self):
-        j = lp.structure_matrix([lp.Canonical()], single_state([1, 2, 3], [4, 5, 6], t=7.0)).matrix
+        j = lp.structure_matrix([lp.Canonical()], single_state([1, 2, 3], [4, 5, 6], t=7.0))[0]
         expected = np.zeros((6, 6))
         expected[:3, 3:] = np.eye(3)
         expected[3:, :3] = -np.eye(3)
@@ -48,7 +48,7 @@ class TestStructureMatrix:
 
     def test_spacespace_table_entries(self):
         spec = lp.SpaceSpace(kappa_tilde=2.0, k=1, l=2, gamma=3)
-        j = lp.structure_matrix([spec], single_state([5, 7, 0], [1, 1, 1])).matrix
+        j = lp.structure_matrix([spec], single_state([5, 7, 0], [1, 1, 1]))[0]
         assert j[0, 2] == pytest.approx(3.5, abs=0)   # {X1, X3} = X2 / kt
         assert j[1, 2] == pytest.approx(-2.5, abs=0)  # {X2, X3} = -X1 / kt
         assert j[3, 2] == pytest.approx(0.5, abs=0)   # {P1, X3} = P2 / kt
@@ -59,14 +59,14 @@ class TestStructureMatrix:
 
     def test_miao_type_i_time_terms(self):
         spec = lp.MiaoTypeI(kappa=2.0, kappa_tilde=4.0, k=1, l=2, gamma=3)
-        j = lp.structure_matrix([spec], single_state([1, 2, 3], [0, 0, 0], t=1.0)).matrix
+        j = lp.structure_matrix([spec], single_state([1, 2, 3], [0, 0, 0], t=1.0))[0]
         assert j[0, 1] == pytest.approx(0.5)          # {X_k, X_l} = t / kappa
         assert j[0, 2] == pytest.approx(-0.5 + 0.5)   # -t/kappa + X_l/kt
         assert j[1, 2] == pytest.approx(0.5 - 0.25)   # t/kappa - X_k/kt
 
     def test_miao_type_ii_momentum_coordinate_terms(self):
         spec = lp.MiaoTypeII(kappa=2.0, kappa_tilde=4.0, kappa_bar=8.0, k=1, l=2, gamma=3)
-        j = lp.structure_matrix([spec], single_state([1, 2, 3], [5, 6, 7], t=1.0)).matrix
+        j = lp.structure_matrix([spec], single_state([1, 2, 3], [5, 6, 7], t=1.0))[0]
         assert j[0, 1] == 0.0                         # {X_k, X_l} = 0 for type II
         # {P_k, X_gamma} = X_l/kb + P_l/kt
         assert j[3, 2] == pytest.approx(2.0 / 8.0 + 6.0 / 4.0)
@@ -79,7 +79,7 @@ class TestStructureMatrix:
         for _ in range(170):
             spec = random_spec(rng, variant)
             state = random_state(rng, 1)
-            j = lp.structure_matrix([spec], state).matrix
+            j = lp.structure_matrix([spec], state)[0]
             assert np.max(np.abs(j + j.T)) == 0.0
 
     def test_block_diagonal_across_particles(self):
@@ -95,12 +95,22 @@ class TestStructureMatrix:
             for s in specs[1:]
         ]
         state = random_state(rng, 3)
-        j = lp.structure_matrix(specs, state).matrix
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    block = j[6 * a : 6 * a + 6, 6 * b : 6 * b + 6]
-                    assert np.all(block == 0.0)
+        j = lp.structure_matrix(specs, state)
+        # brackets between particles vanish, so block a is particle a's own J
+        for a, spec in enumerate(specs):
+            alone = lp.structure_matrix([spec], lp.PhaseState(x=state.x[a:a + 1],
+                                                               p=state.p[a:a + 1], t=state.t))
+            assert np.array_equal(j[a], alone[0])
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_block_stack_shape_and_read_only(self, n):
+        rng = np.random.default_rng(13)
+        j = lp.structure_matrix([random_spec(rng, "space_space") for _ in range(n)],
+                                random_state(rng, n))
+        assert j.shape == (n, 6, 6)
+        assert not j.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            j[0, 0, 1] = 1.0
 
     def test_size_mismatch_rejected(self):
         state = random_state(np.random.default_rng(0), 2)
@@ -213,7 +223,7 @@ class TestAsGeneralized:
             spec = random_spec(rng, variant)
             for _ in range(10):
                 state = random_state(rng, 1)
-                j = lp.structure_matrix([spec], state).matrix
+                j = lp.structure_matrix([spec], state)[0]
                 args = (spec, state.x[0], state.p[0], state.t)
                 for got, table in (
                     (j[:3, :3], _table_xx(*args)),

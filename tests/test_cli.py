@@ -829,6 +829,32 @@ class TestRun:
         assert check["tolerance"] == 1e-10
         assert check["passed"] is True
 
+    @pytest.mark.parametrize("total, partition, status", [
+        # one ulp off a heavy body's mass (1.5e-11): the same mass, accepted
+        (124767.40552427132, [50906.659907353045, 124767.40552427132 - 50906.659907353045], 0),
+        # a light body's mass changed a hundredfold, within an absolute 1e-12: refused
+        (1e-15, [1e-13, 1e-15], 2),
+    ])
+    def test_partition_mass_relative_to_total(self, total, partition, status, tmp_path, capsys):
+        # an absolute 1e-12 decides each case the other way
+        assert (abs(sum(partition) - total) > 1e-12) is (status == 0)
+        payload = dict(
+            BODY,
+            algebra=dict(BODY["algebra"], kappa=total),
+            particles=[{"mass": 0.5 * total}, {"mass": 0.5 * total}],
+            grid={"t0": 0.0, "t_end": 0.01, "dt": 0.001},
+            options={"compare_partition": partition},
+        )
+        path = write_scenario(tmp_path, "body.scn", payload)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == status
+        if status:
+            assert capsys.readouterr().err == ("scenario error: options.compare_partition: "
+                                               "partition must preserve the total mass\n")
+        else:
+            report = json.loads((tmp_path / "out" / "report.json").read_text())
+            assert [c["passed"] for c in report["checks"]
+                    if c["name"] == "partition-independence"] == [True]
+
     def test_expect_kappa_eff_reads_the_one_scalar_parameter(self, tmp_path):
         payload = dict(
             COM,

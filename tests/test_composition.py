@@ -19,6 +19,7 @@ import sweep_com_report
 from helpers import (
     VARIANT_NAMES,
     com_report_stacked,
+    dense_structure_matrix,
     random_state,
     random_system,
     scaled_system,
@@ -523,7 +524,7 @@ class TestComBracketsDense:
     @staticmethod
     def assert_dense(system, state):
         w = system.frame
-        dense = (w @ lp.structure_matrix(system.lowered, state).matrix) @ w.T
+        dense = (w @ dense_structure_matrix(system.lowered, state)) @ w.T
         assert composition._com_brackets(system, state).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
@@ -603,7 +604,7 @@ def term_scale(system, state, rows, cols) -> float:
     dense J: the size rounding is relative to, also where the terms cancel
     (the COM-relative brackets of canonical particles are sums to zero)."""
     w = np.abs(system.frame)
-    dense = np.abs(lp.structure_matrix(system.lowered, state).matrix)
+    dense = np.abs(dense_structure_matrix(system.lowered, state))
     return float(np.max(w[rows] @ dense @ w[cols].T))
 
 
@@ -754,6 +755,16 @@ class TestMassScaling:
         assert check.holds
         m0 = system.particles[0].mass
         assert np.allclose(check.rule.gamma0, system.particles[0].spec.theta0 * m0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_direct_rule_arrays_read_only(self, n):
+        # read-only as the rule is built, not only behind ParticleSystem.scaling
+        rule = lp.satisfies_mass_scaling(scaled_system(np.random.default_rng(8), "generalized", n)).rule
+        for name in ("gamma0", "gamma", "gamma_tilde", "theta_bar"):
+            value = getattr(rule, name)
+            assert not value.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                value[(0,) * value.ndim] = 1.0
 
     @pytest.mark.parametrize("variant, scaled", [("generalized", True), ("space_time", False)])
     def test_system_scaling_is_the_default_check_made_once(self, variant, scaled, monkeypatch):

@@ -14,6 +14,7 @@ import liephase as lp
 from liephase import cli, dynamics
 from liephase.algebra import rescale
 
+import sweep_linear_flow
 from helpers import (
     VARIANT_NAMES,
     antisym,
@@ -101,8 +102,8 @@ class TestPotentials:
         assert repr(a) == repr(b)
         assert list(a.coefficients) == sorted(a.coefficients)
         fingerprints = {
-            lp.integrate(one_particle(lp.Canonical(), x=(1, 0, 0), t_end=0.01, dt=0.005,
-                                      potential=pot)).metadata["scenario"]
+            lp.scenario_fingerprint(one_particle(lp.Canonical(), x=(1, 0, 0), t_end=0.01,
+                                                 dt=0.005, potential=pot))
             for pot in (a, b)
         }
         assert len(fingerprints) == 1
@@ -303,8 +304,7 @@ class TestVectorisedPotentials:
             expected.append(total)
         assert np.array_equal(energies, expected)
         assert lp.hamiltonian(system, pot, lp.PhaseState.from_flat(states[2], 0.0)) == expected[2]
-        trajectory = lp.Trajectory(times=np.arange(6.0), states=states, masses=system.masses,
-                                   metadata={})
+        trajectory = lp.Trajectory(times=np.arange(6.0), states=states, masses=system.masses)
         assert np.array_equal(trajectory.energies(pot), expected)
 
 
@@ -384,14 +384,11 @@ class TestIntegrate:
         traj = lp.integrate(scen)
         assert len(traj.times) == 1001
         assert np.allclose(np.diff(traj.times), 1e-3, atol=1e-15)
-        assert traj.metadata["integrator"] == "rk4"
-        assert traj.metadata["dt"] == 1e-3
 
     def test_deterministic_rerun(self):
         scen = one_particle(lp.SpaceTime(kappa=1.0), p=(0.3, 0.1, 0))
         a, b = lp.integrate(scen), lp.integrate(scen)
         assert np.array_equal(a.states, b.states)
-        assert a.metadata == b.metadata
 
     def test_singularity_reported_with_step(self):
         pot = lp.Newtonian(strength=1.0)
@@ -742,6 +739,18 @@ class TestStepMapsMatchKernel:
         assert kernel_outcome(dynamics._integrate_flat, *args) == expected
 
 
+def test_sweep_linear_flow_smoke(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_linear_flow, "PARTICLES", (1,))
+    monkeypatch.setattr(sweep_linear_flow, "STEPS", (100,))
+    out = tmp_path / "record.json"
+    assert sweep_linear_flow.main(["--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["flow"], row["particles"], row["steps"]) for row in rows] == [
+        (flow, 1, 100) for flow in sweep_linear_flow.FLOWS]
+    assert all(row["kernel_s"] > 0 and row["maps_s"] > 0 for row in rows)
+    assert all(row["max_deviation_over_max_abs_z"] <= 1e-12 for row in rows)
+
+
 def potential_gradient_calls():
     """The qualified name of the function around every call of ``.gradient``
     or ``.gradient_into`` in the package that may evaluate a potential: all
@@ -771,7 +780,6 @@ def assert_same_trajectories(got, expected):
         assert a.times.tobytes() == b.times.tobytes()
         assert a.states.tobytes() == b.states.tobytes()
         assert a.masses.tobytes() == b.masses.tobytes()
-        assert a.metadata == b.metadata
 
 
 def on_one_grid(rng, systems, t0, potential):
@@ -906,6 +914,11 @@ class TestGrid:
             ((-1e308, 1e308, 1.0), "t_end"),
             # 1e18 steps: a trajectory numpy cannot size
             ((0.0, 1e15, 1e-3), "t_end"),
+            # 333333333.33 steps: refused however far the tolerance grows with the count
+            ((0.0, 1000.0, 3e-6), "dt"),
+            # half a step off: the tolerance stops at a quarter step however
+            # large the count, where 4 eps per step alone would reach 0.5
+            ((0.0, 1e15 + 0.5, 1.0), "dt"),
         ],
     )
     def test_grid_must_end_at_t_end(self, grid, field):
@@ -930,6 +943,19 @@ class TestGrid:
         assert one_particle(lp.Canonical(), t0=0.3, t_end=1.0, dt=0.1).n_steps() == 7
         assert one_particle(lp.Canonical(), t0=0.7, t_end=1.0, dt=0.1).n_steps() == 3
         assert one_particle(lp.Canonical(), t_end=24 * 0.01, dt=0.01).n_steps() == 24
+        assert 0.3 / 0.1 < 3
+        assert one_particle(lp.Canonical(), t_end=0.3, dt=0.1).n_steps() == 3
+        # one ulp below 1e8: the quotient's rounding outgrows a fixed 1e-9 of
+        # a step from about 5e6 steps on.  Built only; integrating 1e8 steps
+        # would allocate 4.8 GB
+        assert 1000.0 / 1e-5 < 1e8
+        assert one_particle(lp.Canonical(), t_end=1000.0, dt=1e-5).n_steps() == 10**8
+
+    def test_numpy_scalar_grid_counts_in_int(self):
+        # numpy < 2 rounds a float64 to a float64; the count must be an int
+        scen = one_particle(lp.Canonical(), t0=np.float64(0.0), t_end=np.float64(0.3),
+                            dt=np.float64(0.1))
+        assert type(scen.n_steps()) is int and scen.n_steps() == 3
 
 
 class TestTrajectoryCsv:
@@ -992,7 +1018,7 @@ class TestCsvMatchesCellWriter:
         masses[0] = 3.0
         times = np.arange(rows) / 3.0
         times[0] = -0.0
-        return lp.Trajectory(times=times, states=states, masses=masses, metadata={})
+        return lp.Trajectory(times=times, states=states, masses=masses)
 
     @pytest.mark.parametrize("reduced", [False, True])
     @pytest.mark.parametrize("n", [1, 3, 64])
@@ -1023,7 +1049,7 @@ class TestScenarioFingerprint:
         assert sorted(with_field) == sorted(self.BUNDLED)
         for name, digest in self.BUNDLED.items():
             gravity = cli.load_scenario(name).gravity_scenario()
-            assert dynamics._scenario_fingerprint(gravity) == digest, name
+            assert lp.scenario_fingerprint(gravity) == digest, name
 
     def test_signed_zero_tensors_and_miao_unchanged(self):
         theta0 = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, 0.0], [-0.5, -0.0, 0.0]])
@@ -1047,8 +1073,35 @@ class TestScenarioFingerprint:
             initial=lp.PhaseState(x=np.eye(3), p=np.ones((3, 3)) / 3.0),
             t0=0.0, t_end=1.0, dt=0.5,
         )
-        assert dynamics._scenario_fingerprint(mixed) == "7224322d6cfa4e3f"
-        assert dynamics._scenario_fingerprint(miao) == "72ecf920873c9885"
+        assert lp.scenario_fingerprint(mixed) == "7224322d6cfa4e3f"
+        assert lp.scenario_fingerprint(miao) == "72ecf920873c9885"
+
+    def test_built_only_where_reported(self, monkeypatch, tmp_path):
+        # integrating fingerprints nothing; the simulate report fingerprints
+        # its main run once, and neither the dt-halving runs nor a partition body
+        calls = []
+        fingerprint = dynamics.scenario_fingerprint
+
+        def counted(scenario):
+            calls.append(scenario)
+            return fingerprint(scenario)
+
+        monkeypatch.setattr(dynamics, "scenario_fingerprint", counted)
+        monkeypatch.setattr(cli, "scenario_fingerprint", counted)
+        runs = scenario_pair(np.random.default_rng(14), ["space_time", "space_space"], 2)
+        dynamics.integrate_together(runs)
+        lp.integrate(runs[0])
+        assert calls == []
+        # integrator_order integrates its run at dt, dt/2 and dt/4 apart;
+        # body_composition its body and partition body as one stack
+        for name, integrations in (("integrator_order", 3), ("body_composition", 1)):
+            kernel = count_kernel_calls(monkeypatch)
+            assert cli.run(name, str(tmp_path / name)) == 0
+            assert len(kernel) == integrations
+            assert len(calls) == 1
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            assert report["results"]["scenario_fingerprint"] == self.BUNDLED[name]
+            calls.clear()
 
 
 # the benchmark's WEP sweep cases: variant and field pairs
@@ -1357,6 +1410,54 @@ class TestBodyDynamics:
         scen = body_scenario([1.0, 3.0], [2.0, 6.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0])
         with pytest.raises(ValueError, match="exactly the COM coordinates"):
             lp.body_com_rhs(scen, scen.initial)
+
+
+class TestCompositeBodiesFallAlike:
+    """Full N-body runs of bodies of different composition and total mass,
+    from one COM state in one field: under the mass-scaling condition their
+    centers of mass fall alike, with fixed parameters they do not."""
+
+    COMPOSITIONS = [(1, 2), (0.5, 1.5, 1), (0.3, 0.3, 0.4, 2), (5, 2.5), (0.1, 7)]
+    FIELD = lp.Uniform(g=[1.3, -2.1, -9.81])
+    X_COM, V_COM = np.array([0.2, -0.1, 1.0]), np.array([0.3, 0.5, 0.0])
+
+    def bodies(self, spec, scaled):
+        rng = np.random.default_rng(15)
+        scenarios = []
+        for masses in self.COMPOSITIONS:
+            masses = np.asarray(masses, dtype=float)
+            system = lp.ParticleSystem.from_pairs(
+                masses, [rescale(spec, m) if scaled else spec for m in masses])
+            # internal offsets and velocities with no net offset or momentum
+            dx, dv = rng.uniform(-0.3, 0.3, (2, len(masses), 3))
+            dx -= system.mu @ dx
+            dv -= system.mu @ dv
+            initial = lp.PhaseState(x=self.X_COM + dx, p=masses[:, None] * (self.V_COM + dv))
+            scenarios.append(lp.GravityScenario(system=system, potential=self.FIELD,
+                                                initial=initial, t0=0.0, t_end=2.0, dt=1e-3))
+        return scenarios
+
+    def com_spread(self, spec, scaled):
+        """max |Xcom(t) - Xcom_ref(t)| over the compositions, the first as reference."""
+        scenarios = self.bodies(spec, scaled)
+        tracks = [run.states @ scenario.system.frame[:3].T
+                  for scenario, run in zip(scenarios, lp.integrate_together(scenarios))]
+        assert all(len(track) == 2001 for track in tracks)
+        return max(np.max(np.abs(track - tracks[0])) for track in tracks[1:])
+
+    @pytest.mark.parametrize("spec", [lp.SpaceTime(kappa=0.4, rho=1, tau=2),
+                                      lp.SpaceSpace(kappa_tilde=0.4)],
+                             ids=["space_time", "space_space"])
+    def test_scaled_bodies_fall_alike(self, spec):
+        assert self.com_spread(spec, scaled=True) <= 1e-10
+        assert self.com_spread(spec, scaled=False) > 1e-3
+
+    def test_miao_type_ii_bodies_fall_apart(self):
+        spec = lp.MiaoTypeII(kappa=0.4, kappa_tilde=0.6, kappa_bar=0.9)
+        assert self.com_spread(spec, scaled=False) > 1e-3
+        # why scaled MiaoTypeII bodies still fall apart (3.3e-3 here) is not
+        # yet explained; a fix of the scaling rule or of the dynamics moves it
+        assert self.com_spread(spec, scaled=True) > 1e-3
 
 
 class TestDecouplingCheck:
