@@ -20,10 +20,12 @@ field's declared affine gradient.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -935,18 +937,74 @@ class PairDeviation:
 
 @dataclass(frozen=True)
 class WepReport:
-    """Trajectory deviations across masses sharing X(0) and P'(0)."""
+    """Trajectory deviations across masses sharing X(0) and P'(0).
+
+    ``deviations`` holds one row per pair of runs i < j, ordered by i, then
+    j: the largest distance over time between their positions and between
+    their reduced momenta P / m.  It is read-only.  ``pairs`` reads it as a
+    sequence of ``PairDeviation`` made on access.  Two reports are equal
+    when their modes and their pairs are.
+    """
 
     scaling_mode: str
-    pairs: tuple[PairDeviation, ...]
+    masses: tuple[float, ...]
+    deviations: np.ndarray
+
+    @property
+    def pairs(self) -> Sequence[PairDeviation]:
+        return _PairView(self)
 
     @property
     def max_position_deviation(self) -> float:
-        return max((p.position for p in self.pairs), default=0.0)
+        return max(self.deviations[:, 0].tolist(), default=0.0)
 
     @property
     def max_reduced_momentum_deviation(self) -> float:
-        return max((p.reduced_momentum for p in self.pairs), default=0.0)
+        return max(self.deviations[:, 1].tolist(), default=0.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, WepReport):
+            return NotImplemented
+        # without a pair the masses are not compared
+        return (self.scaling_mode == other.scaling_mode
+                and np.array_equal(self.deviations, other.deviations)
+                and (self.masses == other.masses or not len(self.deviations)))
+
+    __hash__ = None
+
+
+class _PairView(Sequence):
+    """A report's pairs in its row order, each made when it is read."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: WepReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.deviations)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(len(self))))
+        index = range(len(self))[index]  # negative indices; IndexError past the end
+        # pairs (i, j) counted from the last: rows B-2, B-3, ... hold 1, 2, ... pairs
+        back = len(self) - 1 - index
+        row = (math.isqrt(8 * back + 1) - 1) // 2
+        masses = self._report.masses
+        i, j = len(masses) - 2 - row, len(masses) - 1 - (back - row * (row + 1) // 2)
+        position, reduced_momentum = self._report.deviations[index].tolist()
+        return PairDeviation(masses=(masses[i], masses[j]), position=position,
+                             reduced_momentum=reduced_momentum)
+
+    def __iter__(self) -> Iterator[PairDeviation]:
+        for masses, (position, reduced_momentum) in zip(
+                itertools.combinations(self._report.masses, 2), self._report.deviations.tolist()):
+            yield PairDeviation(masses=masses, position=position,
+                                reduced_momentum=reduced_momentum)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def wep_deviation(
@@ -973,6 +1031,11 @@ def wep_deviation(
     return wep_report(template, masses, specs, momenta, scaling_mode)
 
 
+def _check_scaling_mode(mode: str) -> None:
+    if mode not in ("fixed", "mass_scaled"):
+        raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {mode!r}")
+
+
 def wep_runs(template: GravityScenario, masses: Sequence[float],
              modes: Sequence[str]) -> tuple[np.ndarray, tuple]:
     """The WEP runs of ``masses``: their initial momenta m P'(0) from the
@@ -980,23 +1043,25 @@ def wep_runs(template: GravityScenario, masses: Sequence[float],
     the template's (fixed) or rescaled to each mass (mass_scaled).  A run
     whose momentum or parameters overflow raises WepRunError naming it."""
     for mode in modes:
-        if mode not in ("fixed", "mass_scaled"):
-            raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {mode!r}")
+        _check_scaling_mode(mode)
     if template.system.n_particles != 1:
         raise ValueError("WEP comparisons are defined for single-particle scenarios")
     masses = [float(m) for m in masses]
     if not masses:
         raise ValueError("need at least one mass")
-    for run, m in enumerate(masses):
-        if not (math.isfinite(m) and m > 0):
-            raise ValueError(f"masses must be finite and positive, got {m!r} for run {run}")
+    run_masses = np.array(masses)
+    bad = ~(np.isfinite(run_masses) & (run_masses > 0))
+    if bad.any():
+        run = int(bad.argmax())
+        raise ValueError(f"masses must be finite and positive, got {masses[run]!r} for run {run}")
     base = template.system.particles[0]
     with np.errstate(over="ignore"):
-        momenta = np.array(masses)[:, None] * (template.initial.p[0] / base.mass)
+        momenta = run_masses[:, None] * (template.initial.p[0] / base.mass)
     momenta.flags.writeable = False
-    for run, m in enumerate(masses):
-        if not np.isfinite(momenta[run]).all():
-            raise WepRunError(run, f"the initial momentum m P'(0) for mass {m!r} overflows")
+    bad = ~np.isfinite(momenta).all(axis=1)
+    if bad.any():
+        run = int(bad.argmax())
+        raise WepRunError(run, f"the initial momentum m P'(0) for mass {masses[run]!r} overflows")
     scaled = []
     for run, m in enumerate(masses if "mass_scaled" in modes else ()):
         try:
@@ -1008,10 +1073,19 @@ def wep_runs(template: GravityScenario, masses: Sequence[float],
     return momenta, tuple((mode, specs[mode]) for mode in modes)
 
 
-def wep_report(template: GravityScenario, masses: list[float], specs: Sequence[AlgebraSpec],
+def wep_report(template: GravityScenario, masses: Sequence[float], specs: Sequence[AlgebraSpec],
                momenta: np.ndarray, scaling_mode: str) -> WepReport:
     """``wep_deviation``'s report on runs ``wep_runs`` built: run i has mass
     ``masses[i]``, spec ``specs[i]`` and initial momentum ``momenta[i]``."""
+    _check_scaling_mode(scaling_mode)
+    masses = tuple(float(m) for m in masses)
+    if not masses:
+        raise ValueError("need at least one mass")
+    if len(specs) != len(masses):
+        raise ValueError(f"{len(masses)} masses need as many specs, got {len(specs)}")
+    if np.shape(momenta) != (len(masses), 3):
+        raise ValueError(f"{len(masses)} masses need momenta of shape ({len(masses)}, 3), "
+                         f"got {np.shape(momenta)}")
     # runs sharing a grid and a field are independent (J is block-diagonal
     # and H a sum of per-particle terms): particle a of one stack is run a
     run_masses = np.array(masses)
@@ -1036,12 +1110,13 @@ def wep_report(template: GravityScenario, masses: list[float], specs: Sequence[A
     # each run's position and reduced momentum P / m, over time: (T, B, 2, 3)
     runs = states.reshape(len(states), len(masses), 2, 3)
     runs[:, :, 1] /= run_masses[:, None]
-    pairs = tuple(
-        PairDeviation(masses=(masses[i], masses[j]), position=a, reduced_momentum=b)
-        for (i, j), (a, b) in zip(np.transpose(np.triu_indices(len(masses), 1)).tolist(),
-                                  _pair_deviations(runs).tolist())
-    )
-    return WepReport(scaling_mode=scaling_mode, pairs=pairs)
+    deviations = _pair_deviations(runs)
+    deviations.flags.writeable = False
+    return WepReport(scaling_mode=scaling_mode, masses=masses, deviations=deviations)
+
+
+# bytes of the separations one block of pairs holds in ``_pair_deviations``
+_PAIR_BLOCK_BYTES = 1 << 20
 
 
 def _pair_deviations(runs: np.ndarray) -> np.ndarray:
@@ -1049,23 +1124,63 @@ def _pair_deviations(runs: np.ndarray) -> np.ndarray:
     pair of runs i < j, ordered by i, then j, for each k: (pairs, K) from
     ``runs`` of shape (T, B, K, 3).
 
-    The norm squares the separation, so runs more than about 1e154 apart
-    overflow it; only those entries are measured again, with ``hypot``,
-    which scales.  One check per call finds them.
+    The runs are copied component-major, so each component of a run is one
+    contiguous (K, T) row.  ``_pair_blocks`` cuts the pairs into blocks of
+    at most ``_PAIR_BLOCK_BYTES`` of separations (or of one pair, when one
+    alone is larger).  Each block squares the components and sums them in
+    norm's order, (x² + y²) + z², so the distances equal
+    ``np.linalg.norm``'s bit for bit; the square root, which is monotone,
+    is taken after the largest sum over time.
+
+    The sum of squares overflows for runs more than about 1e154 apart; only
+    those entries are measured again, with ``hypot``, which scales.  One
+    check per call finds them.
     """
-    count = runs.shape[1]
+    count, k_count = runs.shape[1], runs.shape[2]
+    comps = np.ascontiguousarray(runs.transpose(3, 1, 2, 0))  # (3, B, K, T)
+    dev = np.empty((count * (count - 1) // 2, k_count))
+    first = 0
     with np.errstate(over="ignore"):
-        # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, K)
-        dev = np.concatenate([np.empty((0, runs.shape[2]))] + [
-            np.linalg.norm(runs[:, i : i + 1] - runs[:, i + 1 :], axis=-1).max(axis=0)
-            for i in range(count - 1)
-        ])
+        for lo, hi, start, stop in _pair_blocks(count, _PAIR_BLOCK_BYTES // comps[:, 0].nbytes):
+            block = _block_deviations(comps, lo, hi, start, stop)
+            dev[first : first + len(block)] = block
+            first += len(block)
         pair, k = np.nonzero(np.isinf(dev))
         if len(pair):
             rows, cols = np.triu_indices(count, 1)
             d = runs[:, rows[pair], k] - runs[:, cols[pair], k]
             dev[pair, k] = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]).max(axis=0)
     return dev
+
+
+def _block_deviations(comps: np.ndarray, lo: int, hi: int, start: int, stop: int) -> np.ndarray:
+    """``_pair_deviations`` of the pairs j > i of rows ``lo:hi`` and columns
+    ``start:stop`` of ``comps``, (3, B, K, T), in pair order: (pairs, K).
+    Its separations are freed when it returns."""
+    d = comps[:, lo:hi, None] - comps[:, None, start:stop]
+    d *= d
+    d[0] += d[1]
+    d[0] += d[2]
+    block = np.sqrt(d[0].max(axis=-1))
+    return block[np.arange(start, stop) > np.arange(lo, hi)[:, None]]
+
+
+def _pair_blocks(count: int, fit: int) -> Iterator[tuple[int, int, int, int]]:
+    """Blocks of at most ``fit`` pairs (or of one) of ``count`` runs, in
+    pair order: rows ``lo:hi`` against columns ``start:stop``.  A block of
+    several rows takes every column after its first row; a row of more
+    than ``fit`` pairs is split into ranges of columns."""
+    fit, lo = max(fit, 1), 0
+    while lo < count - 1:
+        width = count - lo - 1  # row lo's pairs
+        if fit >= width:
+            hi = min(count - 1, lo + fit // width)
+            yield lo, hi, lo + 1, count
+            lo = hi
+        else:
+            for start in range(lo + 1, count, fit):
+                yield lo, lo + 1, start, min(count, start + fit)
+            lo += 1
 
 
 def _run_label(masses: list[float], run: int | None) -> str:

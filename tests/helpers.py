@@ -517,3 +517,22 @@ def integrate_flat_reference(masses, lowered, potential, z0, t0, dt, n_steps):
                 )
             states[step + 1] = z
     return times, states
+
+
+def pair_deviations_loop(runs: np.ndarray) -> np.ndarray:
+    """``dynamics._pair_deviations`` as a loop over the first run of each
+    pair: one ``np.linalg.norm`` per run, and ``hypot`` for the entries
+    whose squared separation overflows."""
+    count = runs.shape[1]
+    with np.errstate(over="ignore"):
+        # every pair (i, j > i) in one broadcast over j: (T, B - i - 1, K)
+        dev = np.concatenate([np.empty((0, runs.shape[2]))] + [
+            np.linalg.norm(runs[:, i : i + 1] - runs[:, i + 1 :], axis=-1).max(axis=0)
+            for i in range(count - 1)
+        ])
+        pair, k = np.nonzero(np.isinf(dev))
+        if len(pair):
+            rows, cols = np.triu_indices(count, 1)
+            d = runs[:, rows[pair], k] - runs[:, cols[pair], k]
+            dev[pair, k] = np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2]).max(axis=0)
+    return dev

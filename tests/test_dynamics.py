@@ -2,10 +2,12 @@
 
 import ast
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from liephase import cli, dynamics
 from liephase.algebra import rescale
 
 import sweep_linear_flow
+import sweep_wep_report
 from helpers import (
     VARIANT_NAMES,
     antisym,
     count_kernel_calls,
     decoupling_check_closures,
     integrate_flat_reference,
+    pair_deviations_loop,
     package_calls,
     polynomial_gradient_loop,
     polynomial_value_loop,
@@ -1297,6 +1301,168 @@ class TestWepDeviation:
         for got, (_, position, reduced_momentum) in zip(report.pairs, pairs):
             assert abs(got.position - position) <= 1e-14
             assert abs(got.reduced_momentum - reduced_momentum) <= 1e-14
+
+    @pytest.mark.parametrize("masses, specs, momenta, mode, message", [
+        ([1.0, 2.0, 3.0], 2, (3, 3), "fixed", "3 masses need as many specs, got 2"),
+        ([1.0, 2.0, 3.0], 3, (2, 3), "fixed",
+         r"3 masses need momenta of shape \(3, 3\), got \(2, 3\)"),
+        ([1.0, 2.0], 2, (2, 3), "adaptive",
+         "scaling_mode must be 'fixed' or 'mass_scaled', got 'adaptive'"),
+        ([], 0, (0, 3), "fixed", "need at least one mass"),
+    ], ids=["specs", "momenta", "mode", "no-mass"])
+    def test_report_refuses_mismatched_runs(self, masses, specs, momenta, mode, message):
+        scen = one_particle(lp.SpaceTime(kappa=1.0, rho=1, tau=2), t_end=0.1, dt=0.01)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lp.wep_report(scen, masses, scen.system.specs * specs, np.zeros(momenta), mode)
+
+
+# (pairs, maxima) of WEP_CASES at 16 masses and 24 steps, as a report that
+# held a tuple of PairDeviation made from one norm per run gave them: the
+# first 16 hex digits of the sha256 of their repr
+WEP_REPORT_DIGESTS = {
+    ("spacetime-uniform", "fixed"): "7e058730ff436c9e",
+    ("spacetime-uniform", "mass_scaled"): "60dc5cda82b6b7f2",
+    ("miao2-quartic", "fixed"): "e9f0cdccf15b1515",
+    ("miao2-quartic", "mass_scaled"): "ac1c66e8551a85a2",
+    ("generalized-newtonian", "fixed"): "5e95c411fbbd2074",
+    ("generalized-newtonian", "mass_scaled"): "fc320e833843eda8",
+}
+
+
+def wep_case(case, masses=16):
+    spec, potential = WEP_CASES[case]
+    template = one_particle(spec, mass=1.3, x=(1.2, -1.1, 1.4), p=(0.2, -0.3, 0.1),
+                            t_end=24 * 0.01, dt=0.01, potential=potential)
+    return template, [float(m) for m in np.random.default_rng(41).uniform(0.5, 5.0, masses)]
+
+
+class TestWepReportArray:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts the PairDeviation objects made."""
+        made = []
+        init = dynamics.PairDeviation.__init__
+        monkeypatch.setattr(dynamics.PairDeviation, "__init__",
+                            lambda self, *a, **kw: made.append(1) or init(self, *a, **kw))
+        return made
+
+    @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
+    @pytest.mark.parametrize("case", list(WEP_CASES))
+    def test_pairs_made_on_access_equal_the_loop(self, case, mode, built):
+        template, masses = wep_case(case)
+        report = lp.wep_deviation(template, masses, mode)
+        momenta, ((_, specs),) = lp.wep_runs(template, masses, (mode,))
+        assert lp.wep_report(template, masses, specs, momenta, mode) == report
+        maxima = report.max_position_deviation, report.max_reduced_momentum_deviation
+        assert len(report.pairs) == 120
+        assert not built
+        pairs = tuple(report.pairs)
+        assert len(built) == 120
+        text = repr((pairs, *maxima))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == WEP_REPORT_DIGESTS[case, mode]
+        assert [report.pairs[k] for k in (0, 7, -1)] == [pairs[0], pairs[7], pairs[-1]]
+
+    def test_deviations_read_only_in_pair_order(self):
+        template, masses = wep_case("spacetime-uniform", masses=5)
+        report = lp.wep_deviation(template, masses, "fixed")
+        assert report.masses == tuple(masses)
+        assert report.deviations.shape == (10, 2) and not report.deviations.flags.writeable
+        assert [p.masses for p in report.pairs] == [
+            (a, b) for a, b in itertools.combinations(masses, 2)]
+        assert [[p.position, p.reduced_momentum] for p in report.pairs] == (
+            report.deviations.tolist())
+        assert report.pairs[2:4] == tuple(report.pairs)[2:4]
+        with pytest.raises(IndexError):
+            report.pairs[10]
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_equality_is_the_mode_and_the_pairs(self):
+        template, masses = wep_case("spacetime-uniform", masses=3)
+        report = lp.wep_deviation(template, masses, "fixed")
+        same = dataclasses.replace(report, deviations=report.deviations.copy())
+        assert same == report
+        assert dataclasses.replace(report, scaling_mode="mass_scaled") != report
+        assert dataclasses.replace(report, masses=(1.0, 2.0, 4.0)) != report
+        assert dataclasses.replace(report, deviations=report.deviations * 2) != report
+        # one run has no pair: only the mode is compared
+        one = lp.wep_deviation(template, [1.0], "fixed")
+        assert one == lp.wep_deviation(template, [2.0], "fixed")
+        assert one.max_position_deviation == one.max_reduced_momentum_deviation == 0.0
+        assert tuple(one.pairs) == ()
+
+
+def random_runs(rng, times, count):
+    """(T, B, 2, 3) entries from 1e-300 to 1e200, each triple of one order
+    of magnitude (so the order of the sum of squares shows), some ±0.0, and
+    the last run's last position so far out that its pairs overflow the
+    square."""
+    runs = rng.normal(size=(times, count, 2, 3)) * 10.0 ** rng.uniform(
+        -300, 200, (times, count, 2, 1))
+    runs[rng.random(runs.shape) < 0.05] = 0.0
+    runs[rng.random(runs.shape) < 0.05] = -0.0
+    if count > 1:
+        runs[-1, count - 1, 0] = [1e300, -2e299, 0.0]
+    return runs
+
+
+class TestPairDeviations:
+    @pytest.mark.parametrize("times", [1, 2, 25, 1001])
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 64])
+    def test_bytes_equal_the_norm_loop(self, count, times):
+        runs = random_runs(np.random.default_rng(count * 7919 + times), times, count)
+        got = dynamics._pair_deviations(runs)
+        assert got.shape == (count * (count - 1) // 2, 2)
+        assert got.tobytes() == pair_deviations_loop(runs).tobytes()
+        if count > 1:
+            assert 1e299 < got[count - 2, 0] < np.inf  # pair (0, B - 1) overflowed the square
+
+    @pytest.mark.parametrize("fit", [1, 2, 3, 14, 15, 16, 29, 30, 119, 120, 240])
+    def test_bytes_equal_across_block_edges(self, fit, monkeypatch):
+        runs = random_runs(np.random.default_rng(fit), 25, 16)
+        pair_bytes = 3 * 2 * 25 * 8
+        for budget in (fit * pair_bytes, (fit + 1) * pair_bytes - 1):
+            monkeypatch.setattr(dynamics, "_PAIR_BLOCK_BYTES", budget)
+            assert dynamics._pair_deviations(runs).tobytes() == (
+                pair_deviations_loop(runs).tobytes())
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    def test_blocks_cover_each_pair_once_within_the_fit(self, count):
+        for fit in range(0, 30):
+            pairs = []
+            for lo, hi, start, stop in dynamics._pair_blocks(count, fit):
+                assert (hi - lo) * (stop - start) <= max(fit, 1)
+                pairs += [(i, j) for i in range(lo, hi) for j in range(start, stop) if j > i]
+            assert pairs == list(itertools.combinations(range(count), 2))
+
+    @pytest.mark.parametrize("budget", [None, 64 << 10])
+    def test_peak_memory_bounded_by_the_block(self, budget, monkeypatch):
+        # all 32640 pairs at once would hold about 39 MB of separations
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "_PAIR_BLOCK_BYTES", budget)
+        runs = np.random.default_rng(5).normal(size=(25, 256, 2, 3))
+        tracemalloc.start()
+        try:
+            dynamics._pair_deviations(runs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the component-major copy, the result, one block, and the small
+        # arrays and ufunc buffers of a block
+        copy, dev = runs.nbytes, 32640 * 2 * 8
+        assert peak <= copy + dev + dynamics._PAIR_BLOCK_BYTES + (256 << 10)
+
+
+def test_sweep_wep_report_smoke(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_wep_report, "MASSES", (2, 3))
+    out = tmp_path / "record.json"
+    assert sweep_wep_report.main(["--label", "smoke", "--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["case"], row["mode"], row["masses"]) for row in rows] == [
+        (case, mode, count) for case in sweep_wep_report.CASES
+        for count in (2, 3) for mode in sweep_wep_report.MODES]
+    assert all(row["label"] == "smoke" and row["ms"] > 0 for row in rows)
+    assert all(row["max_position_deviation"] <= 1e-8 for row in rows if row["mode"] == "mass_scaled")
 
 
 def body_scenario(masses, kappas, x_com, p_com, neglect=False, dt=1e-3):
