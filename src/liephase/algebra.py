@@ -31,16 +31,18 @@ Generalized
 
 Evaluation
 ----------
-Every variant is a special case of the Generalized form.  One ladder,
-``_spec_blocks``, writes a variant's exact tensor encoding into a 6x6 time
-block and a 6x6x6 slope block dJ/dz, built once per spec and kept read-only
-(``AlgebraSpec._blocks``).  ``lower`` stacks the blocks of one spec per
-particle into (N, 6, 6) and (N, 6, 6, 6), ``_encoding`` and
-``as_generalized`` read the four tensors back from them, and one block
-evaluator (``LoweredAlgebra``) serves ``structure_matrix``, ``bracket``,
-the equations of motion and ``jacobi_residual``.  Brackets between
-particles vanish, so J is a stack of per-particle 6x6 blocks, each affine
-in its own particle's phase point.
+Every variant is a special case of the Generalized form.  One table,
+``_ENCODINGS``, lists each variant's exact tensor encoding entry by entry,
+and one fill, ``_spec_blocks``, gathers the entries of a stack of runs into
+6x6 time blocks and 6x6x6 slope blocks dJ/dz from parameter arrays with a
+leading run axis.  A spec is one run, filled once and kept read-only
+(``AlgebraSpec._blocks``); ``lower(template, mass_ratios)`` fills B runs of
+a rescaled template with no spec per run.  ``lower`` stacks the blocks into
+(N, 6, 6) and (N, 6, 6, 6), ``_encoding`` and ``as_generalized`` read the
+four tensors back, and one block evaluator (``LoweredAlgebra``) serves
+``structure_matrix``, ``bracket``, the equations of motion and
+``jacobi_residual``.  Brackets between particles vanish, so J is a stack of
+per-particle 6x6 blocks, each affine in its own particle's phase point.
 
 A note on tensor encodings: the X-X deformation tensors (theta0, theta)
 must be antisymmetric in the lower index pair, since {X_i, X_j} is an
@@ -62,6 +64,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import WepRunError
 from .observables import Observable
 
 __all__ = [
@@ -251,65 +254,78 @@ class PhaseState:
 
 # --- generalized-tensor encodings ----------------------------------------
 
-# a slope with no X-P deformation: each P-X entry is a negated X-P zero, -0.0
-_NO_SLOPE = np.zeros((1, 6, 6, 6))
-_NO_SLOPE[..., 3:, :3] = -0.0
-_NO_SLOPE.flags.writeable = False
+# Each variant's exact tensor encoding, entry by entry, as (slot, term).  A
+# time slot "zi zj" holds d{z_i, z_j}/dt and a slope slot "zd zi zj" holds
+# d{z_i, z_j}/dz_d.  "Xa" and "Pa" are the coordinate and the momentum along
+# the spec's axis field ``a``; a bare "X" or "P" spans all three, which a
+# tensor fills in its own index order.  A term is a sign and a parameter:
+# its value, or with "1/" its inverse.  An entry whose bracket indices zi and
+# zj differ also writes its mirror, the negated entry at (zj, zi).
+_SPACE_SPACE = (
+    ("Xl Xk Xgamma", "+1/kappa_tilde"), ("Xk Xl Xgamma", "-1/kappa_tilde"),
+    ("Pl Xgamma Pk", "-1/kappa_tilde"), ("Pk Xgamma Pl", "+1/kappa_tilde"),
+)
+_MIAO_TIME = (("Xk Xgamma", "-1/kappa"), ("Xl Xgamma", "+1/kappa"))
+_ENCODINGS = {
+    Canonical: (),
+    SpaceTime: (("Xrho Xtau", "+1/kappa"),),
+    SpaceSpace: _SPACE_SPACE,
+    MiaoTypeI: _SPACE_SPACE + _MIAO_TIME + (("Xk Xl", "+1/kappa"),),
+    MiaoTypeII: _SPACE_SPACE + _MIAO_TIME + (
+        ("Xl Xgamma Pk", "-1/kappa_bar"), ("Xk Xgamma Pl", "-1/kappa_bar")),
+    Generalized: (("X X", "+theta0"), ("X X X", "+theta"), ("X X P", "+theta_bar"),
+                  ("P X P", "+theta_tilde")),
+}
 
 
-def _spec_blocks(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The variant's exact tensor encoding, unvalidated and read-only, as a
-    time block (1, 6, 6) and a slope block (1, 6, 6, 6) in ``lower``'s layout.
+@functools.cache
+def _compiled(variant: type, axes: tuple) -> tuple:
+    """``_ENCODINGS[variant]`` for the values ``axes`` of ``_AXIS_FIELDS``:
+    its terms, each (parameter, inverse, column or columns) of a run's
+    parameter vector, 0.0 then the terms' values, the vector's width, and
+    the source column and sign of each slot of the slope blocks dJ/dz_d,
+    d < 6, and the time block, 6, so one gather and one product fill all
+    runs."""
+    if variant not in _ENCODINGS:
+        raise TypeError(f"unknown algebra variant: {variant.__name__}")
+    axis, terms, width = dict(zip(_AXIS_FIELDS, axes)), {}, 1
+    source, sign = np.zeros((7, 6, 6), np.intp), np.ones((7, 6, 6))
+    sign[:6, 3:, :3] = -1.0  # a P-X zero of the slope is a negated X-P zero
+    for slot, signed in _ENCODINGS[variant]:
+        term = signed[1:]
+        name = term.removeprefix("1/")
+        shape = PARAMETER_ROLES[name].shape
+        if term not in terms:
+            size = math.prod(shape)
+            terms[term] = (name, name != term, slice(width, width + size) if shape else width)
+            width += size
+        cols = np.arange(width)[terms[term][2]].reshape(shape)
+        zs = slot.split()
+        index = ((6,) if len(zs) == 2 else ()) + tuple(
+            slice(o, o + 3) if not a else o + axis[a] - 1
+            for o, a in ((3 * (z[0] == "P"), z[1:]) for z in zs))
+        source[index], sign[index] = cols, float(signed[0] + "1")
+        if zs[-2] != zs[-1]:  # the mirror
+            source.swapaxes(-1, -2)[index], sign.swapaxes(-1, -2)[index] = cols, -sign[index]
+    source.flags.writeable = sign.flags.writeable = False  # shared by every call
+    return tuple(terms.values()), width, source, sign
 
-    ``t[i, j]`` is theta0_ij and ``s[d, i, j]`` is dJ_ij/dz_d: theta^u_ij at
-    d = u, theta_bar^u_ij at (u, i, 3 + j) and theta_tilde^u_ij at
-    (3 + u, i, 3 + j), each X-P entry with its negative at (d, 3 + j, i).
-    For SpaceSpace and the Miao types the X-P deformation lives only in the
-    gamma row of the bracket table, so the theta_bar/theta_tilde slices are
-    one-sided rather than antisymmetric; symmetrizing them would change the
-    bracket of X_k with P_gamma and break the Jacobi identity.  A
-    Generalized spec copies its own (validated) tensors.
-    """
-    time = np.zeros((1, 6, 6))
-    slope = _NO_SLOPE.copy()
-    t, s = time[0], slope[0]
-    if isinstance(spec, Generalized):
-        t[:3, :3], s[:3, :3, :3] = spec.theta0, spec.theta
-        s[:3, :3, 3:], s[3:, :3, 3:] = spec.theta_bar, spec.theta_tilde
-        s[:, 3:, :3] = -s[:, :3, 3:].transpose(0, 2, 1)
-    elif isinstance(spec, Canonical):
-        pass
-    elif isinstance(spec, SpaceTime):
-        r, q = spec.rho - 1, spec.tau - 1
-        t[r, q] = 1.0 / spec.kappa
-        t[q, r] = -1.0 / spec.kappa
-    elif isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
-        k, l, g = spec.k - 1, spec.l - 1, spec.gamma - 1
-        inv_kt = 1.0 / spec.kappa_tilde
-        s[l, k, g] = inv_kt
-        s[l, g, k] = -inv_kt
-        s[k, l, g] = -inv_kt
-        s[k, g, l] = inv_kt
-        s[3 + l, g, 3 + k], s[3 + l, 3 + k, g] = -inv_kt, inv_kt
-        s[3 + k, g, 3 + l], s[3 + k, 3 + l, g] = inv_kt, -inv_kt
-        if isinstance(spec, (MiaoTypeI, MiaoTypeII)):
-            inv_k = 1.0 / spec.kappa
-            t[k, g] = -inv_k
-            t[g, k] = inv_k
-            t[l, g] = inv_k
-            t[g, l] = -inv_k
-        if isinstance(spec, MiaoTypeI):
-            t[k, l] = 1.0 / spec.kappa
-            t[l, k] = -1.0 / spec.kappa
-        if isinstance(spec, MiaoTypeII):
-            inv_kb = 1.0 / spec.kappa_bar
-            s[l, g, 3 + k], s[l, 3 + k, g] = -inv_kb, inv_kb
-            s[k, g, 3 + l], s[k, 3 + l, g] = -inv_kb, inv_kb
-    else:
-        raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
-    time.setflags(write=False)
-    slope.setflags(write=False)
-    return time, slope
+
+def _spec_blocks(spec: AlgebraSpec, values=None, runs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only time (runs, 6, 6) and slope (runs, 6, 6, 6) stacks of
+    ``runs`` runs of the spec's variant and axes: ``values`` maps each
+    parameter to one value for all runs, or to the runs' values on a leading
+    axis; by default it is the spec's own fields, one run."""
+    values = vars(spec) if values is None else values
+    terms, width, source, sign = _compiled(type(spec), tuple(map(values.get, _AXIS_FIELDS)))
+    vec = np.zeros((runs, width))
+    for name, inverse, cols in terms:
+        value = 1.0 / values[name] if inverse else values[name]
+        vec[:, cols] = value if type(cols) is int else value.reshape(-1, cols.stop - cols.start)
+    blocks = vec.take(source, axis=1)
+    blocks *= sign
+    blocks.flags.writeable = False
+    return blocks[:, 6], blocks[:, :6]
 
 
 def _encoding(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -370,6 +386,7 @@ PARAMETER_ROLES = {
     "theta_bar": ParameterRole(SHARED, (3, 3, 3), False, "theta_bar"),
     **{name: ParameterRole(AXIS) for name in ("rho", "tau", "k", "l", "gamma")},
 }
+_AXIS_FIELDS = tuple(name for name, role in PARAMETER_ROLES.items() if role.kind == AXIS)
 
 
 def _refuse_entries(bad: np.ndarray, name: str, reason: str) -> None:
@@ -439,6 +456,30 @@ def rescale(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:
     return replace(spec, **changes)
 
 
+def _scaled_blocks(spec: AlgebraSpec, mass_ratios) -> tuple[np.ndarray, np.ndarray]:
+    """``_spec_blocks`` of ``spec`` rescaled by each ratio, each SCALED
+    parameter its role's ``scale`` on the array of ratios, as ``rescale``
+    forms it for one.  The first run that ``rescale`` would refuse raises
+    WepRunError with its message."""
+    ratios = np.array(mass_ratios, dtype=float).reshape(-1)
+    values, bad = dict(vars(spec)), np.zeros(len(ratios), dtype=bool)
+    with np.errstate(all="ignore"):  # refused below, as a spec refuses it
+        for name, role in parameter_roles(spec):
+            if role.kind == SCALED:
+                by = ratios.reshape(-1, *[1] * len(role.shape))  # one ratio per run
+                value = values[name] = role.scale(values[name], by)
+                # a scalar enters the blocks as its inverse: both must be finite
+                held = value if role.shape else value * (1.0 / value)
+                bad |= ~np.isfinite(held).reshape(len(ratios), -1).all(axis=1)
+        if bad.any():
+            run = int(bad.argmax())
+            try:
+                rescale(spec, float(ratios[run]))
+            except ValueError as exc:
+                raise WepRunError(run, str(exc)) from exc
+    return _spec_blocks(spec, values, len(ratios))
+
+
 # --- the tensor core -------------------------------------------------------------
 
 # built by subtraction so its zeros are +0.0; a -0.0 would survive C + t*T for t < 0
@@ -479,20 +520,30 @@ class LoweredAlgebra:
         return (self.blocks(z.reshape(-1, 6), t) @ v.reshape(-1, 6, 1)).ravel()
 
 
-def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra) -> LoweredAlgebra:
+def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra | AlgebraSpec,
+          mass_ratios: Sequence[float] | None = None) -> LoweredAlgebra:
     """Stack the exact tensor encodings of one spec per particle, each
     spec's blocks built once (``AlgebraSpec._blocks``).
+
+    With ``mass_ratios``, ``specs`` is one template and particle b is the
+    template rescaled by ``mass_ratios[b]``, byte for byte as ``rescale``
+    makes it, with no spec made per particle (see ``_scaled_blocks``).
 
     Already lowered input is returned as is, so callers that evaluate many
     states lower once and pass the result on.
     """
     if isinstance(specs, LoweredAlgebra):
         return specs
-    if not specs:
+    if mass_ratios is not None:
+        time, slope = _scaled_blocks(specs, mass_ratios)
+    elif not specs:
         return LoweredAlgebra(time=_NO_PARTICLES, slope=None)
-    times, slopes = zip(*[spec._blocks for spec in specs])
-    time, slope = np.concatenate(times), np.concatenate(slopes)
-    time.flags.writeable = slope.flags.writeable = False
+    elif len(specs) == 1:
+        time, slope = specs[0]._blocks
+    else:
+        times, slopes = zip(*[spec._blocks for spec in specs])
+        time, slope = np.concatenate(times), np.concatenate(slopes)
+        time.flags.writeable = slope.flags.writeable = False
     return LoweredAlgebra(time=time, slope=slope if slope.any() else None)
 
 

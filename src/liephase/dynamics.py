@@ -43,7 +43,6 @@ from .algebra import (
     _encoding,
     _finite_array,
     lower,
-    rescale,
 )
 from .composition import (
     ParticleSystem,
@@ -389,7 +388,9 @@ def scenario_fingerprint(scenario: GravityScenario) -> str:
         "grid": [scenario.t0, scenario.t_end, scenario.dt],
         "body_mode": scenario.body_mode,
     }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    # a fresh acyclic payload: the circular-reference check finds nothing
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True, check_circular=False).encode()).hexdigest()
     return digest[:16]
 
 
@@ -1025,10 +1026,10 @@ def wep_deviation(
     """
     masses = [float(m) for m in masses]
     try:
-        momenta, ((_, specs),) = wep_runs(template, masses, (scaling_mode,))
+        momenta, ((_, lowered),) = wep_runs(template, masses, (scaling_mode,))
     except WepRunError as exc:
         raise WepRunError(exc.run, f"{_run_label(masses, exc.run)}: {exc}") from exc
-    return wep_report(template, masses, specs, momenta, scaling_mode)
+    return wep_report(template, masses, lowered, momenta, scaling_mode)
 
 
 def _check_scaling_mode(mode: str) -> None:
@@ -1039,9 +1040,10 @@ def _check_scaling_mode(mode: str) -> None:
 def wep_runs(template: GravityScenario, masses: Sequence[float],
              modes: Sequence[str]) -> tuple[np.ndarray, tuple]:
     """The WEP runs of ``masses``: their initial momenta m P'(0) from the
-    template's P'(0), read-only, and each of ``modes`` with its runs' specs,
-    the template's (fixed) or rescaled to each mass (mass_scaled).  A run
-    whose momentum or parameters overflow raises WepRunError naming it."""
+    template's P'(0), read-only, and each of ``modes`` with its runs'
+    lowered stack, one particle per run: the template's spec (fixed) or the
+    template rescaled to each mass (mass_scaled, ``lower``'s scaled form).
+    A run whose momentum or parameters overflow raises WepRunError naming it."""
     for mode in modes:
         _check_scaling_mode(mode)
     if template.system.n_particles != 1:
@@ -1062,21 +1064,21 @@ def wep_runs(template: GravityScenario, masses: Sequence[float],
     if bad.any():
         run = int(bad.argmax())
         raise WepRunError(run, f"the initial momentum m P'(0) for mass {masses[run]!r} overflows")
-    scaled = []
-    for run, m in enumerate(masses if "mass_scaled" in modes else ()):
-        try:
-            with np.errstate(over="ignore"):  # the spec it produces refuses an overflow
-                scaled.append(rescale(base.spec, m / base.mass))
-        except ValueError as exc:
-            raise WepRunError(run, f"the parameters rescaled to mass {m!r}: {exc}") from exc
-    specs = {"fixed": (base.spec,) * len(masses), "mass_scaled": tuple(scaled)}
-    return momenta, tuple((mode, specs[mode]) for mode in modes)
+    lowered = {"fixed": lambda: lower((base.spec,) * len(masses)),
+               "mass_scaled": lambda: lower(base.spec, mass_ratios=run_masses / base.mass)}
+    try:
+        return momenta, tuple((mode, lowered[mode]()) for mode in modes)
+    except WepRunError as exc:
+        raise WepRunError(
+            exc.run, f"the parameters rescaled to mass {masses[exc.run]!r}: {exc}") from exc
 
 
-def wep_report(template: GravityScenario, masses: Sequence[float], specs: Sequence[AlgebraSpec],
+def wep_report(template: GravityScenario, masses: Sequence[float],
+               specs: Sequence[AlgebraSpec] | LoweredAlgebra,
                momenta: np.ndarray, scaling_mode: str) -> WepReport:
     """``wep_deviation``'s report on runs ``wep_runs`` built: run i has mass
-    ``masses[i]``, spec ``specs[i]`` and initial momentum ``momenta[i]``."""
+    ``masses[i]``, spec ``specs[i]`` (or particle i of a lowered stack) and
+    initial momentum ``momenta[i]``."""
     _check_scaling_mode(scaling_mode)
     masses = tuple(float(m) for m in masses)
     if not masses:

@@ -466,6 +466,12 @@ def lower_via_generalized(specs) -> tuple[np.ndarray, np.ndarray]:
     return time, slope
 
 
+def lowered_bytes(lowered) -> tuple[bytes, bytes | None]:
+    """A lowered stack's time and slope bytes (None for no slope), so that
+    two stacks compare byte for byte."""
+    return lowered.time.tobytes(), None if lowered.slope is None else lowered.slope.tobytes()
+
+
 def count_kernel_calls(monkeypatch, name: str = "_integrate_flat") -> list:
     """Record each call of ``dynamics.<name>``, by default the integrator
     every run goes through, in the returned list."""

@@ -19,6 +19,7 @@ from helpers import (
     VARIANT_NAMES,
     antisym,
     lower_via_generalized,
+    lowered_bytes,
     package_calls,
     random_spec,
     random_state,
@@ -507,6 +508,98 @@ class TestJacobi:
         spec = lp.MiaoTypeI(kappa=1.0, kappa_tilde=2.0)
         state = random_state(rng, 2)
         assert lp.jacobi_residual([spec, spec], state) <= 1e-10
+
+
+def scaled_or_refused(template, ratios):
+    """``lower(template, mass_ratios=ratios)``'s bytes, or its WepRunError's
+    (run, message)."""
+    try:
+        return lowered_bytes(lower(template, mass_ratios=ratios))
+    except lp.WepRunError as exc:
+        return exc.run, str(exc)
+
+
+def rescaled_or_refused(template, ratios):
+    """The same from one ``rescale``d spec per ratio, the spec path."""
+    specs = []
+    for run, ratio in enumerate(ratios):
+        try:
+            with np.errstate(over="ignore"):  # the spec refuses an overflow
+                specs.append(rescale(template, ratio))
+        except ValueError as exc:
+            return run, str(exc)
+    return lowered_bytes(lower(specs))
+
+
+class TestScaledLowering:
+    """``lower(template, mass_ratios)`` against ``lower`` of one rescaled spec per ratio."""
+
+    @pytest.mark.parametrize("runs", [1, 16, 1024])
+    @pytest.mark.parametrize("variant", [*VARIANT_NAMES, "signed_zero"])
+    def test_bytes_equal_rescaled_specs(self, variant, runs, monkeypatch):
+        rng = np.random.default_rng(runs)
+        template = (signed_zero_generalized() if variant == "signed_zero"
+                    else random_spec(rng, variant))
+        # log-uniform over [1e-6, 1e6], both ends included
+        ratios = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), runs))
+        ratios[: min(runs, 2)] = (1e-6, 1e6)[: min(runs, 2)]
+        want = rescaled_or_refused(template, ratios.tolist())
+        made = []
+        post_init = algebra.AlgebraSpec.__post_init__
+        monkeypatch.setattr(algebra.AlgebraSpec, "__post_init__",
+                            lambda spec: made.append(spec) or post_init(spec))
+        got = lower(template, mass_ratios=ratios)
+        assert made == []  # no spec is made per run
+        assert lowered_bytes(got) == want
+        assert len(got) == runs and not got.time.flags.writeable
+        assert got.slope is None or not got.slope.flags.writeable
+
+    @staticmethod
+    def around(edge):
+        """Ratios on both sides of an overflow edge."""
+        return [edge * f for f in (0.5, 0.999, 1 - 1e-15, 1.0, 1 + 1e-15, 1.001, 2.0)]
+
+    def assert_edges(self, template, ratios):
+        outcomes = set()
+        for ratio in ratios:
+            # each ratio after an ordinary run, so a refusal names run 1
+            got = scaled_or_refused(template, [1.0, ratio])
+            assert got == rescaled_or_refused(template, [1.0, ratio]), ratio
+            outcomes.add(got[1].split(", got")[0] if got[0] == 1 else "kept")
+        assert len(outcomes) >= 2  # the edge was crossed
+        # the first refused run is named, with its spec's message
+        run, message = scaled_or_refused(template, [1.0, ratios[0], ratios[-1], ratios[0]])
+        assert (run, message) == rescaled_or_refused(template, [1.0, ratios[0], ratios[-1]])
+
+    @pytest.mark.parametrize("template", [
+        lp.SpaceTime(kappa=1.5, rho=3, tau=1),
+        lp.MiaoTypeII(kappa=2.0, kappa_tilde=-2.5, kappa_bar=3.0, k=3, l=1, gamma=2),
+    ], ids=["spacetime", "miao_type_ii"])
+    def test_kappa_overflow_edges(self, template):
+        big = float(np.finfo(float).max)
+        # kappa * ratio overflows past the first edge; its inverse, past the second
+        for kappa in (getattr(template, name) for name in ("kappa", "kappa_tilde")
+                      if hasattr(template, name)):
+            self.assert_edges(template, self.around(big / abs(kappa)))
+            self.assert_edges(template, self.around(1.0 / big / abs(kappa))[::-1])
+
+    def test_theta_overflow_edges(self):
+        theta0 = np.zeros((3, 3))
+        theta0[0, 1], theta0[1, 0] = 1e300, -1e300
+        theta_tilde = np.zeros((3, 3, 3))
+        theta_tilde[2, 1, 0] = -1e305
+        template = lp.Generalized(theta0=theta0, theta_tilde=theta_tilde,
+                                  theta_bar=np.full((3, 3, 3), 1e307))
+        big = float(np.finfo(float).max)
+        # theta_tilde / ratio overflows first, then theta0, which is named first
+        # as a spec checks its fields in order; theta_bar is shared
+        for largest in (1e305, 1e300):
+            self.assert_edges(template, self.around(largest / big)[::-1])
+        assert scaled_or_refused(template, [1.0, 1e-10]) == (1, "theta0[0][1]: must be finite")
+        assert scaled_or_refused(template, [1.0, 1e-4]) == (
+            1, "theta_tilde[2][1][0]: must be finite")
+        assert scaled_or_refused(template, [1.0, 1e300]) == rescaled_or_refused(
+            template, [1.0, 1e300])  # underflows to zeros: kept
 
 
 class TestRescale:

@@ -740,10 +740,8 @@ class TestRun:
         assert settings == as_loaded
         assert not any(key.startswith("_") for key in settings)
         wep = scenario.task == "wep-test"
-        rescaled = settings.get("compare_partition", [])
-        if wep and settings["scaling_mode"] != "fixed":
-            rescaled = settings["masses"]
-        assert len(calls["rescale"]) == len(rescaled)
+        # wep-test lowers its mass-scaled runs from the template, with no rescale
+        assert len(calls["rescale"]) == len(settings.get("compare_partition", []))
         assert [args[1] for args in calls["wep_runs"]] == ([settings["masses"]] if wep else [])
         # the system whose effective parameters the task reads, and
         # simulate's partition body: one build each

@@ -13,17 +13,19 @@ import numpy as np
 import pytest
 
 import liephase as lp
-from liephase import cli, dynamics
-from liephase.algebra import rescale
+from liephase import algebra, cli, dynamics
+from liephase.algebra import lower, rescale
 
 import sweep_linear_flow
 import sweep_wep_report
+import sweep_wep_runs
 from helpers import (
     VARIANT_NAMES,
     antisym,
     count_kernel_calls,
     decoupling_check_closures,
     integrate_flat_reference,
+    lowered_bytes,
     pair_deviations_loop,
     package_calls,
     polynomial_gradient_loop,
@@ -1080,6 +1082,23 @@ class TestScenarioFingerprint:
         assert lp.scenario_fingerprint(mixed) == "7224322d6cfa4e3f"
         assert lp.scenario_fingerprint(miao) == "72ecf920873c9885"
 
+    def test_wide_space_space_unchanged(self):
+        # 64 particles, as the benchmark's N-body scenario: recorded before the
+        # payload was encoded without the circular-reference check
+        rng = np.random.default_rng(64)
+        masses = rng.uniform(0.5, 3.0, 64)
+        gamma = float(rng.uniform(1.0, 3.0))
+        wide = lp.GravityScenario(
+            system=lp.ParticleSystem.from_pairs(masses.tolist(), [
+                lp.SpaceSpace(kappa_tilde=gamma * float(m), k=2, l=3, gamma=1) for m in masses]),
+            potential=lp.Polynomial(coefficients={(2, 0, 0): 0.3, (0, 2, 0): 0.5,
+                                                  (1, 1, 1): 0.02, (4, 0, 0): 0.01}),
+            initial=lp.PhaseState(x=rng.uniform(-1.0, 1.0, (64, 3)),
+                                  p=rng.uniform(-0.5, 0.5, (64, 3))),
+            t0=0.0, t_end=0.5, dt=0.01,
+        )
+        assert lp.scenario_fingerprint(wide) == "e8735913e7ae4d96"
+
     def test_built_only_where_reported(self, monkeypatch, tmp_path):
         # integrating fingerprints nothing; the simulate report fingerprints
         # its main run once, and neither the dt-halving runs nor a partition body
@@ -1182,17 +1201,18 @@ class TestWepDeviation:
                             t_end=0.1, dt=0.01)
         spec, masses = scen.system.specs[0], [1.0, 4.0, 0.5]
         factors = []
-        monkeypatch.setattr(dynamics, "rescale",
+        monkeypatch.setattr(algebra, "rescale",
                             lambda base, factor: factors.append(factor) or rescale(base, factor))
         momenta, runs = lp.wep_runs(scen, masses, ("fixed", "mass_scaled"))
-        assert factors == [m / 2.0 for m in masses]  # one rescale per mass
+        assert factors == []  # the mass-scaled runs are lowered from the template alone
         assert not momenta.flags.writeable
         assert np.array_equal(momenta, np.outer(masses, [0.2, 0.0, 0.0]))
-        assert runs == (("fixed", (spec,) * 3),
-                        ("mass_scaled", tuple(rescale(spec, m / 2.0) for m in masses)))
+        assert [mode for mode, _ in runs] == ["fixed", "mass_scaled"]
+        expected = (lower([spec] * 3), lower([rescale(spec, m / 2.0) for m in masses]))
+        assert [lowered_bytes(got) for _, got in runs] == [lowered_bytes(w) for w in expected]
         # wep_deviation is the builder and the report on its runs
-        for mode, specs in runs:
-            assert (lp.wep_report(scen, masses, specs, momenta, mode)
+        for mode, lowered in runs:
+            assert (lp.wep_report(scen, masses, lowered, momenta, mode)
                     == lp.wep_deviation(scen, masses, mode))
 
     @pytest.mark.parametrize("mode", ["fixed", "mass_scaled"])
@@ -1451,6 +1471,17 @@ class TestPairDeviations:
         # arrays and ufunc buffers of a block
         copy, dev = runs.nbytes, 32640 * 2 * 8
         assert peak <= copy + dev + dynamics._PAIR_BLOCK_BYTES + (256 << 10)
+
+
+def test_sweep_wep_runs_smoke(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_wep_runs, "MASSES", (2, 3))
+    out = tmp_path / "record.json"
+    assert sweep_wep_runs.main(["--label", "smoke", "--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["case"], row["mode"], row["masses"]) for row in rows] == [
+        (case, mode, count) for count in (2, 3)
+        for case in sweep_wep_report.CASES for mode in sweep_wep_report.MODES]
+    assert all(row["label"] == "smoke" and row["ms"] > 0 for row in rows)
 
 
 def test_sweep_wep_report_smoke(tmp_path, monkeypatch):
