@@ -777,6 +777,13 @@ def _run_com_brackets(scenario: Scenario, plan, runner: _CheckRunner, out_dir: P
     return results
 
 
+def _only_with(scenario: Scenario, option: str, used: bool, what: str) -> None:
+    """Refuse ``option`` when it is given (not only defaulted) to a run
+    that never reads it."""
+    if option in scenario.options and not used:
+        raise ScenarioError(f"options.{option}: only meaningful with {what}")
+
+
 def _plan_simulate(scenario: Scenario) -> Optional[tuple[ParticleSystem, PhaseState]]:
     """The partition body's system and initial state, when one is asked for."""
     if scenario.potential is None:
@@ -784,7 +791,9 @@ def _plan_simulate(scenario: Scenario) -> Optional[tuple[ParticleSystem, PhaseSt
     system = scenario.system
     if scenario.body_mode:
         _rescaled("particles", system.total_mass, lambda: effective_parameters(system))
+    _only_with(scenario, "order_bounds", scenario.settings["order_check"], "order_check")
     partition = scenario.settings.get("compare_partition")
+    _only_with(scenario, "partition_tol", partition is not None, "compare_partition")
     if partition is None:
         return None
     if not scenario.body_mode:
@@ -889,14 +898,21 @@ def _run_simulate(scenario: Scenario, partition_body, runner: _CheckRunner, out_
     return results
 
 
-def _plan_wep_test(scenario: Scenario) -> tuple[np.ndarray, tuple]:
-    """The runs' initial momenta, read-only, and each mode with its lowered runs."""
+def _plan_wep_test(scenario: Scenario) -> tuple[tuple[str, np.ndarray, Any], ...]:
+    """Each mode the run reports, with its runs' initial momenta, read-only,
+    and their lowered stack."""
     if scenario.potential is None:
         raise ScenarioError("potential: required for this task")
     mode = scenario.settings["scaling_mode"]
+    modes = ("fixed", "mass_scaled") if mode == "both" else (mode,)
+    _only_with(scenario, "expect_position_deviation", "fixed" in modes,
+               "the fixed runs (scaling_mode fixed or both)")
+    _only_with(scenario, "expect_deviation_tol", "expect_position_deviation" in scenario.options,
+               "expect_position_deviation")
+    _only_with(scenario, "max_deviation", "mass_scaled" in modes,
+               "the mass-scaled runs (scaling_mode mass_scaled or both)")
     try:
-        return wep_runs(scenario, scenario.settings["masses"],
-                        ("fixed", "mass_scaled") if mode == "both" else (mode,))
+        return tuple((m, *wep_runs(scenario, scenario.settings["masses"], m)) for m in modes)
     except WepRunError as exc:
         raise ScenarioError(f"options.masses[{exc.run}]: {exc}") from exc
     except ValueError as exc:  # the masses and the mode were checked as they were read
@@ -906,11 +922,10 @@ def _plan_wep_test(scenario: Scenario) -> tuple[np.ndarray, tuple]:
 def _run_wep_test(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path) -> dict:
     settings = scenario.settings
     masses = settings["masses"]
-    momenta, modes = plan
     expected = settings.get("expect_position_deviation")
 
     results: dict[str, Any] = {"masses": masses, "modes": {}}
-    for m, lowered in modes:
+    for m, momenta, lowered in plan:
         report = wep_report(scenario, masses, lowered, momenta, m)
         results["modes"][m] = {
             "pairs": [asdict(p) for p in report.pairs],

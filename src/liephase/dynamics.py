@@ -975,7 +975,8 @@ class WepReport:
 
 
 class _PairView(Sequence):
-    """A report's pairs in its row order, each made when it is read."""
+    """A report's pairs in its row order, each made when it is read: row k is
+    pair k of ``itertools.combinations`` over the masses, indexed or looped."""
 
     __slots__ = ("_report",)
 
@@ -985,24 +986,20 @@ class _PairView(Sequence):
     def __len__(self) -> int:
         return len(self._report.deviations)
 
+    def _rows(self) -> Iterator[tuple[tuple[float, float], list[float]]]:
+        report = self._report
+        return zip(itertools.combinations(report.masses, 2), report.deviations.tolist())
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self[k] for k in range(*index.indices(len(self))))
+            return tuple(self)[index]
         index = range(len(self))[index]  # negative indices; IndexError past the end
-        # pairs (i, j) counted from the last: rows B-2, B-3, ... hold 1, 2, ... pairs
-        back = len(self) - 1 - index
-        row = (math.isqrt(8 * back + 1) - 1) // 2
-        masses = self._report.masses
-        i, j = len(masses) - 2 - row, len(masses) - 1 - (back - row * (row + 1) // 2)
-        position, reduced_momentum = self._report.deviations[index].tolist()
-        return PairDeviation(masses=(masses[i], masses[j]), position=position,
-                             reduced_momentum=reduced_momentum)
+        masses, row = next(itertools.islice(self._rows(), index, None))
+        return PairDeviation(masses, *row)
 
     def __iter__(self) -> Iterator[PairDeviation]:
-        for masses, (position, reduced_momentum) in zip(
-                itertools.combinations(self._report.masses, 2), self._report.deviations.tolist()):
-            yield PairDeviation(masses=masses, position=position,
-                                reduced_momentum=reduced_momentum)
+        for masses, row in self._rows():
+            yield PairDeviation(masses, *row)
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -1019,33 +1016,36 @@ def wep_deviation(
     so that the scaling rule ties them to the run's mass; deviations are
     then bounded by integrator roundoff.  In ``fixed`` mode the parameters
     are held identical across masses and the deviations expose the
-    mass-dependent deformation terms in the equations of motion.
+    mass-dependent deformation terms in the equations of motion.  Both modes'
+    runs are built alike, by ``wep_runs``, as the template scaled to mass ratios.
 
     All runs are integrated together, as one particle each of a single
     system; a bad run, a singularity or a non-finite state names the run and its mass.
     """
     masses = [float(m) for m in masses]
     try:
-        momenta, ((_, lowered),) = wep_runs(template, masses, (scaling_mode,))
+        momenta, lowered = wep_runs(template, masses, scaling_mode)
     except WepRunError as exc:
         raise WepRunError(exc.run, f"{_run_label(masses, exc.run)}: {exc}") from exc
     return wep_report(template, masses, lowered, momenta, scaling_mode)
 
 
+_SCALING_MODES = {"fixed": 0.0, "mass_scaled": 1.0}  # each mode's exponent α, see wep_runs
+
+
 def _check_scaling_mode(mode: str) -> None:
-    if mode not in ("fixed", "mass_scaled"):
+    if not (isinstance(mode, str) and mode in _SCALING_MODES):
         raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {mode!r}")
 
 
 def wep_runs(template: GravityScenario, masses: Sequence[float],
-             modes: Sequence[str]) -> tuple[np.ndarray, tuple]:
-    """The WEP runs of ``masses``: their initial momenta m P'(0) from the
-    template's P'(0), read-only, and each of ``modes`` with its runs'
-    lowered stack, one particle per run: the template's spec (fixed) or the
-    template rescaled to each mass (mass_scaled, ``lower``'s scaled form).
-    A run whose momentum or parameters overflow raises WepRunError naming it."""
-    for mode in modes:
-        _check_scaling_mode(mode)
+             scaling_mode: str) -> tuple[np.ndarray, LoweredAlgebra]:
+    """The WEP runs of ``masses`` in one mode: their initial momenta m P'(0),
+    read-only, and their lowered stack from one ``lower(spec, mass_ratios=...)``:
+    run i is the template rescaled by (m_i / m_0) ** α, exactly the template
+    for ``fixed`` (α = 0) and rescaled to m_i for ``mass_scaled`` (α = 1).  A
+    run whose momentum or parameters overflow raises WepRunError naming it."""
+    _check_scaling_mode(scaling_mode)
     if template.system.n_particles != 1:
         raise ValueError("WEP comparisons are defined for single-particle scenarios")
     masses = [float(m) for m in masses]
@@ -1059,15 +1059,14 @@ def wep_runs(template: GravityScenario, masses: Sequence[float],
     base = template.system.particles[0]
     with np.errstate(over="ignore"):
         momenta = run_masses[:, None] * (template.initial.p[0] / base.mass)
+        ratios = (run_masses / base.mass) ** _SCALING_MODES[scaling_mode]
     momenta.flags.writeable = False
     bad = ~np.isfinite(momenta).all(axis=1)
     if bad.any():
         run = int(bad.argmax())
         raise WepRunError(run, f"the initial momentum m P'(0) for mass {masses[run]!r} overflows")
-    lowered = {"fixed": lambda: lower((base.spec,) * len(masses)),
-               "mass_scaled": lambda: lower(base.spec, mass_ratios=run_masses / base.mass)}
     try:
-        return momenta, tuple((mode, lowered[mode]()) for mode in modes)
+        return momenta, lower(base.spec, mass_ratios=ratios)
     except WepRunError as exc:
         raise WepRunError(
             exc.run, f"the parameters rescaled to mass {masses[exc.run]!r}: {exc}") from exc

@@ -6,8 +6,10 @@ a Generalized encoding of MiaoTypeI in a Newtonian field), both scaling
 modes and B in (2, 16, 64, 256) seeded masses, records the minimum wall
 time of a few calls of ``wep_deviation`` over 24 steps, and the largest
 position deviation it reports.  The calls are made in rounds, each round
-calling every case once, so a case's calls spread over the whole run and
-a slow spell of a shared host weighs on every case alike.
+calling every case of one B once, so a case's calls spread over its B's
+run and a slow spell of a shared host weighs on every case alike.  The B
+are timed one after another, so no call pays for memory that a larger B's
+call freed.
 
 Each row carries ``--label``, a name for the code measured.  The rows are
 written with the machine's description to ``BENCH_wep_report.json`` at the
@@ -65,11 +67,14 @@ def rows(repeats: int) -> list[dict]:
                        "max_position_deviation": report.max_position_deviation}
                 cases.append((row, template, masses, mode))
     best = [np.inf] * len(cases)
-    for _ in range(repeats):
-        for k, (_, template, masses, mode) in enumerate(cases):
-            start = time.perf_counter()
-            lp.wep_deviation(template, masses, mode)
-            best[k] = min(best[k], time.perf_counter() - start)
+    for count in MASSES:
+        rounds = [k for k, (row, *_) in enumerate(cases) if row["masses"] == count]
+        for _ in range(repeats):
+            for k in rounds:
+                _, template, masses, mode = cases[k]
+                start = time.perf_counter()
+                lp.wep_deviation(template, masses, mode)
+                best[k] = min(best[k], time.perf_counter() - start)
     return [{**row, "ms": round(b * 1e3, 4)} for (row, *_), b in zip(cases, best)]
 
 
@@ -93,7 +98,7 @@ def main(argv=None) -> int:
         args.out,
         f"wep_deviation over {STEPS} steps for three single-particle cases, both modes "
         f"and B seeded masses: minimum wall time of {args.repeats} calls, one per round "
-        "over all cases, in ms, per label of the code measured",
+        "over the cases of one B, in ms, per label of the code measured",
         "PYTHONPATH=src python tests/sweep_wep_report.py --label <name>",
         kept + new,
     )

@@ -17,8 +17,10 @@ running the script on two checkouts records both::
     PYTHONPATH=src python tests/sweep_wep_runs.py --label change [--repeats 20]
 
 Only public calls are timed (``lower`` passes an already lowered stack
-through), so the script runs on earlier versions of the package too.  Not
-a test: pytest does not collect it.
+through).  ``wep_runs`` is called with one mode, as it takes it since both
+modes share one lowering, so the script does not run on earlier versions
+of the package, whose ``wep_runs`` took a tuple of modes.  Not a test:
+pytest does not collect it.
 """
 
 import argparse
@@ -55,7 +57,7 @@ def rows(repeats: int) -> list[dict]:
         for _ in range(repeats):
             for k, (case, mode) in enumerate(cases):
                 start = time.perf_counter()
-                _, ((_, runs),) = lp.wep_runs(templates[case], masses, (mode,))
+                _, runs = lp.wep_runs(templates[case], masses, mode)
                 lowered = lower(runs)
                 best[k] = min(best[k], time.perf_counter() - start)
                 assert len(lowered) == count

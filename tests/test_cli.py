@@ -411,6 +411,20 @@ class TestScenarioParsing:
             # without a potential the asked-for decoupling check could not run
             ("options.expect_decoupling_max: needs a potential",
              dict(COM, options={"expect_decoupling_max": 1e-12})),
+            # an option given to a run that never reads it: its check would not run
+            ("options.expect_position_deviation: only meaningful with the fixed runs",
+             _mutated("spacetime_wep_violation", ("options", "scaling_mode"), "mass_scaled")),
+            ("options.max_deviation: only meaningful with the mass-scaled runs",
+             dict(WEP, options={"masses": [1.0, 2.0], "scaling_mode": "fixed",
+                                "max_deviation": 1e-30})),
+            ("options.expect_deviation_tol: only meaningful with expect_position_deviation",
+             dict(WEP, options={"masses": [1.0, 2.0], "expect_deviation_tol": 1e-3})),
+            ("options.order_bounds: only meaningful with order_check",
+             dict(SIMULATE, options={"order_bounds": [12.0, 20.0]})),
+            ("options.order_bounds: only meaningful with order_check",
+             dict(SIMULATE, options={"order_check": False, "order_bounds": [12.0, 20.0]})),
+            ("options.partition_tol: only meaningful with compare_partition",
+             dict(SIMULATE, options={"partition_tol": 1e-10})),
             # an integer beyond float range is not a finite number
             *[(f"{field}: expected {what}", payload) for field, what, payload in (
                 ("particles[0].mass", "a finite number", dict(WEP, particles=[{"mass": HUGE}])),
@@ -742,7 +756,11 @@ class TestRun:
         wep = scenario.task == "wep-test"
         # wep-test lowers its mass-scaled runs from the template, with no rescale
         assert len(calls["rescale"]) == len(settings.get("compare_partition", []))
-        assert [args[1] for args in calls["wep_runs"]] == ([settings["masses"]] if wep else [])
+        # one wep_runs call per mode: two for both
+        modes = {"both": ["fixed", "mass_scaled"]}.get(settings.get("scaling_mode"),
+                                                      [settings.get("scaling_mode")])
+        assert [args[1:] for args in calls["wep_runs"]] == (
+            [(settings["masses"], mode) for mode in modes] if wep else [])
         # the system whose effective parameters the task reads, and
         # simulate's partition body: one build each
         systems = (scenario.task == "com-brackets" or scenario.body_mode) + (
