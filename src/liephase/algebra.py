@@ -530,8 +530,13 @@ def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra | AlgebraSpec,
     makes it, with no spec made per particle (see ``_scaled_blocks``).
 
     Already lowered input is returned as is, so callers that evaluate many
-    states lower once and pass the result on.
+    states lower once and pass the result on.  Any other input, such as
+    ratios with lowered input or a bare spec without them, is a TypeError.
     """
+    if isinstance(specs, AlgebraSpec) != (mass_ratios is not None):
+        raise TypeError("lower takes a sequence of specs, a LoweredAlgebra, or one spec "
+                        f"with mass_ratios; got {type(specs).__name__} and "
+                        f"{'no ' if mass_ratios is None else ''}mass_ratios")
     if isinstance(specs, LoweredAlgebra):
         return specs
     if mass_ratios is not None:

@@ -31,9 +31,9 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-# private on purpose: _table_xx and _table_xp_deform are check-algebra's
-# independent oracle, and _checked_parameter and _grid_steps check a field
-# where it is read, so a file's first bad field is the one reported
+# private on purpose: _tables is check-algebra's independent oracle, and
+# _checked_parameter and _grid_steps check a field where it is read, so a
+# file's first bad field is the one reported
 from .algebra import (
     AXIS,
     AlgebraSpec,
@@ -52,8 +52,7 @@ from .algebra import (
 from .composition import (
     MassScalingRule,
     ParticleSystem,
-    _table_xp_deform,
-    _table_xx,
+    _tables,
     com_bracket_report,
     com_relative_coupling,
     com_transform,
@@ -436,6 +435,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     body_mode = _read(data, "body_mode", "", "flag", False)
     neglect = _read(data, "neglect_relative_motion", "", "flag", False)
+    # a flag that no run would read is refused, as an unused option is
+    if body_mode and task != "simulate":
+        raise ScenarioError("body_mode: only meaningful with the simulate task")
+    if neglect and not body_mode:
+        raise ScenarioError("neglect_relative_motion: only meaningful with body_mode")
     if body_mode and not neglect and not system.decouples_exactly:
         raise ScenarioError(
             "neglect_relative_motion: the center of mass of these particles does not "
@@ -653,17 +657,9 @@ def _run_check_algebra(scenario: Scenario, plan, runner: _CheckRunner, out_dir: 
     def roundtrip():
         # the evaluator's X-X and X-P corners against the named variant's
         # closed-form tables, relative where entries exceed one
-        deviations = []
-        for st, j in zip(states, blocks):
-            for a, spec in enumerate(specs):
-                block = j[a]
-                args = (spec, st.x[a], st.p[a], st.t)
-                for got, table in (
-                    (block[:3, :3], _table_xx(*args)),
-                    (block[:3, 3:], np.eye(3) + _table_xp_deform(*args)),
-                ):
-                    deviations.append(np.abs(got - table) / np.maximum(1.0, np.abs(table)))
-        return np.max(deviations)
+        tables = np.array([[np.hstack(_tables(spec, st.x[a], st.p[a], st.t))
+                            for a, spec in enumerate(specs)] for st in states]) + np.eye(3, 6, 3)
+        return np.max(np.abs(blocks[:, :, :3] - tables) / np.maximum(1.0, np.abs(tables)))
 
     def eom_agreement():
         deviations = []

@@ -1,11 +1,11 @@
 """Center-of-mass reduction of N-particle systems.
 
 Builds center-of-mass and relative variables, evaluates their brackets both
-through the chain rule (one product W J W^T of the change of variables W
-with the block-wise structure matrix J) and through hand-derived closed
-forms, computes the effective deformation parameters of the
-center-of-mass algebra, and tests the mass-scaling condition under which
-that algebra closes into the single-particle form.
+through the chain rule (B = W J W^T of the change of variables W and the
+block-wise structure matrix J) and through hand-derived closed forms (B's
+twin C), computes the effective deformation parameters of the center-of-mass
+algebra, and tests the mass-scaling condition under which that algebra closes
+into the single-particle form.
 
 Conventions: Pcom = sum_a P^(a), Xcom = sum_a mu_a X^(a) with
 mu_a = m_a / M, and dP^(a) = P^(a) - mu_a Pcom, dX^(a) = X^(a) - Xcom.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +73,30 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _structural_axes(spec: AlgebraSpec) -> tuple:
     return tuple(getattr(spec, name) for name, role in parameter_roles(spec) if role.kind == AXIS)
+
+
+# the entries depend on N alone, so systems of one size share them
+@lru_cache(maxsize=8)
+def _bracket_entries(n: int) -> np.ndarray:
+    """The entries of a (6 + 6N)^2 matrix over the rows of ``com_frame`` that
+    ``com_bracket_report`` lists, as read-only flat indices in key order:
+    one index shape at a time, [i, j], then [a, i, j], then [a, b, i, j],
+    and each index its shape's three bracket families in turn."""
+    size = 6 + 6 * n
+    x, p, dx, dp = np.split(np.arange(size), [3, 6, 6 + 3 * n])
+    dx, dp = dx.reshape(n, 3), dp.reshape(n, 3)
+    groups = (
+        ((x, x), (x, p), (p, p)),
+        ((dx, x), (p, dx), (dp, x)),
+        ((dx[:, None], dx), (dx[:, None], dp), (dp[:, None], dp)),
+    )
+    out = np.empty(27 * (1 + n + n * n), dtype=np.intp)
+    views = (out[:27].reshape(3, 3, 3), out[27 : 27 * (1 + n)].reshape(n, 3, 3, 3),
+             out[27 * (1 + n) :].reshape(n, n, 3, 3, 3))
+    for view, group in zip(views, groups):
+        for f, (left, right) in enumerate(group):
+            np.add(left[..., None] * size, right[..., None, :], out=view[..., f])
+    return _read_only(out)
 
 
 @dataclass(frozen=True)
@@ -149,28 +173,11 @@ class ParticleSystem:
 
     @cached_property
     def bracket_keys(self) -> tuple[str, ...]:
-        """The keys of ``com_bracket_report``, built once per system, when a
-        report's keys are first read.
-
-        Each key ``{left,right}`` names two rows of ``frame``.  The keys come
-        one index shape at a time, [i, j], then [a, i, j], then [a, b, i, j],
-        and each index emits its shape's three bracket families in turn.
-        """
-        three, particles = range(3), range(self.n_particles)
-        x = [f"Xcom_{i}" for i in (1, 2, 3)]
-        p = [f"Pcom_{i}" for i in (1, 2, 3)]
-        dx = [[f"dX_{i}[{a}]" for i in (1, 2, 3)] for a in particles]
-        dp = [[f"dP_{i}[{a}]" for i in (1, 2, 3)] for a in particles]
-        return (
-            *(key for i in three for j in three
-              for key in (f"{{{x[i]},{x[j]}}}", f"{{{x[i]},{p[j]}}}", f"{{{p[i]},{p[j]}}}")),
-            *(key for a in particles for i in three for j in three
-              for key in (f"{{{dx[a][i]},{x[j]}}}", f"{{{p[i]},{dx[a][j]}}}",
-                          f"{{{dp[a][i]},{x[j]}}}")),
-            *(key for a in particles for b in particles for i in three for j in three
-              for key in (f"{{{dx[a][i]},{dx[b][j]}}}", f"{{{dx[a][i]},{dp[b][j]}}}",
-                          f"{{{dp[a][i]},{dp[b][j]}}}")),
-        )
+        """The keys of ``com_bracket_report``, built once per system on a first
+        read: ``{left,right}`` names the row and column of each ``_bracket_entries``."""
+        names = obs.com_frame_rows(self.n_particles)
+        rows, cols = np.divmod(_bracket_entries(self.n_particles), len(names))
+        return tuple(f"{{{names[r]},{names[c]}}}" for r, c in zip(rows.tolist(), cols.tolist()))
 
     @cached_property
     def bracket_index(self) -> dict[str, int]:
@@ -228,65 +235,49 @@ def com_transform(system: ParticleSystem, state: PhaseState) -> ComVariables:
 
 # --- closed-form bracket tables ---------------------------------------------
 #
-# Single-particle tables transcribed as 3x3 arrays:
+# Single-particle tables transcribed as 3x3 arrays, both from ``_tables``:
 #   A_ij = {X_i, X_j}           (antisymmetric)
 #   B_ij = {X_i, P_j} - delta_ij
 # These transcriptions are deliberately independent of the 6x6 block builder
 # in the algebra module; the bracket report compares the two routes.
 
 
-def _table_xx(spec: AlgebraSpec, x: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-    a = np.zeros((3, 3))
-    if isinstance(spec, Canonical):
-        return a
+def _tables(spec: AlgebraSpec, x: np.ndarray, p: np.ndarray, t: float) -> tuple:
+    a, b = np.zeros((2, 3, 3))
     if isinstance(spec, SpaceTime):
         r, s = spec.rho - 1, spec.tau - 1
         a[r, s] = t / spec.kappa
         a[s, r] = -t / spec.kappa
-        return a
-    if isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
+    elif isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
         k, l, g = spec.k - 1, spec.l - 1, spec.gamma - 1
         a[k, g] = x[l] / spec.kappa_tilde
         a[l, g] = -x[k] / spec.kappa_tilde
+        b[g, k] = -p[l] / spec.kappa_tilde
+        b[g, l] = p[k] / spec.kappa_tilde
         if isinstance(spec, (MiaoTypeI, MiaoTypeII)):
             a[k, g] -= t / spec.kappa
             a[l, g] += t / spec.kappa
         if isinstance(spec, MiaoTypeI):
             a[k, l] = t / spec.kappa
-        a[g, k] = -a[k, g]
-        a[g, l] = -a[l, g]
-        a[l, k] = -a[k, l]
-        return a
-    if isinstance(spec, Generalized):
-        return spec.theta0 * t + np.einsum("kij,k->ij", spec.theta, x)
-    raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
-
-
-def _table_xp_deform(spec: AlgebraSpec, x: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
-    b = np.zeros((3, 3))
-    if isinstance(spec, (Canonical, SpaceTime)):
-        return b
-    if isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
-        k, l, g = spec.k - 1, spec.l - 1, spec.gamma - 1
-        b[g, k] = -p[l] / spec.kappa_tilde
-        b[g, l] = p[k] / spec.kappa_tilde
         if isinstance(spec, MiaoTypeII):
             b[g, k] -= x[l] / spec.kappa_bar
             b[g, l] -= x[k] / spec.kappa_bar
-        return b
-    if isinstance(spec, Generalized):
-        return np.einsum("kij,k->ij", spec.theta_bar, x) + np.einsum(
-            "kij,k->ij", spec.theta_tilde, p
-        )
-    raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
+        a[g, k] = -a[k, g]
+        a[g, l] = -a[l, g]
+        a[l, k] = -a[k, l]
+    elif isinstance(spec, Generalized):
+        a = spec.theta0 * t + np.einsum("kij,k->ij", spec.theta, x)
+        b = np.einsum("kij,k->ij", spec.theta_bar, x) + np.einsum("kij,k->ij", spec.theta_tilde, p)
+    elif not isinstance(spec, Canonical):
+        raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
+    return a, b
 
 
 def _closed_form_tables(system: ParticleSystem, state: PhaseState):
     """Per-particle A and B tables, written into two (N, 3, 3) arrays."""
     a, b = np.empty((2, system.n_particles, 3, 3))
     for i, particle in enumerate(system.particles):
-        a[i] = _table_xx(particle.spec, state.x[i], state.p[i], state.t)
-        b[i] = _table_xp_deform(particle.spec, state.x[i], state.p[i], state.t)
+        a[i], b[i] = _tables(particle.spec, state.x[i], state.p[i], state.t)
     return a, b
 
 
@@ -390,65 +381,45 @@ def com_bracket_report(system: ParticleSystem, state: PhaseState) -> ComBracketR
     relative observables; ``closed_form`` evaluates the hand-derived sums
     over single-particle bracket tables.  The two agree to rounding for all
     variants; this is the module's central correctness check, and the one
-    COM check that forms all of B = W J W^T, its chain-rule side.  Both sides
-    are read-only mappings over one flat array each, keyed by
+    COM check that forms all of B = W J W^T, its chain-rule side.  The
+    closed forms fill C, B's twin over the rows of W, and both sides read
+    ``_bracket_entries`` of their matrix into one flat array each, keyed by
     ``system.bracket_keys``; no per-key dict is built.
     """
     n = system.n_particles
     mu = system.mu
-    brackets = _com_brackets(system, state)
-    x, p = slice(0, 3), slice(3, 6)
-    dx, dp = slice(6, 6 + 3 * n), slice(6 + 3 * n, None)
+    entries = _bracket_entries(n)
+    got, want = np.empty((2, len(entries)))  # one allocation for both sides
+    c = _com_brackets(system, state)  # B; once read out, its array holds C
+    # the entries are in range: "clip" only spares take's buffered copy
+    c.take(entries, out=got, mode="clip")
+    c.fill(0.0)
+    x, p, dx, dp = slice(0, 3), slice(3, 6), slice(6, 6 + 3 * n), slice(6 + 3 * n, None)
 
-    def per_particle(rows, cols):
-        """B[rows, cols] for relative rows and COM columns, indexed [a, i, j]."""
-        return brackets[rows, cols].reshape(n, 3, 3)
-
-    def per_pair(rows, cols):
-        """B[rows, cols] for relative rows and columns, indexed [a, b, i, j]."""
-        return brackets[rows, cols].reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
-
-    # closed-form side: sums over the single-particle tables only
+    # closed-form side C: sums over the single-particle tables only, never W or
+    # J, each family in its block; the other entries (their transposes) are +0.0
     a_tab, b_tab = _closed_form_tables(system, state)
     sum_mu2_a = np.einsum("a,aij->ij", mu**2, a_tab)
     sum_mu_b = np.einsum("a,aij->ij", mu, b_tab)
     eye = np.eye(3)
-    pcom_dx = sum_mu_b.T - b_tab.transpose(0, 2, 1)
+    pcom_dx = sum_mu_b.T - b_tab.transpose(0, 2, 1)  # {Pcom_i, dX_j[a]}, indexed [a, i, j]
     # pair families broadcast particle a over axis 0 and b over axis 1
     delta = np.eye(n)[:, :, None, None]
     mu_a, mu_b = mu[:, None, None, None], mu[None, :, None, None]
     a_a, a_b = a_tab[:, None], a_tab[None, :]
     b_a, b_b = b_tab[:, None], b_tab[None, :]
 
-    # (chain-rule view of B, closed form) of each family, in groups of one
-    # index shape: [i, j], then [a, i, j], then [a, b, i, j]
-    groups = (
-        (
-            (brackets[x, x], sum_mu2_a),
-            (brackets[x, p], eye + sum_mu_b),
-            (brackets[p, p], 0.0),
-        ),
-        (
-            (per_particle(dx, x), mu[:, None, None] * a_tab - sum_mu2_a),
-            (brackets[p, dx].reshape(3, n, 3).transpose(1, 0, 2), pcom_dx),
-            (per_particle(dp, x), mu[:, None, None] * pcom_dx),
-        ),
-        (
-            (per_pair(dx, dx), (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a),
-            (per_pair(dx, dp), eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)),
-            (per_pair(dp, dp), 0.0),
-        ),
-    )
+    # the relative block, viewed as [left dX or dP, right dX or dP, a, b, i, j]
+    pairs = c[6:, 6:].reshape(2, n, 3, 2, n, 3).transpose(0, 3, 1, 4, 2, 5)
+    c[x, x] = sum_mu2_a
+    c[x, p] = eye + sum_mu_b
+    c[dx, x] = (mu[:, None, None] * a_tab - sum_mu2_a).reshape(3 * n, 3)
+    c[p, dx] = pcom_dx.transpose(1, 0, 2).reshape(3, 3 * n)
+    c[dp, x] = (mu[:, None, None] * pcom_dx).reshape(3 * n, 3)
+    pairs[0, 0] = (delta - mu_a) * a_a - mu_b * a_b + sum_mu2_a
+    pairs[0, 1] = eye * (delta - mu_b) + delta * b_a - mu_b * (b_a + b_b - sum_mu_b)
 
-    # each side is one array in the order of ``bracket_keys``: each group's
-    # view has the family on a last axis, so each index emits them in turn
-    got, want = np.empty((2, 27 * (1 + n + n * n)))
-    for side, out in enumerate((got, want)):
-        views = (out[:27].reshape(3, 3, 3), out[27 : 27 * (1 + n)].reshape(n, 3, 3, 3),
-                 out[27 * (1 + n) :].reshape(n, n, 3, 3, 3))
-        for view, group in zip(views, groups):
-            for f, family in enumerate(group):
-                view[..., f] = family[side]
+    c.take(entries, out=want, mode="clip")
     max_abs_diff = float(np.max(np.abs(got - want)))
     return ComBracketReport(computed=_BracketView(system, got),
                             closed_form=_BracketView(system, want), max_abs_diff=max_abs_diff)

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -363,10 +364,20 @@ def _grid_steps(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
+# every print option set, floats in full: an array field's repr neither rounds
+# nor depends on the caller's options (numpy's defaults but these two)
+_EXACT_PRINT = dict(precision=8, threshold=sys.maxsize, edgeitems=3, linewidth=75,
+                    suppress=False, nanstr="nan", infstr="inf", sign="-", formatter=None,
+                    floatmode="unique", legacy=False)
+if "override_repr" in np.get_printoptions():  # an option since numpy 2.0
+    _EXACT_PRINT["override_repr"] = None
+
+
 def scenario_fingerprint(scenario: GravityScenario) -> str:
     """16 hex digits of the SHA-256 of the scenario's particles (variant,
-    mass and exact tensor encoding), potential, initial state, grid and
-    body mode: equal scenarios share it, and a changed input moves it."""
+    mass and exact tensor encoding), potential (its exact repr), initial
+    state, grid and body mode: equal scenarios share it, and a changed
+    input moves it."""
     spec_dump = []
     for p in scenario.system.particles:
         theta0, theta, theta_bar, theta_tilde = _encoding(p.spec)
@@ -380,9 +391,11 @@ def scenario_fingerprint(scenario: GravityScenario) -> str:
                 "theta_tilde": theta_tilde.tolist(),
             }
         )
+    with np.printoptions(**_EXACT_PRINT):
+        potential = repr(scenario.potential)
     payload = {
         "particles": spec_dump,
-        "potential": repr(scenario.potential),
+        "potential": potential,
         "x": scenario.initial.x.tolist(),
         "p": scenario.initial.p.tolist(),
         "grid": [scenario.t0, scenario.t_end, scenario.dt],

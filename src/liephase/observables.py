@@ -20,6 +20,7 @@ __all__ = [
     "coordinate",
     "momentum",
     "com_frame",
+    "com_frame_rows",
     "com_coordinate",
     "com_momentum",
     "relative_coordinate",
@@ -160,9 +161,16 @@ def com_frame(mu: np.ndarray) -> np.ndarray:
     return w.reshape(6 + 6 * n, 6 * n)
 
 
-def _frame_row(mu: np.ndarray, row: int, label: str) -> Observable:
-    """Observable whose weights are one row of ``com_frame(mu)``."""
+def com_frame_rows(n: int) -> list[str]:
+    """The names of the rows of ``com_frame`` for n particles, in its row order."""
+    at = [("Xcom", ""), ("Pcom", "")] + [(d, f"[{a}]") for d in ("dX", "dP") for a in range(n)]
+    return [f"{name}_{i}{suffix}" for name, suffix in at for i in (1, 2, 3)]
+
+
+def _frame_row(mu: np.ndarray, row: int) -> Observable:
+    """Observable whose weights and name are one row of ``com_frame(mu)``."""
     w = com_frame(mu)[row].copy()
+    label = com_frame_rows(len(mu))[row]
 
     def weights(n):
         if n != len(w):
@@ -174,21 +182,20 @@ def _frame_row(mu: np.ndarray, row: int, label: str) -> Observable:
 
 def com_coordinate(mu: np.ndarray, axis: int) -> Observable:
     """Center-of-mass coordinate: sum_a mu_a X_axis^(a)."""
-    return _frame_row(mu, axis - 1, f"Xcom_{axis}")
+    return _frame_row(mu, axis - 1)
 
 
 def com_momentum(n_particles: int, axis: int) -> Observable:
     """Total momentum: sum_a P_axis^(a)."""
     # the Pcom rows do not depend on the mass fractions
-    return _frame_row(np.full(n_particles, 1.0 / n_particles), 2 + axis, f"Pcom_{axis}")
+    return _frame_row(np.full(n_particles, 1.0 / n_particles), 2 + axis)
 
 
 def relative_coordinate(mu: np.ndarray, particle: int, axis: int) -> Observable:
     """Relative coordinate X^(a) - Xcom of one particle."""
-    return _frame_row(mu, 6 + 3 * particle + axis - 1, f"dX_{axis}[{particle}]")
+    return _frame_row(mu, 6 + 3 * particle + axis - 1)
 
 
 def relative_momentum(mu: np.ndarray, particle: int, axis: int) -> Observable:
     """Relative momentum P^(a) - mu_a Pcom of one particle."""
-    row = 6 + 3 * (len(mu) + particle) + axis - 1
-    return _frame_row(mu, row, f"dP_{axis}[{particle}]")
+    return _frame_row(mu, 6 + 3 * (len(mu) + particle) + axis - 1)

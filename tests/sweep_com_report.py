@@ -7,22 +7,26 @@ wall time of a few calls of ``composition.com_bracket_report`` in two cases:
 - fresh: each call gets a new ``ParticleSystem`` of the same particles, so
   the call also builds what the system caches for it (the COM frame W and
   the lowered tensors; the report's keys are built only when read);
+- fresh_dict: as fresh, followed by the report's ``to_dict()``, which builds
+  the keys: what one ``liephase run`` of a com-brackets scenario pays;
 - warm: every call reuses one system that has made a report before.
 
 It also records the report's entry count, 27 (1 + N + N^2), and writes the
-rows with the machine's description to ``BENCH_com_bracket_report.json`` at
-the repository root::
+rows, tagged with ``--label`` (the code measured), with the machine's
+description to ``BENCH_com_bracket_report.json`` at the repository root,
+keeping the rows of every other label::
 
-    PYTHONPATH=src python tests/sweep_com_report.py [--repeats 20]
+    PYTHONPATH=src python tests/sweep_com_report.py --label <name> [--repeats 20]
 
-Only the public call is timed, so the script runs on earlier versions of
-the package too.  Not a test: pytest does not collect it.
+Only public calls are timed, so the script runs on earlier versions of the
+package too.  Not a test: pytest does not collect it.
 """
 
 import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
 
@@ -48,6 +52,7 @@ def best_time(call, repeats: int) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=20)
     parser.add_argument("--out", default=str(ROOT / "BENCH_com_bracket_report.json"))
     args = parser.parse_args(argv)
@@ -70,20 +75,30 @@ def main(argv=None) -> int:
             system = lp.ParticleSystem(particles)
             return lambda: composition.com_bracket_report(system, state)
 
-        fresh_s = best_time(fresh, args.repeats)
-        warm_s = best_time(lambda: lambda: composition.com_bracket_report(warm, state),
-                           args.repeats)
-        row = {"particles": n, "entries": entries,
-               "fresh_ms": round(fresh_s * 1e3, 4), "warm_ms": round(warm_s * 1e3, 4)}
+        def fresh_dict():
+            system = lp.ParticleSystem(particles)
+            return lambda: composition.com_bracket_report(system, state).to_dict()
+
+        times = {name: best_time(call, args.repeats) for name, call in (
+            ("fresh_ms", fresh), ("fresh_dict_ms", fresh_dict),
+            ("warm_ms", lambda: lambda: composition.com_bracket_report(warm, state)))}
+        row = {"label": args.label, "particles": n, "entries": entries,
+               **{name: round(s * 1e3, 4) for name, s in times.items()}}
         rows.append(row)
         print(json.dumps(row), flush=True)
-
+    out = Path(args.out)
+    if out.exists():
+        # the rows of earlier records carry no label
+        kept = [row for row in json.loads(out.read_text())["rows"]
+                if row.get("label") != args.label]
+        rows = kept + rows
     write_record(
         args.out,
         "composition.com_bracket_report on a mass-scaled MiaoTypeII system: "
         f"minimum wall time of {args.repeats} calls on a fresh system (each call "
-        "builds the system's frame and lowered tensors) and on a warm one",
-        "PYTHONPATH=src python tests/sweep_com_report.py",
+        "builds the system's frame and lowered tensors), on a fresh system "
+        "followed by to_dict(), and on a warm one, per label of the code measured",
+        "PYTHONPATH=src python tests/sweep_com_report.py --label <name>",
         rows,
     )
     return 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import liephase as lp
 from liephase import algebra, observables as obs
 from liephase.algebra import AXIS, PARAMETER_ROLES, SCALED, SHARED, lower, parameter_roles, rescale
-from liephase.composition import _table_xp_deform, _table_xx
+from liephase.composition import _tables
 
 from helpers import (
     DEFORMED_NAMED_VARIANTS,
@@ -225,11 +225,8 @@ class TestAsGeneralized:
             for _ in range(10):
                 state = random_state(rng, 1)
                 j = lp.structure_matrix([spec], state)[0]
-                args = (spec, state.x[0], state.p[0], state.t)
-                for got, table in (
-                    (j[:3, :3], _table_xx(*args)),
-                    (j[:3, 3:], np.eye(3) + _table_xp_deform(*args)),
-                ):
+                xx, xp = _tables(spec, state.x[0], state.p[0], state.t)
+                for got, table in ((j[:3, :3], xx), (j[:3, 3:], np.eye(3) + xp)):
                     assert np.max(np.abs(got - table) / np.maximum(1.0, np.abs(table))) <= 1e-15
 
     def test_generalized_passes_through(self):
@@ -288,6 +285,17 @@ class TestLowering:
         lowered = lower([])
         assert lowered.time.shape == (0, 6, 6) and lowered.slope is None
         assert len(lowered) == 0 and not lowered.time.flags.writeable
+
+    def test_refuses_input_it_would_not_lower_as_asked(self):
+        # ratios with lowered input, or a bare spec without ratios, is neither form
+        spec = lp.SpaceTime(kappa=2.0)
+        lowered = lower([spec])
+        for args, ratios in ((lowered, [2.0, 3.0]), (spec, None), ([spec], [2.0])):
+            with pytest.raises(TypeError, match="a sequence of specs, a LoweredAlgebra, "
+                                                "or one spec with mass_ratios"):
+                lower(args, mass_ratios=ratios)
+        assert lower(lowered) is lowered
+        assert len(lower(spec, mass_ratios=[2.0, 3.0])) == 2
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_blocks_read_only(self, variant):

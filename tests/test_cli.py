@@ -425,6 +425,18 @@ class TestScenarioParsing:
              dict(SIMULATE, options={"order_check": False, "order_bounds": [12.0, 20.0]})),
             ("options.partition_tol: only meaningful with compare_partition",
              dict(SIMULATE, options={"partition_tol": 1e-10})),
+            # a flag that no run reads: body_mode outside simulate, and
+            # neglect_relative_motion without body_mode
+            *[("body_mode: only meaningful with the simulate task",
+               _mutated(name, ("body_mode",), True))
+              for name in ("spacetime_com_brackets", "spacetime_wep", "miao1_jacobi")],
+            ("body_mode: only meaningful with the simulate task",
+             dict(_mutated("miao1_jacobi", ("body_mode",), True), neglect_relative_motion=True)),
+            *[("neglect_relative_motion: only meaningful with body_mode",
+               _mutated(name, ("neglect_relative_motion",), True))
+              for name in ("spacetime_wep", "integrator_order", "spacetime_com_brackets")],
+            ("neglect_relative_motion: only meaningful with body_mode",
+             dict(BODY, body_mode=False, neglect_relative_motion=True)),
             # an integer beyond float range is not a finite number
             *[(f"{field}: expected {what}", payload) for field, what, payload in (
                 ("particles[0].mass", "a finite number", dict(WEP, particles=[{"mass": HUGE}])),
@@ -926,7 +938,7 @@ class TestListBuiltin:
 
 
 class TestLibraryImports:
-    def test_cli_imports_only_four_private_names(self):
+    def test_cli_imports_only_three_private_names(self):
         # the oracle tables are check-algebra's independent side, and the two
         # validators check a field where it is read; every other name the
         # CLI needs is public, so a library caller can do what the CLI does
@@ -937,4 +949,4 @@ class TestLibraryImports:
                 node.level > 0 or (node.module or "").startswith("liephase")
             ):
                 private |= {alias.name for alias in node.names if alias.name.startswith("_")}
-        assert private == {"_table_xx", "_table_xp_deform", "_checked_parameter", "_grid_steps"}
+        assert private == {"_tables", "_checked_parameter", "_grid_steps"}

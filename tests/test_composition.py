@@ -494,13 +494,20 @@ class TestBracketIndexCache:
 
 def test_sweep_com_report_smoke(tmp_path):
     out = tmp_path / "record.json"
-    assert sweep_com_report.main(["--repeats", "1", "--out", str(out)]) == 0
+    # an unlabelled row, as earlier versions wrote, and another label's row
+    # are kept; the rows of the label measured are replaced
+    kept = [{"particles": 2, "fresh_ms": 1.0}, {"label": "b", "particles": 2, "fresh_ms": 1.0}]
+    out.write_text(json.dumps({"rows": [*kept, {"label": "a", "particles": 2, "fresh_ms": 1.0}]}))
+    assert sweep_com_report.main(["--label", "a", "--repeats", "1", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
+    assert rows[:2] == kept
+    rows = rows[2:]
+    assert [row["label"] for row in rows] == ["a"] * 4
     assert [row["particles"] for row in rows] == [2, 8, 20, 64]
     for row in rows:
         n = row["particles"]
         assert row["entries"] == 27 * (1 + n + n * n)
-        assert row["fresh_ms"] > 0 and row["warm_ms"] > 0
+        assert row["fresh_ms"] > 0 and row["fresh_dict_ms"] > 0 and row["warm_ms"] > 0
 
 
 def test_sweep_com_checks_smoke(tmp_path):

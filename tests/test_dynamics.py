@@ -1083,6 +1083,24 @@ class TestScenarioFingerprint:
         assert lp.scenario_fingerprint(mixed) == "7224322d6cfa4e3f"
         assert lp.scenario_fingerprint(miao) == "72ecf920873c9885"
 
+    def test_array_fields_hashed_exactly(self):
+        # numpy prints an array to 8 significant digits by default: two fields
+        # that differ past them must not share a fingerprint, and the
+        # caller's print options must not move one
+        def fingerprint(potential):
+            return lp.scenario_fingerprint(
+                one_particle(lp.SpaceTime(kappa=1.0), potential=potential))
+
+        third, near = [0.1, -9.81, 1 / 3], [0.1, -9.81, 1 / 3 + 1e-12]
+        uniform = fingerprint(lp.Uniform(g=third))
+        newtonian = fingerprint(lp.Newtonian(strength=1.0, center=third))
+        assert fingerprint(lp.Uniform(g=near)) != uniform
+        assert fingerprint(lp.Newtonian(strength=1.0, center=near)) != newtonian
+        with np.printoptions(precision=2, floatmode="fixed", suppress=True, threshold=1,
+                             sign="+", legacy="1.13"):
+            assert fingerprint(lp.Uniform(g=third)) == uniform
+            assert fingerprint(lp.Newtonian(strength=1.0, center=third)) == newtonian
+
     def test_wide_space_space_unchanged(self):
         # 64 particles, as the benchmark's N-body scenario: recorded before the
         # payload was encoded without the circular-reference check
@@ -1758,6 +1776,30 @@ class TestSpaceTimeExponentLaws:
                 * np.hypot(g[2], -g[1]))
         self.assert_law(report.max_position_deviation, want, alpha)
         assert report.max_reduced_momentum_deviation <= 1e-10
+
+
+class TestWepNeedsTheScalingRule:
+    """SpaceSpace and MiaoTypeII runs whose parameters scale as m^-alpha, a
+    scan of the scaling law's exponent: the WEP holds at alpha = 1, the
+    paper's scaling rule, and fails at every other exponent."""
+
+    @pytest.mark.parametrize("spec", [
+        lp.SpaceSpace(kappa_tilde=0.4),
+        lp.MiaoTypeII(kappa=0.4, kappa_tilde=0.6, kappa_bar=0.9),
+    ], ids=["space_space", "miao_type_ii"])
+    @pytest.mark.parametrize("alpha", TestSpaceTimeExponentLaws.ALPHAS)
+    def test_only_alpha_one_keeps_the_wep(self, spec, alpha):
+        masses = [1.0, 2.0, 5.0, 10.0]
+        template = one_particle(spec, x=(0.2, -0.1, 1.0), p=(0.3, 0.5, 0.0), t_end=1.0,
+                                dt=1e-3, potential=lp.Uniform(g=[1.3, -2.1, -9.81]))
+        runs = [rescale(spec, m**alpha) for m in masses]
+        momenta = np.outer(masses, [0.3, 0.5, 0.0])
+        deviation = lp.wep_report(template, masses, runs, momenta,
+                                  "fixed").max_position_deviation
+        if alpha == 1.0:
+            assert deviation <= 1e-10
+        else:
+            assert deviation > 1e-3
 
 
 class TestDecouplingCheck:
