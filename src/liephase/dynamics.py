@@ -47,6 +47,7 @@ from .algebra import (
 )
 from .composition import (
     ParticleSystem,
+    _check_particle_count,
     _com_brackets,
     com_transform,
     effective_parameters,
@@ -425,11 +426,11 @@ class Trajectory:
             yield float(t), PhaseState.from_flat(z, float(t))
 
     def positions(self, particle: int = 0) -> np.ndarray:
-        """(n, 3) coordinate track of one particle."""
-        return self.states[:, 6 * particle : 6 * particle + 3]
+        """(n, 3) coordinate track of one particle, indexed as a sequence."""
+        return self.states.reshape(len(self.states), self.n_particles, 6)[:, particle, :3]
 
     def momenta(self, particle: int = 0) -> np.ndarray:
-        return self.states[:, 6 * particle + 3 : 6 * particle + 6]
+        return self.states.reshape(len(self.states), self.n_particles, 6)[:, particle, 3:]
 
     def reduced_momenta(self, particle: int = 0) -> np.ndarray:
         """P' = P / m of one particle."""
@@ -613,12 +614,12 @@ def _integrate_flat(
     """Classical fixed-step fourth-order Runge-Kutta: the grid's times and
     the (n_steps + 1, 6N) states from ``z0``.
 
-    A linear flow, with no slope in J and a field that declares an affine
-    gradient, takes the step maps of ``_rk4_step_maps``; everything else
-    takes ``_rk4_kernel``.  Where a step map leaves a non-finite state, the
-    whole call is redone by the kernel, so every failure is the kernel's.
+    A linear flow (see ``_step_map_field``) takes the step maps of
+    ``_rk4_step_maps``; everything else takes ``_rk4_kernel``.  Where a step
+    map leaves a non-finite state, the whole call is redone by the kernel,
+    so every failure is the kernel's.
     """
-    affine = potential._affine_gradient() if lowered.slope is None else None
+    affine = _step_map_field(lowered, potential)
     if affine is not None:
         try:
             # blow-ups, in the maps or in the states, surface as non-finite states
@@ -627,6 +628,12 @@ def _integrate_flat(
         except NonFiniteStateError:
             pass  # the kernel runs outside the handler, so the maps' states are freed
     return _rk4_kernel(masses, lowered, potential, z0, t0, dt, n_steps)
+
+
+def _step_map_field(lowered: LoweredAlgebra, potential: Potential):
+    """The field's affine gradient (G, g0) when the flow is linear and takes
+    the step maps: no slope in J and a field that declares it; else None."""
+    return potential._affine_gradient() if lowered.slope is None else None
 
 
 def _grid_buffers(
@@ -874,14 +881,15 @@ def integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]
     J of a stacked system is block-diagonal and H a sum of per-particle
     terms, and both integration routes evaluate every particle on its own,
     so each scenario's states are exactly those of its own integration (as
-    the runs of a WEP sweep).  A stack never mixes runs with and without a
-    slope: the runs whose brackets depend on the phase point are stacked
-    apart from those whose brackets do not, so a run takes the route its
-    own integration takes, and at most two stacks are integrated.  Each run
-    is lowered to see whether it has a slope, and a stack of several runs
-    is lowered from their specs by one more ``lower`` call.  On a
-    singularity or non-finite state the scenarios are rerun apart, in
-    order, so an error names the failing scenario's own step and particle.
+    the runs of a WEP sweep).  The runs that take the step maps
+    (``_step_map_field``) are stacked apart from those that take the RK4
+    kernel, so a run takes the route its own integration takes, and at most
+    two stacks are integrated; in a field without an affine gradient every
+    run takes the kernel, in one stack.  Each run is lowered to find its
+    route, and a stack of several runs is lowered from their specs by one
+    more ``lower`` call.  On a singularity or non-finite state the
+    scenarios are rerun apart, in order, so an error names the failing
+    scenario's own step and particle.
     """
     if not scenarios:
         return []
@@ -896,7 +904,7 @@ def integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]
     lowered = [lower(specs) for _, specs, _ in runs]
     stacks: dict[bool, list[int]] = {}
     for i, run in enumerate(lowered):
-        stacks.setdefault(run.slope is None, []).append(i)
+        stacks.setdefault(_step_map_field(run, first.potential) is not None, []).append(i)
     states = {}
     try:
         for members in stacks.values():
@@ -1233,4 +1241,5 @@ def decoupling_check(
 
 def hamiltonian(system: ParticleSystem, potential: Potential, state: PhaseState) -> float:
     """Total energy sum_a |P^a|^2 / 2 m_a + m_a V(X^a)."""
+    _check_particle_count(system, state)
     return float(_energies(system.masses, potential, state.flatten()[None])[0])

@@ -11,6 +11,8 @@ particle indices are 0-based.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -117,26 +119,34 @@ def _linear(weights_of: Callable[[int], np.ndarray], label: str) -> Observable:
     return Observable(value, gradient, label=label)
 
 
-def coordinate(particle: int, axis: int) -> Observable:
-    """Projection onto X_axis of one particle."""
+def _checked(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` if not an integer in lo..hi."""
+    if not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+    return int(value)
+
+
+def _projection(slot_of: Callable[[int, int], int], name: str, particle, axis) -> Observable:
+    """Observable of the one slot ``slot_of(particle, axis)``, named name_axis[particle]."""
+    particle, axis = _checked("particle", particle, 0), _checked("axis", axis, 1, 3)
+    slot = slot_of(particle, axis)
 
     def weights(n):
         w = np.zeros(n)
-        w[coordinate_slot(particle, axis)] = 1.0
+        w[slot] = 1.0
         return w
 
-    return _linear(weights, f"X_{axis}[{particle}]")
+    return _linear(weights, f"{name}_{axis}[{particle}]")
+
+
+def coordinate(particle: int, axis: int) -> Observable:
+    """Projection onto X_axis of one particle."""
+    return _projection(coordinate_slot, "X", particle, axis)
 
 
 def momentum(particle: int, axis: int) -> Observable:
     """Projection onto P_axis of one particle."""
-
-    def weights(n):
-        w = np.zeros(n)
-        w[momentum_slot(particle, axis)] = 1.0
-        return w
-
-    return _linear(weights, f"P_{axis}[{particle}]")
+    return _projection(momentum_slot, "P", particle, axis)
 
 
 def com_frame(mu: np.ndarray) -> np.ndarray:
@@ -167,10 +177,14 @@ def com_frame_rows(n: int) -> list[str]:
     return [f"{name}_{i}{suffix}" for name, suffix in at for i in (1, 2, 3)]
 
 
-def _frame_row(mu: np.ndarray, row: int) -> Observable:
-    """Observable whose weights and name are one row of ``com_frame(mu)``."""
-    w = com_frame(mu)[row].copy()
-    label = com_frame_rows(len(mu))[row]
+def _frame_row(mu: np.ndarray, kind: str, axis: int, particle: int | None = None) -> Observable:
+    """Observable whose weights and name are one row of ``com_frame(mu)``:
+    ``kind`` (Xcom, Pcom, dX or dP) of ``axis``, and of ``particle`` for the
+    relative rows."""
+    label = f"{kind}_{_checked('axis', axis, 1, 3)}"
+    if particle is not None:
+        label += f"[{_checked('particle', particle, 0, len(mu) - 1)}]"
+    w = com_frame(mu)[com_frame_rows(len(mu)).index(label)].copy()
 
     def weights(n):
         if n != len(w):
@@ -182,20 +196,21 @@ def _frame_row(mu: np.ndarray, row: int) -> Observable:
 
 def com_coordinate(mu: np.ndarray, axis: int) -> Observable:
     """Center-of-mass coordinate: sum_a mu_a X_axis^(a)."""
-    return _frame_row(mu, axis - 1)
+    return _frame_row(mu, "Xcom", axis)
 
 
 def com_momentum(n_particles: int, axis: int) -> Observable:
     """Total momentum: sum_a P_axis^(a)."""
+    n = _checked("n_particles", n_particles, 1)
     # the Pcom rows do not depend on the mass fractions
-    return _frame_row(np.full(n_particles, 1.0 / n_particles), 2 + axis)
+    return _frame_row(np.full(n, 1.0 / n), "Pcom", axis)
 
 
 def relative_coordinate(mu: np.ndarray, particle: int, axis: int) -> Observable:
     """Relative coordinate X^(a) - Xcom of one particle."""
-    return _frame_row(mu, 6 + 3 * particle + axis - 1)
+    return _frame_row(mu, "dX", axis, particle)
 
 
 def relative_momentum(mu: np.ndarray, particle: int, axis: int) -> Observable:
     """Relative momentum P^(a) - mu_a Pcom of one particle."""
-    return _frame_row(mu, 6 + 3 * (len(mu) + particle) + axis - 1)
+    return _frame_row(mu, "dP", axis, particle)

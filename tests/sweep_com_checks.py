@@ -21,10 +21,10 @@ and lowered tensors are built, it records the minimum wall time of
   ``decoupling_check`` (in a uniform field), which form the blocks of B
   they read.
 
-Each row carries ``--label``, a name for the code measured.  The rows are
-written with the machine's description to ``BENCH_com_checks.json`` at the
-repository root; rows of other labels already in that file are kept, so
-running the script on two checkouts records both::
+The cold and warm calls of each template and N, and the five calls of each
+N, are made in rounds (``sweep_record.best_times``).  The rows, tagged with ``--label``, a name
+for the code measured, are written to ``BENCH_com_checks.json`` at the
+repository root, keeping the rows of every other label::
 
     PYTHONPATH=src python tests/sweep_com_checks.py --label change [--repeats 200]
 
@@ -32,13 +32,10 @@ Only calls that earlier versions of the package also have are timed, so
 the script runs on them too.  Not a test: pytest does not collect it.
 """
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
+import sweep_record  # first: it pins the BLAS threads
+from sweep_record import best_times
 
 import numpy as np
 
@@ -54,20 +51,7 @@ TEMPLATES = {
 }
 
 
-def best_time(call, repeats: int) -> float:
-    """Minimum wall time of ``repeats`` calls of ``call()``, which returns
-    the function to time: what it builds first is not timed."""
-    best = np.inf
-    for _ in range(repeats):
-        timed = call()
-        start = time.perf_counter()
-        timed()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def lower_rows(repeats: int) -> list[dict]:
-    rows = []
+def rows(repeats: int):
     for case, template in TEMPLATES.items():
         for n in LOWER_PARTICLES:
             masses = np.random.default_rng(n).uniform(0.5, 5.0, n)
@@ -78,15 +62,9 @@ def lower_rows(repeats: int) -> list[dict]:
 
             lowered = [algebra.rescale(template, m) for m in masses]
             algebra.lower(lowered)
-            for timing, call in (("lower_cold", fresh),
-                                 ("lower_warm", lambda: lambda: algebra.lower(lowered))):
-                rows.append({"timing": timing, "case": case, "particles": n,
-                             "us": round(best_time(call, repeats) * 1e6, 2)})
-    return rows
-
-
-def product_rows(repeats: int) -> list[dict]:
-    rows = []
+            times, _ = best_times([fresh, lambda: lambda: algebra.lower(lowered)], repeats)
+            for timing, s in zip(("lower_cold", "lower_warm"), times):
+                yield {"timing": timing, "case": case, "particles": n, "us": round(s * 1e6, 2)}
     for n in PRODUCT_PARTICLES:
         rng = np.random.default_rng(n)
         masses = rng.uniform(0.5, 3.0, n)
@@ -105,39 +83,21 @@ def product_rows(repeats: int) -> list[dict]:
             "com_relative_coupling": lambda: composition.com_relative_coupling(system, state),
             "decoupling_check": lambda: dynamics.decoupling_check(system, state, field),
         }
-        for timing, call in calls.items():
-            call()
-            rows.append({"timing": timing, "case": "MiaoTypeII", "particles": n,
-                         "us": round(best_time(lambda: call, repeats) * 1e6, 2)})
-    return rows
+        for call in calls.values():
+            call()  # builds what the system keeps for them
+        times, _ = best_times([lambda call=call: call for call in calls.values()], repeats)
+        for timing, s in zip(calls, times):
+            yield {"timing": timing, "case": "MiaoTypeII", "particles": n, "us": round(s * 1e6, 2)}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=200)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_com_checks.json"))
-    args = parser.parse_args(argv)
-
-    rows = []
-    for row in lower_rows(args.repeats) + product_rows(args.repeats):
-        row = {"label": args.label, **row}
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    out = Path(args.out)
-    if out.exists():
-        kept = [row for row in json.loads(out.read_text())["rows"] if row["label"] != args.label]
-        rows = kept + rows
-    write_record(
-        args.out,
+    return sweep_record.main(
+        argv, rows,
         "algebra.lower on fresh (cold) and lowered (warm) specs made by rescale "
         "from each template, and composition._com_brackets and the four COM checks "
-        f"on a mass-scaled MiaoTypeII system: minimum wall time of {args.repeats} "
-        "calls, in us, per label of the code measured",
-        "PYTHONPATH=src python tests/sweep_com_checks.py --label <name>",
-        rows,
+        "on a mass-scaled MiaoTypeII system, in us",
+        "BENCH_com_checks.json", repeats=200,
     )
-    return 0
 
 
 if __name__ == "__main__":

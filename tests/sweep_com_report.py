@@ -11,10 +11,11 @@ wall time of a few calls of ``composition.com_bracket_report`` in two cases:
   the keys: what one ``liephase run`` of a com-brackets scenario pays;
 - warm: every call reuses one system that has made a report before.
 
-It also records the report's entry count, 27 (1 + N + N^2), and writes the
-rows, tagged with ``--label`` (the code measured), with the machine's
-description to ``BENCH_com_bracket_report.json`` at the repository root,
-keeping the rows of every other label::
+The calls of each N are made in rounds (``sweep_record.best_times``).  It
+also records the report's entry count, 27 (1 + N + N^2), and writes the
+rows, tagged with ``--label`` (the code measured), to
+``BENCH_com_bracket_report.json`` at the repository root, keeping the rows
+of every other label::
 
     PYTHONPATH=src python tests/sweep_com_report.py --label <name> [--repeats 20]
 
@@ -22,13 +23,10 @@ Only public calls are timed, so the script runs on earlier versions of the
 package too.  Not a test: pytest does not collect it.
 """
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
+import sweep_record  # first: it pins the BLAS threads
+from sweep_record import best_times
 
 import numpy as np
 
@@ -38,26 +36,7 @@ from liephase import composition
 PARTICLES = (2, 8, 20, 64)
 
 
-def best_time(call, repeats: int) -> float:
-    """Minimum wall time of ``repeats`` calls of ``call()``, which returns
-    the function to time: what it builds first is not timed."""
-    best = np.inf
-    for _ in range(repeats):
-        timed = call()
-        start = time.perf_counter()
-        timed()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_com_bracket_report.json"))
-    args = parser.parse_args(argv)
-
-    rows = []
+def rows(repeats: int):
     for n in PARTICLES:
         rng = np.random.default_rng(n)
         masses = rng.uniform(0.5, 3.0, n)
@@ -79,29 +58,22 @@ def main(argv=None) -> int:
             system = lp.ParticleSystem(particles)
             return lambda: composition.com_bracket_report(system, state).to_dict()
 
-        times = {name: best_time(call, args.repeats) for name, call in (
-            ("fresh_ms", fresh), ("fresh_dict_ms", fresh_dict),
-            ("warm_ms", lambda: lambda: composition.com_bracket_report(warm, state)))}
-        row = {"label": args.label, "particles": n, "entries": entries,
-               **{name: round(s * 1e3, 4) for name, s in times.items()}}
-        rows.append(row)
-        print(json.dumps(row), flush=True)
-    out = Path(args.out)
-    if out.exists():
-        # the rows of earlier records carry no label
-        kept = [row for row in json.loads(out.read_text())["rows"]
-                if row.get("label") != args.label]
-        rows = kept + rows
-    write_record(
-        args.out,
-        "composition.com_bracket_report on a mass-scaled MiaoTypeII system: "
-        f"minimum wall time of {args.repeats} calls on a fresh system (each call "
-        "builds the system's frame and lowered tensors), on a fresh system "
-        "followed by to_dict(), and on a warm one, per label of the code measured",
-        "PYTHONPATH=src python tests/sweep_com_report.py --label <name>",
-        rows,
+        times, _ = best_times(
+            [fresh, fresh_dict, lambda: lambda: composition.com_bracket_report(warm, state)],
+            repeats)
+        yield {"particles": n, "entries": entries,
+               **{name: round(s * 1e3, 4)
+                  for name, s in zip(("fresh_ms", "fresh_dict_ms", "warm_ms"), times)}}
+
+
+def main(argv=None) -> int:
+    return sweep_record.main(
+        argv, rows,
+        "composition.com_bracket_report on a mass-scaled MiaoTypeII system: on a fresh "
+        "system (each call builds the system's frame and lowered tensors), on a fresh "
+        "system followed by to_dict(), and on a warm one, in ms",
+        "BENCH_com_bracket_report.json", repeats=20,
     )
-    return 0
 
 
 if __name__ == "__main__":

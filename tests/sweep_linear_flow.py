@@ -5,23 +5,24 @@ a quadratic one), particle count N in (1, 16, 256) and step count in (1e3,
 1e4, 1e5), integrates the same system from t0 = -0.37 with dt = 1e-3 by
 ``dynamics._rk4_kernel`` and by ``dynamics._integrate_flat``, which takes
 the step maps for these flows.  Records the minimum wall time of a few runs
-of each, the speed-up and the largest deviation of the maps from the kernel,
-over every 100th grid point and the last, as a share of max |z| there, and
-writes them with the machine's description to
-``BENCH_linear_flow.json`` at the repository root::
+of each, made in rounds (``sweep_record.best_times``), the speed-up and the
+largest deviation of the maps from the kernel, over every 100th grid point
+and the last, as a share of max |z| there.  Each timed run keeps only those
+states, so one trajectory is held at a time; the copy is timed with the
+run.  The rows, tagged with ``--label`` (the code measured), are written to
+``BENCH_linear_flow.json`` at the repository root, keeping the rows of
+every other label::
 
-    PYTHONPATH=src python tests/sweep_linear_flow.py [--repeats 3]
+    PYTHONPATH=src python tests/sweep_linear_flow.py --label <name> [--repeats 3]
 
-The largest case holds one trajectory of 1e5 steps of 256 particles at a
-time, about 1.2 GB.  Not a test: pytest does not collect it.
+The largest case's trajectory, 1e5 steps of 256 particles, takes about
+1.2 GB.  Not a test: pytest does not collect it.
 """
 
-import argparse
-import json
 import sys
-import time
 
-from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
+import sweep_record  # first: it pins the BLAS threads
+from sweep_record import best_times
 
 import numpy as np
 
@@ -40,26 +41,16 @@ STEPS = (1_000, 10_000, 100_000)
 T0, DT = -0.37, 1e-3
 
 
-def best_time(run, repeats: int) -> tuple[float, np.ndarray]:
-    """Minimum wall time of ``repeats`` calls of ``run``, and every 100th
-    state of the last call's trajectory with its final state."""
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        _, states = run()
-        best = min(best, time.perf_counter() - start)
-        sample = np.concatenate([states[::100], states[-1:]])
-        del states  # one trajectory at a time
-    return best, sample
+def sampled(integrate, call):
+    """A maker of one run of ``integrate(*call)`` that returns every 100th
+    state of its trajectory and the final state."""
+    def run():
+        _, states = integrate(*call)
+        return np.concatenate([states[::100], states[-1:]])
+    return lambda: run
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_linear_flow.json"))
-    args = parser.parse_args(argv)
-
-    rows = []
+def rows(repeats: int):
     for flow, (spec, field) in FLOWS.items():
         for n in PARTICLES:
             rng = np.random.default_rng(n)
@@ -68,28 +59,26 @@ def main(argv=None) -> int:
             z0 = rng.uniform(-1.0, 1.0, 6 * n)
             for steps in STEPS:
                 call = (system.masses, system.lowered, field, z0, T0, DT, steps)
-                kernel_s, kernel = best_time(lambda: dynamics._rk4_kernel(*call), args.repeats)
-                maps_s, maps = best_time(lambda: dynamics._integrate_flat(*call), args.repeats)
-                deviation = float(np.abs(maps - kernel).max() / np.abs(kernel).max())
-                row = {
+                (kernel_s, maps_s), (kernel, maps) = best_times(
+                    [sampled(dynamics._rk4_kernel, call), sampled(dynamics._integrate_flat, call)],
+                    repeats)
+                yield {
                     "flow": flow, "particles": n, "steps": steps,
                     "kernel_s": round(kernel_s, 6), "maps_s": round(maps_s, 6),
                     "speedup": round(kernel_s / maps_s, 2),
-                    "max_deviation_over_max_abs_z": deviation,
+                    "max_deviation_over_max_abs_z":
+                        float(np.abs(maps - kernel).max() / np.abs(kernel).max()),
                 }
-                rows.append(row)
-                print(json.dumps(row), flush=True)
 
-    write_record(
-        args.out,
+
+def main(argv=None) -> int:
+    return sweep_record.main(
+        argv, rows,
         "RK4 on linear flows: dynamics._rk4_kernel against the step maps "
-        "_integrate_flat takes for them; minimum wall time of "
-        f"{args.repeats} runs each, t0 = {T0}, dt = {DT}; the deviation is "
-        "taken over every 100th grid point and the last",
-        "PYTHONPATH=src python tests/sweep_linear_flow.py",
-        rows,
+        f"_integrate_flat takes for them, t0 = {T0}, dt = {DT}, in s; the deviation "
+        "is taken over every 100th grid point and the last",
+        "BENCH_linear_flow.json", repeats=3,
     )
-    return 0
 
 
 if __name__ == "__main__":

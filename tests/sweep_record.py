@@ -1,13 +1,16 @@
-"""What the timing sweeps in this directory share: one BLAS thread, and the
-JSON record of their rows with the machine's description.
+"""What the timing sweeps in this directory share: one BLAS thread, one
+timing loop and one command line, which writes the JSON record of their
+rows with the machine's description.
 
 Import it before numpy, so the thread pinning takes effect.  Not a test:
 pytest does not collect it.
 """
 
+import argparse
 import json
 import os
 import platform
+import time
 from pathlib import Path
 
 # one BLAS thread, as the benchmark pins it, so the timings are per core
@@ -29,12 +32,50 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
-def write_record(out: str, what: str, command: str, rows: list[dict]) -> None:
-    """Write ``rows`` to ``out`` as JSON, with what they measure, the command
-    that made them and the machine they were made on."""
-    result = {
-        "what": what,
-        "command": command,
+def best_times(makers, repeats: int) -> tuple[list[float], list]:
+    """Minimum wall time of ``repeats`` calls of each case of a group, and
+    what each case's last call returned.
+
+    Each maker returns the function to time, so what it builds first is
+    not timed.  The calls are made in rounds, each round calling every case
+    once, so a slow spell of a shared host weighs on every case alike.
+    """
+    best, results = [np.inf] * len(makers), [None] * len(makers)
+    for _ in range(repeats):
+        for k, make in enumerate(makers):
+            timed = make()
+            start = time.perf_counter()
+            results[k] = timed()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best, results
+
+
+def main(argv, rows, what: str, out: str, repeats: int) -> int:
+    """The command line of a sweep: tag each row of ``rows(--repeats)`` with
+    ``--label``, a name for the code measured, print it, and write the rows
+    with the machine's description to ``--out`` (``out`` at the repository
+    root), keeping the rows of every other label already there, and the
+    unlabelled rows of earlier records, so two checkouts can share one."""
+    parser = argparse.ArgumentParser(description=what)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--repeats", type=int, default=repeats)
+    parser.add_argument("--out", default=str(ROOT / out))
+    args = parser.parse_args(argv)
+
+    new = []
+    for row in rows(args.repeats):
+        new.append({"label": args.label, **row})
+        print(json.dumps(new[-1]), flush=True)
+    path = Path(args.out)
+    kept = []
+    if path.exists():
+        kept = [row for row in json.loads(path.read_text())["rows"]
+                if row.get("label") != args.label]
+    record = {
+        "what": f"{what}: minimum wall time of {args.repeats} calls, made in rounds "
+                "over the cases of a group, per label of the code measured",
+        "command": f"PYTHONPATH=src python tests/{Path(rows.__code__.co_filename).name} "
+                   "--label <name>",
         "machine": {
             "cpu": cpu_model(),
             "nproc": os.cpu_count(),
@@ -43,7 +84,8 @@ def write_record(out: str, what: str, command: str, rows: list[dict]) -> None:
             "numpy": np.__version__,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         },
-        "rows": rows,
+        "rows": kept + new,
     }
-    Path(out).write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {out}")
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0

@@ -5,16 +5,11 @@ For the three single-particle cases of the benchmark's WEP sweep
 a Generalized encoding of MiaoTypeI in a Newtonian field), both scaling
 modes and B in (2, 16, 64, 256) seeded masses, records the minimum wall
 time of a few calls of ``wep_deviation`` over 24 steps, and the largest
-position deviation it reports.  The calls are made in rounds, each round
-calling every case of one B once, so a case's calls spread over its B's
-run and a slow spell of a shared host weighs on every case alike.  The B
-are timed one after another, so no call pays for memory that a larger B's
-call freed.
-
-Each row carries ``--label``, a name for the code measured.  The rows are
-written with the machine's description to ``BENCH_wep_report.json`` at the
-repository root; rows of other labels already in that file are kept, so
-running the script on two checkouts records both::
+position deviation it reports.  The calls of each B are made in rounds
+(``sweep_record.best_times``), and the B are timed one after another, so no
+call pays for memory that a larger B's call freed.  The rows, tagged with
+``--label`` (the code measured), are written to ``BENCH_wep_report.json``
+at the repository root, keeping the rows of every other label::
 
     PYTHONPATH=src python tests/sweep_wep_report.py --label change [--repeats 20]
 
@@ -22,13 +17,10 @@ Only public calls are timed, so the script runs on earlier versions of the
 package too.  Not a test: pytest does not collect it.
 """
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-from sweep_record import ROOT, write_record  # first: it pins the BLAS threads
+import sweep_record  # first: it pins the BLAS threads
+from sweep_record import best_times
 
 import numpy as np
 
@@ -51,58 +43,42 @@ MASSES = (2, 16, 64, 256)
 STEPS, DT = 24, 0.01
 
 
-def rows(repeats: int) -> list[dict]:
-    cases = []
-    for case, (spec, potential) in CASES.items():
-        template = lp.GravityScenario(
+def templates() -> dict:
+    """Each case's one-particle scenario, of mass 1.3, over ``STEPS`` steps."""
+    return {
+        case: lp.GravityScenario(
             system=lp.ParticleSystem.from_pairs([1.3], [spec]), potential=potential,
             initial=lp.PhaseState(x=[[1.2, -1.1, 1.4]], p=[[0.2, -0.3, 0.1]], t=0.0),
             t0=0.0, t_end=STEPS * DT, dt=DT,
         )
-        for count in MASSES:
-            masses = [float(m) for m in np.random.default_rng(count).uniform(0.5, 5.0, count)]
-            for mode in MODES:
-                report = lp.wep_deviation(template, masses, mode)
-                row = {"case": case, "mode": mode, "masses": count, "steps": STEPS,
-                       "max_position_deviation": report.max_position_deviation}
-                cases.append((row, template, masses, mode))
-    best = [np.inf] * len(cases)
+        for case, (spec, potential) in CASES.items()
+    }
+
+
+def rows(repeats: int) -> list[dict]:
+    scenarios = templates()
+    cases = [(case, mode) for case in CASES for mode in MODES]
+    out = []
     for count in MASSES:
-        rounds = [k for k, (row, *_) in enumerate(cases) if row["masses"] == count]
-        for _ in range(repeats):
-            for k in rounds:
-                _, template, masses, mode = cases[k]
-                start = time.perf_counter()
-                lp.wep_deviation(template, masses, mode)
-                best[k] = min(best[k], time.perf_counter() - start)
-    return [{**row, "ms": round(b * 1e3, 4)} for (row, *_), b in zip(cases, best)]
+        masses = [float(m) for m in np.random.default_rng(count).uniform(0.5, 5.0, count)]
+        times, reports = best_times(
+            [lambda case=case, mode=mode: lambda: lp.wep_deviation(scenarios[case], masses, mode)
+             for case, mode in cases], repeats)
+        out += [{"case": case, "mode": mode, "masses": count, "steps": STEPS,
+                 "max_position_deviation": report.max_position_deviation,
+                 "ms": round(s * 1e3, 4)}
+                for (case, mode), s, report in zip(cases, times, reports)]
+    # case by case, as the earlier rows of the record are listed
+    return sorted(out, key=lambda row: list(CASES).index(row["case"]))
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=20)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_wep_report.json"))
-    args = parser.parse_args(argv)
-
-    new = []
-    for row in rows(args.repeats):
-        row = {"label": args.label, **row}
-        new.append(row)
-        print(json.dumps(row), flush=True)
-    out = Path(args.out)
-    kept = []
-    if out.exists():
-        kept = [row for row in json.loads(out.read_text())["rows"] if row["label"] != args.label]
-    write_record(
-        args.out,
+    return sweep_record.main(
+        argv, rows,
         f"wep_deviation over {STEPS} steps for three single-particle cases, both modes "
-        f"and B seeded masses: minimum wall time of {args.repeats} calls, one per round "
-        "over the cases of one B, in ms, per label of the code measured",
-        "PYTHONPATH=src python tests/sweep_wep_report.py --label <name>",
-        kept + new,
+        "and B seeded masses, in ms",
+        "BENCH_wep_report.json", repeats=20,
     )
-    return 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ import liephase as lp
 from liephase import algebra, cli, dynamics
 from liephase.algebra import lower, rescale
 
+import sweep_com_checks
+import sweep_com_report
 import sweep_linear_flow
 import sweep_wep_report
 import sweep_wep_runs
@@ -41,6 +43,8 @@ from helpers import (
 
 G_FIELD = lp.Uniform(g=[0.0, 1.0, 0.0])
 HARMONIC = lp.Polynomial(coefficients={(2, 0, 0): 0.5, (0, 2, 0): 0.5, (0, 0, 2): 0.5})
+QUARTIC = lp.Polynomial(coefficients={(2, 0, 0): 0.3, (0, 2, 0): 0.5, (4, 0, 0): 0.01,
+                                       (0, 0, 4): 0.02})
 
 
 def one_particle(spec, mass=1.0, x=(0, 0, 0), p=(0, 0, 0), t_end=1.0, dt=1e-3,
@@ -314,6 +318,12 @@ class TestVectorisedPotentials:
         trajectory = lp.Trajectory(times=np.arange(6.0), states=states, masses=system.masses)
         assert np.array_equal(trajectory.energies(pot), expected)
 
+    def test_hamiltonian_refuses_state_of_another_size(self):
+        system = lp.ParticleSystem.from_pairs([2.0], [lp.Canonical()])
+        state = lp.PhaseState(x=[[1.0, 0.0, 0.0]] * 2, p=[[1.0, 0.0, 0.0]] * 2, t=0.0)
+        with pytest.raises(ValueError, match="state has 2 particles, system has 1"):
+            lp.hamiltonian(system, POTENTIALS["uniform"], state)
+
 
 class TestEomRhs:
     def test_canonical_uniform_field(self):
@@ -362,6 +372,21 @@ class TestEomRhs:
 
 
 class TestIntegrate:
+    def test_tracks_index_particles_as_a_sequence(self):
+        states = np.arange(36.0).reshape(3, 12)
+        masses = np.array([2.0, 4.0])
+        traj = lp.Trajectory(times=np.arange(3.0), states=states, masses=masses)
+        for a in (0, 1):
+            x, p = states[:, 6 * a : 6 * a + 3], states[:, 6 * a + 3 : 6 * a + 6]
+            for particle in (a, a - 2):  # a negative index counts from the last
+                assert np.array_equal(traj.positions(particle), x)
+                assert np.array_equal(traj.momenta(particle), p)
+                assert np.array_equal(traj.reduced_momenta(particle), p / masses[a])
+        for track in (traj.positions, traj.momenta, traj.reduced_momenta):
+            for particle in (2, -3):
+                with pytest.raises(IndexError):
+                    track(particle)
+
     def test_canonical_parabola_exact(self):
         scen = one_particle(lp.Canonical(), p=(1, 0, 0))
         traj = lp.integrate(scen)
@@ -750,7 +775,7 @@ def test_sweep_linear_flow_smoke(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_linear_flow, "PARTICLES", (1,))
     monkeypatch.setattr(sweep_linear_flow, "STEPS", (100,))
     out = tmp_path / "record.json"
-    assert sweep_linear_flow.main(["--repeats", "1", "--out", str(out)]) == 0
+    assert sweep_linear_flow.main(["--label", "a", "--repeats", "1", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert [(row["flow"], row["particles"], row["steps"]) for row in rows] == [
         (flow, 1, 100) for flow in sweep_linear_flow.FLOWS]
@@ -843,14 +868,18 @@ class TestStackedIntegration:
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
         assert_same_trajectories(dynamics.integrate_together(runs), expected)
-        assert len(calls) == 2  # a stack never mixes runs with and without a slope
+        # in a field with an affine gradient, runs with and without a slope stack apart
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("field", ["harmonic", "uniform"])
+    @pytest.mark.parametrize("field", ["harmonic", "uniform", "quartic", "newtonian"])
     @pytest.mark.parametrize("t0", [-0.37, 0.41])
     @pytest.mark.parametrize("slope_free", ["canonical", "space_time", "theta0_generalized"])
     def test_slope_free_run_stacks_with_zero_slopes(self, slope_free, t0, field, monkeypatch):
-        # t0 < 0 puts -0.0 into t * time; the runs without a slope are
-        # stacked apart from those with one and keep every bit of their own runs
+        # t0 < 0 puts -0.0 into t * time; in a field with an affine gradient
+        # the runs without a slope take the step maps, stacked apart from
+        # those with one, and in any other field every run takes the kernel
+        # in one stack, with zero slopes for the slope-free runs; all keep
+        # every bit of their own runs
         rng = np.random.default_rng([len(slope_free), int(t0 > 0)])
         if slope_free == "theta0_generalized":
             specs = [lp.Generalized(theta0=antisym(rng, (3, 3))) for _ in range(2)]
@@ -859,13 +888,15 @@ class TestStackedIntegration:
             free = random_system(rng, slope_free, 2)
         sloped = random_system(rng, "miao_type_ii", 3)
         assert free.lowered.slope is None and sloped.lowered.slope is not None
-        potential = {"harmonic": HARMONIC, "uniform": G_FIELD}[field]
+        potential = {"harmonic": HARMONIC, "uniform": G_FIELD, "quartic": QUARTIC,
+                     "newtonian": POTENTIALS["newtonian"]}[field]
         runs = on_one_grid(rng, [free, sloped], t0, potential)
         expected = [lp.integrate(s) for s in runs]
         calls = count_kernel_calls(monkeypatch)
         assert_same_trajectories(dynamics.integrate_together(runs), expected)
         assert_same_trajectories(dynamics.integrate_together(runs[::-1]), expected[::-1])
-        assert len(calls) == 4  # two stacks per call
+        # two stacks per call where the maps apply, else one
+        assert len(calls) == (4 if field in ("harmonic", "uniform") else 2)
 
     def test_run_failing_only_stacked_returns_own_runs(self, monkeypatch):
         # X1 + dt/2 P1 overflows at the first midpoint, where the canonical
@@ -1557,6 +1588,34 @@ def test_sweep_wep_report_smoke(tmp_path, monkeypatch):
         for count in (2, 3) for mode in sweep_wep_report.MODES]
     assert all(row["label"] == "smoke" and row["ms"] > 0 for row in rows)
     assert all(row["max_position_deviation"] <= 1e-8 for row in rows if row["mode"] == "mass_scaled")
+
+
+# each sweep's sizes, made tiny
+SWEEP_SIZES = {
+    sweep_com_checks: {"LOWER_PARTICLES": (1,), "PRODUCT_PARTICLES": (2,)},
+    sweep_com_report: {"PARTICLES": (2,)},
+    sweep_linear_flow: {"PARTICLES": (1,), "STEPS": (100,)},
+    sweep_wep_report: {"MASSES": (2,)},
+    sweep_wep_runs: {"MASSES": (2,)},
+}
+
+
+@pytest.mark.parametrize("sweep", list(SWEEP_SIZES), ids=lambda sweep: sweep.__name__)
+def test_sweep_record_keeps_other_labels(sweep, tmp_path, monkeypatch):
+    for name, value in SWEEP_SIZES[sweep].items():
+        monkeypatch.setattr(sweep, name, value)
+    out = tmp_path / "record.json"
+    # an unlabelled row, as earlier versions wrote, and another label's row
+    # are kept; the rows of the label measured are replaced
+    kept = [{"ms": 1.0}, {"label": "b", "ms": 1.0}]
+    out.write_text(json.dumps({"rows": [*kept, {"label": "a", "ms": 1.0}]}))
+    assert sweep.main(["--label", "a", "--repeats", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["command"] == f"PYTHONPATH=src python tests/{sweep.__name__}.py --label <name>"
+    assert record["rows"][:2] == kept
+    rows = record["rows"][2:]
+    assert rows and all(row["label"] == "a" for row in rows)
+    assert {"label": "a", "ms": 1.0} not in rows
 
 
 def body_scenario(masses, kappas, x_com, p_com, neglect=False, dt=1e-3):

@@ -9,6 +9,9 @@ from liephase import observables as obs
 from helpers import com_frame_loops, random_state
 
 
+MU = np.array([0.25, 0.75])
+
+
 def grad_fd(observable, z, t, eps=1e-6):
     g = np.zeros_like(z)
     for i in range(len(z)):
@@ -57,6 +60,41 @@ class TestProjections:
         z[3], z[9] = 2.0, 2.0  # P1 of both particles
         # dP^(0) = P^(0) - mu_0 (P^(0) + P^(1)) = 2 - 0.25 * 4
         assert f.value(z) == pytest.approx(1.0, abs=0)
+
+    @pytest.mark.parametrize("make, args, name", [
+        (obs.coordinate, (0, 4), "axis"),
+        (obs.coordinate, (-1, 1), "particle"),
+        (obs.momentum, (0, 0), "axis"),
+        (obs.momentum, (-1, 2), "particle"),
+        (obs.momentum, (0, 1.0), "axis"),
+        (obs.com_coordinate, (MU, 4), "axis"),
+        (obs.com_coordinate, (MU, 0), "axis"),
+        (obs.com_momentum, (2, 4), "axis"),
+        (obs.com_momentum, (0, 1), "n_particles"),
+        (obs.relative_coordinate, (MU, -1, 1), "particle"),
+        (obs.relative_coordinate, (MU, 2, 1), "particle"),
+        (obs.relative_momentum, (MU, 0, 4), "axis"),
+        (obs.relative_momentum, (MU, 2, 3), "particle"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_index_outside_the_system_refused(self, make, args, name):
+        # refused when made, not when first evaluated: at 2 particles,
+        # com_coordinate(mu, 4) would read the Pcom_1 row
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in"):
+            make(*args)
+
+    def test_numpy_integer_indices_accepted(self):
+        z = np.arange(12.0)
+        one, three = np.int64(1), np.int64(3)
+        for got, want in (
+            (obs.coordinate(one, three), obs.coordinate(1, 3)),
+            (obs.momentum(one, three), obs.momentum(1, 3)),
+            (obs.com_coordinate(MU, three), obs.com_coordinate(MU, 3)),
+            (obs.com_momentum(np.int64(2), three), obs.com_momentum(2, 3)),
+            (obs.relative_coordinate(MU, one, three), obs.relative_coordinate(MU, 1, 3)),
+            (obs.relative_momentum(MU, one, three), obs.relative_momentum(MU, 1, 3)),
+        ):
+            assert got.label == want.label
+            assert got.gradient(z).tobytes() == want.gradient(z).tobytes()
 
 
 def seeded_mu(seed, n):
