@@ -36,7 +36,8 @@ Every variant is a special case of the Generalized form.  One table,
 and one fill, ``_spec_blocks``, gathers the entries of a stack of runs into
 6x6 time blocks and 6x6x6 slope blocks dJ/dz from parameter arrays with a
 leading run axis.  A spec is one run, filled once and kept read-only
-(``AlgebraSpec._blocks``); ``lower(template, mass_ratios)`` fills B runs of
+(``AlgebraSpec._blocks``), alone or as its row of one fill of the specs a
+``lower`` call has not built yet; ``lower(template, mass_ratios)`` fills B runs of
 a rescaled template with no spec per run.  ``lower`` stacks the blocks into
 (N, 6, 6) and (N, 6, 6, 6), ``_encoding`` and ``as_generalized`` read the
 four tensors back, and one block evaluator (``LoweredAlgebra``) serves
@@ -89,6 +90,15 @@ __all__ = [
 ]
 
 _AXES = (1, 2, 3)
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` of a dataclass with array fields, declared eq=False so that it
+    stays unhashable: the same class, and arrays equal entry by entry."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
 
 
 class AlgebraSpec:
@@ -180,7 +190,7 @@ class MiaoTypeII(AlgebraSpec):
     gamma: int = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Generalized(AlgebraSpec):
     """Free tensor parametrization of the Lie-type deformation.
 
@@ -195,20 +205,10 @@ class Generalized(AlgebraSpec):
     theta_bar: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 3)))
     theta_tilde: np.ndarray = field(default_factory=lambda: np.zeros((3, 3, 3)))
 
-    def __eq__(self, other):
-        if not isinstance(other, Generalized):
-            return NotImplemented
-        return (
-            np.array_equal(self.theta0, other.theta0)
-            and np.array_equal(self.theta, other.theta)
-            and np.array_equal(self.theta_bar, other.theta_bar)
-            and np.array_equal(self.theta_tilde, other.theta_tilde)
-        )
-
-    __hash__ = None
+    __eq__ = _fields_equal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseState:
     """Positions, momenta and time for N particles.
 
@@ -219,6 +219,8 @@ class PhaseState:
     x: np.ndarray
     p: np.ndarray
     t: float = 0.0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         x = np.atleast_2d(np.array(self.x, dtype=float))
@@ -326,6 +328,27 @@ def _spec_blocks(spec: AlgebraSpec, values=None, runs: int = 1) -> tuple[np.ndar
     blocks *= sign
     blocks.flags.writeable = False
     return blocks[:, 6], blocks[:, :6]
+
+
+def _fill_blocks(specs: Sequence[AlgebraSpec]) -> None:
+    """Build the blocks of the specs not yet built with one ``_spec_blocks``
+    call per (variant, axes) group, each spec caching its run's rows as
+    read-only views: the bytes ``AlgebraSpec._blocks`` builds alone."""
+    groups: dict[tuple, dict[int, AlgebraSpec]] = {}
+    for spec in specs:
+        if "_blocks" not in spec.__dict__:
+            key = (type(spec), *map(spec.__dict__.get, _AXIS_FIELDS))
+            groups.setdefault(key, {})[id(spec)] = spec
+    for group in groups.values():
+        if len(group) > 1:
+            group = list(group.values())
+            # a scalar is inverted in its own type, as a lone spec's is
+            values = {name: np.array([getattr(spec, name) for spec in group],
+                                     dtype=float if role.shape else object)
+                      for name, role in parameter_roles(group[0]) if role.kind != AXIS}
+            time, slope = _spec_blocks(group[0], vars(group[0]) | values, len(group))
+            for i, spec in enumerate(group):
+                spec.__dict__["_blocks"] = time[i:i + 1], slope[i:i + 1]
 
 
 def _encoding(spec: AlgebraSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -459,9 +482,14 @@ def rescale(spec: AlgebraSpec, mass_ratio: float) -> AlgebraSpec:
 def _scaled_blocks(spec: AlgebraSpec, mass_ratios) -> tuple[np.ndarray, np.ndarray]:
     """``_spec_blocks`` of ``spec`` rescaled by each ratio, each SCALED
     parameter its role's ``scale`` on the array of ratios, as ``rescale``
-    forms it for one.  The first run that ``rescale`` would refuse raises
-    WepRunError with its message."""
+    forms it for one, or the spec's cached blocks repeated when every ratio
+    is 1.  The first run that ``rescale`` would refuse raises WepRunError
+    with its message."""
     ratios = np.array(mass_ratios, dtype=float).reshape(-1)
+    if (ratios == 1.0).all():  # v * 1 and v / 1 are v: the spec's own blocks, once per run
+        time, slope = (np.repeat(block, len(ratios), axis=0) for block in spec._blocks)
+        time.flags.writeable = slope.flags.writeable = False
+        return time, slope
     values, bad = dict(vars(spec)), np.zeros(len(ratios), dtype=bool)
     with np.errstate(all="ignore"):  # refused below, as a spec refuses it
         for name, role in parameter_roles(spec):
@@ -523,7 +551,8 @@ class LoweredAlgebra:
 def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra | AlgebraSpec,
           mass_ratios: Sequence[float] | None = None) -> LoweredAlgebra:
     """Stack the exact tensor encodings of one spec per particle, each
-    spec's blocks built once (``AlgebraSpec._blocks``).
+    spec's blocks built once (``AlgebraSpec._blocks``), those not yet built
+    by one fill per (variant, axes) group (``_fill_blocks``).
 
     With ``mass_ratios``, ``specs`` is one template and particle b is the
     template rescaled by ``mass_ratios[b]``, byte for byte as ``rescale``
@@ -546,6 +575,7 @@ def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra | AlgebraSpec,
     elif len(specs) == 1:
         time, slope = specs[0]._blocks
     else:
+        _fill_blocks(specs)
         times, slopes = zip(*[spec._blocks for spec in specs])
         time, slope = np.concatenate(times), np.concatenate(slopes)
         time.flags.writeable = slope.flags.writeable = False

@@ -240,22 +240,26 @@ def algebra_from_dict(data: dict, path: str = "algebra") -> AlgebraSpec:
     cls = _ALGEBRA_VARIANTS[variant]
     _refuse_unknown(data, ["variant", *(name for name, _ in parameter_roles(cls))], path,
                     f"unknown field for variant {variant}")
-    params = {}
-    for name, role in parameter_roles(cls):
-        if role.kind == AXIS:
-            params[name] = _read(data, name, path, "axis")
-        elif not role.shape:
-            params[name] = _read(data, name, path, "number")
-        elif name in data:
-            tensor = _array(data[name], role.shape, f"{path}.{name}")
-            try:
-                params[name] = _checked_parameter(name, tensor)
-            except ValueError as exc:  # names its first bad entry, <name>[i][j]
-                raise ScenarioError(f"{path}.{exc}") from exc
+    # absent tensors keep their zero defaults
+    params = {name: _parameter(data, name, role, path) for name, role in parameter_roles(cls)
+              if not role.shape or name in data}
     try:
         return cls(**params)
     except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _parameter(data: dict, name: str, role, path: str):
+    """Parameter ``name`` of an algebra block, read and checked through its role."""
+    if role.kind == AXIS:
+        return _read(data, name, path, "axis")
+    if not role.shape:
+        return _read(data, name, path, "number")
+    tensor = _array(data[name], role.shape, f"{path}.{name}")
+    try:
+        return _checked_parameter(name, tensor)
+    except ValueError as exc:  # names its first bad entry, <name>[i][j]
+        raise ScenarioError(f"{path}.{exc}") from exc
 
 
 def algebra_to_dict(spec: AlgebraSpec) -> dict:
@@ -355,7 +359,7 @@ def _points(initial: dict, key: str, n: int) -> np.ndarray:
     rows = _read(initial, key, "initial", list)
     if len(rows) != n:
         raise ScenarioError(f"initial.{key}: expected one row per particle ({n}), got {len(rows)}")
-    return np.array([_array(row, (3,), f"initial.{key}[{a}]") for a, row in enumerate(rows)])
+    return _array(rows, (n, 3), f"initial.{key}")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -382,13 +386,13 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"{path}: expected an object")
         _refuse_unknown(entry, allowed, path, "not a parameter of this algebra variant")
         masses.append(_read(entry, "mass", path, "number"))
-        overrides = {k: v for k, v in entry.items() if k != "mass"}
-        if overrides:
-            merged = dict(algebra_dict)
-            merged.update(overrides)
-            specs.append(algebra_from_dict(merged, path))
-        else:
-            specs.append(base_spec)
+        # the base spec with the parameters the entry gives, read in field order
+        given = {name: _parameter(entry, name, role, path)
+                 for name, role in parameter_roles(base_spec) if name in entry}
+        try:
+            specs.append(replace(base_spec, **given) if given else base_spec)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
     try:
         system = ParticleSystem.from_pairs(masses, specs)
     except ValueError as exc:

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .algebra import (
     LoweredAlgebra,
     _CANONICAL,
     _encoding,
+    _fields_equal,
     _finite_array,
     lower,
 )
@@ -122,11 +124,13 @@ def _scalar_or_array(v: np.ndarray) -> float | np.ndarray:
     return float(v) if v.ndim == 0 else v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Uniform(Potential):
     """Linear potential V = g . X (constant field gradient g)."""
 
     g: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         object.__setattr__(self, "g", _finite_array(self.g, (3,), "g"))
@@ -142,7 +146,7 @@ class Uniform(Potential):
         return np.zeros((3, 3)), self.g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Newtonian(Potential):
     """Point-source potential V = -strength / |X - center|.
 
@@ -153,6 +157,8 @@ class Newtonian(Potential):
     strength: float
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     r_min: float = 1e-9
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if not np.isfinite(self.strength) or self.strength <= 0:
@@ -189,87 +195,98 @@ class Newtonian(Potential):
 
 # the factors of d/dX_a of a monomial, per axis a: X_a first, then the
 # other axes ascending, as the derivative is written out
-_DERIVATIVE_AXES = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1]])
-# every exponent a monomial of degree <= 4 can put on one coordinate
-_POWERS = np.arange(5.0)
+_DERIVATIVE_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_ZERO_TERM = (0.0, ((0, 0),) * 3)  # +0.0 times three factors X1^0 = 1.0
+
+
+def _term_major(outputs: list) -> tuple:
+    """``Polynomial._sum``'s power rows, weights and factor rows for outputs
+    given as lists of terms (weight, three (axis, exponent) factors in
+    multiplication order)."""
+    # a zero weight times three factors 1.0 adds +-0.0, which leaves a total
+    # that starts at +0.0 as it is: such terms are dropped, and pad the
+    # shorter outputs; a zero weight times a real factor stays (0 * inf is NaN)
+    kept = [[_ZERO_TERM] + [t for t in terms if t[0] or any(e for _, e in t[1])]
+            for terms in outputs]
+    width = max(map(len, kept))
+    pairs = [(0, 0), (0, 1), (1, 1), (2, 1)]
+    pairs += sorted({f for terms in kept for _, fs in terms for f in fs if f[1] > 1})
+    row = {pair: i for i, pair in enumerate(pairs)}
+    by_term = list(zip(*[t + [_ZERO_TERM] * (width - len(t)) for t in kept]))
+    axes, exps = np.array(pairs).T
+    compiled = (axes, exps[:, None],
+                np.array([[[w] for w, _ in term] for term in by_term]),
+                np.array([[[row[fs[i] if fs[i][1] else (0, 0)] for _, fs in term]
+                           for term in by_term] for i in range(3)]))
+    for arr in compiled:
+        arr.flags.writeable = False
+    return compiled
 
 
 @dataclass(frozen=True)
 class Polynomial(Potential):
     """Polynomial potential: coefficients map exponent triples to weights.
 
-    Keys are (e1, e2, e3) monomial exponents with total degree at most 4;
-    V = sum_c coeff * X1^e1 X2^e2 X3^e3.  The coefficients are stored
-    sorted by exponent, so equal polynomials have equal reprs.
+    Keys are (e1, e2, e3) tuples of integer exponents >= 0 with total degree
+    at most 4, one key per monomial; V = sum_c coeff * X1^e1 X2^e2 X3^e3.
+    The coefficients are stored sorted by exponent, so equal polynomials
+    have equal reprs.
 
-    Each term is multiplied out left to right, weight first, from a table
-    of X_k^e for e = 0..4, and the terms are added in order to a running
-    total from 0.0: every point gets exactly the sum a loop over monomials
-    would.
+    The value and the gradient (weights coeff * e_a) are compiled once,
+    term-major, for J = 1 and 3 outputs: power rows (axis, exponent) of a
+    per-point table of 1.0, the coordinates and the X_k^e, e >= 2, that some
+    factor reads; (M, J, 1) weights; and (3, M, J) factor rows into the
+    table.  Each term is multiplied out left to right, weight first, and the
+    terms are added in order from a +0.0 term: every point gets exactly the
+    sum a loop over monomials would.
     """
 
     coefficients: dict
-    # a zero term, then one row per monomial: (M+1,) weights and (M+1, 3)
-    # indices into a point's flattened (3, 5) power table, one per factor;
-    # the zero term starts the running total at 0.0
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _factors: np.ndarray = field(init=False, repr=False, compare=False)
-    # the same per axis a for dV/dX_a: (3, M+1) weights coeff * e_a and
-    # (3, M+1, 3) factor indices in _DERIVATIVE_AXES order; terms without
-    # X_a become zero terms
-    _grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _grad_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    # (power rows, weights, factor rows) of the value and of the gradient
+    _value: tuple = field(init=False, repr=False, compare=False)
+    _gradient: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = {}
         for key, value in dict(self.coefficients).items():
-            exps = tuple(int(e) for e in key)
-            if len(exps) != 3 or any(e < 0 for e in exps) or sum(exps) > 4:
-                raise ValueError(f"bad monomial exponents {key!r} (degree must be <= 4)")
+            if not (isinstance(key, tuple) and len(key) == 3 and all(
+                    isinstance(e, numbers.Integral) and not isinstance(e, bool) and e >= 0
+                    for e in key) and sum(key) <= 4):
+                raise ValueError(f"bad monomial exponents {key!r} (three integers >= 0 "
+                                 "of total degree <= 4)")
+            exps = tuple(map(int, key))
+            if exps in coeffs:
+                raise ValueError(f"monomial exponents {key!r}: the same monomial as another key")
             # the gradient weighs it by an exponent, which must not overflow it
             if not math.isfinite(float(value) * max(exps)):
                 raise ValueError(f"coefficient for {key!r} must be finite, as must its derivative")
             coeffs[exps] = float(value)
         coeffs = dict(sorted(coeffs.items()))
         object.__setattr__(self, "coefficients", coeffs)
-
-        exps = np.array([(0, 0, 0), *coeffs])
-        weights = np.array([0.0, *coeffs.values()])
-        grad_exps = np.zeros((3,) + exps.shape, dtype=int)
-        grad_weights = np.zeros((3, len(exps)))
-        for axis, order in enumerate(_DERIVATIVE_AXES):
-            has = exps[:, axis] > 0
-            grad_exps[axis, has] = exps[has][:, order] - [1, 0, 0]
-            grad_weights[axis, has] = weights[has] * exps[has, axis]
-        arrays = {
-            "_weights": weights,
-            "_factors": np.arange(3) * len(_POWERS) + exps,
-            "_grad_weights": grad_weights,
-            "_grad_factors": _DERIVATIVE_AXES[:, None, :] * len(_POWERS) + grad_exps,
-        }
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_value", _term_major(
+            [[(c, tuple(enumerate(exps))) for exps, c in coeffs.items()]]))
+        object.__setattr__(self, "_gradient", _term_major([
+            [(c * exps[a], tuple((k, exps[k] - (k == a)) for k in order))
+             for exps, c in coeffs.items() if exps[a]]
+            for a, order in enumerate(_DERIVATIVE_AXES)]))
 
     @staticmethod
-    def _sum(x, weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """sum_m w_m f_m0 f_m1 f_m2 at points x of shape (..., 3).
-
-        The factors f are looked up in each point's power table; the result
-        has shape (..., *weights.shape[:-1]).
-        """
-        x = np.asarray(x, dtype=float)
-        # float_power is libm's pow, as the scalar x ** e; numpy's power may
-        # take a vectorised pow that differs in the last bit
-        table = np.float_power(x[..., None], _POWERS).reshape(x.shape[:-1] + (-1,))
-        f = table[..., factors]
-        return np.add.accumulate(weights * f[..., 0] * f[..., 1] * f[..., 2], axis=-1)[..., -1]
+    def _sum(points: np.ndarray, powers: np.ndarray, exponents: np.ndarray,
+             weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """sum_m w_m f_m0 f_m1 f_m2 per output at points of shape (3, P), as (J, P)."""
+        # float_power is libm's pow, as the scalar x ** e, with pow(x, 0) = 1
+        # and pow(x, 1) = x; numpy's power may take a vectorised pow that
+        # differs in the last bit
+        f = np.float_power(points[powers], exponents)[factors]
+        return np.add.accumulate(weights * f[0] * f[1] * f[2])[-1]
 
     def value(self, x):
-        return _scalar_or_array(self._sum(x, self._weights, self._factors))
+        x = np.asarray(x, dtype=float)
+        return _scalar_or_array(self._sum(x.reshape(-1, 3).T, *self._value).reshape(x.shape[:-1]))
 
     def gradient_into(self, x, out):
-        out[...] = self._sum(x, self._grad_weights, self._grad_factors)
+        x = np.asarray(x, dtype=float)
+        out[...] = self._sum(x.reshape(-1, 3).T, *self._gradient).T.reshape(x.shape)
         return out
 
     def _affine_gradient(self):

@@ -348,9 +348,9 @@ class TestLowering:
         calls = []
         ladder = algebra._spec_blocks
 
-        def counted(spec):
-            calls.append(spec)
-            return ladder(spec)
+        def counted(spec, values=None, runs=1):
+            calls.append(runs)
+            return ladder(spec, values, runs)
 
         monkeypatch.setattr(algebra, "_spec_blocks", counted)
         rng = np.random.default_rng(25)
@@ -364,7 +364,33 @@ class TestLowering:
             for spec in specs:
                 lp.as_generalized(spec)
                 algebra._encoding(spec)
-        assert calls == specs
+        # one run per spec, each built by the first lower: alone or stacked
+        assert sum(calls) == len(specs)
+
+    def test_specs_sharing_variant_and_axes_build_in_one_call(self, monkeypatch):
+        calls = []
+        ladder = algebra._spec_blocks
+
+        def counted(spec, values=None, runs=1):
+            calls.append(runs)
+            return ladder(spec, values, runs)
+
+        rng = np.random.default_rng(26)
+        base = random_spec(rng, "miao_type_ii")
+        specs = [rescale(base, ratio) for ratio in rng.uniform(0.5, 2.0, 5)]
+        specs += [specs[1], dataclasses.replace(base, kappa=np.float32(1.5))]
+        alone = [lower([dataclasses.replace(spec)]) for spec in specs]
+        monkeypatch.setattr(algebra, "_spec_blocks", counted)
+        first = lower(specs)
+        # the six distinct specs in one call, the float32 kappa inverted in
+        # float32 as a lone spec's is
+        assert calls == [6]
+        assert lower(specs).slope.tobytes() == first.slope.tobytes()
+        assert calls == [6]  # the second lower builds nothing
+        for i, spec in enumerate(specs):
+            assert not spec._blocks[1].flags.writeable
+            assert first.time[i].tobytes() == alone[i].time.tobytes()
+            assert first.slope[i].tobytes() == alone[i].slope.tobytes()
 
 
 class TestBracket:

@@ -19,6 +19,7 @@ from liephase.algebra import lower, rescale
 import sweep_com_checks
 import sweep_com_report
 import sweep_linear_flow
+import sweep_setup
 import sweep_wep_report
 import sweep_wep_runs
 from helpers import (
@@ -90,6 +91,32 @@ class TestPotentials:
         with pytest.raises(ValueError, match="degree"):
             lp.Polynomial(coefficients={(3, 2, 0): 1.0})
 
+    @pytest.mark.parametrize("key", [(0.5, 0, 0), (2.9, 0, 0), (2.0, 0, 0), (True, 0, 0),
+                                     (1, 0), (1, 0, 0, 0), "2,0,0", (-1, 0, 0)])
+    def test_polynomial_refuses_exponents_it_would_misread(self, key):
+        # int() once cut 0.5 to 0 and 2.9 to 2, so these were other monomials
+        with pytest.raises(ValueError, match=re.escape(f"bad monomial exponents {key!r}")):
+            lp.Polynomial(coefficients={(0, 1, 0): 1.0, key: 5.0})
+
+    def test_polynomial_refuses_a_second_key_for_one_monomial(self):
+        class Seven(int):  # an integer that hashes apart from 1
+            def __hash__(self):
+                return 7
+
+        key = (Seven(1), 0, 0)
+        with pytest.raises(ValueError, match=re.escape(f"{key!r}: the same monomial")):
+            lp.Polynomial(coefficients={(1, 0, 0): 1.0, key: 5.0})
+        # numpy integers are integers, and equal to (so one key with) Python's
+        pot = lp.Polynomial(coefficients={(np.int64(2), 0, 0): 1.0, (2, 0, 0): 3.0})
+        assert pot.coefficients == {(2, 0, 0): 3.0}
+
+    @pytest.mark.parametrize("name", ["uniform", "newtonian", "polynomial", "empty-polynomial"])
+    def test_empty_batch_gives_empty_results(self, name):
+        pot = POTENTIALS[name]
+        for shape in [(0, 3), (2, 0, 3)]:
+            assert pot.value(np.zeros(shape)).shape == shape[:-1]
+            assert pot.gradient(np.zeros(shape)).shape == shape
+
     @pytest.mark.parametrize("make, message", [
         (lambda: lp.Uniform(g=[0.0, np.inf, 0.0]), r"^g\[1\]: must be finite"),
         (lambda: lp.Uniform(g=[0.0, "x", 0.0]), r"^g: could not convert"),
@@ -128,6 +155,29 @@ POTENTIALS = {
     "polynomial": lp.Polynomial(coefficients=random_polynomial(np.random.default_rng(31), 9)),
     "empty-polynomial": lp.Polynomial(coefficients={}),
 }
+
+
+def test_array_fields_compare_by_value():
+    # dataclass == compared the arrays as a tuple and raised on their truth value
+    rng = np.random.default_rng(39)
+    x, p = rng.uniform(-1.0, 1.0, (2, 3, 3))
+    pairs = [
+        (lambda: lp.Uniform(g=[0.0, 0.0, 1.0]), lambda: lp.Uniform(g=[0.0, 1.0, 0.0])),
+        (lambda: lp.Newtonian(strength=1.0, center=[1.0, 0.0, 0.0]),
+         lambda: lp.Newtonian(strength=1.0)),
+        (lambda: lp.PhaseState(x=x, p=p, t=0.5), lambda: lp.PhaseState(x=x, p=-p, t=0.5)),
+        (lambda: one_particle(lp.Canonical(), x=(1, 0, 0)),
+         lambda: one_particle(lp.Canonical(), x=(0, 1, 0))),
+        (lambda: cli.load_scenario("spacetime_eom"), lambda: cli.load_scenario("effective_kappa")),
+    ]
+    for make, other in pairs:
+        a, b, c = make(), make(), other()
+        assert a == b and not a != b and a in [c, b]
+        assert a != c and c not in [a, b]
+        assert a != lp.Uniform(g=[0.0, 0.0, 1.0]) or type(a) is lp.Uniform
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    assert lp.PhaseState(x=x, p=p) != lp.PhaseState(x=x, p=p, t=1.0)
 
 
 class TestVectorisedPotentials:
@@ -175,6 +225,33 @@ class TestVectorisedPotentials:
             # same products in the same order: bit-equal to the loop
             assert np.array_equal(pot.gradient(x), loop_grad)
             assert np.array_equal(pot.value(x), loop_value)
+
+    def test_polynomial_bit_equal_to_monomial_loop_at_special_points(self):
+        # degree <= 4 with explicit zero weights, at points salted with signed
+        # zeros, infinities, NaN and powers that overflow or underflow: a zero
+        # weight times a real factor must stay a term (0 * inf is NaN)
+        rng = np.random.default_rng(36)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e-200, -1e-200]
+        points = np.where(rng.random((300, 3)) < 0.4, rng.choice(specials, (300, 3)),
+                          rng.uniform(-3.0, 3.0, (300, 3)))
+        polynomials = [{}, {(0, 0, 0): -0.0}, {(0, 0, 0): 0.0, (1, 0, 0): -0.0},
+                       {(4, 0, 0): 0.0, (0, 1, 0): -0.0, (0, 0, 0): -0.0}]
+        for n_terms in (1, 3, 7, 20, 35):
+            coefficients = random_polynomial(rng, n_terms)
+            zeroed = rng.random(n_terms) < 0.3
+            polynomials.append({e: float(rng.choice([0.0, -0.0])) if z else c
+                                for (e, c), z in zip(coefficients.items(), zeroed)})
+        for coefficients in polynomials:
+            pot = lp.Polynomial(coefficients=coefficients)
+            with np.errstate(all="ignore"):
+                got = (pot.value(points), pot.gradient(points))
+                loop = (np.array([polynomial_value_loop(pot.coefficients, x) for x in points]),
+                        np.array([polynomial_gradient_loop(pot.coefficients, x) for x in points]))
+            for g, want in zip(got, loop):
+                # bit-equal where a number; NaN where the loop gives NaN
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(g), nan), coefficients
+                assert g[~nan].tobytes() == want[~nan].tobytes(), coefficients
 
     def test_quadratic_gradient_bit_equal_to_monomial_loop(self):
         rng = np.random.default_rng(37)
@@ -1590,11 +1667,25 @@ def test_sweep_wep_report_smoke(tmp_path, monkeypatch):
     assert all(row["max_position_deviation"] <= 1e-8 for row in rows if row["mode"] == "mass_scaled")
 
 
+def test_sweep_setup_smoke(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_setup, "PARTICLES", (2, 3))
+    out = tmp_path / "record.json"
+    assert sweep_setup.main(["--label", "smoke", "--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["particles"] for row in rows] == [2, 3]
+    keys = ("parse_ms", "lower_ms", "fingerprint_ms", "gradient_us", "value_us")
+    assert all(row["label"] == "smoke" and all(row[key] > 0 for key in keys) for row in rows)
+    # the document is a valid run of the field the sweep times
+    scenario = cli.scenario_from_dict(sweep_setup.document(3))
+    assert scenario.system.scaling.holds and scenario.potential._affine_gradient() is None
+
+
 # each sweep's sizes, made tiny
 SWEEP_SIZES = {
     sweep_com_checks: {"LOWER_PARTICLES": (1,), "PRODUCT_PARTICLES": (2,)},
     sweep_com_report: {"PARTICLES": (2,)},
     sweep_linear_flow: {"PARTICLES": (1,), "STEPS": (100,)},
+    sweep_setup: {"PARTICLES": (2,)},
     sweep_wep_report: {"MASSES": (2,)},
     sweep_wep_runs: {"MASSES": (2,)},
 }
