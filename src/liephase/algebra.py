@@ -618,8 +618,6 @@ def bracket(
 def jacobi_residual(
     specs: Sequence[AlgebraSpec] | LoweredAlgebra,
     state: PhaseState,
-    fd_step: float = 1e-5,
-    use_fd: bool = False,
 ) -> float:
     """Worst Jacobi-identity violation over all index triples.
 
@@ -629,28 +627,12 @@ def jacobi_residual(
     Each block depends only on its own particle's phase point, so triples
     that mix particles vanish and the maximum runs over per-particle 6x6x6
     residuals.  The derivatives dJ/dz are the lowered slope tensors, exact
-    because every bracket is affine in z.  ``use_fd=True`` instead takes
-    central differences of the blocks with step ``fd_step``, an independent
-    oracle for the slopes.
+    because every bracket is affine in z.
     """
-    if not (math.isfinite(fd_step) and fd_step > 0):
-        raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
     lowered = lower(specs)
-    z = state.flatten().reshape(-1, 6)
-    j = lowered.blocks(z, state.t)
-    if use_fd:
-        steps = fd_step * np.eye(6)
-        dj = np.stack(
-            [
-                (lowered.blocks(z + h, state.t) - lowered.blocks(z - h, state.t)) / (2.0 * fd_step)
-                for h in steps
-            ],
-            axis=1,
-        )
-    elif lowered.slope is None:
+    j = lowered.blocks(state.flatten().reshape(-1, 6), state.t)
+    if lowered.slope is None:
         return 0.0
-    else:
-        dj = lowered.slope
-    r = np.einsum("nad,ndbc->nabc", j, dj)
+    r = np.einsum("nad,ndbc->nabc", j, lowered.slope)
     total = r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2))
     return float(np.max(np.abs(total)))

@@ -239,7 +239,8 @@ def com_transform(system: ParticleSystem, state: PhaseState) -> ComVariables:
 #   A_ij = {X_i, X_j}           (antisymmetric)
 #   B_ij = {X_i, P_j} - delta_ij
 # These transcriptions are deliberately independent of the 6x6 block builder
-# in the algebra module; the bracket report compares the two routes.
+# in the algebra module; the bracket report, and ``closed_form_rhs`` through
+# the chain rule, compare the two routes.
 
 
 def _tables(spec: AlgebraSpec, x: np.ndarray, p: np.ndarray, t: float) -> tuple:

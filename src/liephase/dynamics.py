@@ -2,7 +2,7 @@
 
 Integrates the non-canonical Hamilton equations for point particles and for
 composite bodies reduced to their center of mass, cross-checks the right
-hand side against hand-transcribed closed-form equations of motion, and
+hand side against the chain rule over hand-written bracket tables, and
 measures weak-equivalence-principle deviations across masses.
 
 The gravitational Hamiltonian is H = |P|^2 / 2m + m V(X1, X2, X3), with the
@@ -33,13 +33,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraSpec,
-    Canonical,
-    Generalized,
-    MiaoTypeI,
-    MiaoTypeII,
     PhaseState,
-    SpaceSpace,
-    SpaceTime,
     LoweredAlgebra,
     _CANONICAL,
     _encoding,
@@ -51,6 +45,7 @@ from .composition import (
     ParticleSystem,
     _check_particle_count,
     _com_brackets,
+    _tables,
     com_transform,
     effective_parameters,
 )
@@ -338,6 +333,8 @@ class GravityScenario:
             )
         if self.initial.n_particles != self.system.n_particles:
             raise ValueError("initial state size does not match the system")
+        if self.neglect_relative_motion and not self.body_mode:
+            raise ValueError("neglect_relative_motion is only meaningful with body_mode")
 
     def n_steps(self) -> int:
         return _grid_steps(self.t0, self.t_end, self.dt)
@@ -549,65 +546,25 @@ def closed_form_rhs(
     p: np.ndarray,
     t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hand-transcribed single-particle equations of motion for one variant.
+    """Single-particle equations of motion from the hand-written bracket
+    tables ``_tables``, by the chain rule.
 
     Written independently of the structure-matrix route as a regression
-    oracle for ``eom_rhs``.
+    oracle for ``eom_rhs``: with A_ij = {X_i, X_j}, B_ij = {X_i, P_j} - delta_ij
+    and v = grad(V)(X), evaluated here,
+      Xdot = P/m + B P/m + m A v,
+      Pdot = -m v - m B^T v.
+    The momentum equation's lower indices are (j, i): Pdot_i = {P_i, H} =
+    -sum_j {X_j, P_i} m v_j.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     m = float(mass)
     v = potential.gradient(x)
-    xdot = p / m
-    pdot = -m * v
-    if isinstance(spec, Canonical):
-        return xdot, pdot
-    if isinstance(spec, SpaceTime):
-        r, s = spec.rho - 1, spec.tau - 1
-        coeff = t * m / spec.kappa
-        xdot = xdot.copy()
-        xdot[r] += coeff * v[s]
-        xdot[s] -= coeff * v[r]
-        return xdot, pdot
-    if isinstance(spec, (SpaceSpace, MiaoTypeI, MiaoTypeII)):
-        k, l, g = spec.k - 1, spec.l - 1, spec.gamma - 1
-        kt = spec.kappa_tilde
-        xdot = xdot.copy()
-        pdot = pdot.copy()
-        xdot[k] += m * x[l] / kt * v[g]
-        xdot[l] -= m * x[k] / kt * v[g]
-        xdot[g] += -m * x[l] / kt * v[k] + m * x[k] / kt * v[l]
-        pdot[k] += m * p[l] / kt * v[g]
-        pdot[l] -= m * p[k] / kt * v[g]
-        if isinstance(spec, (MiaoTypeI, MiaoTypeII)):
-            ck = t * m / spec.kappa
-            xdot[k] -= ck * v[g]
-            xdot[l] += ck * v[g]
-            xdot[g] += ck * v[k] - ck * v[l]
-        if isinstance(spec, MiaoTypeI):
-            ck = t * m / spec.kappa
-            xdot[k] += ck * v[l]
-            xdot[l] -= ck * v[k]
-        if isinstance(spec, MiaoTypeII):
-            kb = spec.kappa_bar
-            xdot[g] -= (x[l] * p[k] + x[k] * p[l]) / (kb * m)
-            pdot[k] += m * x[l] / kb * v[g]
-            pdot[l] += m * x[k] / kb * v[g]
-        return xdot, pdot
-    if isinstance(spec, Generalized):
-        # Xdot_i = P_i/m + theta_bar^k_ij P_j X_k / m + theta_tilde^k_ij P_j P_k / m
-        #          + m (theta0_ij t + theta^k_ij X_k) dV/dX_j
-        # Pdot_i = -m dV/dX_i - m (theta_bar^k_ji X_k + theta_tilde^k_ji P_k) dV/dX_j
-        # The lower indices of the momentum equation's deformation term are
-        # (j, i): this is forced by Pdot_i = {P_i, H} = -sum_j {X_j, P_i} m V_j
-        # and reproduces the SpaceSpace momentum equations entrywise.
-        bar_ij = np.einsum("kij,k->ij", spec.theta_bar, x)
-        tilde_ij = np.einsum("kij,k->ij", spec.theta_tilde, p)
-        a_ij = spec.theta0 * t + np.einsum("kij,k->ij", spec.theta, x)
-        xdot = p / m + (bar_ij + tilde_ij) @ p / m + m * a_ij @ v
-        pdot = -m * v - m * (bar_ij + tilde_ij).T @ v
-        return xdot, pdot
-    raise TypeError(f"unknown algebra variant: {type(spec).__name__}")
+    a, b = _tables(spec, x, p, t)
+    xdot = p / m + b @ p / m + m * a @ v
+    pdot = -m * v - m * b.T @ v
+    return xdot, pdot
 
 
 # --- integration ----------------------------------------------------------------

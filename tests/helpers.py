@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import liephase as lp
-from liephase import composition, dynamics
+from liephase import algebra, composition, dynamics
 from liephase import observables as obs
 
 VARIANT_NAMES = (
@@ -122,6 +122,24 @@ def dense_structure_matrix(specs, state: lp.PhaseState) -> np.ndarray:
     diag = np.arange(n)
     j[diag, :, diag, :] = blocks
     return j.reshape(6 * n, 6 * n)
+
+
+def jacobi_residual_fd(specs, state: lp.PhaseState, fd_step: float = 1e-5) -> float:
+    """``jacobi_residual`` with dJ/dz taken by central differences of the
+    blocks with step ``fd_step``: an oracle for the lowered slope tensors."""
+    lowered = algebra.lower(specs)
+    z = state.flatten().reshape(-1, 6)
+    j = lowered.blocks(z, state.t)
+    dj = np.stack(
+        [
+            (lowered.blocks(z + h, state.t) - lowered.blocks(z - h, state.t)) / (2.0 * fd_step)
+            for h in fd_step * np.eye(6)
+        ],
+        axis=1,
+    )
+    r = np.einsum("nad,ndbc->nabc", j, dj)
+    total = r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2))
+    return float(np.max(np.abs(total)))
 
 
 def random_system(rng: np.random.Generator, variant: str, n_particles: int) -> lp.ParticleSystem:

@@ -7,6 +7,7 @@ pytest does not collect it.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -38,21 +39,31 @@ def best_times(makers, repeats: int) -> tuple[list[float], list]:
 
     Each maker returns the function to time, so what it builds first is
     not timed.  The calls are made in rounds, each round calling every case
-    once, so a slow spell of a shared host weighs on every case alike.
+    once, so a slow spell of a shared host weighs on every case alike.  The
+    cyclic garbage collector is off while they run, as ``timeit`` has it, so
+    a collection that earlier cases' garbage sets off is not timed in a
+    later case; its previous state is restored afterwards.
     """
     best, results = [np.inf] * len(makers), [None] * len(makers)
-    for _ in range(repeats):
-        for k, make in enumerate(makers):
-            timed = make()
-            start = time.perf_counter()
-            results[k] = timed()
-            best[k] = min(best[k], time.perf_counter() - start)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for k, make in enumerate(makers):
+                timed = make()
+                start = time.perf_counter()
+                results[k] = timed()
+                best[k] = min(best[k], time.perf_counter() - start)
+    finally:
+        if was_enabled:
+            gc.enable()
     return best, results
 
 
 def main(argv, rows, what: str, out: str, repeats: int) -> int:
     """The command line of a sweep: tag each row of ``rows(--repeats)`` with
-    ``--label``, a name for the code measured, print it, and write the rows
+    ``--label``, a name for the code measured, and ``"gc": "off"``, as
+    ``best_times`` times them, print it, and write the rows
     with the machine's description to ``--out`` (``out`` at the repository
     root), keeping the rows of every other label already there, and the
     unlabelled rows of earlier records, so two checkouts can share one."""
@@ -64,7 +75,7 @@ def main(argv, rows, what: str, out: str, repeats: int) -> int:
 
     new = []
     for row in rows(args.repeats):
-        new.append({"label": args.label, **row})
+        new.append({"label": args.label, "gc": "off", **row})
         print(json.dumps(new[-1]), flush=True)
     path = Path(args.out)
     kept = []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liephase as lp
-from liephase import algebra, observables as obs
+from liephase import algebra, cli, observables as obs
 from liephase.algebra import AXIS, PARAMETER_ROLES, SCALED, SHARED, lower, parameter_roles, rescale
 from liephase.composition import _tables
 
@@ -18,6 +18,7 @@ from helpers import (
     DEFORMED_NAMED_VARIANTS,
     VARIANT_NAMES,
     antisym,
+    jacobi_residual_fd,
     lower_via_generalized,
     lowered_bytes,
     package_calls,
@@ -162,6 +163,7 @@ class TestSpecValidation:
         (lambda: lp.Generalized(theta0=np.zeros((3, 2))), r"^theta0: must have shape \(3, 3\)"),
         (lambda: lp.MiaoTypeI(kappa=1.0, kappa_tilde=1.0, k=2, l=2, gamma=1),
          r"^\(k, l, gamma\) must be distinct axes"),
+        (lambda: lp.SpaceTime(kappa=1.0, rho=4), r"^rho must be one of \(1, 2, 3\), got 4$"),
     ])
     def test_error_names_the_entry(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -174,6 +176,24 @@ class TestSpecValidation:
     def test_phase_state_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             lp.PhaseState(x=[[0, 0, 0]], p=[[0, 0]])
+
+    def test_flat_phase_vector_length_checked(self):
+        with pytest.raises(ValueError, match="^flat phase vector length must be a multiple of 6, got 7$"):
+            lp.PhaseState.from_flat(np.zeros(7), 0.0)
+
+    @pytest.mark.parametrize("use", [
+        lambda spec: lower([spec]),
+        lambda spec: lp.closed_form_rhs(spec, 1.0, lp.Uniform(g=[0, 1, 0]), np.zeros(3),
+                                        np.zeros(3), 0.0),
+        lambda spec: cli.algebra_to_dict(spec),
+    ], ids=["lower", "closed_form_rhs", "algebra_to_dict"])
+    def test_user_subclass_is_unknown_variant(self, use):
+        @dataclasses.dataclass(frozen=True)
+        class Custom(lp.AlgebraSpec):
+            pass
+
+        with pytest.raises(TypeError, match="^unknown algebra variant: Custom$"):
+            use(Custom())
 
 
 class TestAsGeneralized:
@@ -512,7 +532,7 @@ class TestJacobi:
         specs = [FD_CASES[variant](rng) for _ in range(n_particles)]
         state = random_state(rng, n_particles, box=3.0)
         exact = lp.jacobi_residual(specs, state)
-        fd = lp.jacobi_residual(specs, state, fd_step=1e-5, use_fd=True)
+        fd = jacobi_residual_fd(specs, state, fd_step=1e-5)
         assert abs(exact - fd) <= 1e-6
 
     def test_residual_is_worst_single_particle_residual(self):
@@ -528,14 +548,6 @@ class TestJacobi:
         ]
         assert max(singles) > 0.1
         assert lp.jacobi_residual(specs, state) == max(singles)
-
-    def test_fd_step_must_be_positive(self):
-        state = random_state(np.random.default_rng(8), 1)
-        # refused whether or not the finite-difference path reads it
-        for use_fd in (False, True):
-            for fd_step in (0.0, -1e-5, np.nan, np.inf):
-                with pytest.raises(ValueError, match="fd_step"):
-                    lp.jacobi_residual([lp.Canonical()], state, fd_step=fd_step, use_fd=use_fd)
 
     def test_multi_particle_residual(self):
         rng = np.random.default_rng(9)

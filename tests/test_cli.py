@@ -539,6 +539,14 @@ class TestScenarioParsing:
         assert np.array_equal(bare.center, np.zeros(3))
         assert repr(bare) == repr(lp.Newtonian(strength=2.0, center=[0, 0, 0]))
 
+    def test_user_potential_is_unknown_variant(self):
+        class Flat(lp.Potential):
+            def value(self, x):
+                return 0.0
+
+        with pytest.raises(TypeError, match="^unknown potential variant: Flat$"):
+            cli.potential_to_dict(Flat())
+
     def test_algebra_roundtrip_all_variants(self):
         rng = np.random.default_rng(0)
         t = rng.uniform(-1, 1, (3, 3))

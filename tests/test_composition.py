@@ -56,6 +56,10 @@ class TestParticleSystem:
         with pytest.raises(ValueError, match="mass"):
             lp.ParticleSystem.from_pairs([0.0], [lp.Canonical()])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^masses and specs must have equal length$"):
+            lp.ParticleSystem.from_pairs([1.0, 2.0], [lp.Canonical()])
+
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             lp.ParticleSystem(particles=())

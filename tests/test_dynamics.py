@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -19,6 +20,7 @@ from liephase.algebra import lower, rescale
 import sweep_com_checks
 import sweep_com_report
 import sweep_linear_flow
+import sweep_record
 import sweep_setup
 import sweep_wep_report
 import sweep_wep_runs
@@ -1052,6 +1054,11 @@ class TestGrid:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(one_particle(lp.Canonical()), initial=initial)
 
+    def test_neglect_relative_motion_needs_body_mode(self):
+        # a flag that no run would read is refused, as the scenario file refuses it
+        with pytest.raises(ValueError, match="^neglect_relative_motion "):
+            dataclasses.replace(one_particle(lp.Canonical()), neglect_relative_motion=True)
+
     def test_rounded_spans_accepted(self):
         # spans whose quotient by dt rounds to either side of the step count
         assert (1.0 - 0.3) / 0.1 < 7 and (1.0 - 0.7) / 0.1 > 3
@@ -1705,8 +1712,15 @@ def test_sweep_record_keeps_other_labels(sweep, tmp_path, monkeypatch):
     assert record["command"] == f"PYTHONPATH=src python tests/{sweep.__name__}.py --label <name>"
     assert record["rows"][:2] == kept
     rows = record["rows"][2:]
-    assert rows and all(row["label"] == "a" for row in rows)
+    assert rows and all(row["label"] == "a" and row["gc"] == "off" for row in rows)
     assert {"label": "a", "ms": 1.0} not in rows
+
+
+def test_sweep_record_times_with_the_collector_off():
+    assert gc.isenabled()
+    _, results = sweep_record.best_times([lambda: gc.isenabled], repeats=2)
+    assert results == [False]
+    assert gc.isenabled()
 
 
 def body_scenario(masses, kappas, x_com, p_com, neglect=False, dt=1e-3):
