@@ -441,8 +441,10 @@ def _checked_parameter(name: str, value):
     bad entry."""
     role = PARAMETER_ROLES[name]
     if role.kind == AXIS:
-        if value not in _AXES:
+        # True == 1 and 1.0 == 1, but an axis indexes arrays: an integer alone
+        if value is True or not isinstance(value, (int, np.integer)) or value not in _AXES:
             raise ValueError(f"{name} must be one of {_AXES}, got {value!r}")
+        value = int(value)
     elif not role.shape:
         if not math.isfinite(value) or value == 0.0:
             raise ValueError(f"{name} must be nonzero and finite, got {value!r}")
@@ -537,7 +539,10 @@ class LoweredAlgebra:
         return self.time.shape[0]
 
     def blocks(self, z: np.ndarray, t: float) -> np.ndarray:
-        """(N, 6, 6) bracket blocks at per-particle phase points z of shape (N, 6)."""
+        """(N, 6, 6) bracket blocks at per-particle phase points z of shape (N, 6);
+        a ValueError refuses points of another particle count."""
+        if len(z) != len(self):
+            raise ValueError(f"state has {len(z)} particles, system has {len(self)}")
         j = _CANONICAL + t * self.time
         if self.slope is not None:
             j += np.einsum("ad,adij->aij", z, self.slope)
@@ -591,10 +596,7 @@ def structure_matrix(
     One spec per particle, or their lowered form.  Brackets between
     different particles vanish, so these blocks are all of J.
     """
-    lowered = lower(specs)
-    if len(lowered) != state.n_particles:
-        raise ValueError(f"got {len(lowered)} algebra specs for {state.n_particles} particles")
-    j = lowered.blocks(state.flatten().reshape(-1, 6), state.t)
+    j = lower(specs).blocks(state.flatten().reshape(-1, 6), state.t)
     j.flags.writeable = False
     return j
 

@@ -13,7 +13,8 @@ runner integrates or reports) before it makes the output directory, and the
 runner only computes.  ``run`` writes a deterministic ``report.json`` (plus
 CSVs for trajectory tasks) into the output directory, and exits 0 only when
 every check passed (2 on validation errors, always before the output
-directory is made, 3 on numerical failure, 1 on failed checks).
+directory is made, or on an output it cannot write, 3 on numerical failure,
+1 on failed checks).
 """
 
 from __future__ import annotations
@@ -442,27 +443,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     # a flag that no run would read is refused, as an unused option is
     if body_mode and task != "simulate":
         raise ScenarioError("body_mode: only meaningful with the simulate task")
-    if neglect and not body_mode:
-        raise ScenarioError("neglect_relative_motion: only meaningful with body_mode")
-    if body_mode and not neglect and not system.decouples_exactly:
-        raise ScenarioError(
-            "neglect_relative_motion: the center of mass of these particles does not "
-            "decouple exactly from their relative motion; set it to true to accept "
-            "the body run as an approximation"
-        )
-    return Scenario(
-        task=task,
-        system=system,
-        potential=potential,
-        initial=initial,
-        t0=t0,
-        t_end=t_end,
-        dt=dt,
-        body_mode=body_mode,
-        neglect_relative_motion=neglect,
-        options=options,
-        settings=settings,
-    )
+    try:  # GravityScenario refuses a body flag that does not fit, naming the flag
+        return Scenario(task=task, system=system, potential=potential, initial=initial,
+                        t0=t0, t_end=t_end, dt=dt, body_mode=body_mode,
+                        neglect_relative_motion=neglect, options=options, settings=settings)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _parse_json(text: str):
@@ -1059,24 +1045,26 @@ def run(
     start = time.perf_counter()
     try:
         results = _TASKS[scenario.task].run(scenario, plan, runner, out)
+        total_time = time.perf_counter() - start
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "task": scenario.task,
+            "scenario": scenario.to_dict(),
+            "checks": [c.to_dict() for c in runner.checks],
+            "results": _finite_or_null(results),
+            "passed": runner.all_passed,
+        }
+        report_path = out / "report.json"
+        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     except (PotentialSingularityError, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except GridError as exc:
         print(f"run failed: grid.{exc.field}: {exc}", file=sys.stderr)
         return 3
-    total_time = time.perf_counter() - start
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "task": scenario.task,
-        "scenario": scenario.to_dict(),
-        "checks": [c.to_dict() for c in runner.checks],
-        "results": _finite_or_null(results),
-        "passed": runner.all_passed,
-    }
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:  # an output that cannot be written, such as a directory in its place
+        print(f"scenario error: --out: {exc}", file=sys.stderr)
+        return 2
 
     for check in runner.checks:
         status = "PASS" if check.passed else "FAIL"

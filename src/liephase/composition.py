@@ -367,7 +367,6 @@ def _com_brackets(system: ParticleSystem, state: PhaseState,
     (W J)[rows] is one (R x 6) @ (6 x 6) product per particle; each row of W has
     one nonzero weight per particle, which makes it equal to the dense product entry for entry.
     """
-    _check_particle_count(system, state)
     w = system.frame[rows]
     blocks = system.lowered.blocks(state.flatten().reshape(-1, 6), state.t)
     per_particle = w.reshape(len(w), len(blocks), 6).transpose(1, 0, 2)

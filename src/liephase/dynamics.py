@@ -313,7 +313,8 @@ class GravityScenario:
     Generalized with theta0 alone) and the system is mass-scaled, the
     center of mass does not decouple exactly from the relative motion;
     ``neglect_relative_motion`` acknowledges that approximation and must be
-    set for body runs of such systems.
+    set for body runs of such systems, and only for body runs: the scenario
+    refuses either mismatch when it is built.
     """
 
     system: ParticleSystem
@@ -334,7 +335,13 @@ class GravityScenario:
         if self.initial.n_particles != self.system.n_particles:
             raise ValueError("initial state size does not match the system")
         if self.neglect_relative_motion and not self.body_mode:
-            raise ValueError("neglect_relative_motion is only meaningful with body_mode")
+            raise ValueError("neglect_relative_motion: only meaningful with body_mode")
+        if self.body_mode and not (self.neglect_relative_motion or self.system.decouples_exactly):
+            raise ValueError(
+                "neglect_relative_motion: the center of mass of these particles does not "
+                "decouple exactly from their relative motion; set it to true to accept "
+                "the body run as an approximation"
+            )
 
     def n_steps(self) -> int:
         return _grid_steps(self.t0, self.t_end, self.dt)
@@ -838,11 +845,6 @@ def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSp
     if not scenario.body_mode:
         return system.masses, system.specs, scenario.initial.flatten()
     effective = effective_parameters(system)
-    if not scenario.neglect_relative_motion and not system.decouples_exactly:
-        raise ValueError(
-            "center-of-mass motion does not decouple exactly for this system; "
-            "set neglect_relative_motion=True to accept the approximation"
-        )
     com = com_transform(system, scenario.initial)
     z0 = np.concatenate([com.x_com, com.p_com])
     return np.array([system.total_mass]), [effective], z0
@@ -1028,9 +1030,24 @@ def wep_deviation(
 _SCALING_MODES = {"fixed": 0.0, "mass_scaled": 1.0}  # each mode's exponent α, see wep_runs
 
 
-def _check_scaling_mode(mode: str) -> None:
-    if not (isinstance(mode, str) and mode in _SCALING_MODES):
-        raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {mode!r}")
+def _wep_masses(template: GravityScenario, masses: Sequence[float],
+                scaling_mode: str) -> list[float]:
+    """``masses`` as floats, once the inputs of a WEP comparison are checked:
+    a known mode, a single-particle template and at least one mass, each
+    finite and positive."""
+    if not (isinstance(scaling_mode, str) and scaling_mode in _SCALING_MODES):
+        raise ValueError(f"scaling_mode must be 'fixed' or 'mass_scaled', got {scaling_mode!r}")
+    if template.system.n_particles != 1:
+        raise ValueError("WEP comparisons are defined for single-particle scenarios")
+    masses = [float(m) for m in masses]
+    if not masses:
+        raise ValueError("need at least one mass")
+    values = np.array(masses)
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        run = int(bad.argmax())
+        raise ValueError(f"masses must be finite and positive, got {masses[run]!r} for run {run}")
+    return masses
 
 
 def wep_runs(template: GravityScenario, masses: Sequence[float],
@@ -1040,17 +1057,8 @@ def wep_runs(template: GravityScenario, masses: Sequence[float],
     run i is the template rescaled by (m_i / m_0) ** α, exactly the template
     for ``fixed`` (α = 0) and rescaled to m_i for ``mass_scaled`` (α = 1).  A
     run whose momentum or parameters overflow raises WepRunError naming it."""
-    _check_scaling_mode(scaling_mode)
-    if template.system.n_particles != 1:
-        raise ValueError("WEP comparisons are defined for single-particle scenarios")
-    masses = [float(m) for m in masses]
-    if not masses:
-        raise ValueError("need at least one mass")
+    masses = _wep_masses(template, masses, scaling_mode)
     run_masses = np.array(masses)
-    bad = ~(np.isfinite(run_masses) & (run_masses > 0))
-    if bad.any():
-        run = int(bad.argmax())
-        raise ValueError(f"masses must be finite and positive, got {masses[run]!r} for run {run}")
     base = template.system.particles[0]
     with np.errstate(over="ignore"):
         momenta = run_masses[:, None] * (template.initial.p[0] / base.mass)
@@ -1072,11 +1080,9 @@ def wep_report(template: GravityScenario, masses: Sequence[float],
                momenta: np.ndarray, scaling_mode: str) -> WepReport:
     """``wep_deviation``'s report on runs ``wep_runs`` built: run i has mass
     ``masses[i]``, spec ``specs[i]`` (or particle i of a lowered stack) and
-    initial momentum ``momenta[i]``."""
-    _check_scaling_mode(scaling_mode)
-    masses = tuple(float(m) for m in masses)
-    if not masses:
-        raise ValueError("need at least one mass")
+    initial momentum ``momenta[i]``.  The template, masses and mode are
+    refused as ``wep_runs`` refuses them."""
+    masses = tuple(_wep_masses(template, masses, scaling_mode))
     if len(specs) != len(masses):
         raise ValueError(f"{len(masses)} masses need as many specs, got {len(specs)}")
     if np.shape(momenta) != (len(masses), 3):

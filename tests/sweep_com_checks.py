@@ -9,7 +9,11 @@ MiaoTypeI), records the minimum wall time of a few calls of
 - cold: each call gets N fresh specs, made by ``rescale`` from the template
   as a mass-scaled WEP sweep makes them, so the call also builds whatever
   the package keeps per spec;
-- warm: every call lowers the same N specs, lowered before.
+- warm: every call lowers the same N specs, lowered before.  A call takes
+  microseconds, so a timing is ``WARM_CALLS`` calls back to back
+  (``sweep_record.back_to_back``), of which the row records one call's
+  share.  A cold timing stays one call, since a repeat would lower specs
+  that are already built.  Each row says how many calls it timed.
 
 For N in (2, 8, 20, 64), on a mass-scaled MiaoTypeII system whose frame
 and lowered tensors are built, it records the minimum wall time of
@@ -35,7 +39,7 @@ the script runs on them too.  Not a test: pytest does not collect it.
 import sys
 
 import sweep_record  # first: it pins the BLAS threads
-from sweep_record import best_times
+from sweep_record import back_to_back, best_times
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from liephase import algebra, composition, dynamics
 
 LOWER_PARTICLES = (1, 16, 64)
 PRODUCT_PARTICLES = (2, 8, 20, 64)
+WARM_CALLS = 20
 TEMPLATES = {
     "SpaceTime": lp.SpaceTime(kappa=1.7, rho=2, tau=3),
     "MiaoTypeII": lp.MiaoTypeII(kappa=3.0, kappa_tilde=4.5, kappa_bar=2.5, k=3, l=1, gamma=2),
@@ -62,9 +67,11 @@ def rows(repeats: int):
 
             lowered = [algebra.rescale(template, m) for m in masses]
             algebra.lower(lowered)
-            times, _ = best_times([fresh, lambda: lambda: algebra.lower(lowered)], repeats)
-            for timing, s in zip(("lower_cold", "lower_warm"), times):
-                yield {"timing": timing, "case": case, "particles": n, "us": round(s * 1e6, 2)}
+            times, _ = best_times(
+                [fresh, back_to_back(lambda: algebra.lower(lowered), WARM_CALLS)], repeats)
+            for timing, calls, s in zip(("lower_cold", "lower_warm"), (1, WARM_CALLS), times):
+                yield {"timing": timing, "case": case, "particles": n, "calls": calls,
+                       "us": round(s / calls * 1e6, 2)}
     for n in PRODUCT_PARTICLES:
         rng = np.random.default_rng(n)
         masses = rng.uniform(0.5, 3.0, n)

@@ -60,6 +60,18 @@ def best_times(makers, repeats: int) -> tuple[list[float], list]:
     return best, results
 
 
+def back_to_back(call, calls: int):
+    """A ``best_times`` maker that times ``calls`` calls of ``call`` back to
+    back and returns the last one's result.  A case of tens of microseconds
+    is timed so, and recorded as one call's share: a lone call between
+    heavier cases can read several times its cost in a loop."""
+    def timed():
+        for _ in range(calls - 1):
+            call()
+        return call()
+    return lambda: timed
+
+
 def main(argv, rows, what: str, out: str, repeats: int) -> int:
     """The command line of a sweep: tag each row of ``rows(--repeats)`` with
     ``--label``, a name for the code measured, and ``"gc": "off"``, as

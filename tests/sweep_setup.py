@@ -17,11 +17,9 @@ and around its integration:
 
 The calls of each N are made in rounds (``sweep_record.best_times``); a
 field case times ``FIELD_CALLS`` calls back to back and records one call's
-share, since a lone call of tens of microseconds between parses reads
-several times its cost in a loop.  It
-writes the rows, tagged with ``--label`` (the code measured), to
-``BENCH_setup.json`` at the repository root, keeping the rows of every
-other label::
+share (``sweep_record.back_to_back``).  It writes the rows, tagged with
+``--label`` (the code measured), to ``BENCH_setup.json`` at the repository
+root, keeping the rows of every other label::
 
     PYTHONPATH=src python tests/sweep_setup.py --label <name> [--repeats 20]
 
@@ -32,7 +30,7 @@ package too.  Not a test: pytest does not collect it.
 import sys
 
 import sweep_record  # first: it pins the BLAS threads
-from sweep_record import best_times
+from sweep_record import back_to_back, best_times
 
 import numpy as np
 
@@ -80,12 +78,10 @@ def rows(repeats: int):
             lower(scenario.system.specs)
             return lambda: lp.scenario_fingerprint(scenario)
 
-        def calls(evaluate, x):
-            return lambda: lambda: [evaluate(x) for _ in range(FIELD_CALLS)]
-
         times, _ = best_times([
             lambda: lambda: cli.scenario_from_dict(doc), fresh_lower, fingerprint,
-            calls(field.gradient, points), calls(field.value, stack),
+            back_to_back(lambda: field.gradient(points), FIELD_CALLS),
+            back_to_back(lambda: field.value(stack), FIELD_CALLS),
         ], repeats)
         yield {"particles": n,
                **{name: round(s * 1e3, 4) for name, s in

@@ -6,7 +6,10 @@ masses, records the minimum wall time of a few calls of ``wep_runs``
 followed by ``lower`` of each mode's runs: the cost of the runs before any
 integration.  The calls of each B are made in rounds
 (``sweep_record.best_times``), and the B are timed one after another, so no
-call pays for memory that a larger B's call freed.  The rows, tagged with
+call pays for memory that a larger B's call freed.  A B of at most
+``SMALL`` masses is timed as ``SMALL_CALLS`` calls back to back
+(``sweep_record.back_to_back``), of which the row records one call's share;
+each row says how many calls it timed.  The rows, tagged with
 ``--label`` (the code measured), are written to ``BENCH_wep_runs.json`` at
 the repository root, keeping the rows of every other label::
 
@@ -22,7 +25,7 @@ pytest does not collect it.
 import sys
 
 import sweep_record  # first: it pins the BLAS threads
-from sweep_record import best_times
+from sweep_record import back_to_back, best_times
 
 import numpy as np
 
@@ -31,6 +34,8 @@ from liephase.algebra import lower
 from sweep_wep_report import CASES, MODES, templates
 
 MASSES = (16, 256, 1024)
+# at most this many masses take tens of microseconds: timed back to back
+SMALL, SMALL_CALLS = 16, 20
 
 
 def rows(repeats: int):
@@ -38,13 +43,15 @@ def rows(repeats: int):
     cases = [(case, mode) for case in CASES for mode in MODES]
     for count in MASSES:
         masses = [float(m) for m in np.random.default_rng(count).uniform(0.5, 5.0, count)]
+        calls = SMALL_CALLS if count <= SMALL else 1
         times, lowered = best_times(
-            [lambda case=case, mode=mode:
-                lambda: lower(lp.wep_runs(scenarios[case], masses, mode)[1])
+            [back_to_back(lambda case=case, mode=mode:
+                          lower(lp.wep_runs(scenarios[case], masses, mode)[1]), calls)
              for case, mode in cases], repeats)
         assert all(len(runs) == count for runs in lowered)
         for (case, mode), s in zip(cases, times):
-            yield {"case": case, "mode": mode, "masses": count, "ms": round(s * 1e3, 4)}
+            yield {"case": case, "mode": mode, "masses": count, "calls": calls,
+                   "ms": round(s / calls * 1e3, 4)}
 
 
 def main(argv=None) -> int:

@@ -114,10 +114,18 @@ class TestStructureMatrix:
         with pytest.raises(ValueError, match="read-only"):
             j[0, 0, 1] = 1.0
 
-    def test_size_mismatch_rejected(self):
+    @pytest.mark.parametrize("spec", [lp.SpaceTime(kappa=2.0), lp.SpaceSpace(kappa_tilde=2.0)],
+                             ids=["space_time", "space_space"])
+    @pytest.mark.parametrize("evaluate", [
+        lp.structure_matrix,
+        lp.jacobi_residual,
+        # particle 1's coordinates, which a one-particle block would broadcast over
+        lambda specs, state: lp.bracket(obs.coordinate(1, 1), obs.coordinate(1, 2), specs, state),
+    ], ids=["structure_matrix", "jacobi_residual", "bracket"])
+    def test_size_mismatch_rejected(self, evaluate, spec):
         state = random_state(np.random.default_rng(0), 2)
-        with pytest.raises(ValueError, match="specs"):
-            lp.structure_matrix([lp.Canonical()], state)
+        with pytest.raises(ValueError, match="^state has 2 particles, system has 1$"):
+            evaluate([spec], state)
 
 
 class TestSpecValidation:
@@ -164,10 +172,20 @@ class TestSpecValidation:
         (lambda: lp.MiaoTypeI(kappa=1.0, kappa_tilde=1.0, k=2, l=2, gamma=1),
          r"^\(k, l, gamma\) must be distinct axes"),
         (lambda: lp.SpaceTime(kappa=1.0, rho=4), r"^rho must be one of \(1, 2, 3\), got 4$"),
+        # equal to an axis, but not an integer axis
+        (lambda: lp.SpaceTime(kappa=1.0, rho=1.0, tau=2.0),
+         r"^rho must be one of \(1, 2, 3\), got 1.0$"),
+        (lambda: lp.SpaceSpace(kappa_tilde=2.0, k=True, l=2, gamma=3),
+         r"^k must be one of \(1, 2, 3\), got True$"),
     ])
     def test_error_names_the_entry(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    def test_numpy_integer_axes_are_stored_as_int(self):
+        spec = lp.SpaceSpace(kappa_tilde=2.0, k=np.int64(1), l=np.uint8(2), gamma=3)
+        assert (type(spec.k), type(spec.l)) == (int, int)
+        assert cli.algebra_from_dict(cli.algebra_to_dict(spec), "algebra") == spec
 
     def test_phase_state_requires_finite_entries(self):
         with pytest.raises(ValueError, match="finite"):

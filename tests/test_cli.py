@@ -654,6 +654,17 @@ class TestRun:
         assert blocker.read_text() == "kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sim.scn", "taken"]
 
+    @pytest.mark.parametrize("name, output", [("integrator_order", "trajectory.csv"),
+                                              ("effective_kappa", "report.json")])
+    def test_unwritable_output_names_out(self, name, output, tmp_path, capsys):
+        # a directory where the run writes an output file
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        assert cli.main(["run", name, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: --out: ") and output in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_flag_must_be_finite_and_nonnegative(self, tol, tmp_path, capsys):
         assert cli.run("effective_kappa", out_dir=str(tmp_path / "out"), tol=tol) == 2

@@ -527,6 +527,10 @@ def test_sweep_com_checks_smoke(tmp_path):
         *((timing, n) for timing in com for n in (2, 8, 20, 64)),
     }
     assert all(row["us"] > 0 for row in rows)
+    # a warm lower takes microseconds: timed back to back; a cold one stays one call
+    assert {(row["timing"], row["calls"]) for row in rows if "calls" in row} == {
+        ("lower_cold", 1), ("lower_warm", sweep_com_checks.WARM_CALLS)}
+    assert all("calls" in row for row in rows if row["timing"].startswith("lower"))
 
 
 class TestComBracketsDense:

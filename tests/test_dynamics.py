@@ -1056,7 +1056,8 @@ class TestGrid:
 
     def test_neglect_relative_motion_needs_body_mode(self):
         # a flag that no run would read is refused, as the scenario file refuses it
-        with pytest.raises(ValueError, match="^neglect_relative_motion "):
+        with pytest.raises(ValueError,
+                           match="^neglect_relative_motion: only meaningful with body_mode$"):
             dataclasses.replace(one_particle(lp.Canonical()), neglect_relative_motion=True)
 
     def test_rounded_spans_accepted(self):
@@ -1499,6 +1500,23 @@ class TestWepDeviation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             lp.wep_report(scen, masses, scen.system.specs * specs, np.zeros(momenta), mode)
 
+    @pytest.mark.parametrize("particles, masses, message", [
+        (2, [1.0, 2.0], "WEP comparisons are defined for single-particle scenarios"),
+        (1, [1.0, -2.0], "masses must be finite and positive, got -2.0 for run 1"),
+        (1, [1.0, 0.0], "masses must be finite and positive, got 0.0 for run 1"),
+    ], ids=["two-particles", "negative-mass", "zero-mass"])
+    def test_report_refuses_what_wep_runs_refuses(self, particles, masses, message):
+        spec = lp.SpaceTime(kappa=1.0, rho=1, tau=2)
+        scen = dataclasses.replace(
+            one_particle(spec, t_end=0.1, dt=0.01),
+            system=lp.ParticleSystem.from_pairs([1.0] * particles, [spec] * particles),
+            initial=lp.PhaseState(x=np.zeros((particles, 3)), p=np.zeros((particles, 3))),
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lp.wep_runs(scen, masses, "fixed")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lp.wep_report(scen, masses, [spec] * len(masses), np.zeros((len(masses), 3)), "fixed")
+
 
 # (pairs, maxima) of WEP_CASES at 16 masses and 24 steps, as a report that
 # held a tuple of PairDeviation made from one norm per run gave them: the
@@ -1660,6 +1678,8 @@ def test_sweep_wep_runs_smoke(tmp_path, monkeypatch):
         (case, mode, count) for count in (2, 3)
         for case in sweep_wep_report.CASES for mode in sweep_wep_report.MODES]
     assert all(row["label"] == "smoke" and row["ms"] > 0 for row in rows)
+    # a few masses take tens of microseconds: timed back to back
+    assert {row["calls"] for row in rows} == {sweep_wep_runs.SMALL_CALLS}
 
 
 def test_sweep_wep_report_smoke(tmp_path, monkeypatch):
@@ -1764,10 +1784,18 @@ class TestBodyDynamics:
         u22 = lp.integrate(body_scenario([2, 2], [1, 1], x0, p0, neglect=True))
         assert np.max(np.abs(u13.states - u22.states)) > 1e-3
 
-    def test_unscaled_body_requires_approximation_flag(self):
-        scen = body_scenario([1.0, 2.0], [1.0, 1.0], [0, 0, 0], [0, 0, 0])
-        with pytest.raises(ValueError, match="neglect_relative_motion"):
-            lp.integrate(scen)
+    @pytest.mark.parametrize("spec", [lp.SpaceTime(kappa=1.0, rho=1, tau=2),
+                                      lp.SpaceSpace(kappa_tilde=1.0)],
+                             ids=["space_time", "space_space"])
+    def test_unscaled_body_requires_approximation_flag(self, spec):
+        # refused when the scenario is built, with the scenario file's message
+        system = lp.ParticleSystem.from_pairs([1.0, 2.0], [spec, spec])
+        initial = lp.PhaseState(x=np.zeros((2, 3)), p=np.zeros((2, 3)), t=0.0)
+        with pytest.raises(ValueError, match=(
+                "^neglect_relative_motion: the center of mass of these particles does not "
+                "decouple exactly from their relative motion; set it to true")):
+            lp.GravityScenario(system=system, potential=G_FIELD, initial=initial,
+                               t0=0.0, t_end=1.0, dt=0.01, body_mode=True)
 
     def test_time_valued_generalized_body_is_exact_under_scaling(self):
         # tensors with theta0 alone decouple like SpaceTime: no flag needed
