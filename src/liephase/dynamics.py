@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from .composition import (
     com_transform,
     effective_parameters,
 )
+from .csvformat import format_rows
 from .errors import GridError, NonFiniteStateError, PotentialSingularityError, WepRunError
 
 __all__ = [
@@ -433,9 +435,20 @@ def scenario_fingerprint(scenario: GravityScenario) -> str:
 class Trajectory:
     """Uniform-grid samples of an integrated phase trajectory."""
 
-    times: np.ndarray  # (n,)
-    states: np.ndarray  # (n, 6 * n_particles)
-    masses: np.ndarray  # (n_particles,)
+    times: np.ndarray  # (T,)
+    states: np.ndarray  # (T, 6N)
+    masses: np.ndarray  # (N,)
+
+    def __post_init__(self):
+        times, states, masses = np.shape(self.times), np.shape(self.states), np.shape(self.masses)
+        if len(times) != 1:
+            raise ValueError(f"times must have shape (T,), got {times}")
+        if len(states) != 2 or states[0] != times[0] or states[1] % 6:
+            raise ValueError(
+                f"states must have shape (T, 6N) with T = {times[0]} samples, got {states}")
+        if masses != (states[1] // 6,):
+            raise ValueError(
+                f"masses must have shape (N,) with N = {states[1] // 6} particles, got {masses}")
 
     @property
     def n_particles(self) -> int:
@@ -461,34 +474,43 @@ class Trajectory:
         """Total energy H of each sample in ``potential``: shape (n,)."""
         return _energies(self.masses, potential, self.states)
 
-    def write_csv(self, target: str | TextIO, include_reduced_momentum: bool = False) -> None:
+    def write_csv(
+        self, target: str | os.PathLike | TextIO, include_reduced_momentum: bool = False
+    ) -> None:
         """Write the trajectory as CSV with 17-significant-digit values.
 
         Columns: t, then X1..X3, P1..P3 per particle (suffixed "[a]" when
         there is more than one particle); reduced-momentum columns Pr1..Pr3
-        appended per particle when requested.  The table is built once; each
-        row is written with one ``%.17g`` format call.
+        appended per particle when requested.  ``target`` is a path, which
+        is opened, or an open text file.  Each cell is the bytes of
+        ``'%.17g'``: ``csvformat.format_rows`` formats blocks of rows of at
+        most ``_BLOCK_BYTES`` of values, read from slices of the times, the
+        states and the reduced momenta, and sends the cells it cannot
+        certify to ``'%.17g'`` itself.
         """
         n = self.n_particles
         suffix = (lambda a: f"[{a}]") if n > 1 else (lambda a: "")
         header = ["t"]
         for a in range(n):
             header += [f"{c}{suffix(a)}" for c in ("X1", "X2", "X3", "P1", "P2", "P3")]
-        columns = [self.times[:, None], self.states]
         if include_reduced_momentum:
             for a in range(n):
                 header += [f"Pr{i}{suffix(a)}" for i in (1, 2, 3)]
-            momenta = self.states.reshape(-1, n, 6)[:, :, 3:]
-            columns.append((momenta / self.masses[:, None]).reshape(-1, 3 * n))
-        table = np.hstack(columns)
-        row_format = ",".join(["%.17g"] * len(header)) + "\n"
+        block = np.empty((max(1, _BLOCK_BYTES // (8 * len(header))), len(header)))
 
-        own = isinstance(target, str)
+        own = isinstance(target, (str, os.PathLike))
         fh = open(target, "w", newline="") if own else target
         try:
             fh.write(",".join(header) + "\n")
-            for row in table:
-                fh.write(row_format % tuple(row.tolist()))
+            for start in range(0, len(self.times), len(block)):
+                stop = min(start + len(block), len(self.times))
+                rows = block[: stop - start]
+                rows[:, 0] = self.times[start:stop]
+                rows[:, 1 : 1 + 6 * n] = self.states[start:stop]
+                if include_reduced_momentum:
+                    momenta = self.states[start:stop].reshape(-1, n, 6)[:, :, 3:]
+                    rows[:, 1 + 6 * n :] = (momenta / self.masses[:, None]).reshape(-1, 3 * n)
+                fh.write(format_rows(rows))
         finally:
             if own:
                 fh.close()
@@ -577,9 +599,10 @@ def closed_form_rhs(
 # --- integration ----------------------------------------------------------------
 
 
-# bytes of the blocks C + t time at one stage time for a block of steps, or
-# of the step maps (M c) of a block of steps: the kernel and the step maps
-# build them for as many steps as fit, one step at large N
+# bytes of the blocks C + t time at one stage time for a block of steps, of
+# the step maps (M c) of a block of steps, or of the values of a block of
+# CSV rows: the kernel, the step maps and ``Trajectory.write_csv`` build them
+# for as many steps or rows as fit, one at large N
 _BLOCK_BYTES = 64 * 1024
 
 

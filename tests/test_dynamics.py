@@ -7,8 +7,10 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from liephase import algebra, cli, dynamics
 from liephase.algebra import lower, rescale
 
 import sweep_com_checks
+import sweep_csv
 import sweep_com_report
 import sweep_linear_flow
 import sweep_record
@@ -850,6 +853,19 @@ class TestStepMapsMatchKernel:
         assert kernel_outcome(dynamics._integrate_flat, *args) == expected
 
 
+def test_sweep_csv_smoke(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_csv, "PARTICLES", (1, 2))
+    monkeypatch.setattr(sweep_csv, "STEPS", (5,))
+    out = tmp_path / "record.json"
+    assert sweep_csv.main(["--label", "a", "--repeats", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["case"], row["particles"], row["reduced"]) for row in rows] == [
+        ("seeded", 1, False), ("seeded", 1, True), ("seeded", 2, False), ("seeded", 2, True),
+        ("body_composition", 1, rows[-1]["reduced"])]
+    assert all(row["identical"] and row["row_loop_s"] > 0 and row["write_csv_s"] > 0
+               for row in rows)
+
+
 def test_sweep_linear_flow_smoke(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_linear_flow, "PARTICLES", (1,))
     monkeypatch.setattr(sweep_linear_flow, "STEPS", (100,))
@@ -1114,6 +1130,16 @@ class TestTrajectoryCsv:
         header = buf.getvalue().splitlines()[0]
         assert "X1[0]" in header and "P3[1]" in header
 
+    def test_str_path_and_open_file_get_the_same_bytes(self, tmp_path):
+        scen = one_particle(lp.SpaceTime(kappa=1.5), p=(0.1, 0.2, 0.3), t_end=0.1, dt=0.01)
+        traj = lp.integrate(scen)
+        buf = io.StringIO()
+        traj.write_csv(buf, include_reduced_momentum=True)
+        traj.write_csv(str(tmp_path / "str.csv"), include_reduced_momentum=True)
+        traj.write_csv(tmp_path / "path.csv", include_reduced_momentum=True)
+        text = buf.getvalue().encode()
+        assert (tmp_path / "str.csv").read_bytes() == (tmp_path / "path.csv").read_bytes() == text
+
     def test_byte_identical_reruns(self):
         scen = one_particle(lp.SpaceTime(kappa=1.5), p=(0.1, 0.2, 0.3), t_end=0.1, dt=0.01)
         bufs = []
@@ -1122,6 +1148,25 @@ class TestTrajectoryCsv:
             lp.integrate(scen).write_csv(buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+class TestTrajectoryShapes:
+    # times (T,), states (T, 6N) and masses (N,), refused by the field at fault
+    def test_times_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="^times"):
+            lp.Trajectory(times=np.zeros((3, 1)), states=np.zeros((3, 6)), masses=np.ones(1))
+
+    def test_states_need_a_row_per_time(self):
+        with pytest.raises(ValueError, match="^states"):
+            lp.Trajectory(times=np.zeros(3), states=np.zeros((4, 6)), masses=np.ones(1))
+
+    def test_seven_state_columns_are_refused(self):
+        with pytest.raises(ValueError, match="^states"):
+            lp.Trajectory(times=np.zeros(3), states=np.zeros((3, 7)), masses=np.ones(1))
+
+    def test_one_mass_for_two_particles_is_refused(self):
+        with pytest.raises(ValueError, match="^masses"):
+            lp.Trajectory(times=np.zeros(3), states=np.zeros((3, 12)), masses=np.ones(1))
 
 
 class TestCsvMatchesCellWriter:
@@ -1152,6 +1197,76 @@ class TestCsvMatchesCellWriter:
         write_csv_cells(traj, want, include_reduced_momentum=reduced)
         assert got.getvalue() == want.getvalue()
         assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+    @staticmethod
+    def matches(values, n: int = 2, reduced: bool = True) -> str:
+        """The CSV of ``values`` laid out row by row as the times and states of
+        ``n`` particles of mass 3 (the last row padded with zeros), checked
+        against the cell writer; the text it wrote."""
+        width = 1 + 6 * n
+        values = np.asarray(values, dtype=float).ravel()
+        table = np.zeros(-(-values.size // width) * width)
+        table[: values.size] = values
+        table = table.reshape(-1, width)
+        traj = lp.Trajectory(times=table[:, 0].copy(), states=table[:, 1:].copy(),
+                             masses=np.full(n, 3.0))
+        got, want = io.StringIO(), io.StringIO()
+        traj.write_csv(got, include_reduced_momentum=reduced)
+        write_csv_cells(traj, want, include_reduced_momentum=reduced)
+        assert got.getvalue() == want.getvalue()
+        return got.getvalue()
+
+    def test_random_bit_patterns(self):
+        # every double is equally likely to be drawn: NaNs, infinities,
+        # subnormals and the extremes of both signs included; no reduced
+        # momenta, as dividing a signalling NaN warns
+        bits = np.random.default_rng(34).integers(0, 2**64, 120_000, dtype=np.uint64)
+        self.matches(bits.view(np.float64), n=4, reduced=False)
+
+    def test_zeros_infinities_nans_and_subnormals(self):
+        subnormals = np.random.default_rng(5).integers(1, 2**52, 50, dtype=np.uint64)
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, -2.2250738585072014e-308]
+        text = self.matches(np.concatenate([values, subnormals.view(np.float64)]))
+        cells = set(re.split("[,\n]", text))
+        assert {"0", "-0", "inf", "-inf", "nan", "4.9406564584124654e-324"} <= cells
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        self.matches(np.concatenate([values, -values]))
+
+    def test_rounding_that_carries_into_the_next_decade(self):
+        # each double lies just below its power of ten, near enough that its
+        # 17 significant digits round up to that power
+        carries = [1e-243, 1e-176, 1e-79, 1e-70, 1e-14, 1e98, 1e129, 1e153, 1e220]
+        for value in carries:
+            k = round(math.log10(value))
+            assert Fraction(value) < Fraction(10) ** k and f"{value:.17g}" == f"1e{k:+03d}"
+        self.matches(np.concatenate([carries, np.negative(carries)]))
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(7)
+        decimals = np.rint(rng.uniform(-1e6, 1e6, 4000)) / 10.0 ** rng.integers(0, 9, 4000)
+        text = self.matches(np.concatenate([[0.1, 0.25, 1e-5, 123.456], decimals]))
+        assert text.splitlines()[1].startswith("0.10000000000000001,0.25,1.0000000000000001e-05,")
+
+    def test_integers_up_to_2_to_the_60(self):
+        rng = np.random.default_rng(8)
+        integers = rng.integers(-(2**60), 2**60, 4000, endpoint=True)
+        powers = [2.0**j + d for j in range(61) for d in (-1.0, 0.0, 1.0)]
+        self.matches(np.concatenate([integers.astype(float), powers]))
+
+    def test_blocks_with_a_partial_last_block(self, monkeypatch):
+        traj = self.trajectory(3)
+        whole = io.StringIO()
+        traj.write_csv(whole, include_reduced_momentum=True)
+        # two of the seven rows of 1 + 6 * 3 + 3 * 3 values a block: 2, 2, 2, 1
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 2 * 8 * 28 + 7)
+        got, want = io.StringIO(), io.StringIO()
+        traj.write_csv(got, include_reduced_momentum=True)
+        write_csv_cells(traj, want, include_reduced_momentum=True)
+        assert got.getvalue() == want.getvalue() == whole.getvalue()
 
 
 class TestScenarioFingerprint:
