@@ -342,9 +342,7 @@ def _fill_blocks(specs: Sequence[AlgebraSpec]) -> None:
     for group in groups.values():
         if len(group) > 1:
             group = list(group.values())
-            # a scalar is inverted in its own type, as a lone spec's is
-            values = {name: np.array([getattr(spec, name) for spec in group],
-                                     dtype=float if role.shape else object)
+            values = {name: np.array([getattr(spec, name) for spec in group])
                       for name, role in parameter_roles(group[0]) if role.kind != AXIS}
             time, slope = _spec_blocks(group[0], vars(group[0]) | values, len(group))
             for i, spec in enumerate(group):
@@ -436,9 +434,9 @@ def _finite_array(value, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _checked_parameter(name: str, value):
-    """``value`` checked against the role of parameter ``name``, a tensor as a
-    read-only array.  A ValueError names the parameter, or a tensor's first
-    bad entry."""
+    """``value`` checked against the role of parameter ``name``, a scalar as a
+    float and a tensor as a read-only array.  A ValueError names the
+    parameter, or a tensor's first bad entry."""
     role = PARAMETER_ROLES[name]
     if role.kind == AXIS:
         # True == 1 and 1.0 == 1, but an axis indexes arrays: an integer alone
@@ -448,8 +446,9 @@ def _checked_parameter(name: str, value):
     elif not role.shape:
         if not math.isfinite(value) or value == 0.0:
             raise ValueError(f"{name} must be nonzero and finite, got {value!r}")
+        value = float(value)
         # the tensor encoding holds 1 / value, which overflows for a subnormal value
-        if not math.isfinite(1.0 / float(value)):
+        if not math.isfinite(1.0 / value):
             raise ValueError(f"{name} must have a finite inverse, got {value!r}")
     else:
         value = _finite_array(value, role.shape, name)

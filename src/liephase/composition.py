@@ -190,12 +190,6 @@ class ParticleSystem:
         """``satisfies_mass_scaling`` at its default tolerance, checked once per system."""
         return satisfies_mass_scaling(self)
 
-    @property
-    def decouples_exactly(self) -> bool:
-        """Does the COM motion decouple exactly from the relative motion?  Yes
-        for purely time-valued brackets under the mass-scaling rule."""
-        return self.lowered.slope is None and self.scaling.holds
-
     @cached_property
     def candidate_effective(self) -> AlgebraSpec:
         """``_candidate_effective``, the consensus effective spec, built once per system."""
@@ -226,10 +220,12 @@ def com_transform(system: ParticleSystem, state: PhaseState) -> ComVariables:
     """
     _check_particle_count(system, state)
     mu = system.mu
-    x_com = mu @ state.x
-    p_com = state.p.sum(axis=0)
-    dx = state.x - x_com
-    dp = state.p - np.outer(mu, p_com)
+    # a sum that overflows is left infinite, for the caller to refuse or report
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_com = mu @ state.x
+        p_com = state.p.sum(axis=0)
+        dx = state.x - x_com
+        dp = state.p - np.outer(mu, p_com)
     return ComVariables(x_com=x_com, p_com=p_com, dx=dx, dp=dp)
 
 

@@ -311,12 +311,13 @@ class GravityScenario:
 
     ``body_mode`` evolves only the center of mass of the system, as a single
     pseudo-particle of total mass M with the effective algebra parameters.
-    Unless the brackets are purely time-valued (Canonical, SpaceTime, or
-    Generalized with theta0 alone) and the system is mass-scaled, the
-    center of mass does not decouple exactly from the relative motion;
-    ``neglect_relative_motion`` acknowledges that approximation and must be
-    set for body runs of such systems, and only for body runs: the scenario
-    refuses either mismatch when it is built.
+    The center of mass decouples exactly from the relative motion only for
+    a linear flow (``_step_map_field``: purely time-valued brackets, as
+    Canonical, SpaceTime or Generalized with theta0 alone, in a field whose
+    gradient is affine) of a mass-scaled system.  ``neglect_relative_motion``
+    acknowledges the approximation otherwise and must be set for body runs
+    of such systems, and only for body runs: the scenario refuses either
+    mismatch, and a body whose center of mass is not finite, when it is built.
     """
 
     system: ParticleSystem
@@ -338,12 +339,21 @@ class GravityScenario:
             raise ValueError("initial state size does not match the system")
         if self.neglect_relative_motion and not self.body_mode:
             raise ValueError("neglect_relative_motion: only meaningful with body_mode")
-        if self.body_mode and not (self.neglect_relative_motion or self.system.decouples_exactly):
-            raise ValueError(
-                "neglect_relative_motion: the center of mass of these particles does not "
-                "decouple exactly from their relative motion; set it to true to accept "
-                "the body run as an approximation"
-            )
+        if self.body_mode:
+            com = com_transform(self.system, self.initial)
+            if not np.isfinite([com.x_com, com.p_com]).all():
+                raise ValueError("initial: the body's center of mass (Xcom, Pcom) is not finite")
+        # a missing potential is the task's to name
+        if self.body_mode and not self.neglect_relative_motion and self.potential is not None:
+            linear = _step_map_field(self.system.lowered, self.potential) is not None
+            if not (linear and self.system.scaling.holds):
+                field = "" if linear or self.system.lowered.slope is not None else (
+                    f" in a {type(self.potential).__name__} field, whose gradient is not affine")
+                raise ValueError(
+                    "neglect_relative_motion: the center of mass of these particles does not "
+                    f"decouple exactly from their relative motion{field}; set it to true to "
+                    "accept the body run as an approximation"
+                )
 
     def n_steps(self) -> int:
         return _grid_steps(self.t0, self.t_end, self.dt)

@@ -420,8 +420,8 @@ class TestLowering:
         alone = [lower([dataclasses.replace(spec)]) for spec in specs]
         monkeypatch.setattr(algebra, "_spec_blocks", counted)
         first = lower(specs)
-        # the six distinct specs in one call, the float32 kappa inverted in
-        # float32 as a lone spec's is
+        # the six distinct specs in one call, the float32 kappa stored as a
+        # float, as a lone spec's is
         assert calls == [6]
         assert lower(specs).slope.tobytes() == first.slope.tobytes()
         assert calls == [6]  # the second lower builds nothing
@@ -599,11 +599,14 @@ class TestScaledLowering:
     """``lower(template, mass_ratios)`` against ``lower`` of one rescaled spec per ratio."""
 
     @pytest.mark.parametrize("runs", [1, 16, 1024])
-    @pytest.mark.parametrize("variant", [*VARIANT_NAMES, "signed_zero"])
+    @pytest.mark.parametrize("variant", [*VARIANT_NAMES, "signed_zero", "float32_kappa"])
     def test_bytes_equal_rescaled_specs(self, variant, runs, monkeypatch):
         rng = np.random.default_rng(runs)
-        template = (signed_zero_generalized() if variant == "signed_zero"
-                    else random_spec(rng, variant))
+        template = {
+            "signed_zero": signed_zero_generalized,
+            # a numpy scalar parameter, stored as a float on either path
+            "float32_kappa": lambda: lp.SpaceTime(kappa=np.float32(1.3)),
+        }.get(variant, lambda: random_spec(rng, variant))()
         # log-uniform over [1e-6, 1e6], both ends included
         ratios = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), runs))
         ratios[: min(runs, 2)] = (1e-6, 1e6)[: min(runs, 2)]

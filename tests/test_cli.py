@@ -337,6 +337,13 @@ class TestScenarioParsing:
                   neglect_relative_motion=True, options={"compare_partition": [2.0, 2.0]})),
             ("potential: required for this task", {k: v for k, v in SIMULATE.items()
                                                    if k != "potential"}),
+            # a body run without a field cannot be told exact: the field is named
+            ("potential: required for this task", {k: v for k, v in BODY.items()
+                                                   if k != "potential"}),
+            # a body whose center-of-mass momentum overflows, with a partition and without
+            *[("initial: the body's center of mass (Xcom, Pcom) is not finite", payload)
+              for payload in (_mutated("body_composition", ("initial", "p"), [[1e308, 0, 0]] * 2),
+                              dict(BODY, initial={"x": BODY_X, "p": [[1e308, 0, 0]] * 2}))],
             ("particles: center-of-mass brackets do not close",
              dict(BODY, algebra={"variant": "space_space", "kappa_tilde": 1.5,
                                  "k": 1, "l": 2, "gamma": 3},
@@ -708,6 +715,20 @@ class TestRun:
         assert "not a finite number" in entry["undefined"]
         if check == "decoupling":
             assert report["results"]["decoupling"] is None
+
+    def test_overflowing_com_momentum_leaves_identities_undefined(self, tmp_path, capsys):
+        # sum_a p_a overflows: the identities are undefined, with no warning
+        payload = _mutated("spacetime_com_brackets", ("initial", "p"), [[1e308, 0, 0]] * 3)
+        path = write_scenario(tmp_path, "huge.scn", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(path, out_dir=str(tmp_path / "out")) == 1
+        out = capsys.readouterr()
+        assert "FAIL com-transform-identities: computed=undefined" in out.out
+        assert "Traceback" not in out.err
+        report = strict_json(tmp_path / "out" / "report.json")
+        (check,) = [c for c in report["checks"] if c["name"] == "com-transform-identities"]
+        assert check["computed"] is None and "not a finite number" in check["undefined"]
 
     def test_unallocatable_grid_exits_3(self, tmp_path, capsys):
         # 1e16 steps: numpy can size the trajectory, but its 71 PiB exceed any

@@ -901,6 +901,25 @@ def test_one_writer_of_hamiltonian_gradient():
     }
 
 
+def calls_of(name):
+    """The scopes around every call in the package of a function or method
+    named ``name``."""
+    return package_calls(
+        lambda call, module: getattr(call.func, "attr", getattr(call.func, "id", None)) == name)
+
+
+def test_one_owner_of_the_linear_flow_rule():
+    # whether a flow is linear decides both its route (the step maps) and
+    # whether a body run is exact, in one place, the only reader of a
+    # field's affine gradient
+    assert calls_of("_affine_gradient") == {"dynamics._step_map_field"}
+    assert calls_of("_step_map_field") == {
+        "dynamics._integrate_flat",
+        "dynamics.integrate_together",
+        "dynamics.GravityScenario.__post_init__",
+    }
+
+
 def assert_same_trajectories(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -1967,6 +1986,47 @@ class TestBodyDynamics:
             assert deviation <= 1e-10
         else:
             assert deviation > 1e-3  # a real approximation error
+
+    @staticmethod
+    def two_body_run(variant, potential):
+        """The full run of masses (1, 3), Canonical or mass-scaled SpaceTime,
+        in ``potential`` on the grid t in [0, 2], dt 1e-3."""
+        make = {"canonical": lambda m: lp.Canonical(),
+                "space_time": lambda m: lp.SpaceTime(kappa=2.0 * m, rho=1, tau=2)}[variant]
+        system = lp.ParticleSystem.from_pairs([1.0, 3.0], [make(1.0), make(3.0)])
+        initial = lp.PhaseState(x=[[0.3, 0.0, 0.0], [-0.4, 0.2, 0.1]],
+                                p=[[0.0, 0.2, 0.0], [0.3, -0.1, 0.0]])
+        return lp.GravityScenario(system=system, potential=potential, initial=initial,
+                                  t0=0.0, t_end=2.0, dt=1e-3)
+
+    @staticmethod
+    def body_deviation(full, body):
+        """max |body run - full run projected onto (Xcom, Pcom)|."""
+        projected = lp.integrate(full).states @ full.system.frame[:6].T
+        return np.max(np.abs(projected - lp.integrate(body).states))
+
+    @pytest.mark.parametrize("potential", [G_FIELD, HARMONIC], ids=["uniform", "harmonic"])
+    @pytest.mark.parametrize("variant", ["canonical", "space_time"])
+    def test_linear_flow_body_is_exact(self, variant, potential):
+        full = self.two_body_run(variant, potential)
+        body = dataclasses.replace(full, body_mode=True)
+        assert self.body_deviation(full, body) <= 1e-10
+
+    @pytest.mark.parametrize("potential", [
+        lp.Newtonian(strength=1.0, center=[0.0, -5.0, 0.0]),
+        lp.Polynomial(coefficients={(4, 0, 0): 0.1, (0, 2, 0): 0.5}),
+    ], ids=["newtonian", "quartic"])
+    @pytest.mark.parametrize("variant", ["canonical", "space_time"])
+    def test_body_in_a_field_without_affine_gradient_needs_the_flag(self, variant, potential):
+        # the field couples the center of mass to the body's shape, whatever the brackets
+        full = self.two_body_run(variant, potential)
+        with pytest.raises(ValueError, match=(
+                "^neglect_relative_motion: the center of mass of these particles does not "
+                f"decouple exactly from their relative motion in a {type(potential).__name__} "
+                "field, whose gradient is not affine; set it to true")):
+            dataclasses.replace(full, body_mode=True)
+        body = dataclasses.replace(full, body_mode=True, neglect_relative_motion=True)
+        assert self.body_deviation(full, body) > 1e-4  # a real approximation error
 
     def test_body_rhs_needs_body_mode(self):
         scen = one_particle(lp.Canonical())
