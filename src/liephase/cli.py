@@ -20,6 +20,7 @@ directory is made, or on an output it cannot write, 3 on numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -27,6 +28,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -1055,7 +1057,7 @@ def run(
             "passed": runner.all_passed,
         }
         report_path = out / "report.json"
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        report_path.write_text(_json_text(report) + "\n")
     except (PotentialSingularityError, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -1091,6 +1093,47 @@ def _finite_or_null(value):
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(item) for item in value]
     return value
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """json's C encoder, writing the members of a container at ``depth``
+    one to a line; ``indent`` would take json's Python encoder instead."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, with
+    each dict or list of scalars written by json's C encoder."""
+    if isinstance(value, dict):
+        members = value.values()
+    elif isinstance(value, (list, tuple)):
+        members = value
+    else:
+        return _flat_encoder(depth)(value)
+    indent = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    for member in members:
+        if isinstance(member, (dict, list, tuple)):
+            break
+    else:
+        text = _flat_encoder(depth)(value)
+        return text[0] + indent + text[1:-1] + close + text[-1] if value else text
+    if isinstance(value, dict):
+        parts = [f"{encode_basestring_ascii(_json_key(key))}: {_json_text(member, depth + 1)}"
+                 for key, member in sorted(value.items())]
+        return "{" + indent + ("," + indent).join(parts) + close + "}"
+    parts = [_json_text(member, depth + 1) for member in value]
+    return "[" + indent + ("," + indent).join(parts) + close + "]"
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a float, int, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (float, int)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def list_builtin() -> list[tuple[str, str]]:

@@ -610,9 +610,10 @@ def closed_form_rhs(
 
 
 # bytes of the blocks C + t time at one stage time for a block of steps, of
-# the step maps (M c) of a block of steps, or of the values of a block of
-# CSV rows: the kernel, the step maps and ``Trajectory.write_csv`` build them
-# for as many steps or rows as fit, one at large N
+# the (6, 7) step maps (M c) of a block of steps (whose homogeneous states
+# (z, 1) take a seventh of that again), or of the values of a block of CSV
+# rows: the kernel, the step maps and ``Trajectory.write_csv`` build them for
+# as many steps or rows as fit, one at large N
 _BLOCK_BYTES = 64 * 1024
 
 
@@ -684,8 +685,10 @@ def _rk4_step_maps(
     (z, 1), of degree 4 in t_n, whose coefficients are built once.  Per
     block of steps M and c are evaluated at the step times by Horner's rule
     in elementwise ufuncs, so a particle's bits do not depend on its stack,
-    and each step is one batched 6x6 product and one addition into its row
-    of ``states``.  Finiteness is checked once per block of steps.
+    and each step is one batched product of the (6, 7) maps with the
+    homogeneous states (z, 1), written into the next row of a work buffer
+    whose last column stays 1.  A block's rows are copied into ``states``
+    at once, and finiteness is checked once per block of steps.
     """
     times, states = _grid_buffers(z0, t0, dt, n_steps)
     columns = states.reshape(n_steps + 1, -1, 6, 1)
@@ -723,6 +726,10 @@ def _rk4_step_maps(
     step = np.ascontiguousarray(step[:, :, :6])
     per_block = max(1, min(n_steps, _BLOCK_BYTES // step[0].nbytes))
     maps = np.empty((per_block,) + step.shape[1:])
+    # the homogeneous states (z, 1) of a block of steps, its first row the
+    # state the block starts from
+    work = np.ones((per_block + 1, n, 7, 1))
+    work[0, :, :6] = columns[0]
 
     for start in range(0, n_steps, per_block):
         stop = min(start + per_block, n_steps)
@@ -732,10 +739,10 @@ def _rk4_step_maps(
         for coefficient in step[3:0:-1]:
             np.multiply(np.add(block, coefficient, block), t, block)
         np.add(block, step[0], block)
-        for m, c, z, z_next in zip(
-            block[..., :6], block[..., 6:], columns[start:stop], columns[start + 1 : stop + 1]
-        ):
-            np.add(np.matmul(m, z, z_next), c, z_next)
+        for m, z, z_next in zip(block, work, work[1:, :, :6]):
+            np.matmul(m, z, z_next)
+        columns[start + 1 : stop + 1] = work[1 : stop - start + 1, :, :6]
+        work[0] = work[stop - start]
         _check_finite(columns[..., 0], times, dt, start, stop)
     return times, states
 

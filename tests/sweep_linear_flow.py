@@ -1,7 +1,7 @@
 """Time the RK4 kernel against the step maps on linear flows.
 
 For each flow (SpaceTime brackets in a uniform field, canonical brackets in
-a quadratic one), particle count N in (1, 16, 256) and step count in (1e3,
+a quadratic one), particle count N in (1, 2, 16, 256) and step count in (1e3,
 1e4, 1e5), integrates the same system from t0 = -0.37 with dt = 1e-3 by
 ``dynamics._rk4_kernel`` and by ``dynamics._integrate_flat``, which takes
 the step maps for these flows.  Records the minimum wall time of a few runs
@@ -36,7 +36,7 @@ FLOWS = {
         (2, 0, 0): 0.5, (0, 2, 0): 0.3, (0, 0, 2): 0.4, (1, 1, 0): -0.2, (0, 0, 1): -0.1,
     })),
 }
-PARTICLES = (1, 16, 256)
+PARTICLES = (1, 2, 16, 256)
 STEPS = (1_000, 10_000, 100_000)
 T0, DT = -0.37, 1e-3
 

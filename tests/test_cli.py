@@ -952,6 +952,37 @@ class TestRun:
             assert "wall_time" not in check
 
 
+class TestReportText:
+    """``report.json`` is written by ``cli._json_text``, which must give the
+    bytes of ``json.dumps(value, sort_keys=True, indent=2)``."""
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]]], {"a": [[{}]]},
+        {"é": "ü\n\"\\\t\x00\u2028", "\x7f": "😀", "": ""}, ["naïve", {"clé": ["ß"]}],
+        [-0.0, 1e-320, 1e16, 0.1, 5e-324, 1.7976931348623157e308],
+        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+        {"x": {1: 2, -3: {2: "a", 10: [None], 9: {}}}, "y": {2.5: [1], -0.0: 0}},
+        {"a": {True: [1], False: 0}, "b": {None: [2]}},
+        (1, (2, 3), None, True, False, [(), ("t",)]),
+        [{"b": 1, "a": [2, {"d": (), "c": [3.5]}]}],
+        5, -7, 2.5, float("nan"), "text", "ünï", None, True, False,
+    ], ids=repr)
+    def test_bytes_equal_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {"a": {(1, 2): [1]}},  # a key json refuses
+        {"a": [object()]},  # a value json cannot write
+        {"a": {1: [1], "b": [2]}},  # keys json cannot sort
+    ], ids=repr)
+    def test_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(expected.value)
+
+
 class TestListBuiltin:
     def test_catalog_is_deterministic(self):
         assert cli.list_builtin() == cli.list_builtin()

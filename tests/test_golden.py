@@ -26,15 +26,15 @@ DIGESTS = {
     "spacetime_eom/report.json":
         "a2e00a1c07e3f795e13f86132b41e1f8b3fa2285b057c05eb162dae9f62591a4",
     "spacetime_wep/report.json":
-        "c4d7bcb9e38fa273d497a9f9f1c791f4690c6aaddb67309d477a955cac9cdfde",
+        "5008a43bfe21e60a9d8ff6156b42fb10d351757a723839fd64b3664a78ac6214",
     "spacetime_wep_violation/report.json":
         "e78044b6a8ee819ac4b0bf46e2bcdbf27de42e39885e403970ffde603066f3ef",
     "body_composition/report.json":
-        "c384b3f4c5bc3c1e385e7c7d776cbe870b94e2b8fe668d1891fe524c54af7719",
+        "73b4c3c76ca03ec4e8dcfd915062be41a16ac0cc3c0849770f4509ce483655ce",
     "body_composition/trajectory.csv":
-        "b84db4ce8d6b9f97ff3b1d2201f608b203e0233715877ae4a18304b0cfe6cec1",
+        "41977a20df1ff2368428790c6e6772781d869d2d7d68ad388ebb78e2ad94b29f",
     "body_composition/trajectory_partition.csv":
-        "b84db4ce8d6b9f97ff3b1d2201f608b203e0233715877ae4a18304b0cfe6cec1",
+        "41977a20df1ff2368428790c6e6772781d869d2d7d68ad388ebb78e2ad94b29f",
     "integrator_order/report.json":
         "41752ec97dff1fb32465e57c4e52b9e65a75a38038ccf85d32c904b3f832caaf",
     "integrator_order/trajectory.csv":
