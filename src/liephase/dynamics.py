@@ -19,6 +19,7 @@ field's declared affine gradient.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -328,6 +329,9 @@ class GravityScenario:
     dt: float
     body_mode: bool = False
     neglect_relative_motion: bool = False
+    # the body's (Xcom, Pcom) as one read-only vector, formed once; None
+    # without body_mode
+    body_point: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _grid_steps(self.t0, self.t_end, self.dt)
@@ -341,8 +345,11 @@ class GravityScenario:
             raise ValueError("neglect_relative_motion: only meaningful with body_mode")
         if self.body_mode:
             com = com_transform(self.system, self.initial)
-            if not np.isfinite([com.x_com, com.p_com]).all():
+            point = np.concatenate([com.x_com, com.p_com])
+            if not np.isfinite(point).all():
                 raise ValueError("initial: the body's center of mass (Xcom, Pcom) is not finite")
+            point.flags.writeable = False
+            object.__setattr__(self, "body_point", point)
         # a missing potential is the task's to name
         if self.body_mode and not self.neglect_relative_motion and self.potential is not None:
             linear = _step_map_field(self.system.lowered, self.potential) is not None
@@ -884,10 +891,7 @@ def _flat_run(scenario: GravityScenario) -> tuple[np.ndarray, Sequence[AlgebraSp
     system = scenario.system
     if not scenario.body_mode:
         return system.masses, system.specs, scenario.initial.flatten()
-    effective = effective_parameters(system)
-    com = com_transform(system, scenario.initial)
-    z0 = np.concatenate([com.x_com, com.p_com])
-    return np.array([system.total_mass]), [effective], z0
+    return np.array([system.total_mass]), [effective_parameters(system)], scenario.body_point
 
 
 def integrate_together(scenarios: Sequence[GravityScenario]) -> list[Trajectory]:
@@ -979,18 +983,19 @@ class WepReport:
 
     ``deviations`` holds one row per pair of runs i < j, ordered by i, then
     j: the largest distance over time between their positions and between
-    their reduced momenta P / m.  It is read-only.  ``pairs`` reads it as a
-    sequence of ``PairDeviation`` made on access.  Two reports are equal
-    when their modes and their pairs are.
+    their reduced momenta P / m.  It is read-only.  ``pairs`` is the tuple
+    of its rows as ``PairDeviation``, made on first read.  Two reports are
+    equal when their modes and their pairs are.
     """
 
     scaling_mode: str
     masses: tuple[float, ...]
     deviations: np.ndarray
 
-    @property
-    def pairs(self) -> Sequence[PairDeviation]:
-        return _PairView(self)
+    @functools.cached_property
+    def pairs(self) -> tuple[PairDeviation, ...]:
+        return tuple(PairDeviation(masses, *row) for masses, row in zip(
+            itertools.combinations(self.masses, 2), self.deviations.tolist()))
 
     @property
     def max_position_deviation(self) -> float:
@@ -1009,37 +1014,6 @@ class WepReport:
                 and (self.masses == other.masses or not len(self.deviations)))
 
     __hash__ = None
-
-
-class _PairView(Sequence):
-    """A report's pairs in its row order, each made when it is read: row k is
-    pair k of ``itertools.combinations`` over the masses, indexed or looped."""
-
-    __slots__ = ("_report",)
-
-    def __init__(self, report: WepReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report.deviations)
-
-    def _rows(self) -> Iterator[tuple[tuple[float, float], list[float]]]:
-        report = self._report
-        return zip(itertools.combinations(report.masses, 2), report.deviations.tolist())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index = range(len(self))[index]  # negative indices; IndexError past the end
-        masses, row = next(itertools.islice(self._rows(), index, None))
-        return PairDeviation(masses, *row)
-
-    def __iter__(self) -> Iterator[PairDeviation]:
-        for masses, row in self._rows():
-            yield PairDeviation(masses, *row)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 def wep_deviation(

@@ -4,6 +4,7 @@ import ast
 import copy
 import dataclasses
 import json
+import math
 import time
 import warnings
 from pathlib import Path
@@ -276,6 +277,15 @@ class TestScenarioParsing:
                              {"mass": 2.0,
                               "theta_tilde": tensor_with((3, 3, 3), (0, 2, 1), float("inf"))}],
                   initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2})),
+            # a mass is refused at its entry, not at the particle list
+            *[(f"particles[1].mass: {message}",
+               dict(MINIMAL, particles=[{"mass": 1.0}, {"mass": mass}],
+                    initial={"x": [[0, 0, 0]] * 2, "p": [[0, 0, 0]] * 2}))
+              for mass, message in (
+                (-2.0, "particle mass must be positive, got -2.0"),
+                (0, "particle mass must be positive, got 0.0"),
+                (float("inf"), "expected a finite number, got inf"),
+            )],
             ("particles[1].theta_tilde",
              dict(MINIMAL, algebra={"variant": "generalized"},
                   particles=[{"mass": 1.0}, {"mass": 2.0, "theta_tilde": "x"}],
@@ -952,15 +962,28 @@ class TestRun:
             assert "wall_time" not in check
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float value in it as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(member) for key, member in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(member) for member in value]
+    return value
+
+
 class TestReportText:
     """``report.json`` is written by ``cli._json_text``, which must give the
-    bytes of ``json.dumps(value, sort_keys=True, indent=2)``."""
+    bytes of ``json.dumps(value, sort_keys=True, indent=2)`` with every
+    non-finite float value written as null."""
 
     @pytest.mark.parametrize("value", [
         {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]]], {"a": [[{}]]},
         {"é": "ü\n\"\\\t\x00\u2028", "\x7f": "😀", "": ""}, ["naïve", {"clé": ["ß"]}],
         [-0.0, 1e-320, 1e16, 0.1, 5e-324, 1.7976931348623157e308],
         {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")},
+        {"a": [1.0, float("-inf"), 2], "b": {"c": "x"}},
         {"x": {1: 2, -3: {2: "a", 10: [None], 9: {}}}, "y": {2.5: [1], -0.0: 0}},
         {"a": {True: [1], False: 0}, "b": {None: [2]}},
         (1, (2, 3), None, True, False, [(), ("t",)]),
@@ -968,7 +991,8 @@ class TestReportText:
         5, -7, 2.5, float("nan"), "text", "ünï", None, True, False,
     ], ids=repr)
     def test_bytes_equal_json_dumps(self, value):
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert cli._json_text(value) == json.dumps(
+            _finite_or_null(value), sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [
         {"a": {(1, 2): [1]}},  # a key json refuses

@@ -1,16 +1,18 @@
 """Golden guard: every bundled scenario's outputs, byte for byte.
 
 Runs the ten bundled scenarios through ``cli.run`` and compares the SHA-256
-of each ``report.json`` and trajectory CSV with the digests below.  A change
-that means to move an output updates its digest here and says why in
-CHANGES.md; any other drift fails this test.  The digests were recorded on
-64-bit x86 Linux; another platform's libm or BLAS may round a last digit
-differently.
+of each ``report.json`` and trajectory CSV with the digests below; each
+report must also parse as strict JSON.  A change that means to move an
+output updates its digest here and says why in CHANGES.md; any other drift
+fails this test.  The digests were recorded on 64-bit x86 Linux; another
+platform's libm or BLAS may round a last digit differently.
 """
 
 import hashlib
 
 from liephase import cli
+
+from helpers import strict_json
 
 DIGESTS = {
     "miao1_jacobi/report.json":
@@ -30,13 +32,13 @@ DIGESTS = {
     "spacetime_wep_violation/report.json":
         "e78044b6a8ee819ac4b0bf46e2bcdbf27de42e39885e403970ffde603066f3ef",
     "body_composition/report.json":
-        "73b4c3c76ca03ec4e8dcfd915062be41a16ac0cc3c0849770f4509ce483655ce",
+        "2b60f3c6dc0ab1e41607f08b6e4e91f9db415857a67e9fab97d5232c8d60c1c8",
     "body_composition/trajectory.csv":
         "41977a20df1ff2368428790c6e6772781d869d2d7d68ad388ebb78e2ad94b29f",
     "body_composition/trajectory_partition.csv":
         "41977a20df1ff2368428790c6e6772781d869d2d7d68ad388ebb78e2ad94b29f",
     "integrator_order/report.json":
-        "41752ec97dff1fb32465e57c4e52b9e65a75a38038ccf85d32c904b3f832caaf",
+        "bc01f02ff47d3b5b7c6125b4d10a6b5b6af871a3c74811c3ffc79619b2a88c3a",
     "integrator_order/trajectory.csv":
         "8fb63c6515b8b4f418317f31127a3e9a85e58d3a1cf60e20bb31181cf29ad262",
 }
@@ -48,6 +50,7 @@ def test_bundled_outputs_byte_identical(tmp_path, capsys):
         assert cli.run(name, out_dir=str(tmp_path / name)) == 0, name
         for path in sorted((tmp_path / name).iterdir()):
             got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        strict_json(tmp_path / name / "report.json")
     capsys.readouterr()
     assert sorted(got) == sorted(DIGESTS)
     drifted = [key for key in DIGESTS if got[key] != DIGESTS[key]]
