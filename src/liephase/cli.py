@@ -69,6 +69,7 @@ from .dynamics import (
     Potential,
     Uniform,
     _grid_steps,
+    _rewrite,
     closed_form_rhs,
     decoupling_check,
     eom_rhs,
@@ -1053,8 +1054,11 @@ def run(
             "results": results,
             "passed": runner.all_passed,
         }
+        # made before the file is opened, so a failure leaves an old report whole
+        text = _json_text(report) + "\n"
         report_path = out / "report.json"
-        report_path.write_text(_json_text(report) + "\n")
+        with _rewrite(report_path) as fh:
+            fh.write(text)
     except (PotentialSingularityError, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ field's declared affine gradient.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -26,6 +27,7 @@ import json
 import math
 import numbers
 import os
+import stat
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -448,6 +450,34 @@ def scenario_fingerprint(scenario: GravityScenario) -> str:
     return digest[:16]
 
 
+@contextlib.contextmanager
+def _rewrite(path: str | os.PathLike, newline: str | None = None) -> Iterator[TextIO]:
+    """The one writer of liephase's output files: a text file at ``path``,
+    opened as ``open(path, "w", newline=newline)`` would open it, whose old
+    bytes the new ones overwrite in place.
+
+    The file is not truncated on opening: when the writing ends, it is cut
+    at the final position if its old bytes run past it, and only if it is a
+    regular file (a device such as ``os.devnull``, or a pipe, cannot be
+    cut).  ``open(path, "w")`` empties an existing file, and ext4
+    (``auto_da_alloc``) then starts writing the new data back inside
+    ``close``, a stall that every rerun into the same output directory
+    paid.  The file keeps its inode and links, and a new one gets the mode
+    of ``open(path, "w")``.  Nothing is atomic and nothing is synced: a
+    crash mid-write can leave the new bytes followed by the old ones.
+    """
+    # open's own flags less O_TRUNC: open closes the descriptor if the text
+    # layer over it fails
+    with open(path, "w", newline=newline,
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        old = os.fstat(fh.fileno())
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(old.st_mode) and fh.tell() < old.st_size:
+                fh.truncate()
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Uniform-grid samples of an integrated phase trajectory."""
@@ -498,8 +528,12 @@ class Trajectory:
 
         Columns: t, then X1..X3, P1..P3 per particle (suffixed "[a]" when
         there is more than one particle); reduced-momentum columns Pr1..Pr3
-        appended per particle when requested.  ``target`` is a path, which
-        is opened, or an open text file.  Each cell is the bytes of
+        appended per particle when requested.  ``target`` is a path, or an
+        open text file, which is written and left open.  A path's file is
+        rewritten in place (``_rewrite``): an existing file keeps its inode
+        and is cut where the new text ends only once it is written, so a
+        crash mid-write can leave the new bytes followed by old ones;
+        nothing is atomic or synced.  Each cell is the bytes of
         ``'%.17g'``: ``csvformat.format_rows`` formats blocks of rows of at
         most ``_BLOCK_BYTES`` of values, read from slices of the times, the
         states and the reduced momenta, and sends the cells it cannot
@@ -516,8 +550,7 @@ class Trajectory:
         block = np.empty((max(1, _BLOCK_BYTES // (8 * len(header))), len(header)))
 
         own = isinstance(target, (str, os.PathLike))
-        fh = open(target, "w", newline="") if own else target
-        try:
+        with _rewrite(target, newline="") if own else contextlib.nullcontext(target) as fh:
             fh.write(",".join(header) + "\n")
             for start in range(0, len(self.times), len(block)):
                 stop = min(start + len(block), len(self.times))
@@ -528,9 +561,6 @@ class Trajectory:
                     momenta = self.states[start:stop].reshape(-1, n, 6)[:, :, 3:]
                     rows[:, 1 + 6 * n :] = (momenta / self.masses[:, None]).reshape(-1, 3 * n)
                 fh.write(format_rows(rows))
-        finally:
-            if own:
-                fh.close()
 
 
 # --- equations of motion -------------------------------------------------------

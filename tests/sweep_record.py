@@ -1,6 +1,8 @@
 """What the timing sweeps in this directory share: one BLAS thread, one
 timing loop and one command line, which writes the JSON record of their
-rows with the machine's description.
+rows with the machine's description.  A sweep whose ``rows`` takes
+``against`` also times this checkout against another one in one process
+(``--against DIR``, ``interleaved``).
 
 Import it before numpy, so the thread pinning takes effect.  Not a test:
 pytest does not collect it.
@@ -8,9 +10,12 @@ pytest does not collect it.
 
 import argparse
 import gc
+import importlib.util
+import inspect
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -72,22 +77,88 @@ def back_to_back(call, calls: int):
     return lambda: timed
 
 
+def interleaved(call, against, rounds: int) -> dict:
+    """Time ``call`` (this checkout) against ``against`` (another tree) in
+    ``rounds`` rounds, each calling both once, ``call`` first in even rounds
+    and ``against`` first in odd ones, so a slow spell of a shared host and
+    any cost of going first or second weigh on both alike.  Returns both
+    minima, the median per-round ratio ``call / against`` and the share of
+    rounds each side was the faster.  The cyclic garbage collector is off
+    while a round runs, as in ``best_times``, and collects between rounds.
+    """
+    times = np.empty((rounds, 2))
+    was_enabled = gc.isenabled()
+    try:
+        for r in range(rounds):
+            gc.collect()
+            gc.disable()
+            for k in (0, 1) if r % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                (call, against)[k]()
+                times[r, k] = time.perf_counter() - start
+    finally:
+        if was_enabled:
+            gc.enable()
+    return {
+        "rounds": rounds,
+        "this_min_s": round(float(times[:, 0].min()), 6),
+        "against_min_s": round(float(times[:, 1].min()), 6),
+        "median_ratio": round(float(np.median(times[:, 0] / times[:, 1])), 4),
+        "this_won": round(float(np.mean(times[:, 0] < times[:, 1])), 3),
+        "against_won": round(float(np.mean(times[:, 1] < times[:, 0])), 3),
+    }
+
+
+def load_against(root):
+    """The package ``src/liephase`` of the checkout at ``root``, loaded as a
+    second package, ``liephase_against``, next to this checkout's
+    ``liephase``: its modules are distinct objects, so their caches do not
+    mix.  A package loaded before under that name is dropped first."""
+    src = Path(root).resolve() / "src" / "liephase"
+    name = "liephase_against"
+    for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[loaded]
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
 def main(argv, rows, what: str, out: str, repeats: int) -> int:
     """The command line of a sweep: tag each row of ``rows(--repeats)`` with
     ``--label``, a name for the code measured, and ``"gc": "off"``, as
     ``best_times`` times them, print it, and write the rows
     with the machine's description to ``--out`` (``out`` at the repository
     root), keeping the rows of every other label already there, and the
-    unlabelled rows of earlier records, so two checkouts can share one."""
+    unlabelled rows of earlier records, so two checkouts can share one.
+
+    ``--against DIR`` names the root of another checkout, which is loaded
+    as a second package (``load_against``) and handed to
+    ``rows(--repeats, against=...)``; a sweep whose ``rows`` takes no
+    ``against`` refuses it.  The rows of such a run record the other
+    tree's directory name as ``"against"``."""
     parser = argparse.ArgumentParser(description=what)
     parser.add_argument("--label", required=True)
     parser.add_argument("--repeats", type=int, default=repeats)
     parser.add_argument("--out", default=str(ROOT / out))
+    parser.add_argument("--against", metavar="DIR")
     args = parser.parse_args(argv)
 
+    tag = {"label": args.label, "gc": "off"}
+    if args.against is None:
+        made = rows(args.repeats)
+    elif "against" not in inspect.signature(rows).parameters:
+        parser.error("--against: this sweep times one checkout only")
+    elif not (Path(args.against) / "src" / "liephase" / "__init__.py").is_file():
+        parser.error(f"--against: no src/liephase package under {args.against}")
+    else:
+        made = rows(args.repeats, against=load_against(args.against))
+        tag["against"] = Path(args.against).resolve().name
     new = []
-    for row in rows(args.repeats):
-        new.append({"label": args.label, "gc": "off", **row})
+    for row in made:
+        new.append({**tag, **row})
         print(json.dumps(new[-1]), flush=True)
     path = Path(args.out)
     kept = []
@@ -98,7 +169,7 @@ def main(argv, rows, what: str, out: str, repeats: int) -> int:
         "what": f"{what}: minimum wall time of {args.repeats} calls, made in rounds "
                 "over the cases of a group, per label of the code measured",
         "command": f"PYTHONPATH=src python tests/{Path(rows.__code__.co_filename).name} "
-                   "--label <name>",
+                   "--label <name>" + (" --against <dir>" if args.against else ""),
         "machine": {
             "cpu": cpu_model(),
             "nproc": os.cpu_count(),

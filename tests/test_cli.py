@@ -15,6 +15,8 @@ import pytest
 import liephase as lp
 from liephase import cli, composition, dynamics
 
+import sweep_output
+import sweep_record
 from helpers import count_kernel_calls, strict_json, tensor_with
 
 
@@ -603,6 +605,33 @@ class TestRun:
             tmp_path / "b" / "trajectory.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("longer, shorter, output", [
+        ("spacetime_com_brackets", "spacetime_eom", "report.json"),  # 27 KB, then 1.4 KB
+        ("body_composition", "integrator_order", "trajectory.csv"),  # 100 KB, then 5 KB
+        ("body_composition", "integrator_order", "report.json"),
+    ])
+    def test_shorter_output_over_longer_leaves_only_its_bytes(self, longer, shorter, output,
+                                                              tmp_path):
+        # outputs are rewritten in place, and cut where the new bytes end
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert cli.run(longer, out_dir=str(shared)) == 0
+        old = (shared / output).stat().st_size
+        assert cli.run(shorter, out_dir=str(shared)) == 0
+        assert cli.run(shorter, out_dir=str(fresh)) == 0
+        new = (shared / output).read_bytes()
+        assert len(new) < old and new == (fresh / output).read_bytes()
+
+    def test_rerun_keeps_each_output_file(self, tmp_path):
+        # a rerun writes into the files already there, as open(path, "w") does
+        out = tmp_path / "out"
+        outputs = ("report.json", "trajectory.csv", "trajectory_partition.csv")
+        assert cli.run("body_composition", out_dir=str(out)) == 0
+        before = {name: ((out / name).stat().st_ino, (out / name).read_bytes())
+                  for name in outputs}
+        assert cli.run("body_composition", out_dir=str(out)) == 0
+        assert {name: ((out / name).stat().st_ino, (out / name).read_bytes())
+                for name in outputs} == before
+
     def test_validation_error_exits_2(self, tmp_path):
         payload = dict(MINIMAL)
         payload["algebra"] = {"variant": "space_time", "kappa": 1.0, "rho": 2, "tau": 2}
@@ -1033,10 +1062,11 @@ class TestListBuiltin:
 
 
 class TestLibraryImports:
-    def test_cli_imports_only_three_private_names(self):
-        # the oracle tables are check-algebra's independent side, and the two
-        # validators check a field where it is read; every other name the
-        # CLI needs is public, so a library caller can do what the CLI does
+    def test_cli_imports_only_four_private_names(self):
+        # the oracle tables are check-algebra's independent side, the two
+        # validators check a field where it is read, and the one writer of
+        # output files writes report.json; every other name the CLI needs
+        # is public, so a library caller can do what the CLI does
         tree = ast.parse(Path(cli.__file__).read_text())
         private = set()
         for node in ast.walk(tree):
@@ -1044,4 +1074,48 @@ class TestLibraryImports:
                 node.level > 0 or (node.module or "").startswith("liephase")
             ):
                 private |= {alias.name for alias in node.names if alias.name.startswith("_")}
-        assert private == {"_tables", "_checked_parameter", "_grid_steps"}
+        assert private == {"_tables", "_checked_parameter", "_grid_steps", "_rewrite"}
+
+
+class TestSweepOutput:
+    def test_writer_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_output, "SIZES", {100: "tiny", 1_000: "small"})
+        monkeypatch.setattr(sweep_output, "CALLS", 2)
+        out = tmp_path / "record.json"
+        assert sweep_output.main(["--label", "a", "--repeats", "1", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(row["bytes"], row["state"]) for row in rows] == [
+            (100, "overwrite"), (100, "fresh"), (1_000, "overwrite"), (1_000, "fresh")]
+        assert all(row["identical"] and row["open_w_us"] > 0 and row["in_place_us"] > 0
+                   for row in rows)
+
+    def test_whole_pass_against_the_checkout_itself(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_output, "SIZES", {100: "tiny"})
+        monkeypatch.setattr(sweep_output, "CALLS", 1)
+        out = tmp_path / "record.json"
+        assert sweep_output.main(["--label", "a", "--repeats", "2", "--out", str(out),
+                                  "--against", str(sweep_record.ROOT)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert {row["against"] for row in rows} == {sweep_record.ROOT.name}
+        [whole] = [row for row in rows if row["case"] == "cli_bundled_pass"]
+        assert whole["scenarios"] == len(cli.list_builtin()) and whole["rounds"] == 2
+        assert whole["identical"] and whole["exit_statuses_agree"]
+        assert whole["this_min_s"] > 0 and whole["against_min_s"] > 0
+        assert whole["this_won"] + whole["against_won"] <= 1
+
+    def test_second_package_is_distinct(self):
+        against = sweep_record.load_against(sweep_record.ROOT)
+        assert against.__name__ == "liephase_against" and against.dynamics is not dynamics
+        assert against.Trajectory is not lp.Trajectory
+
+    @pytest.mark.parametrize("rows, message", [
+        (lambda repeats: iter(()), "this sweep times one checkout only"),
+        (sweep_output.rows, "no src/liephase package under"),
+    ])
+    def test_against_refused(self, rows, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            sweep_record.main(["--label", "a", "--against", str(tmp_path)],
+                              rows, "what", str(tmp_path / "out.json"), repeats=1)
+        assert exit_info.value.code == 2
+        assert f"--against: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -999,6 +1000,32 @@ def test_one_owner_of_the_linear_flow_rule():
     }
 
 
+def file_writing_calls():
+    """The scopes around every call in the package that opens a file for
+    writing: ``os.open``, ``open`` or a ``.open`` method whose mode is not
+    a literal read mode, and ``write_text`` or ``write_bytes``."""
+    def writes(call, module):
+        func = ast.unparse(call.func)
+        if func == "os.open" or func.endswith(("write_text", "write_bytes")):
+            return True
+        if func != "open" and not func.endswith(".open"):
+            return False
+        position = 1 if func == "open" else 0  # open(file, mode), Path.open(mode)
+        modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position:][:1]
+        if not modes:
+            return False
+        mode = modes[0]
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+"))
+    return package_calls(writes)
+
+
+def test_one_writer_of_output_files():
+    # report.json and the trajectory CSVs are rewritten in place by one
+    # writer, which alone opens a file to write
+    assert file_writing_calls() == {"dynamics._rewrite"}
+
+
 def assert_same_trajectories(got, expected):
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
@@ -1246,6 +1273,94 @@ class TestTrajectoryCsv:
             lp.integrate(scen).write_csv(buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+class TestCsvRewrittenInPlace:
+    """A path's CSV is rewritten in place: the new bytes over the old ones,
+    cut where they end, in the file the path already names."""
+
+    @staticmethod
+    def trajectory(t_end):
+        scen = one_particle(lp.SpaceTime(kappa=1.5), p=(0.1, 0.2, 0.3), t_end=t_end, dt=0.01)
+        return lp.integrate(scen)
+
+    def test_shorter_csv_over_longer_leaves_only_its_bytes(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        self.trajectory(1.0).write_csv(path, include_reduced_momentum=True)
+        short = self.trajectory(0.05)
+        short.write_csv(path)
+        buf = io.StringIO()
+        short.write_csv(buf)
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    def test_rerun_keeps_the_file_and_its_links(self, tmp_path):
+        path, link = tmp_path / "trajectory.csv", tmp_path / "link.csv"
+        self.trajectory(1.0).write_csv(path)
+        os.link(path, link)
+        inode = path.stat().st_ino
+        self.trajectory(0.05).write_csv(str(path))
+        assert path.stat().st_ino == inode
+        assert link.read_bytes() == path.read_bytes()
+
+    def test_old_bytes_stay_until_the_writing_ends(self, tmp_path):
+        # not truncated on opening: mid-write, the new bytes lie over the old
+        path = tmp_path / "out.txt"
+        path.write_text("old old old\n")
+        with dynamics._rewrite(path) as fh:
+            fh.write("new")
+            fh.flush()
+            assert path.read_text() == "new old old\n"
+        assert path.read_text() == "new"
+
+    def test_devnull_is_written_and_not_cut(self):
+        self.trajectory(0.05).write_csv(os.devnull)
+
+    def test_pipe_is_written_and_not_cut(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        self.trajectory(0.05).write_csv(fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        buf = io.StringIO()
+        self.trajectory(0.05).write_csv(buf)
+        assert got == [buf.getvalue().encode()]
+
+    def test_open_file_is_written_at_its_position_and_left_open(self, tmp_path):
+        path = tmp_path / "mine.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("# before\n")
+            self.trajectory(0.05).write_csv(fh)
+            assert not fh.closed
+            fh.write("# after\n")
+        buf = io.StringIO()
+        self.trajectory(0.05).write_csv(buf)
+        assert path.read_text() == "# before\n" + buf.getvalue() + "# after\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_of_open_w(self, umask, tmp_path):
+        previous = os.umask(umask)
+        try:
+            self.trajectory(0.05).write_csv(tmp_path / "new.csv")
+            with open(tmp_path / "reference.csv", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "reference.csv").stat().st_mode
+
+    def test_descriptor_closed_when_wrapping_fails(self, tmp_path):
+        # POSIX hands out the lowest free descriptor, so a leaked one shows
+        # as the next descriptor moving up
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        with pytest.raises(ValueError):
+            with dynamics._rewrite(tmp_path / "out.txt", newline="bogus"):
+                pass
+        again = os.open(os.devnull, os.O_RDONLY)
+        os.close(again)
+        assert again == probe
 
 
 class TestTrajectoryShapes:
