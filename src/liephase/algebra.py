@@ -517,6 +517,14 @@ _CANONICAL.flags.writeable = False
 _NO_PARTICLES = np.zeros((0, 6, 6))
 _NO_PARTICLES.flags.writeable = False
 
+# bytes of the blocks C + t time at one stage time for a block of steps, of
+# the (6, 7) step maps (M c) of a block of steps (whose homogeneous states
+# (z, 1) take a seventh of that again), of the values of a block of CSV
+# rows, or of the Jacobi residuals of a chunk of states: the RK4 kernel, the
+# step maps, ``Trajectory.write_csv`` and ``LoweredAlgebra.jacobi_residual``
+# build them for as many steps, rows or states as fit, one at large N
+_BLOCK_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class LoweredAlgebra:
@@ -537,19 +545,40 @@ class LoweredAlgebra:
         """Number of particles."""
         return self.time.shape[0]
 
-    def blocks(self, z: np.ndarray, t: float) -> np.ndarray:
-        """(N, 6, 6) bracket blocks at per-particle phase points z of shape (N, 6);
-        a ValueError refuses points of another particle count."""
-        if len(z) != len(self):
-            raise ValueError(f"state has {len(z)} particles, system has {len(self)}")
-        j = _CANONICAL + t * self.time
+    def blocks(self, z: np.ndarray, t) -> np.ndarray:
+        """(..., N, 6, 6) bracket blocks at per-particle phase points z (..., N, 6)
+        and times t (...), a state's blocks the bytes of that state alone; a
+        ValueError refuses points of another particle count."""
+        if z.shape[-2] != len(self):
+            raise ValueError(f"state has {z.shape[-2]} particles, system has {len(self)}")
+        # an outer product for a stack of times; a lone time scales directly, faster
+        j = _CANONICAL + (np.multiply.outer(t, self.time) if isinstance(t, np.ndarray)
+                          else t * self.time)
         if self.slope is not None:
-            j += np.einsum("ad,adij->aij", z, self.slope)
+            j += np.einsum("...ad,adij->...aij", z, self.slope)
         return j
 
-    def apply(self, z: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
-        """J(z, t) v for flat phase vectors z and v of length 6N."""
-        return (self.blocks(z.reshape(-1, 6), t) @ v.reshape(-1, 6, 1)).ravel()
+    def apply(self, z: np.ndarray, t, v: np.ndarray) -> np.ndarray:
+        """J(z, t) v for phase vectors z and v of length 6N, or stacks of them
+        of shape (..., 6N) at times t of shape (...)."""
+        points = z.shape[:-1] + (-1, 6)
+        return (self.blocks(z.reshape(points), t) @ v.reshape(points + (1,))).reshape(z.shape)
+
+    def jacobi_residual(self, z: np.ndarray, t) -> float:
+        """``jacobi_residual``, the worst over the states at points z (..., N, 6)
+        and times t (...), its residuals formed for as many states at a time
+        as ``_BLOCK_BYTES`` holds, one at large N."""
+        j = self.blocks(z, t).reshape(-1, len(self), 6, 6)
+        if self.slope is None:
+            return 0.0
+        per_chunk = max(1, _BLOCK_BYTES // self.slope.nbytes)
+        worst = 0.0
+        for start in range(0, len(j), per_chunk):
+            r = np.einsum("snad,ndbc->snabc", j[start:start + per_chunk], self.slope)
+            total = r + r.transpose(0, 1, 3, 4, 2) + r.transpose(0, 1, 4, 2, 3)
+            # np.maximum keeps a NaN that Python's max would drop
+            worst = np.maximum(worst, np.max(np.abs(total)))
+        return float(worst)
 
 
 def lower(specs: Sequence[AlgebraSpec] | LoweredAlgebra | AlgebraSpec,
@@ -628,12 +657,7 @@ def jacobi_residual(
     Each block depends only on its own particle's phase point, so triples
     that mix particles vanish and the maximum runs over per-particle 6x6x6
     residuals.  The derivatives dJ/dz are the lowered slope tensors, exact
-    because every bracket is affine in z.
+    because every bracket is affine in z.  ``LoweredAlgebra.jacobi_residual``
+    forms it, here at one state.
     """
-    lowered = lower(specs)
-    j = lowered.blocks(state.flatten().reshape(-1, 6), state.t)
-    if lowered.slope is None:
-        return 0.0
-    r = np.einsum("nad,ndbc->nabc", j, lowered.slope)
-    total = r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2))
-    return float(np.max(np.abs(total)))
+    return lower(specs).jacobi_residual(state.flatten().reshape(-1, 6), state.t)

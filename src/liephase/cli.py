@@ -48,9 +48,7 @@ from .algebra import (
     SpaceSpace,
     SpaceTime,
     _checked_parameter,
-    jacobi_residual,
     parameter_roles,
-    structure_matrix,
 )
 from .composition import (
     MassScalingRule,
@@ -72,7 +70,7 @@ from .dynamics import (
     _rewrite,
     closed_form_rhs,
     decoupling_check,
-    eom_rhs,
+    eom_rhs_states,
     integrate,
     integrate_together,
     scenario_fingerprint,
@@ -503,9 +501,8 @@ def load_scenario(path_or_name: str) -> Scenario:
     else:
         name = path_or_name.removesuffix(".scn")
         if name in BUILTIN_SCENARIOS:
-            text = (
-                resources.files("liephase").joinpath("scenarios", f"{name}.scn").read_text()
-            )
+            # this package's own files, under whatever name it was loaded
+            text = resources.files(__package__).joinpath("scenarios", f"{name}.scn").read_text()
         else:
             raise ScenarioError(f"no such scenario file or builtin: {path_or_name}")
     data = _parse_json(text)
@@ -600,24 +597,23 @@ def _scenario_rng(scenario: Scenario) -> np.random.Generator:
     return np.random.default_rng(int(digest[:16], 16))
 
 
-def _sample_states(scenario: Scenario, count: int) -> list[PhaseState]:
-    """Deterministic sample states near the scenario's own state.
+def _sample_states(scenario: Scenario, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions and momenta (count + 1, N, 3) and times (count + 1,) of the
+    scenario's own state and ``count`` deterministic sample states.
 
     Coordinates are drawn from [1, 3] so point-source potentials centred at
-    the origin stay regular; momenta from [-3, 3]; times from [0, 2].
+    the origin stay regular; momenta from [-3, 3]; times from [0, 2].  One
+    call draws the doubles ``rng.uniform`` would draw for x, p and t state
+    by state, scaled as it scales them, low + (high - low) u.
     """
     rng = _scenario_rng(scenario)
-    n = scenario.system.n_particles
-    states = [scenario.initial]
-    for _ in range(count):
-        states.append(
-            PhaseState(
-                x=rng.uniform(1.0, 3.0, (n, 3)),
-                p=rng.uniform(-3.0, 3.0, (n, 3)),
-                t=float(rng.uniform(0.0, 2.0)),
-            )
-        )
-    return states
+    own = scenario.initial
+    n = own.n_particles
+    u = rng.random((count, 6 * n + 1))
+    x = np.concatenate([own.x[None], 1.0 + 2.0 * u[:, : 3 * n].reshape(count, n, 3)])
+    p = np.concatenate([own.p[None], -3.0 + 6.0 * u[:, 3 * n : 6 * n].reshape(count, n, 3)])
+    t = np.concatenate([[own.t], 0.0 + 2.0 * u[:, 6 * n]])
+    return x, p, t
 
 
 # --- task implementations ---------------------------------------------------------
@@ -643,30 +639,34 @@ def _scalar_parameters(variant: type) -> list[str]:
 
 
 def _run_check_algebra(scenario: Scenario, plan, runner: _CheckRunner, out_dir: Path) -> dict:
-    states = _sample_states(scenario, scenario.settings["samples"])
-    specs = scenario.system.specs
-    lowered = scenario.system.lowered
+    """The algebra checks at the scenario's own state and ``options.samples``
+    sample states.  The evaluator takes the states as one stack: J's blocks,
+    the Jacobi residual and the right-hand side are one pass each.  The
+    oracle, ``_tables`` and ``closed_form_rhs``, runs per state and per
+    particle, the independent side of each check."""
+    x, p, t = _sample_states(scenario, scenario.settings["samples"])
+    system = scenario.system
+    z = np.concatenate([x, p], axis=-1)
     # J's per-particle 6x6 blocks at each sampled state
-    blocks = np.stack([structure_matrix(lowered, st) for st in states])
+    blocks = system.lowered.blocks(z, t)
+    # the oracle's points, state by state and particle by particle, at one
+    # Python float time each
+    points = [(particle, xa, pa, ts) for xs, ps, ts in zip(x, p, t.tolist())
+              for particle, xa, pa in zip(system.particles, xs, ps)]
 
     def roundtrip():
         # the evaluator's X-X and X-P corners against the named variant's
         # closed-form tables, relative where entries exceed one
-        tables = np.array([[np.hstack(_tables(spec, st.x[a], st.p[a], st.t))
-                            for a, spec in enumerate(specs)] for st in states]) + np.eye(3, 6, 3)
+        ab = np.array([_tables(particle.spec, xa, pa, ts) for particle, xa, pa, ts in points])
+        tables = np.concatenate([ab[:, 0], ab[:, 1]], axis=-1).reshape(blocks[:, :, :3].shape)
+        tables += np.eye(3, 6, 3)
         return np.max(np.abs(blocks[:, :, :3] - tables) / np.maximum(1.0, np.abs(tables)))
 
     def eom_agreement():
-        deviations = []
-        for st in states:
-            xdot, pdot = eom_rhs(scenario, st)
-            for a, particle in enumerate(scenario.system.particles):
-                cx, cp = closed_form_rhs(
-                    particle.spec, particle.mass, scenario.potential,
-                    st.x[a], st.p[a], st.t,
-                )
-                deviations += [np.abs(xdot[a] - cx), np.abs(pdot[a] - cp)]
-        return np.max(deviations)
+        rhs = np.stack(eom_rhs_states(scenario, x, p, t), axis=2)
+        closed = np.array([closed_form_rhs(particle.spec, particle.mass, scenario.potential,
+                                           xa, pa, ts) for particle, xa, pa, ts in points])
+        return np.max(np.abs(rhs - closed.reshape(rhs.shape)))
 
     # each check is the np.max of its deviations, which keeps a NaN (inf - inf,
     # say) where Python's max would drop it: an overflow surfaces as a
@@ -674,12 +674,12 @@ def _run_check_algebra(scenario: Scenario, plan, runner: _CheckRunner, out_dir: 
     with np.errstate(over="ignore", invalid="ignore"):
         runner.add("antisymmetry", np.max(np.abs(blocks + np.swapaxes(blocks, -1, -2))),
                    tolerance=0.0)
-        runner.add("jacobi-residual", np.max([jacobi_residual(lowered, st) for st in states]),
+        runner.add("jacobi-residual", system.lowered.jacobi_residual(z, t),
                    tolerance=runner.tolerance(1e-10))
         runner.add("generalized-encoding-roundtrip", roundtrip(), tolerance=1e-15)
         if scenario.potential is not None:
             runner.add("eom-closed-form", eom_agreement(), tolerance=runner.tolerance(1e-12))
-    return {"sampled_states": len(states)}
+    return {"sampled_states": len(t)}
 
 
 def _rule_to_dict(rule: Optional[MassScalingRule]) -> Optional[dict]:

@@ -10,11 +10,12 @@ inertial mass in the kinetic term equal to the gravitational mass in the
 potential term; a composite body uses H = |Pcom|^2 / 2M + M V(Xcom).
 grad(H) has one writer, ``_write_hamiltonian_gradient``: the RK4 kernel
 calls it on views of its buffers made once per run, ``_rhs_flat`` (behind
-``eom_rhs`` and ``body_com_rhs``) and ``decoupling_check`` on the halves of
-their own buffers, and only the oracle ``closed_form_rhs`` evaluates a
-potential's gradient on its own.  The step maps of a linear flow evaluate
-no gradient: they build grad(H) = A z + b once, as a matrix, from the
-field's declared affine gradient.
+``eom_rhs``, ``eom_rhs_states`` and ``body_com_rhs``) and
+``decoupling_check`` on the halves of their own buffers, and only the
+oracle ``closed_form_rhs`` evaluates a potential's gradient on its own.
+The step maps of a linear flow evaluate no gradient: they build
+grad(H) = A z + b once, as a matrix, from the field's declared affine
+gradient.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .algebra import (
     AlgebraSpec,
     PhaseState,
     LoweredAlgebra,
+    _BLOCK_BYTES,
     _CANONICAL,
     _encoding,
     _fields_equal,
@@ -64,6 +66,7 @@ __all__ = [
     "GravityScenario",
     "Trajectory",
     "eom_rhs",
+    "eom_rhs_states",
     "closed_form_rhs",
     "integrate",
     "integrate_together",
@@ -200,7 +203,7 @@ _ZERO_TERM = (0.0, ((0, 0),) * 3)  # +0.0 times three factors X1^0 = 1.0
 
 
 def _term_major(outputs: list) -> tuple:
-    """``Polynomial._sum``'s power rows, weights and factor rows for outputs
+    """``Polynomial._terms``'s power rows, weights and factor rows for outputs
     given as lists of terms (weight, three (axis, exponent) factors in
     multiplication order)."""
     # a zero weight times three factors 1.0 adds +-0.0, which leaves a total
@@ -271,28 +274,38 @@ class Polynomial(Potential):
             for a, order in enumerate(_DERIVATIVE_AXES)]))
 
     @staticmethod
-    def _sum(points: np.ndarray, powers: np.ndarray, exponents: np.ndarray,
-             weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """sum_m w_m f_m0 f_m1 f_m2 per output at points of shape (3, P), as (J, P)."""
+    def _terms(points: np.ndarray, powers: np.ndarray, exponents: np.ndarray,
+               weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """w_m f_m0 f_m1 f_m2 per term and output at points of shape (3, P), as (M, J, P)."""
         # float_power is libm's pow, as the scalar x ** e, with pow(x, 0) = 1
         # and pow(x, 1) = x; numpy's power may take a vectorised pow that
         # differs in the last bit
         f = np.float_power(points[powers], exponents)[factors]
-        return np.add.accumulate(weights * f[0] * f[1] * f[2])[-1]
+        terms = np.multiply(weights, f[0])
+        terms *= f[1]
+        terms *= f[2]
+        return terms
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return _scalar_or_array(self._sum(x.reshape(-1, 3).T, *self._value).reshape(x.shape[:-1]))
+        total = np.add.accumulate(self._terms(x.reshape(-1, 3).T, *self._value))[-1]
+        return _scalar_or_array(total.reshape(x.shape[:-1]))
 
     def gradient_into(self, x, out):
         x = np.asarray(x, dtype=float)
-        out[...] = self._sum(x.reshape(-1, 3).T, *self._gradient).T.reshape(x.shape)
+        terms = self._terms(x.reshape(-1, 3).T, *self._gradient)
+        if x.ndim == 2:
+            # (N, 3) points: a reduce over the outer, term axis adds the
+            # terms in order, as the running total does, straight into out
+            np.add.reduce(terms, axis=0, out=out.T)
+        else:
+            out[...] = np.add.accumulate(terms)[-1].T.reshape(x.shape)
         return out
 
     def _affine_gradient(self):
         # up to degree 2, dV/dX_a of w X^e is e_a w times one X_k, or 1; no
-        # two monomials meet in one entry, and each is added to +0.0, as _sum's
-        # running total starts
+        # two monomials meet in one entry, and each is added to +0.0, as the
+        # sum of the terms starts
         grad = np.zeros((3, 4))
         for exps, weight in self.coefficients.items():
             if sum(exps) > 2:
@@ -593,12 +606,14 @@ def _rhs_flat(
     lowered: LoweredAlgebra,
     potential: Potential,
     z: np.ndarray,
-    t: float,
+    t,
 ) -> np.ndarray:
-    blocks = z.reshape(-1, 6)
+    """J(z, t) grad(H) at a phase vector z of length 6N, or a stack of them of
+    shape (..., 6N) at times t of shape (...)."""
+    blocks = z.reshape(z.shape[:-1] + (-1, 6))
     grad = np.empty_like(blocks)
     _write_hamiltonian_gradient(
-        masses[:, None], potential, blocks[:, :3], blocks[:, 3:], grad[:, :3], grad[:, 3:]
+        masses[:, None], potential, blocks[..., :3], blocks[..., 3:], grad[..., :3], grad[..., 3:]
     )
     return lowered.apply(z, t, grad)
 
@@ -612,6 +627,27 @@ def eom_rhs(scenario: GravityScenario, state: PhaseState) -> tuple[np.ndarray, n
     zdot = _rhs_flat(system.masses, system.lowered, scenario.potential, z, state.t)
     blocks = zdot.reshape(-1, 6)
     return blocks[:, :3].copy(), blocks[:, 3:].copy()
+
+
+def eom_rhs_states(scenario: GravityScenario, x, p, t) -> tuple[np.ndarray, np.ndarray]:
+    """``eom_rhs`` at S states, from positions and momenta (S, N, 3) and times
+    (S,): (Xdot, Pdot), each (S, N, 3), row s the bytes of ``eom_rhs`` at
+    state s.  A singular field raises what ``eom_rhs`` raises at the first
+    state it fails at."""
+    system = scenario.system
+    x, p, t = (np.asarray(a, dtype=float) for a in (x, p, t))
+    if x.shape != p.shape or x.shape[1:] != (system.n_particles, 3) or t.shape != x.shape[:1]:
+        raise ValueError("state size does not match the scenario's system")
+    z = np.concatenate([x, p], axis=-1).reshape(len(t), -1)
+    rhs = functools.partial(_rhs_flat, system.masses, system.lowered, scenario.potential)
+    try:
+        zdot = rhs(z, t)
+    except PotentialSingularityError:  # the stack's message would name (state, particle)
+        for state in zip(z, t):
+            rhs(*state)
+        raise
+    zdot = zdot.reshape(x.shape[:-1] + (6,))
+    return zdot[..., :3], zdot[..., 3:]
 
 
 def closed_form_rhs(
@@ -644,14 +680,6 @@ def closed_form_rhs(
 
 
 # --- integration ----------------------------------------------------------------
-
-
-# bytes of the blocks C + t time at one stage time for a block of steps, of
-# the (6, 7) step maps (M c) of a block of steps (whose homogeneous states
-# (z, 1) take a seventh of that again), or of the values of a block of CSV
-# rows: the kernel, the step maps and ``Trajectory.write_csv`` build them for
-# as many steps or rows as fit, one at large N
-_BLOCK_BYTES = 64 * 1024
 
 
 def _integrate_flat(

@@ -16,12 +16,10 @@ With ``--against DIR``, one more row times a whole pass, the bundled
 scenarios through ``cli.run`` each into its own output directory, of this
 checkout against the checkout at ``DIR`` (``sweep_record.interleaved``),
 after one untimed pass of each, so every timed pass reruns into outputs
-already there.  Both trees read the bundled scenario files of this
-checkout's ``liephase`` (``cli.load_scenario`` finds them by package name).
-``identical`` records whether the two trees' outputs agree byte for byte.
-The rows, tagged with ``--label`` (the code measured), are written to
-``BENCH_output.json`` at the repository root, keeping the rows of every
-other label::
+already there.  ``identical`` records whether the two trees' outputs agree
+byte for byte.  The rows, tagged with ``--label`` (the code measured), are
+written to ``BENCH_output.json`` at the repository root, keeping the rows
+of every other label::
 
     PYTHONPATH=src python tests/sweep_output.py --label <name> [--repeats 40] [--against DIR]
 

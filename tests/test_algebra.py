@@ -574,6 +574,70 @@ class TestJacobi:
         assert lp.jacobi_residual([spec, spec], state) <= 1e-10
 
 
+STACK_TIMES = (-1.75, 0.0, 2.5, -0.3, 0.0, 4.0, -0.0)
+
+
+def stacked_points(rng, n_particles):
+    """Phase points (S, N, 6) and times (S,) of a stack of states, at times
+    below, at and above zero."""
+    z = rng.uniform(-3.0, 3.0, (len(STACK_TIMES), n_particles, 6))
+    return z, np.array(STACK_TIMES)
+
+
+class TestStackedStates:
+    """A leading axis of states on ``LoweredAlgebra``: each state's rows are
+    the bytes of that state evaluated alone."""
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES + ("theta0_only",))
+    def test_blocks_equal_single_state_calls(self, variant):
+        rng = np.random.default_rng(41)
+        if variant == "theta0_only":  # slope-free, as canonical and space_time
+            specs = [lp.Generalized(theta0=antisym(rng, (3, 3))) for _ in range(3)]
+        else:
+            specs = [random_spec(rng, variant) for _ in range(3)]
+        lowered = lower(specs)
+        assert (lowered.slope is None) == (variant in ("canonical", "space_time", "theta0_only"))
+        z, t = stacked_points(rng, 3)
+        v = rng.uniform(-2.0, 2.0, z.shape)
+        stacked = lowered.blocks(z, t)
+        applied = lowered.apply(z.reshape(len(t), -1), t, v.reshape(len(t), -1))
+        assert stacked.shape == (len(t), 3, 6, 6)
+        for s, ts in enumerate(t.tolist()):
+            assert stacked[s].tobytes() == lowered.blocks(z[s], ts).tobytes()
+            state = lp.PhaseState(x=z[s, :, :3], p=z[s, :, 3:], t=ts)
+            assert stacked[s].tobytes() == lp.structure_matrix(specs, state).tobytes()
+            assert applied[s].tobytes() == lowered.apply(z[s].ravel(), ts, v[s].ravel()).tobytes()
+
+    @pytest.mark.parametrize("variant", ["space_space", "miao_type_ii", "generalized"])
+    @pytest.mark.parametrize("chunk_states", [1, 2, 100])
+    def test_jacobi_residual_is_worst_single_state(self, variant, chunk_states, monkeypatch):
+        rng = np.random.default_rng(43)
+        specs = [random_spec(rng, variant) for _ in range(2)]
+        lowered = lower(specs)
+        z, t = stacked_points(rng, 2)
+        singles = [lp.jacobi_residual(specs, lp.PhaseState(x=z[s, :, :3], p=z[s, :, 3:], t=ts))
+                   for s, ts in enumerate(t.tolist())]
+        # the residuals of chunk_states states at a time
+        monkeypatch.setattr(algebra, "_BLOCK_BYTES", chunk_states * lowered.slope.nbytes)
+        assert lowered.jacobi_residual(z, t) == max(singles)
+        assert lowered.jacobi_residual(z[3], t[3]) == singles[3]
+
+    def test_jacobi_residual_keeps_a_nan(self, monkeypatch):
+        lowered = lower([lp.SpaceSpace(kappa_tilde=2.0)])
+        monkeypatch.setattr(algebra, "_BLOCK_BYTES", lowered.slope.nbytes)  # one state a chunk
+        z, t = stacked_points(np.random.default_rng(44), 1)
+        z[2, 0, 1] = np.inf  # inf * 0 in that state's blocks
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(lowered.jacobi_residual(z, t))
+
+    @pytest.mark.parametrize("method", ["blocks", "jacobi_residual"])
+    def test_wrong_particle_count_refused(self, method):
+        lowered = lower([lp.MiaoTypeI(kappa=1.0, kappa_tilde=2.0)] * 2)
+        z, t = stacked_points(np.random.default_rng(45), 3)
+        with pytest.raises(ValueError, match="state has 3 particles, system has 2"):
+            getattr(lowered, method)(z, t)
+
+
 def scaled_or_refused(template, ratios):
     """``lower(template, mass_ratios=ratios)``'s bytes, or its WepRunError's
     (run, message)."""

@@ -3,8 +3,11 @@
 import ast
 import copy
 import dataclasses
+import importlib
 import json
 import math
+import shutil
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 import liephase as lp
 from liephase import cli, composition, dynamics
 
+import sweep_check_algebra
 import sweep_output
 import sweep_record
 from helpers import count_kernel_calls, strict_json, tensor_with
@@ -1002,6 +1006,50 @@ def _finite_or_null(value):
     return value
 
 
+SINGULAR_OWN_STATE = {
+    "schema_version": 1,
+    "task": "check-algebra",
+    "algebra": {"variant": "miao_type_i", "kappa": 1.0, "kappa_tilde": 2.0,
+                "k": 1, "l": 2, "gamma": 3},
+    "particles": [{"mass": 1.0}, {"mass": 2.0}],
+    "initial": {"x": [[1, 1, 1], [2, 2, 2]], "p": [[0, 0, 0], [0, 0, 0]]},
+    "grid": {"t0": 0.0, "t_end": 1.0, "dt": 0.1},
+    "potential": {"variant": "newtonian", "strength": 1.0, "center": [2, 2, 2]},
+}
+
+
+class TestCheckAlgebra:
+    def test_no_samples_checks_the_own_state(self, tmp_path):
+        path = write_scenario(tmp_path, "own.scn",
+                              _mutated("spacetime_eom", ("options", "samples"), 0))
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 0
+        report = strict_json(tmp_path / "out" / "report.json")
+        assert report["results"] == {"sampled_states": 1}
+        assert [c["name"] for c in report["checks"]] == [
+            "antisymmetry", "jacobi-residual", "generalized-encoding-roundtrip", "eom-closed-form"]
+
+    def test_sample_states_are_the_uniform_draws_state_by_state(self):
+        scenario = cli.load_scenario("spacetime_com_brackets")  # three particles
+        x, p, t = cli._sample_states(scenario, 5)
+        assert x.shape == p.shape == (6, 3, 3) and t.shape == (6,)
+        own = scenario.initial
+        assert np.array_equal(x[0], own.x) and np.array_equal(p[0], own.p) and t[0] == own.t
+        rng = cli._scenario_rng(scenario)
+        for s in range(1, 6):
+            assert x[s].tobytes() == rng.uniform(1.0, 3.0, (3, 3)).tobytes()
+            assert p[s].tobytes() == rng.uniform(-3.0, 3.0, (3, 3)).tobytes()
+            assert t[s] == rng.uniform(0.0, 2.0)
+
+    def test_singular_own_state_exits_3_naming_its_particle(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "singular.scn", SINGULAR_OWN_STATE)
+        scenario = cli.load_scenario(path)
+        with pytest.raises(lp.PotentialSingularityError) as alone:
+            lp.eom_rhs(scenario, scenario.initial)
+        assert cli.run(path, out_dir=str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == f"numerical failure: {alone.value}\n"
+        assert str(alone.value).endswith("for point 1")
+
+
 class TestReportText:
     """``report.json`` is written by ``cli._json_text``, which must give the
     bytes of ``json.dumps(value, sort_keys=True, indent=2)`` with every
@@ -1108,6 +1156,19 @@ class TestSweepOutput:
         assert against.__name__ == "liephase_against" and against.dynamics is not dynamics
         assert against.Trajectory is not lp.Trajectory
 
+    def test_second_package_reads_its_own_scenarios(self, tmp_path):
+        shutil.copytree(sweep_record.ROOT / "src", tmp_path / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        edited = tmp_path / "src" / "liephase" / "scenarios" / "spacetime_eom.scn"
+        edited.write_text(edited.read_text().replace('"samples": 25', '"samples": 3'))
+        try:
+            their = importlib.import_module(sweep_record.load_against(tmp_path).__name__ + ".cli")
+            assert their.load_scenario("spacetime_eom").settings["samples"] == 3
+        finally:  # the copy goes with tmp_path
+            for name in [m for m in sys.modules if m.startswith("liephase_against")]:
+                del sys.modules[name]
+        assert cli.load_scenario("spacetime_eom").settings["samples"] == 25
+
     @pytest.mark.parametrize("rows, message", [
         (lambda repeats: iter(()), "this sweep times one checkout only"),
         (sweep_output.rows, "no src/liephase package under"),
@@ -1119,3 +1180,25 @@ class TestSweepOutput:
         assert exit_info.value.code == 2
         assert f"--against: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+
+class TestSweepCheckAlgebra:
+    def test_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_check_algebra, "SAMPLES", (0, 3))
+        out = tmp_path / "record.json"
+        assert sweep_check_algebra.main(["--label", "a", "--repeats", "1", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(row["scenario"], row["samples"]) for row in rows] == [
+            ("spacetime_eom", 0), ("spacetime_eom", 3), ("miao1_jacobi", 0), ("miao1_jacobi", 3)]
+        assert all(row["min_s"] > 0 for row in rows)
+
+    def test_against_the_checkout_itself(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_check_algebra, "SCENARIOS", ("spacetime_eom",))
+        monkeypatch.setattr(sweep_check_algebra, "SAMPLES", (2,))
+        out = tmp_path / "record.json"
+        assert sweep_check_algebra.main(["--label", "a", "--repeats", "2", "--out", str(out),
+                                         "--against", str(sweep_record.ROOT)]) == 0
+        [row] = json.loads(out.read_text())["rows"]
+        assert row["against"] == sweep_record.ROOT.name and row["rounds"] == 2
+        assert row["checks_agree"] and row["this_min_s"] > 0 and row["against_min_s"] > 0
+        assert row["this_won"] + row["against_won"] <= 1

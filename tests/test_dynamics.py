@@ -458,6 +458,62 @@ class TestEomRhs:
             lp.eom_rhs(scen, random_state(np.random.default_rng(2), 2))
 
 
+STATES_FIELDS = {
+    "uniform": lp.Uniform(g=[0.3, -1.2, 0.7]),
+    "quartic": QUARTIC,
+    "newtonian": lp.Newtonian(strength=1.7, center=[0.5, -0.25, 1.0]),
+}
+
+
+def scenario_and_states(rng, variant, field, n_particles=3, n_states=6):
+    """A scenario of ``n_particles`` in ``field`` and a stack of states, at
+    times below, at and above zero."""
+    system = random_system(rng, variant, n_particles)
+    initial = lp.PhaseState(x=rng.uniform(1.0, 3.0, (n_particles, 3)),
+                            p=np.zeros((n_particles, 3)), t=0.0)
+    scenario = lp.GravityScenario(system=system, potential=field, initial=initial,
+                                  t0=0.0, t_end=1.0, dt=0.1)
+    x = rng.uniform(1.0, 3.0, (n_states, n_particles, 3))
+    p = rng.uniform(-3.0, 3.0, (n_states, n_particles, 3))
+    t = np.array([-1.5, 0.0, 0.7, 2.0, -0.0, 3.1])[:n_states]
+    return scenario, x, p, t
+
+
+class TestEomRhsStates:
+    @pytest.mark.parametrize("field", list(STATES_FIELDS))
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_rows_equal_eom_rhs_per_state(self, variant, field):
+        rng = np.random.default_rng(51)
+        scenario, x, p, t = scenario_and_states(rng, variant, STATES_FIELDS[field])
+        xdot, pdot = lp.eom_rhs_states(scenario, x, p, t)
+        assert xdot.shape == pdot.shape == x.shape
+        for s, ts in enumerate(t.tolist()):
+            single = lp.eom_rhs(scenario, lp.PhaseState(x=x[s], p=p[s], t=ts))
+            assert xdot[s].tobytes() == single[0].tobytes()
+            assert pdot[s].tobytes() == single[1].tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 2, 3), (6, 4, 3), (3, 3), (6, 3, 2)])
+    def test_other_particle_count_refused(self, shape):
+        scenario, x, p, t = scenario_and_states(np.random.default_rng(52), "space_time",
+                                                STATES_FIELDS["uniform"])
+        other = np.ones(shape)
+        with pytest.raises(ValueError, match="state size does not match"):
+            lp.eom_rhs_states(scenario, other, other, t)
+
+    def test_singular_state_raises_as_eom_rhs_there(self):
+        rng = np.random.default_rng(53)
+        field = lp.Newtonian(strength=1.0, center=[2.0, 2.0, 2.0], r_min=0.1)
+        scenario, x, p, t = scenario_and_states(rng, "miao_type_i", field)
+        x[4, 0] = [2.0, 2.0, 2.001]  # the smallest radius, in a later state
+        x[2, 1] = [2.0, 2.05, 2.0]  # the first singular state, at its particle 1
+        with pytest.raises(lp.PotentialSingularityError) as alone:
+            lp.eom_rhs(scenario, lp.PhaseState(x=x[2], p=p[2], t=t[2]))
+        with pytest.raises(lp.PotentialSingularityError) as stacked:
+            lp.eom_rhs_states(scenario, x, p, t)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).endswith("for point 1") and stacked.value.index == 1
+
+
 class TestIntegrate:
     def test_tracks_index_particles_as_a_sequence(self):
         states = np.arange(36.0).reshape(3, 12)
